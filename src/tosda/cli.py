@@ -279,19 +279,26 @@ def _scene_from_config(config: dict, master_seed: int) -> simulator.SourceScene:
     scene = config.get("scene")
     if not isinstance(scene, dict):
         raise TosdaError("config needs a 'scene' object")
+    kind = scene.get("source_kind", "skewed_real")
+    if kind != "skewed_real":
+        raise TosdaError(f"scene 'source_kind' must be 'skewed_real', got {kind!r}")
     angles = scene.get("angles_deg")
-    if isinstance(angles, dict):
-        count = int(angles["count"])
-        lo, hi = angles.get("span_deg", (-60.0, 60.0))
-        angles = np.linspace(float(lo), float(hi), count).tolist()
-    if not isinstance(angles, list) or not angles:
+    try:
+        if isinstance(angles, dict):
+            lo, hi = angles.get("span_deg", (-60.0, 60.0))
+            angles = np.linspace(float(lo), float(hi), int(angles["count"])).tolist()
+        if isinstance(angles, list):
+            angles = tuple(float(a) for a in angles)
+        snr_db = float(scene.get("snr_db", 0.0))
+        snapshots = int(scene.get("snapshots", 1000))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TosdaError(
+            f"malformed config 'scene' ({type(exc).__name__}: {exc})"
+        ) from exc
+    if not isinstance(angles, tuple) or not angles:
         raise TosdaError("scene 'angles_deg' must be a list or {'count', 'span_deg'}")
     return simulator.SourceScene(
-        angles_deg=tuple(float(a) for a in angles),
-        snr_db=float(scene.get("snr_db", 0.0)),
-        snapshots=int(scene.get("snapshots", 1000)),
-        source_kind=scene.get("source_kind", "skewed_real"),
-        seed=master_seed,
+        angles_deg=angles, snr_db=snr_db, snapshots=snapshots, seed=master_seed
     )
 
 

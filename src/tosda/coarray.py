@@ -54,13 +54,7 @@ class LagMultiset:
     @classmethod
     def from_lags(cls, lags: np.ndarray) -> "LagMultiset":
         values, counts = np.unique(np.asarray(lags).ravel(), return_counts=True)
-        return cls({int(v): int(c) for v, c in zip(values, counts)})
-
-    def __add__(self, other: "LagMultiset") -> "LagMultiset":
-        merged = dict(self.entries)
-        for lag, count in other.entries.items():
-            merged[lag] = merged.get(lag, 0) + count
-        return LagMultiset(merged)
+        return cls(dict(zip(values.tolist(), counts.tolist())))
 
     def __getitem__(self, lag: int) -> int:
         return self.entries.get(int(lag), 0)
@@ -119,23 +113,22 @@ class CoarrayReport:
 
 def report_from_multiset(weights: LagMultiset) -> CoarrayReport:
     """Derive the gap/segment analysis of a lag multiset."""
-    lags = weights.lags()
-    present = set(lags)
-    lo, hi = lags[0], lags[-1]
-    holes = tuple(v for v in range(lo, hi + 1) if v not in present)
-    z = -1
-    if 0 in present:
-        z = 0
-        while (z + 1) in present and -(z + 1) in present:
-            z += 1
-    symmetric = all(-lag in present for lag in lags)
+    lags = np.fromiter(weights.entries, dtype=np.int64, count=len(weights))
+    lo, hi = int(lags[0]), int(lags[-1])
+    present = np.zeros(hi - lo + 1, dtype=bool)
+    present[lags - lo] = True
+    holes = np.flatnonzero(~present) + lo
+    # [-Z, Z] ends at the nearer end of [lo, hi] or just short of the hole
+    # closest to 0; it is empty (Z = -1) when 0 is missing or outside
+    nearest_hole = int(np.abs(holes).min(initial=hi + 1))
+    z = max(-1, min(hi, -lo, nearest_hole - 1))
     return CoarrayReport(
-        phi_u=tuple(lags),
+        phi_u=tuple(weights.entries),
         weights=weights,
         size_u=len(lags),
         one_sided_z=z,
-        holes=holes,
-        symmetric=symmetric,
+        holes=tuple(holes.tolist()),
+        symmetric=bool(np.array_equal(lags, -lags[::-1])),
     )
 
 
@@ -152,11 +145,13 @@ def second_order(array: SensorArray, kind: str) -> CoarrayReport:
         lags = p[:, None] + p[None, :]
     weights = LagMultiset.from_lags(lags)
     # size bounds that hold for every physical array
-    if kind == "dca":
-        assert 2 * n - 1 <= len(weights) <= n * n - n + 1
-    else:
-        assert 2 * n - 1 <= len(weights) <= n * n + n + 1
-    assert weights.total == n * n
+    most = n * n - n + 1 if kind == "dca" else n * n + n + 1
+    if not 2 * n - 1 <= len(weights) <= most or weights.total != n * n:
+        raise InternalConsistencyError(
+            f"{kind.upper()} of {n} sensors has {len(weights)} distinct lags "
+            f"(bounds {2 * n - 1}..{most}) and multiplicity {weights.total} "
+            f"(want N^2 = {n * n})"
+        )
     return report_from_multiset(weights)
 
 
@@ -164,10 +159,8 @@ def toca(array: SensorArray, case_j: int) -> LagMultiset:
     """Third-order co-array of one conjugation pattern over N^3 triples."""
     if case_j not in _CASE_SIGNS:
         raise InvalidParameterError(f"case_j must be in 1..4, got {case_j}")
-    p = np.asarray(array.positions, dtype=np.int64)
-    s1, s2, s3 = _CASE_SIGNS[case_j]
-    lags = s1 * p[:, None, None] + s2 * p[None, :, None] + s3 * p[None, None, :]
-    return LagMultiset.from_lags(lags)
+    n3 = array.size**3
+    return LagMultiset.from_lags(index_lag_map(array)[(case_j - 1) * n3 : case_j * n3])
 
 
 def to_eca(array: SensorArray) -> CoarrayReport:
@@ -176,9 +169,7 @@ def to_eca(array: SensorArray) -> CoarrayReport:
     The result is symmetric about lag 0 (patterns 1/4 and 2/3 mirror
     each other) and carries total multiplicity 4*N^3.
     """
-    weights = toca(array, 1)
-    for j in (2, 3, 4):
-        weights = weights + toca(array, j)
+    weights = LagMultiset.from_lags(index_lag_map(array))
     n = array.size
     if weights.total != 4 * n**3:
         raise InternalConsistencyError(
@@ -196,15 +187,14 @@ def index_lag_map(array: SensorArray) -> np.ndarray:
     Entry order matches the vectorization used by the simulator: the
     (i1, i2, i3) tensor of case j is flattened in C order and the four
     cases are concatenated, so the 0-based flat index is
-    ``(j-1)*N^3 + N^2*i1 + N*i2 + i3``.
+    ``(j-1)*N^3 + N^2*i1 + N*i2 + i3``.  Cases 3 and 4 negate cases 2
+    and 1.
     """
     p = np.asarray(array.positions, dtype=np.int64)
-    parts = []
-    for j in (1, 2, 3, 4):
-        s1, s2, s3 = _CASE_SIGNS[j]
-        lags = s1 * p[:, None, None] + s2 * p[None, :, None] + s3 * p[None, None, :]
-        parts.append(lags.ravel())
-    return np.concatenate(parts)
+    pairs = p[:, None, None] + p[None, :, None]
+    case1 = (pairs + p[None, None, :]).ravel()
+    case2 = (pairs - p[None, None, :]).ravel()
+    return np.concatenate([case1, case2, -case2, -case1])
 
 
 def flat_index(n: int, case_j: int, l1: int, l2: int, l3: int) -> int:

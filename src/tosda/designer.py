@@ -37,6 +37,10 @@ class _SplitInfeasible(Exception):
     """Internal: requested N admits no valid split on this path."""
 
 
+# what an infeasible split raises; any other exception is a bug and propagates
+_INFEASIBLE = (_SplitInfeasible, InvalidParameterError, GeometryInconsistencyError)
+
+
 def continuous_optimum_n1(variant: str, n: int) -> float:
     """Stationary point of the relaxed DOF objective in the generator size."""
     variant = normalize_variant(variant)
@@ -144,7 +148,7 @@ def _attempt_closed_form(variant: str, n: int, quiet: bool = False) -> DesignPar
     for n1, m1, m2 in candidates():
         try:
             params = realize(n1, m1, m2)
-        except Exception:
+        except _INFEASIBLE:
             if first and not quiet:
                 log.warning(
                     "TNA-II split for N=%d: direct rounding (N1=%d, M1=%d, M2=%d) "
@@ -176,7 +180,7 @@ def minimum_sensors(variant: str) -> int:
         for n in range(2, _MINIMUM_SCAN_LIMIT + 1):
             try:
                 _attempt_closed_form(variant, n, quiet=True)
-            except (_SplitInfeasible, InvalidParameterError, GeometryInconsistencyError):
+            except _INFEASIBLE:
                 continue
             _MINIMUM_CACHE[variant] = n
             break
@@ -197,7 +201,7 @@ def split_closed_form(variant: str, n: int) -> DesignParams:
         )
     try:
         return _attempt_closed_form(variant, n)
-    except (_SplitInfeasible, InvalidParameterError, GeometryInconsistencyError) as exc:
+    except _INFEASIBLE as exc:
         raise UnsupportedSizeError(
             f"no feasible {variant} split at N={n}: {exc}", minimum=minimum
         ) from exc
@@ -258,7 +262,7 @@ def brute_force_split(
         try:
             params = _params_from_split(variant, n, n1, m1, m2, j)
             dof = _realized_dof(params)
-        except Exception:
+        except _INFEASIBLE:
             continue  # inconsistent generator or empty sub-array: infeasible
         key = (-dof, n1, m1, m2, -1 if j is None else j)
         if best is None or key < best[:5]:

@@ -41,32 +41,31 @@ class SourceScene:
     """Source constellation and sampling setup for one experiment.
 
     ``snr_db`` is per-source: each source has unit power and the noise
-    power at every sensor is 10**(-snr_db/10).  The default source kind
-    draws real, zero-mean, unit-variance amplitudes with a centered
-    exponential law; its skewness keeps all four third-order conjugation
-    patterns away from zero, which symmetric constellations would not.
+    power at every sensor is 10**(-snr_db/10).  Source amplitudes are
+    real, zero-mean and unit-variance with a centered exponential law;
+    its skewness keeps all four third-order conjugation patterns away
+    from zero, which symmetric constellations would not.
     """
 
     angles_deg: tuple[float, ...]
     snr_db: float
     snapshots: int
-    source_kind: str = "skewed_real"
     seed: int = 0
 
     def __post_init__(self):
         angles = tuple(float(a) for a in self.angles_deg)
         if len(angles) < 1:
             raise InvalidParameterError("need at least one source")
+        if not all(math.isfinite(a) for a in (*angles, self.snr_db)):
+            raise InvalidParameterError(
+                f"angles and snr_db must be finite, got {angles} and {self.snr_db}"
+            )
         if len(set(angles)) != len(angles):
             raise InvalidParameterError(f"source angles must be distinct: {angles}")
         if any(abs(a) >= 90 for a in angles):
             raise InvalidParameterError("angles must lie inside (-90, 90) degrees")
         if self.snapshots < 1:
             raise InvalidParameterError("need at least one snapshot")
-        if self.source_kind not in ("skewed_real", "custom"):
-            raise InvalidParameterError(
-                f"unknown source kind {self.source_kind!r}"
-            )
         if int(self.seed) != self.seed or self.seed < 0:
             raise InvalidParameterError("seed must be a non-negative integer")
         object.__setattr__(self, "angles_deg", angles)
@@ -132,7 +131,6 @@ def synthesize_snapshots(
     scene: SourceScene,
     coupling: Optional[metrics.CouplingModel] = None,
     rng: Optional[np.random.Generator] = None,
-    source_generator: Optional[Callable] = None,
 ) -> np.ndarray:
     """Simulate the N x K received-snapshot matrix.
 
@@ -144,18 +142,7 @@ def synthesize_snapshots(
         rng = np.random.default_rng(scene.seed)
     d, k = scene.n_sources, scene.snapshots
     a = steering_matrix(array, scene.angles_deg)
-    if scene.source_kind == "skewed_real":
-        s = rng.exponential(1.0, size=(d, k)) - 1.0
-    else:
-        if source_generator is None:
-            raise InvalidParameterError(
-                "source_kind='custom' requires a source_generator callable"
-            )
-        s = np.asarray(source_generator(rng, (d, k)))
-        if s.shape != (d, k):
-            raise InvalidParameterError(
-                f"source generator returned shape {s.shape}, expected {(d, k)}"
-            )
+    s = rng.exponential(1.0, size=(d, k)) - 1.0
     x = a @ s.astype(np.complex128)
     if coupling is not None:
         x = metrics.coupling_matrix(array, coupling) @ x

@@ -247,3 +247,33 @@ class TestSimulate:
         config.write_text("[]")
         assert main(["simulate", "--config", str(config),
                      "-o", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            {"angles_deg": [0.0, 20.0], "source_kind": "custom"},
+            {"angles_deg": [float("nan")]},
+            {"angles_deg": {"span_deg": [-40, 40]}},
+            {"angles_deg": [0.0, 20.0], "snapshots": "many"},
+        ],
+        ids=["custom-source-kind", "nan-angle", "span-without-count",
+             "non-numeric-snapshots"],
+    )
+    def test_bad_scene_exits_1(self, tmp_path, capsys, scene):
+        config = tmp_path / "config.json"
+        write_sim_config(config, mode="spectrum", scene=scene)
+        assert main(["simulate", "--config", str(config),
+                     "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_explicit_skewed_real_source_kind(self, tmp_path):
+        config = tmp_path / "config.json"
+        write_sim_config(
+            config,
+            mode="spectrum",
+            scene={"angles_deg": [-20.0, 20.0], "snapshots": 600,
+                   "source_kind": "skewed_real"},
+            music={"grid_step_deg": 0.5},
+        )
+        assert main(["simulate", "--config", str(config),
+                     "-o", str(tmp_path / "out")]) == 0

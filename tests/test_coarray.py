@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tosda import (
+    InternalConsistencyError,
     InvalidParameterError,
     LagMultiset,
     SensorArray,
@@ -16,11 +17,42 @@ from tosda import (
     to_eca,
     toca,
 )
-from tosda.coarray import brute_force_lag_multiset, flat_index
+from tosda.coarray import brute_force_lag_multiset, flat_index, report_from_multiset
+
+
+SIGNS = {1: (1, 1, 1), 2: (1, 1, -1), 3: (-1, -1, 1), 4: (-1, -1, -1)}
 
 
 def brute_pairs(a, b, op):
     return {op(x, y) for x in a for y in b}
+
+
+def brute_report(lags):
+    """Pure-Python (holes, Z, symmetric) of a set of integer lags."""
+    present = set(lags)
+    lo, hi = min(present), max(present)
+    holes = tuple(v for v in range(lo, hi + 1) if v not in present)
+    z = -1
+    if 0 in present:
+        z = 0
+        while (z + 1) in present and -(z + 1) in present:
+            z += 1
+    return holes, z, all(-lag in present for lag in present)
+
+
+def assert_matches_brute_report(rep):
+    assert rep.phi_u == tuple(sorted(rep.weights.entries))
+    assert (rep.holes, rep.one_sided_z, rep.symmetric) == brute_report(rep.phi_u)
+    assert type(rep.one_sided_z) is int and type(rep.symmetric) is bool
+    assert all(type(h) is int for h in rep.holes)
+
+
+def random_array(rng, max_sensors=6, span=40, zero_based=True):
+    n = int(rng.integers(1, max_sensors + 1))
+    pos = sorted(rng.choice(np.arange(span), size=n, replace=False).tolist())
+    if zero_based:
+        pos = [v - pos[0] for v in pos]
+    return SensorArray("r", tuple(pos))
 
 
 class TestCrossSum:
@@ -56,10 +88,6 @@ class TestLagMultiset:
         assert w.total == 3
         assert w[0] == 2 and w[7] == 0
 
-    def test_addition_merges_counts(self):
-        w = LagMultiset({0: 1, 1: 2}) + LagMultiset({1: 3, 5: 1})
-        assert w.entries == {0: 1, 1: 5, 5: 1}
-
     def test_rejects_zero_count(self):
         with pytest.raises(InvalidParameterError):
             LagMultiset({0: 0})
@@ -91,6 +119,53 @@ class TestSecondOrder:
         with pytest.raises(InvalidParameterError):
             second_order(build_ula(2), "tca")
 
+    def test_sca_without_lag_zero(self):
+        rep = second_order(SensorArray("a", (1, 2)), "sca")
+        assert rep.phi_u == (2, 3, 4)
+        assert rep.one_sided_z == -1
+        assert_matches_brute_report(rep)
+
+    def test_asymmetric_sca(self):
+        rep = second_order(SensorArray("a", (0, 1, 5)), "sca")
+        assert rep.holes == (3, 4, 7, 8, 9)
+        assert rep.one_sided_z == 0
+        assert not rep.symmetric
+        assert_matches_brute_report(rep)
+
+    def test_wrong_total_raises(self, monkeypatch):
+        # three distinct lags pass the size bounds; total 3 != N^2 = 4
+        wrong = classmethod(lambda cls, lags: cls({-1: 1, 0: 1, 1: 1}))
+        monkeypatch.setattr(LagMultiset, "from_lags", wrong)
+        with pytest.raises(InternalConsistencyError):
+            second_order(build_ula(2), "dca")
+
+
+class TestReportFromMultiset:
+    @pytest.mark.parametrize("lag", [-3, 0, 7])
+    def test_single_lag(self, lag):
+        rep = report_from_multiset(LagMultiset({lag: 2}))
+        assert rep.phi_u == (lag,)
+        assert rep.holes == ()
+        assert rep.one_sided_z == (0 if lag == 0 else -1)
+        assert rep.symmetric == (lag == 0)
+        assert_matches_brute_report(rep)
+
+    @pytest.mark.parametrize(
+        "lags",
+        [(-5, -4, -2), (-2, -1, 0, 1, 2, 3), (-3, -1, 0, 1, 2), (-4, 0, 4), (-1, 1)],
+    )
+    def test_edge_cases(self, lags):
+        rep = report_from_multiset(LagMultiset(dict.fromkeys(lags, 1)))
+        assert_matches_brute_report(rep)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_arrays(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        arr = random_array(rng, zero_based=bool(seed % 2))
+        for kind in ("dca", "sca"):
+            assert_matches_brute_report(second_order(arr, kind))
+        assert_matches_brute_report(to_eca(arr))
+
 
 class TestToca:
     def test_ula2_case1(self):
@@ -113,6 +188,17 @@ class TestToca:
     def test_bad_case(self):
         with pytest.raises(InvalidParameterError):
             toca(build_ula(2), 5)
+
+    @pytest.mark.parametrize("case_j", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_pattern_count(self, case_j, seed):
+        arr = random_array(np.random.default_rng(400 + seed))
+        s1, s2, s3 = SIGNS[case_j]
+        counts = {}
+        for a, b, c in itertools.product(arr.positions, repeat=3):
+            lag = s1 * a + s2 * b + s3 * c
+            counts[lag] = counts.get(lag, 0) + 1
+        assert toca(arr, case_j) == LagMultiset(counts)
 
 
 class TestToEca:
@@ -190,8 +276,7 @@ class TestIndexLagMap:
         n = arr.size
         p = arr.positions
         lags = index_lag_map(arr)
-        signs = {1: (1, 1, 1), 2: (1, 1, -1), 3: (-1, -1, 1), 4: (-1, -1, -1)}
-        for j, (s1, s2, s3) in signs.items():
+        for j, (s1, s2, s3) in SIGNS.items():
             for l1, l2, l3 in itertools.product(range(1, n + 1), repeat=3):
                 want = s1 * p[l1 - 1] + s2 * p[l2 - 1] + s3 * p[l3 - 1]
                 assert lags[flat_index(n, j, l1, l2, l3)] == want

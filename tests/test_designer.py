@@ -3,6 +3,7 @@ import math
 import pytest
 
 from tosda import (
+    InternalConsistencyError,
     UnsupportedSizeError,
     brute_force_split,
     build_generator,
@@ -117,6 +118,16 @@ class TestBruteForceSplit:
     def test_no_split_possible(self):
         with pytest.raises(UnsupportedSizeError):
             brute_force_split("cna", 3)
+
+    def test_internal_error_is_not_an_infeasible_split(self, monkeypatch):
+        from tosda import coarray
+
+        def broken(array):
+            raise InternalConsistencyError("corrupted co-array")
+
+        monkeypatch.setattr(coarray, "to_eca", broken)
+        with pytest.raises(InternalConsistencyError, match="corrupted"):
+            brute_force_split("cna", 8)
 
     def test_search_bounds_restrict(self):
         res = brute_force_split("cna", 8, search_bounds={"M1": (2, 2)})

@@ -32,6 +32,18 @@ def analytic_virtual_vector(big_z, angles_deg, gammas=None):
     return (gammas[None, :] * np.exp(1j * np.pi * np.outer(lags, u))).sum(axis=1)
 
 
+class TestSourceScene:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_angle(self, bad):
+        with pytest.raises(InvalidParameterError):
+            SourceScene((0.0, bad), snr_db=0.0, snapshots=8)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_snr(self, bad):
+        with pytest.raises(InvalidParameterError):
+            SourceScene((0.0,), snr_db=bad, snapshots=8)
+
+
 class TestSteeringMatrix:
     def test_broadside_is_all_ones(self):
         arr, _ = build_to_sda("cna", 8)
@@ -79,12 +91,6 @@ class TestSynthesizeSnapshots:
         x = synthesize_snapshots(arr, scene)
         assert np.allclose(x[0], x[1], atol=1e-12)
         assert np.allclose(x[0], x[2], atol=1e-12)
-
-    def test_custom_kind_requires_generator(self):
-        arr = build_ula(2)
-        scene = SourceScene((5.0,), snr_db=0.0, snapshots=8, source_kind="custom")
-        with pytest.raises(InvalidParameterError):
-            synthesize_snapshots(arr, scene)
 
     def test_source_power_near_unity(self):
         arr = build_ula(2)
