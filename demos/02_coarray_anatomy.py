@@ -20,7 +20,7 @@ for kind in ("DCA", "SCA"):
 print("\nPer-pattern third-order co-arrays of a 2-element array:")
 ula2 = build_ula(2)
 for j in (1, 2, 3, 4):
-    print(f"  pattern {j}: {toca(ula2, j).entries}")
+    print(f"  pattern {j}: {dict(toca(ula2, j).entries)}")
 
 print("\nTO-ECA of ULA(3) — the minimum-size case (6N-5 lags):")
 rep = to_eca(build_ula(3))

@@ -12,7 +12,6 @@ The package splits into five layers:
 from .coarray import (
     CoarrayReport,
     LagMultiset,
-    cross_sum,
     index_lag_map,
     second_order,
     to_eca,

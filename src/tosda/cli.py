@@ -265,52 +265,83 @@ def _load_sim_config(path: Path) -> dict:
     return config
 
 
+def _read(spec: dict, key: str, cast, default=None):
+    """``cast(spec[key])``, or ``default`` when the key is absent or null.
+
+    A value ``cast`` rejects becomes a :class:`TosdaError` naming the key,
+    so a malformed config ends in ``error: ...`` rather than a traceback.
+    """
+    value = spec.get(key)
+    if value is None:
+        return default
+    try:
+        return cast(value)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise TosdaError(
+            f"config field {key!r} cannot be {value!r} ({type(exc).__name__}: {exc})"
+        ) from None
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("expected a JSON object")
+    return value
+
+
+def _numbers(value) -> list:
+    """A non-empty list of finite JSON numbers, returned unchanged."""
+    if not isinstance(value, list) or not value or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in value
+    ):
+        raise TypeError("expected a non-empty list of finite numbers")
+    return value
+
+
+def _angles(value) -> tuple[float, ...]:
+    """An explicit angle list, or ``{'count', 'span_deg'}`` spread evenly."""
+    if isinstance(value, dict):
+        lo, hi = value.get("span_deg", (-60.0, 60.0))
+        value = np.linspace(float(lo), float(hi), int(value["count"])).tolist()
+    if not isinstance(value, list):
+        raise TypeError("expected a list or {'count', 'span_deg'}")
+    return tuple(float(a) for a in value)
+
+
 def _array_from_config(spec: dict):
     if "file" in spec:
-        return geometry.load_array(spec["file"]), None
+        return geometry.load_array(_read(spec, "file", str)), None
     if "variant" in spec and "sensors" in spec:
-        return geometry.build_to_sda(spec["variant"], int(spec["sensors"]))
+        return geometry.build_to_sda(spec["variant"], _read(spec, "sensors", int))
     raise TosdaError(
         "config 'array' needs either {'file': path} or {'variant', 'sensors'}"
     )
 
 
 def _scene_from_config(config: dict, master_seed: int) -> simulator.SourceScene:
-    scene = config.get("scene")
-    if not isinstance(scene, dict):
+    scene = _read(config, "scene", _object)
+    if scene is None:
         raise TosdaError("config needs a 'scene' object")
     kind = scene.get("source_kind", "skewed_real")
     if kind != "skewed_real":
         raise TosdaError(f"scene 'source_kind' must be 'skewed_real', got {kind!r}")
-    angles = scene.get("angles_deg")
-    try:
-        if isinstance(angles, dict):
-            lo, hi = angles.get("span_deg", (-60.0, 60.0))
-            angles = np.linspace(float(lo), float(hi), int(angles["count"])).tolist()
-        if isinstance(angles, list):
-            angles = tuple(float(a) for a in angles)
-        snr_db = float(scene.get("snr_db", 0.0))
-        snapshots = int(scene.get("snapshots", 1000))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TosdaError(
-            f"malformed config 'scene' ({type(exc).__name__}: {exc})"
-        ) from exc
-    if not isinstance(angles, tuple) or not angles:
-        raise TosdaError("scene 'angles_deg' must be a list or {'count', 'span_deg'}")
     return simulator.SourceScene(
-        angles_deg=angles, snr_db=snr_db, snapshots=snapshots, seed=master_seed
+        angles_deg=_read(scene, "angles_deg", _angles, ()),
+        snr_db=_read(scene, "snr_db", float, 0.0),
+        snapshots=_read(scene, "snapshots", int, 1000),
+        seed=master_seed,
     )
 
 
 def _coupling_from_config(config: dict):
-    spec = config.get("coupling")
-    if not spec or not spec.get("enabled", False):
+    spec = _read(config, "coupling", _object, {})
+    if not spec.get("enabled", False):
         return None
     return metrics.CouplingModel(
-        c1_magnitude=float(spec.get("c1_magnitude", 0.3)),
-        c1_phase=float(spec.get("c1_phase_rad", math.pi / 3)),
-        band_limit=int(spec.get("band_limit", 100)),
-        decay_phase_step=float(spec.get("decay_phase_step_rad", math.pi / 8)),
+        c1_magnitude=_read(spec, "c1_magnitude", float, 0.3),
+        c1_phase=_read(spec, "c1_phase_rad", float, math.pi / 3),
+        band_limit=_read(spec, "band_limit", int, 100),
+        decay_phase_step=_read(spec, "decay_phase_step_rad", float, math.pi / 8),
     )
 
 
@@ -318,11 +349,11 @@ def cmd_simulate(args) -> int:
     outdir = _outdir(args)
     config = _load_sim_config(Path(args.config))
     mode = config.get("mode", "rmse")
-    master_seed = int(config.get("master_seed", 0))
-    array, _ = _array_from_config(config.get("array", {}))
+    master_seed = _read(config, "master_seed", int, 0)
+    array, _ = _array_from_config(_read(config, "array", _object, {}))
     scene = _scene_from_config(config, master_seed)
     coupling = _coupling_from_config(config)
-    grid_step = float(config.get("music", {}).get("grid_step_deg", 0.01))
+    grid_step = _read(_read(config, "music", _object, {}), "grid_step_deg", float, 0.01)
     threads = args.threads
     outputs: list[str] = []
     warnings: list[str] = []
@@ -331,16 +362,16 @@ def cmd_simulate(args) -> int:
         print(msg, file=sys.stderr)
 
     if mode == "rmse":
-        sweep_spec = config.get("sweep")
-        if not isinstance(sweep_spec, dict):
+        sweep_spec = _read(config, "sweep", _object)
+        if sweep_spec is None:
             raise TosdaError("mode 'rmse' needs a 'sweep' object")
         parameter = sweep_spec.get("parameter")
-        values = sweep_spec.get("values")
+        values = _read(sweep_spec, "values", _numbers)
         if parameter not in simulator.SWEEP_PARAMETERS or not values:
             raise TosdaError(
                 f"sweep needs 'parameter' in {simulator.SWEEP_PARAMETERS} and 'values'"
             )
-        trials = int(config.get("trials", 1))
+        trials = _read(config, "trials", int, 1)
         stats = simulator.monte_carlo(
             array, scene, (parameter, values), trials=trials, coupling=coupling,
             grid_step_deg=grid_step, threads=threads, progress=progress,
@@ -351,6 +382,13 @@ def cmd_simulate(args) -> int:
             [[s.sweep_value, s.trials, s.rmse_deg] for s in stats],
         )
         outputs.append("rmse.csv")
+        for s in stats:
+            if s.padded_trials:
+                warnings.append(
+                    f"sweep point {s.sweep_value!r}: {s.padded_trials}/{s.trials} "
+                    "trials had fewer spectrum peaks than sources; their "
+                    "padded estimates are in rmse_deg"
+                )
         if config.get("dump_trials", False):
             rows = []
             for s in stats:

@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -26,58 +27,70 @@ from .geometry import SensorArray
 _CASE_SIGNS = {1: (1, 1, 1), 2: (1, 1, -1), 3: (-1, -1, 1), 4: (-1, -1, -1)}
 
 
-def cross_sum(
-    a: Iterable[int], b: Iterable[int], c: Optional[Iterable[int]] = None
-) -> set[int]:
-    """All pairwise (or triple-wise) sums of elements, deduplicated."""
-    a, b = set(a), set(b)
-    if not a or not b:
-        raise InvalidParameterError("cross_sum arguments must be non-empty")
-    if c is None:
-        return {x + y for x in a for y in b}
-    c = set(c)
-    if not c:
-        raise InvalidParameterError("cross_sum arguments must be non-empty")
-    return {x + y + z for x in a for y in b for z in c}
-
-
 class LagMultiset:
-    """Map from integer lag to positive multiplicity."""
+    """Integer lags with positive multiplicities, as one dense count vector.
 
-    __slots__ = ("entries",)
+    ``counts[i]`` is the multiplicity of lag ``lo + i``.  Both ends of
+    ``counts`` are non-zero, so the vector spans exactly [min lag, max lag]
+    and two equal multisets have equal ``lo`` and ``counts``.
+    """
 
-    def __init__(self, entries: dict[int, int]):
+    __slots__ = ("lo", "counts")
+
+    def __init__(self, entries: Mapping[int, int]):
         if any(m < 1 for m in entries.values()):
             raise InvalidParameterError("multiplicities must be >= 1")
-        self.entries = {int(k): int(v) for k, v in sorted(entries.items())}
+        lags = np.array(list(entries), dtype=np.int64)
+        lo, hi = (int(lags.min()), int(lags.max())) if len(lags) else (0, -1)
+        counts = np.zeros(hi - lo + 1, dtype=np.int64)
+        counts[lags - lo] = list(entries.values())
+        self._set(lo, counts)
 
     @classmethod
     def from_lags(cls, lags: np.ndarray) -> "LagMultiset":
-        values, counts = np.unique(np.asarray(lags).ravel(), return_counts=True)
-        return cls(dict(zip(values.tolist(), counts.tolist())))
+        lags = np.asarray(lags, dtype=np.int64).ravel()
+        lo = int(lags.min()) if len(lags) else 0
+        weights = cls.__new__(cls)
+        weights._set(lo, np.bincount(lags - lo))
+        return weights
+
+    def _set(self, lo: int, counts: np.ndarray) -> None:
+        self.lo = lo
+        self.counts = counts
+        counts.flags.writeable = False
+
+    @property
+    def entries(self) -> Mapping[int, int]:
+        """Read-only ``{lag: multiplicity}`` view in increasing lag order."""
+        present = np.flatnonzero(self.counts)
+        return MappingProxyType(
+            dict(zip((present + self.lo).tolist(), self.counts[present].tolist()))
+        )
 
     def __getitem__(self, lag: int) -> int:
-        return self.entries.get(int(lag), 0)
+        i = int(lag) - self.lo
+        return int(self.counts[i]) if 0 <= i < len(self.counts) else 0
 
     def __contains__(self, lag: int) -> bool:
-        return int(lag) in self.entries
+        return self[lag] > 0
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LagMultiset) and self.entries == other.entries
+        return (
+            isinstance(other, LagMultiset)
+            and self.lo == other.lo
+            and np.array_equal(self.counts, other.counts)
+        )
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return int(np.count_nonzero(self.counts))
 
     def __repr__(self) -> str:
-        return f"LagMultiset({self.entries!r})"
+        return f"LagMultiset({dict(self.entries)!r})"
 
     @property
     def total(self) -> int:
         """Total multiplicity; equals the number of generating tuples."""
-        return sum(self.entries.values())
-
-    def lags(self) -> list[int]:
-        return list(self.entries)
+        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -113,22 +126,22 @@ class CoarrayReport:
 
 def report_from_multiset(weights: LagMultiset) -> CoarrayReport:
     """Derive the gap/segment analysis of a lag multiset."""
-    lags = np.fromiter(weights.entries, dtype=np.int64, count=len(weights))
-    lo, hi = int(lags[0]), int(lags[-1])
-    present = np.zeros(hi - lo + 1, dtype=bool)
-    present[lags - lo] = True
+    present = weights.counts > 0
+    lo = weights.lo
+    hi = lo + len(present) - 1
+    lags = np.flatnonzero(present) + lo
     holes = np.flatnonzero(~present) + lo
     # [-Z, Z] ends at the nearer end of [lo, hi] or just short of the hole
     # closest to 0; it is empty (Z = -1) when 0 is missing or outside
     nearest_hole = int(np.abs(holes).min(initial=hi + 1))
     z = max(-1, min(hi, -lo, nearest_hole - 1))
     return CoarrayReport(
-        phi_u=tuple(weights.entries),
+        phi_u=tuple(lags.tolist()),
         weights=weights,
         size_u=len(lags),
         one_sided_z=z,
         holes=tuple(holes.tolist()),
-        symmetric=bool(np.array_equal(lags, -lags[::-1])),
+        symmetric=lo == -hi and bool(np.array_equal(present, present[::-1])),
     )
 
 

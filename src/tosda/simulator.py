@@ -107,10 +107,15 @@ class EstimationResult:
 
 @dataclass
 class RunStats:
-    """Aggregate of one Monte-Carlo sweep point."""
+    """Aggregate of one Monte-Carlo sweep point.
+
+    ``padded_trials`` counts the trials whose estimates were padded (see
+    :class:`EstimationResult`); their estimates still enter ``rmse_deg``.
+    """
 
     sweep_value: float
     trials: int
+    padded_trials: int
     rmse_deg: float
     per_trial_estimates: np.ndarray
     truth_deg: np.ndarray
@@ -379,30 +384,31 @@ def monte_carlo(
                 f"one-sided consecutive lags of {array.name}"
             )
 
-        def run_trial(t: int) -> np.ndarray:
+        def run_trial(t: int) -> EstimationResult:
             rng = np.random.default_rng([point_scene.seed, point_idx, t])
             x = synthesize_snapshots(array, point_scene, coupling, rng)
             cum = sample_third_cumulants(x, array)
             zvec = virtual_array_vector(cum, report)
-            est = ss_music(
+            return ss_music(
                 zvec,
                 d,
                 grid_step_deg=grid_step_deg,
                 unit_spacing=array.unit_spacing,
             )
-            return est.angles_deg
 
         if threads == 1:
             estimates = [run_trial(t) for t in range(trials)]
         else:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 estimates = list(pool.map(run_trial, range(trials)))
-        est_matrix = np.vstack(estimates)
+        est_matrix = np.vstack([est.angles_deg for est in estimates])
+        padded = sum(est.peaks_padded for est in estimates)
         truth = np.sort(np.asarray(point_scene.angles_deg))
         results.append(
             RunStats(
                 sweep_value=math.nan if value is None else float(value),
                 trials=trials,
+                padded_trials=padded,
                 rmse_deg=rmse(est_matrix, truth),
                 per_trial_estimates=est_matrix,
                 truth_deg=truth,
@@ -411,6 +417,7 @@ def monte_carlo(
         if progress is not None:
             progress(
                 f"sweep point {point_idx + 1}/{len(points)} "
-                f"(value={value!r}): rmse={results[-1].rmse_deg:.4f} deg"
+                f"(value={value!r}): rmse={results[-1].rmse_deg:.4f} deg, "
+                f"{padded}/{trials} trials padded"
             )
     return results

@@ -1,9 +1,10 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from tosda import build_ula, save_array
+from tosda import build_ula, save_array, simulator
 from tosda.cli import main
 
 
@@ -265,6 +266,54 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config),
                      "-o", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"trials": "x"},
+            {"master_seed": "x"},
+            {"array": {"variant": "cna", "sensors": "five"}},
+            {"array": {"file": 5}},
+            {"sweep": {"parameter": "snr", "values": ["a"]}},
+            {"sweep": {"parameter": "snr", "values": 5}},
+            {"music": 3},
+            {"music": {"grid_step_deg": "fine"}},
+            {"coupling": True},
+            {"coupling": {"enabled": True, "band_limit": "x"}},
+            {"scene": 3},
+        ],
+        ids=["trials", "master-seed", "sensors", "array-file", "sweep-value",
+             "sweep-values-scalar", "music-scalar", "grid-step", "coupling-bool",
+             "band-limit", "scene-scalar"],
+    )
+    def test_bad_config_field_exits_1(self, tmp_path, capsys, overrides):
+        config = tmp_path / "config.json"
+        write_sim_config(config, **overrides)
+        assert main(["simulate", "--config", str(config),
+                     "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_padded_trials_warn_without_changing_rmse(self, tmp_path, capsys,
+                                                      monkeypatch):
+        config = tmp_path / "config.json"
+        write_sim_config(config)
+        clean, padded = tmp_path / "clean", tmp_path / "padded"
+        assert main(["simulate", "--config", str(config), "-o", str(clean)]) == 0
+        assert read_manifest(clean)["warnings"] == []
+        real = simulator.ss_music
+        monkeypatch.setattr(
+            simulator, "ss_music",
+            lambda *a, **k: dataclasses.replace(real(*a, **k), peaks_padded=True),
+        )
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(config), "-o", str(padded)]) == 0
+        assert "2/2 trials padded" in capsys.readouterr().err
+        assert (clean / "rmse.csv").read_bytes() == (padded / "rmse.csv").read_bytes()
+        warnings = read_manifest(padded)["warnings"]
+        assert len(warnings) == 2
+        assert all("2/2 trials" in w for w in warnings)
+        assert main(["simulate", "--config", str(config), "--strict",
+                     "-o", str(padded)]) == 3
 
     def test_explicit_skewed_real_source_kind(self, tmp_path):
         config = tmp_path / "config.json"

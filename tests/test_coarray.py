@@ -1,17 +1,18 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tosda import (
     InternalConsistencyError,
     InvalidParameterError,
     LagMultiset,
     SensorArray,
-    build_generator,
     build_to_sda,
     build_ula,
-    cross_sum,
     index_lag_map,
     second_order,
     to_eca,
@@ -21,10 +22,6 @@ from tosda.coarray import brute_force_lag_multiset, flat_index, report_from_mult
 
 
 SIGNS = {1: (1, 1, 1), 2: (1, 1, -1), 3: (-1, -1, 1), 4: (-1, -1, -1)}
-
-
-def brute_pairs(a, b, op):
-    return {op(x, y) for x in a for y in b}
 
 
 def brute_report(lags):
@@ -55,33 +52,6 @@ def random_array(rng, max_sensors=6, span=40, zero_based=True):
     return SensorArray("r", tuple(pos))
 
 
-class TestCrossSum:
-    def test_singletons(self):
-        assert cross_sum({0}, {5}) == {5}
-
-    def test_small(self):
-        assert cross_sum({0, 1}, {0, 1}) == {0, 1, 2}
-
-    def test_generator_sum_is_gapless(self):
-        # second-order sums of the (1, 3) generator fill 0..12 exactly
-        g = set(build_generator("cna", 1, 3).positions)
-        assert cross_sum(g, g) == set(range(13))
-
-    def test_triple(self):
-        assert cross_sum({0, 1}, {0, 1}, {0, 1}) == {0, 1, 2, 3}
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            cross_sum(set(), {1})
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_brute_force(self, seed):
-        rng = np.random.default_rng(seed)
-        a = set(rng.integers(0, 30, size=5).tolist())
-        b = set(rng.integers(0, 30, size=4).tolist())
-        assert cross_sum(a, b) == brute_pairs(a, b, lambda x, y: x + y)
-
-
 class TestLagMultiset:
     def test_total(self):
         w = LagMultiset({0: 2, 3: 1})
@@ -91,6 +61,35 @@ class TestLagMultiset:
     def test_rejects_zero_count(self):
         with pytest.raises(InvalidParameterError):
             LagMultiset({0: 0})
+
+    def test_dense_layout(self):
+        w = LagMultiset({3: 1, -2: 4})
+        assert w.lo == -2 and w.counts.tolist() == [4, 0, 0, 0, 0, 1]
+        assert list(w.entries) == [-2, 3] and len(w) == 2
+        assert 3 in w and 0 not in w and w[10] == 0
+        assert repr(w) == "LagMultiset({-2: 4, 3: 1})"
+
+    def test_read_only(self):
+        w = LagMultiset.from_lags(np.array([1, 1, 2]))
+        with pytest.raises(TypeError):
+            w.entries[5] = 1
+        with pytest.raises(ValueError):
+            w.counts[0] = 9
+
+    def test_empty(self):
+        w = LagMultiset.from_lags(np.array([], dtype=np.int64))
+        assert w == LagMultiset({})
+        assert len(w) == 0 and w.total == 0 and repr(w) == "LagMultiset({})"
+
+    @given(st.lists(st.integers(-50, 50), max_size=80))
+    def test_from_lags_matches_counter(self, lags):
+        w = LagMultiset.from_lags(np.array(lags, dtype=np.int64))
+        counter = Counter(lags)
+        assert w == LagMultiset(counter)
+        assert w.entries == dict(sorted(counter.items()))
+        assert list(w.entries) == sorted(counter)
+        assert len(w) == len(counter) and w.total == len(lags)
+        assert all(w[lag] == counter[lag] for lag in range(-52, 53))
 
 
 class TestSecondOrder:
@@ -157,6 +156,10 @@ class TestReportFromMultiset:
     def test_edge_cases(self, lags):
         rep = report_from_multiset(LagMultiset(dict.fromkeys(lags, 1)))
         assert_matches_brute_report(rep)
+
+    @given(st.sets(st.integers(-30, 30), min_size=1))
+    def test_random_lag_sets(self, lags):
+        assert_matches_brute_report(report_from_multiset(LagMultiset(dict.fromkeys(lags, 1))))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_arrays(self, seed):
@@ -245,6 +248,19 @@ class TestToEca:
         positions = tuple(sorted([0, *rest.tolist()]))
         arr = SensorArray("r", positions)
         assert to_eca(arr).weights == brute_force_lag_multiset(positions)
+
+    @given(st.sets(st.integers(0, 60), min_size=1, max_size=7))
+    def test_property_matches_oracle(self, positions):
+        positions = sorted(positions)
+        rep = to_eca(SensorArray("h", tuple(positions)))
+        assert rep.weights == brute_force_lag_multiset(positions)
+        assert rep.weights.total == 4 * len(positions) ** 3
+        assert rep.symmetric
+
+    @pytest.mark.parametrize("variant", ["cna", "scna", "tna2"])
+    def test_matches_oracle_at_n36(self, variant):
+        arr, _ = build_to_sda(variant, 36)
+        assert to_eca(arr).weights == brute_force_lag_multiset(arr.positions)
 
     def test_report_json_shape(self):
         rep = to_eca(build_ula(2))

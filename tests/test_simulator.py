@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -20,6 +21,7 @@ from tosda import (
     to_eca,
     virtual_array_vector,
 )
+from tosda import simulator
 
 
 def analytic_virtual_vector(big_z, angles_deg, gammas=None):
@@ -324,3 +326,27 @@ class TestMonteCarlo:
         scene = SourceScene((0.0,), snr_db=0.0, snapshots=64, seed=0)
         with pytest.raises(InvalidParameterError):
             monte_carlo(array9, scene, ("bandwidth", [1]), trials=1)
+
+    def test_padded_trials_counted(self, array9, monkeypatch):
+        scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=400, seed=1)
+        clean = monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=3)
+        assert [s.padded_trials for s in clean] == [0, 0]
+        real = simulator.ss_music
+        calls = []
+
+        def pad_every_other(*args, **kwargs):
+            calls.append(None)
+            est = real(*args, **kwargs)
+            return dataclasses.replace(est, peaks_padded=len(calls) % 2 == 1)
+
+        monkeypatch.setattr(simulator, "ss_music", pad_every_other)
+        lines = []
+        padded = monte_carlo(
+            array9, scene, ("snr", [0.0, 6.0]), trials=3, progress=lines.append
+        )
+        # calls 1, 3 | 5 are padded: trials 0 and 2 of point 0, trial 1 of point 1
+        assert [s.padded_trials for s in padded] == [2, 1]
+        assert "2/3 trials padded" in lines[0] and "1/3 trials padded" in lines[1]
+        for a, b in zip(clean, padded):
+            assert np.array_equal(a.per_trial_estimates, b.per_trial_estimates)
+            assert a.rmse_deg == b.rmse_deg
