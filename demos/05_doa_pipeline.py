@@ -12,7 +12,6 @@ import numpy as np
 from tosda import (
     SourceScene,
     build_to_sda,
-    sample_third_cumulants,
     ss_music,
     synthesize_snapshots,
     to_eca,
@@ -34,8 +33,7 @@ print(f"\nscene: {scene.n_sources} sources, {scene.snapshots} snapshots, "
       f"{scene.snr_db:+.0f} dB SNR")
 
 x = synthesize_snapshots(arr, scene)
-cum = sample_third_cumulants(x, arr)
-z = virtual_array_vector(cum, report)
+z = virtual_array_vector(x, arr, report)
 est = ss_music(z, scene.n_sources, keep_spectrum=True)
 
 print(f"\n{'truth':>10s} {'estimate':>10s} {'error':>9s}")

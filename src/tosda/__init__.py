@@ -65,7 +65,6 @@ from .metrics import (
     z_closed_form,
 )
 from .simulator import (
-    CumulantData,
     EstimationResult,
     RunStats,
     SourceScene,

@@ -402,14 +402,11 @@ def cmd_simulate(args) -> int:
             )
             outputs.append("trials.csv")
     elif mode == "spectrum":
-        d = scene.n_sources
         rng = np.random.default_rng([master_seed, 0, 0])
         x = simulator.synthesize_snapshots(array, scene, coupling, rng)
-        cum = simulator.sample_third_cumulants(x, array)
-        report = coarray.to_eca(array)
-        zvec = simulator.virtual_array_vector(cum, report)
+        zvec = simulator.virtual_array_vector(x, array, coarray.to_eca(array))
         est = simulator.ss_music(
-            zvec, d, grid_step_deg=grid_step,
+            zvec, scene.n_sources, grid_step_deg=grid_step,
             unit_spacing=array.unit_spacing, keep_spectrum=True,
         )
         grid, spectrum = est.spectrum

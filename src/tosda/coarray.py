@@ -104,12 +104,22 @@ class CoarrayReport:
     virtual ULA is [-Z, Z], not [min, max].
     """
 
-    phi_u: tuple[int, ...]
     weights: LagMultiset
-    size_u: int
     one_sided_z: int
-    holes: tuple[int, ...]
     symmetric: bool
+
+    @property
+    def phi_u(self) -> tuple[int, ...]:
+        return tuple(self.weights.entries)
+
+    @property
+    def size_u(self) -> int:
+        return len(self.weights)
+
+    @property
+    def holes(self) -> tuple[int, ...]:
+        absent = np.flatnonzero(self.weights.counts == 0) + self.weights.lo
+        return tuple(absent.tolist())
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,18 +139,14 @@ def report_from_multiset(weights: LagMultiset) -> CoarrayReport:
     present = weights.counts > 0
     lo = weights.lo
     hi = lo + len(present) - 1
-    lags = np.flatnonzero(present) + lo
     holes = np.flatnonzero(~present) + lo
     # [-Z, Z] ends at the nearer end of [lo, hi] or just short of the hole
     # closest to 0; it is empty (Z = -1) when 0 is missing or outside
     nearest_hole = int(np.abs(holes).min(initial=hi + 1))
     z = max(-1, min(hi, -lo, nearest_hole - 1))
     return CoarrayReport(
-        phi_u=tuple(lags.tolist()),
         weights=weights,
-        size_u=len(lags),
         one_sided_z=z,
-        holes=tuple(holes.tolist()),
         symmetric=lo == -hi and bool(np.array_equal(present, present[::-1])),
     )
 
@@ -197,9 +203,9 @@ def to_eca(array: SensorArray) -> CoarrayReport:
 def index_lag_map(array: SensorArray) -> np.ndarray:
     """Lag of every entry of the stacked third-order cumulant vector.
 
-    Entry order matches the vectorization used by the simulator: the
-    (i1, i2, i3) tensor of case j is flattened in C order and the four
-    cases are concatenated, so the 0-based flat index is
+    Entry order matches :func:`tosda.simulator.sample_third_cumulants`:
+    the (i1, i2, i3) tensor of case j is flattened in C order and the
+    four cases are concatenated, so the 0-based flat index is
     ``(j-1)*N^3 + N^2*i1 + N*i2 + i3``.  Cases 3 and 4 negate cases 2
     and 1.
     """

@@ -1,11 +1,11 @@
 """End-to-end cumulant-domain DOA experiments.
 
 Pipeline: synthesize snapshots (optionally through a mutual-coupling
-matrix), estimate the empirical third-order cumulant vector, collapse it
-onto the consecutive virtual array by redundancy averaging, then run
-spatial-smoothing MUSIC on the virtual uniform array.  Third-order
-statistics vanish for Gaussian processes, so additive Gaussian noise is
-suppressed by the statistics themselves rather than subtracted.
+matrix), average their empirical third-order cumulants over each lag of
+the consecutive virtual array in one pass, then run spatial-smoothing
+MUSIC on the virtual uniform array.  Third-order statistics vanish for
+Gaussian processes, so additive Gaussian noise is suppressed by the
+statistics themselves rather than subtracted.
 
 All randomness flows through ``numpy.random.Generator`` objects seeded
 from explicit integers; Monte-Carlo trials derive their generators from
@@ -73,20 +73,6 @@ class SourceScene:
     @property
     def n_sources(self) -> int:
         return len(self.angles_deg)
-
-
-@dataclass
-class CumulantData:
-    """Stacked empirical third-order cumulant vector of length 4*N^3.
-
-    ``lag_map[i]`` is the virtual-array lag the i-th entry responds to;
-    the ordering matches :func:`tosda.coarray.index_lag_map`.
-    """
-
-    values: np.ndarray
-    lag_map: np.ndarray
-    n_sensors: int
-    snapshots: int
 
 
 @dataclass
@@ -158,15 +144,8 @@ def synthesize_snapshots(
     return x + (sigma / math.sqrt(2.0)) * noise
 
 
-def sample_third_cumulants(x: np.ndarray, array: SensorArray) -> CumulantData:
-    """Empirical third-order cumulants of the snapshot matrix.
-
-    For a zero-mean process the third cumulant equals the third moment,
-    so after removing the sample mean each entry is the snapshot average
-    of the conjugation pattern x_i x_j x_k.  Patterns 3 and 4 are exact
-    conjugates of patterns 2 and 1 for any data, so only two tensor
-    contractions are evaluated.
-    """
+def _centred(x: np.ndarray, array: SensorArray) -> np.ndarray:
+    """The N x K snapshot matrix with each sensor's sample mean removed."""
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 2:
         raise InvalidParameterError(f"expected an N x K matrix, got shape {x.shape}")
@@ -177,46 +156,61 @@ def sample_third_cumulants(x: np.ndarray, array: SensorArray) -> CumulantData:
         )
     if k < 1:
         raise InvalidParameterError("need at least one snapshot")
-    xc = x - x.mean(axis=1, keepdims=True)
-    t1 = np.einsum("it,jt,kt->ijk", xc, xc, xc, optimize=True) / k
-    t2 = np.einsum("it,jt,kt->ijk", xc, xc, xc.conj(), optimize=True) / k
-    values = np.concatenate(
+    return x - x.mean(axis=1, keepdims=True)
+
+
+def sample_third_cumulants(x: np.ndarray, array: SensorArray) -> np.ndarray:
+    """Reference estimate of all 4*N^3 empirical third-order cumulants.
+
+    For a zero-mean process the third cumulant equals the third moment,
+    so after removing the sample mean each entry is the snapshot average
+    of the conjugation pattern x_i x_j x_k, in the order of
+    :func:`tosda.coarray.index_lag_map`.  The pipeline does not use this
+    vector; it is the oracle :func:`virtual_array_vector` is tested against.
+    """
+    xc = _centred(x, array)
+    t1 = np.einsum("it,jt,kt->ijk", xc, xc, xc, optimize=True) / xc.shape[1]
+    t2 = np.einsum("it,jt,kt->ijk", xc, xc, xc.conj(), optimize=True) / xc.shape[1]
+    return np.concatenate(
         [t1.ravel(), t2.ravel(), t2.conj().ravel(), t1.conj().ravel()]
     )
-    return CumulantData(
-        values=values,
-        lag_map=coarray.index_lag_map(array),
-        n_sensors=n,
-        snapshots=k,
-    )
 
 
-def virtual_array_vector(cum: CumulantData, report: CoarrayReport) -> np.ndarray:
-    """Collapse cumulant entries onto the consecutive lags [-Z, Z].
+def virtual_array_vector(
+    x: np.ndarray, array: SensorArray, report: CoarrayReport
+) -> np.ndarray:
+    """Redundancy-averaged third-order cumulants on the lags [-Z, Z].
 
-    Entries sharing a lag are redundancy-averaged with the unweighted
-    arithmetic mean; the output has length 2Z+1, ordered by lag.
+    Entries sharing a lag enter the unweighted arithmetic mean; the output
+    has length 2Z+1, ordered by lag.  Patterns 1 and 2 are symmetric in
+    (i, j), so only the pairs i <= j are formed, weighted by multiplicity;
+    patterns 3 and 4 are their conjugate mirror.  The lag counts found
+    here must equal the weights of ``report``, the TO-ECA of ``array``.
     """
+    xc = _centred(x, array)
+    n, k = xc.shape
     z = report.one_sided_z
     if z < 0:
         raise InternalConsistencyError("co-array has no lag 0; nothing to average")
-    lag = cum.lag_map
-    if lag.shape != cum.values.shape:
-        raise InvalidParameterError("cumulant values and lag map sizes differ")
-    mask = np.abs(lag) <= z
-    idx = (lag[mask] + z).astype(np.intp)
-    vals = cum.values[mask]
-    width = 2 * z + 1
-    counts = np.bincount(idx, minlength=width)
-    if np.any(counts == 0):
-        missing = [int(i - z) for i in np.flatnonzero(counts == 0)]
-        raise InternalConsistencyError(
-            f"lags {missing} missing inside [-{z}, {z}]; report and lag map disagree"
-        )
-    sums = np.bincount(idx, weights=vals.real, minlength=width) + 1j * np.bincount(
-        idx, weights=vals.imag, minlength=width
-    )
-    return sums / counts
+    p = np.asarray(array.positions, dtype=np.int64)
+    i, j = np.triu_indices(n)
+    mult = np.repeat(np.where(i == j, 1.0, 2.0), 2 * n)
+    lags = ((p[i] + p[j])[:, None] + np.concatenate([p, -p])).ravel()
+    keep = np.abs(lags) <= z
+
+    def binned(values):
+        return np.bincount(lags[keep] + z, values[keep], 2 * z + 1)
+
+    both = np.concatenate([xc, xc.conj()]).T
+    # one block of pair rows per sensor keeps peak memory at N x K, not N^2/2 x K
+    moments = np.concatenate([(xc[a] * xc[a:]) @ both for a in range(n)]).ravel()
+    moments *= mult / k
+    sums = binned(moments.real) + 1j * binned(moments.imag)
+    counts = binned(mult) + binned(mult)[::-1]
+    w = report.weights
+    if w.lo > -z or not np.array_equal(counts, w.counts[-z - w.lo : z - w.lo + 1]):
+        raise InternalConsistencyError(f"report is not the TO-ECA of {array.name}")
+    return (sums + sums[::-1].conj()) / counts
 
 
 _STEERING_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -270,16 +264,18 @@ def ss_music(
         raise CapacityExceededError(
             f"{n_sources} sources exceed the {big_z} one-sided consecutive lags"
         )
-    if grid_step_deg <= 0:
-        raise InvalidParameterError("grid step must be positive")
+    if not (math.isfinite(grid_step_deg) and grid_step_deg > 0):
+        raise InvalidParameterError(f"grid step {grid_step_deg} is not finite and > 0")
     m = big_z + 1
+    grid, a = _grid_and_steering(m, grid_step_deg, unit_spacing)
+    if grid.size < n_sources:
+        raise InvalidParameterError(f"{grid.size} grid points for {n_sources} sources")
     windows = sliding_window_view(z, m)  # row i = lags [i-Z, i]
     r = windows.T @ windows.conj() / m
     r = (r + r.conj().T) / 2
     _, vecs = np.linalg.eigh(r)
     signal = vecs[:, m - n_sources:]
 
-    grid, a = _grid_and_steering(m, grid_step_deg, unit_spacing)
     # |En^H a|^2 = m - |Es^H a|^2 because the eigenbasis is orthonormal
     proj = signal.conj().T @ a
     den = m - np.einsum("ij,ij->j", proj, proj.conj()).real
@@ -329,15 +325,16 @@ def rmse(estimates: np.ndarray, truth) -> float:
 def _scene_for_point(scene: SourceScene, parameter: str, value) -> SourceScene:
     if parameter == "snr":
         return replace(scene, snr_db=float(value))
+    if parameter not in SWEEP_PARAMETERS:
+        raise InvalidParameterError(
+            f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}"
+        )
+    if not (float(value).is_integer() and value >= 1):
+        raise InvalidParameterError(f"sweep {parameter} must be a whole number >= 1")
     if parameter == "snapshots":
         return replace(scene, snapshots=int(value))
-    if parameter == "num_sources":
-        lo, hi = min(scene.angles_deg), max(scene.angles_deg)
-        angles = tuple(np.linspace(lo, hi, int(value)))
-        return replace(scene, angles_deg=angles)
-    raise InvalidParameterError(
-        f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}"
-    )
+    lo, hi = min(scene.angles_deg), max(scene.angles_deg)
+    return replace(scene, angles_deg=tuple(np.linspace(lo, hi, int(value))))
 
 
 def monte_carlo(
@@ -387,8 +384,7 @@ def monte_carlo(
         def run_trial(t: int) -> EstimationResult:
             rng = np.random.default_rng([point_scene.seed, point_idx, t])
             x = synthesize_snapshots(array, point_scene, coupling, rng)
-            cum = sample_third_cumulants(x, array)
-            zvec = virtual_array_vector(cum, report)
+            zvec = virtual_array_vector(x, array, report)
             return ss_music(
                 zvec,
                 d,

@@ -32,7 +32,6 @@ from tosda import (
     brute_force_split,
     l3_bound,
     monte_carlo,
-    sample_third_cumulants,
     size_bounds,
     ss_music,
     synthesize_snapshots,
@@ -340,8 +339,7 @@ def test_criterion_10_half_degree_resolution():
             angles_deg=(0.0, 0.5), snr_db=0.0, snapshots=10000, seed=seed
         )
         x = synthesize_snapshots(arr, scene)
-        cum = sample_third_cumulants(x, arr)
-        zvec = virtual_array_vector(cum, rep)
+        zvec = virtual_array_vector(x, arr, rep)
         est = ss_music(zvec, 2, grid_step_deg=GRID_STEP)
         sep = float(est.angles_deg[1] - est.angles_deg[0])
         good = (not est.peaks_padded) and 0.0 < sep < 1.0

@@ -281,10 +281,17 @@ class TestSimulate:
             {"coupling": True},
             {"coupling": {"enabled": True, "band_limit": "x"}},
             {"scene": 3},
+            {"music": {"grid_step_deg": float("nan")}},
+            {"music": {"grid_step_deg": 60.0}},
+            {"sweep": {"parameter": "num_sources", "values": [2.7]}},
+            {"sweep": {"parameter": "num_sources", "values": [-3]}},
+            {"sweep": {"parameter": "snapshots", "values": [600.5]}},
         ],
         ids=["trials", "master-seed", "sensors", "array-file", "sweep-value",
              "sweep-values-scalar", "music-scalar", "grid-step", "coupling-bool",
-             "band-limit", "scene-scalar"],
+             "band-limit", "scene-scalar", "grid-step-nan", "grid-step-coarse",
+             "fractional-num-sources", "negative-num-sources",
+             "fractional-snapshots"],
     )
     def test_bad_config_field_exits_1(self, tmp_path, capsys, overrides):
         config = tmp_path / "config.json"

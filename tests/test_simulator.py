@@ -3,15 +3,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tosda import (
     CapacityExceededError,
     CouplingModel,
+    InternalConsistencyError,
     InvalidParameterError,
     SensorArray,
     SourceScene,
     build_to_sda,
     build_ula,
+    index_lag_map,
     monte_carlo,
     rmse,
     sample_third_cumulants,
@@ -105,8 +109,8 @@ class TestSampleThirdCumulants:
     def test_zero_input(self):
         arr = build_ula(2)
         cum = sample_third_cumulants(np.zeros((2, 10), dtype=complex), arr)
-        assert np.all(cum.values == 0)
-        assert cum.values.shape == (4 * 8,)
+        assert np.all(cum == 0)
+        assert cum.shape == (4 * 8,)
 
     def test_single_sensor_case1_is_third_moment(self):
         arr = SensorArray("a", (0,))
@@ -114,7 +118,7 @@ class TestSampleThirdCumulants:
         s = rng.exponential(1.0, 500) - 1.0
         cum = sample_third_cumulants(s[None, :].astype(complex), arr)
         centered = s - s.mean()
-        assert cum.values[0] == pytest.approx(np.mean(centered**3))
+        assert cum[0] == pytest.approx(np.mean(centered**3))
 
     def test_matches_explicit_pattern_loop(self):
         # independent oracle: evaluate all four conjugation patterns with
@@ -135,7 +139,7 @@ class TestSampleThirdCumulants:
             for l1, l2, l3 in itertools.product(range(n), repeat=3):
                 idx = (j - 1) * n**3 + n * n * l1 + n * l2 + l3
                 want = np.mean(pat(xc[l1], xc[l2], xc[l3]))
-                assert cum.values[idx] == pytest.approx(want, abs=1e-12)
+                assert cum[idx] == pytest.approx(want, abs=1e-12)
 
     def test_conjugation_symmetry(self):
         arr = build_ula(2)
@@ -143,8 +147,8 @@ class TestSampleThirdCumulants:
         x = rng.standard_normal((2, 30)) + 1j * rng.standard_normal((2, 30))
         cum = sample_third_cumulants(x, arr)
         n3 = 8
-        case1, case2 = cum.values[:n3], cum.values[n3:2 * n3]
-        case3, case4 = cum.values[2 * n3:3 * n3], cum.values[3 * n3:]
+        case1, case2 = cum[:n3], cum[n3:2 * n3]
+        case3, case4 = cum[2 * n3:3 * n3], cum[3 * n3:]
         assert np.array_equal(case3, case2.conj())
         assert np.array_equal(case4, case1.conj())
 
@@ -155,7 +159,7 @@ class TestSampleThirdCumulants:
         k = 100_000
         x = (rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))) / np.sqrt(2)
         cum = sample_third_cumulants(x, arr)
-        assert np.max(np.abs(cum.values)) < 10 / np.sqrt(k)
+        assert np.max(np.abs(cum)) < 10 / np.sqrt(k)
 
     def test_gaussian_decay_rate(self):
         arr = build_ula(2)
@@ -163,13 +167,23 @@ class TestSampleThirdCumulants:
         maxima = []
         for k in (10_000, 40_000):
             x = (rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k)))
-            maxima.append(np.max(np.abs(sample_third_cumulants(x, arr).values)))
+            maxima.append(np.max(np.abs(sample_third_cumulants(x, arr))))
         ratio = maxima[0] / maxima[1]
         assert 1.0 <= ratio <= 3.0  # ~2 expected for a 4x snapshot increase
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
             sample_third_cumulants(np.zeros((3, 10), dtype=complex), build_ula(2))
+
+
+def reference_virtual_vector(x, arr, rep):
+    """Bincount average of the full 4N^3 cumulant vector over [-Z, Z]."""
+    cum, lags = sample_third_cumulants(x, arr), index_lag_map(arr)
+    big_z = rep.one_sided_z
+    inside = np.abs(lags) <= big_z
+    idx, vals = lags[inside] + big_z, cum[inside]
+    sums = np.bincount(idx, vals.real) + 1j * np.bincount(idx, vals.imag)
+    return sums / np.bincount(idx)
 
 
 class TestVirtualArrayVector:
@@ -179,19 +193,19 @@ class TestVirtualArrayVector:
         x[0, ::2] = -1.0  # non-trivial signal
         cum = sample_third_cumulants(x, arr)
         rep = to_eca(arr)
-        z = virtual_array_vector(cum, rep)
+        z = virtual_array_vector(x, arr, rep)
         assert z.shape == (1,)
-        assert z[0] == pytest.approx(np.mean(cum.values))
+        assert z[0] == pytest.approx(np.mean(cum))
 
     def test_constructed_exponential_passes_through(self):
+        # one real source with steering exp(j*omega*p) and unit third
+        # moment: every cumulant entry is exp(j*omega*lag)
         arr, _ = build_to_sda("cna", 8)
         rep = to_eca(arr)
-        cum = sample_third_cumulants(
-            np.zeros((arr.size, 4), dtype=complex), arr
-        )
         omega = 0.37
-        cum.values = np.exp(1j * omega * cum.lag_map)
-        z = virtual_array_vector(cum, rep)
+        s = np.array([2.0, -1.0, -1.0]) / np.cbrt(2.0)  # mean 0, mean cube 1
+        x = np.exp(1j * omega * np.asarray(arr.positions))[:, None] * s[None, :]
+        z = virtual_array_vector(x, arr, rep)
         big_z = rep.one_sided_z
         lags = np.arange(-big_z, big_z + 1)
         assert np.allclose(z, np.exp(1j * omega * lags), atol=1e-12)
@@ -199,12 +213,55 @@ class TestVirtualArrayVector:
     def test_average_counts_equal_weights(self):
         arr, _ = build_to_sda("scna", 8)
         rep = to_eca(arr)
-        lag_map = sample_third_cumulants(
-            np.zeros((arr.size, 2), dtype=complex), arr
-        ).lag_map
+        lag_map = index_lag_map(arr)
         big_z = rep.one_sided_z
         for lag in (-big_z, -3, 0, 5, big_z):
             assert np.sum(lag_map == lag) == rep.weights[lag]
+
+    @settings(deadline=None)
+    @given(
+        st.sets(st.integers(1, 40), max_size=6),
+        st.integers(1, 30),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_reference(self, positions, k, seed):
+        # a sensor at 0 puts lag 0 = 0 + 0 - 0 into the TO-ECA, so Z >= 0
+        arr = SensorArray("h", (0, *sorted(positions)))
+        rep = to_eca(arr)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((arr.size, k)) + 1j * rng.standard_normal((arr.size, k))
+        got = virtual_array_vector(x, arr, rep)
+        want = reference_virtual_vector(x, arr, rep)
+        assert got.shape == want.shape == (2 * rep.one_sided_z + 1,)
+        # entries are means of cubes, so rounding scales with max |x|^3
+        scale = np.abs(x).max() ** 3
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_matches_reference_with_coupling(self):
+        arr, _ = build_to_sda("cna", 9)
+        rep = to_eca(arr)
+        scene = SourceScene((-30.0, 10.0, 45.0), snr_db=0.0, snapshots=2000, seed=4)
+        x = synthesize_snapshots(arr, scene, CouplingModel())
+        want = reference_virtual_vector(x, arr, rep)
+        assert np.allclose(virtual_array_vector(x, arr, rep), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "other",
+        [(0, 1, 3), (0, 1, 2, 7), (0, 1, 2, 10), (0, 1, 2, 4, 6)],
+        ids=["smaller-z", "larger-z", "same-z-same-n", "same-z-more-sensors"],
+    )
+    def test_report_of_another_array_rejected(self, other):
+        arr = SensorArray("a", (0, 1, 2, 6))
+        x = np.ones((arr.size, 5), dtype=complex)
+        with pytest.raises(InternalConsistencyError):
+            virtual_array_vector(x, arr, to_eca(SensorArray("b", other)))
+
+    def test_input_checks(self):
+        arr = build_ula(2)
+        rep = to_eca(arr)
+        for bad in (np.zeros(4), np.zeros((3, 10)), np.zeros((2, 0))):
+            with pytest.raises(InvalidParameterError):
+                virtual_array_vector(bad, arr, rep)
 
 
 class TestSsMusic:
@@ -244,6 +301,21 @@ class TestSsMusic:
         assert np.allclose(r, r.conj().T, atol=1e-10 * np.abs(r).max())
         eigvals = np.linalg.eigvalsh((r + r.conj().T) / 2)
         assert eigvals.min() >= -1e-10 * eigvals.max()
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_bad_grid_step_rejected(self, step):
+        z = analytic_virtual_vector(20, [5.0])
+        with pytest.raises(InvalidParameterError):
+            ss_music(z, 1, grid_step_deg=step)
+
+    def test_grid_with_fewer_points_than_sources_rejected(self):
+        # a 60-degree step leaves the interior points -30 and 30 only
+        z = analytic_virtual_vector(20, [-30.0, 0.0, 30.0])
+        assert ss_music(z, 2, grid_step_deg=60.0).angles_deg.tolist() == [-30.0, 30.0]
+        with pytest.raises(InvalidParameterError):
+            ss_music(z, 3, grid_step_deg=60.0)
+        with pytest.raises(InvalidParameterError):
+            ss_music(z, 1, grid_step_deg=500.0)  # no interior point at all
 
     def test_spectrum_returned_on_request(self):
         z = analytic_virtual_vector(20, [5.0])
@@ -315,6 +387,21 @@ class TestMonteCarlo:
         stats = monte_carlo(array9, scene, ("num_sources", [3]), trials=1)
         assert stats[0].truth_deg.shape == (3,)
         assert stats[0].truth_deg[0] == -60.0 and stats[0].truth_deg[-1] == 60.0
+
+    @pytest.mark.parametrize(
+        "parameter, value",
+        [("num_sources", 2.7), ("num_sources", -3), ("num_sources", 0),
+         ("num_sources", float("nan")), ("snapshots", 400.5), ("snapshots", 0)],
+    )
+    def test_non_whole_count_sweep_value_rejected(self, array9, parameter, value):
+        scene = SourceScene((-20.0, 20.0), snr_db=0.0, snapshots=64, seed=0)
+        with pytest.raises(InvalidParameterError):
+            monte_carlo(array9, scene, (parameter, [3, value]), trials=1)
+
+    def test_whole_float_sweep_value_accepted(self, array9):
+        scene = SourceScene((-60.0, 60.0), snr_db=10.0, snapshots=500, seed=2)
+        stats = monte_carlo(array9, scene, ("num_sources", [3.0]), trials=1)
+        assert stats[0].truth_deg.shape == (3,)
 
     def test_capacity_failure_aborts_point(self):
         tiny = build_ula(2)  # Z = 3
