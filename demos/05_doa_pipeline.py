@@ -3,8 +3,11 @@
 The pipeline: skewed sources hit the array through unit-modulus phase
 responses plus Gaussian noise; third-order cumulants of the snapshots
 cancel the Gaussian part and populate a virtual array of consecutive
-lags far larger than the physical aperture; spatial-smoothing MUSIC on
-that virtual array separates more sources than there are sensors.
+lags far larger than the physical aperture; co-array MUSIC on the
+Hermitian Toeplitz matrix of that virtual array separates more sources
+than there are sensors.  The Toeplitz matrix T gives the spatially smoothed
+covariance T T^H / (Z+1) without forming it (Liu & Vaidyanathan, IEEE SPL
+22(9), 2015).
 """
 
 import numpy as np

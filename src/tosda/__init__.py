@@ -6,7 +6,7 @@ The package splits into five layers:
 - :mod:`tosda.coarray`   — exact second-/third-order lag algebra
 - :mod:`tosda.designer`  — closed-form and exhaustive sensor splits
 - :mod:`tosda.metrics`   — size/redundancy bounds and mutual coupling
-- :mod:`tosda.simulator` — snapshots, cumulants, spatial-smoothing MUSIC
+- :mod:`tosda.simulator` — snapshots, cumulants, Toeplitz co-array MUSIC
 """
 
 from .coarray import (
@@ -23,7 +23,6 @@ from .designer import (
     brute_force_split,
     dof_closed_form,
     dof_sweep,
-    lambda_pair,
     minimum_sensors,
     split_closed_form,
 )

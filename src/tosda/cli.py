@@ -302,7 +302,8 @@ def _angles(value) -> tuple[float, ...]:
     """An explicit angle list, or ``{'count', 'span_deg'}`` spread evenly."""
     if isinstance(value, dict):
         lo, hi = value.get("span_deg", (-60.0, 60.0))
-        value = np.linspace(float(lo), float(hi), int(value["count"])).tolist()
+        count = simulator.whole_number(value["count"])
+        value = np.linspace(float(lo), float(hi), count).tolist()
     if not isinstance(value, list):
         raise TypeError("expected a list or {'count', 'span_deg'}")
     return tuple(float(a) for a in value)
@@ -312,7 +313,8 @@ def _array_from_config(spec: dict):
     if "file" in spec:
         return geometry.load_array(_read(spec, "file", str)), None
     if "variant" in spec and "sensors" in spec:
-        return geometry.build_to_sda(spec["variant"], _read(spec, "sensors", int))
+        sensors = _read(spec, "sensors", simulator.whole_number)
+        return geometry.build_to_sda(spec["variant"], sensors)
     raise TosdaError(
         "config 'array' needs either {'file': path} or {'variant', 'sensors'}"
     )
@@ -328,7 +330,7 @@ def _scene_from_config(config: dict, master_seed: int) -> simulator.SourceScene:
     return simulator.SourceScene(
         angles_deg=_read(scene, "angles_deg", _angles, ()),
         snr_db=_read(scene, "snr_db", float, 0.0),
-        snapshots=_read(scene, "snapshots", int, 1000),
+        snapshots=_read(scene, "snapshots", simulator.whole_number, 1000),
         seed=master_seed,
     )
 
@@ -340,7 +342,7 @@ def _coupling_from_config(config: dict):
     return metrics.CouplingModel(
         c1_magnitude=_read(spec, "c1_magnitude", float, 0.3),
         c1_phase=_read(spec, "c1_phase_rad", float, math.pi / 3),
-        band_limit=_read(spec, "band_limit", int, 100),
+        band_limit=_read(spec, "band_limit", simulator.whole_number, 100),
         decay_phase_step=_read(spec, "decay_phase_step_rad", float, math.pi / 8),
     )
 
@@ -349,7 +351,7 @@ def cmd_simulate(args) -> int:
     outdir = _outdir(args)
     config = _load_sim_config(Path(args.config))
     mode = config.get("mode", "rmse")
-    master_seed = _read(config, "master_seed", int, 0)
+    master_seed = _read(config, "master_seed", simulator.whole_number, 0)
     array, _ = _array_from_config(_read(config, "array", _object, {}))
     scene = _scene_from_config(config, master_seed)
     coupling = _coupling_from_config(config)
@@ -371,7 +373,7 @@ def cmd_simulate(args) -> int:
             raise TosdaError(
                 f"sweep needs 'parameter' in {simulator.SWEEP_PARAMETERS} and 'values'"
             )
-        trials = _read(config, "trials", int, 1)
+        trials = _read(config, "trials", simulator.whole_number, 1)
         stats = simulator.monte_carlo(
             array, scene, (parameter, values), trials=trials, coupling=coupling,
             grid_step_deg=grid_step, threads=threads, progress=progress,
@@ -490,7 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    default_threads = int(os.environ.get(_ENV_THREADS, "1"))
+    env_threads = os.environ.get(_ENV_THREADS, "1")
+    try:
+        default_threads = int(env_threads)
+    except ValueError:
+        raise TosdaError(f"{_ENV_THREADS} must be an integer, got {env_threads!r}") from None
 
     def add_common(p):
         p.add_argument("-o", "--output", default=".",
@@ -587,9 +593,8 @@ def _validate_args(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _validate_args(args)
         return args.func(args)
     except TosdaError as exc:

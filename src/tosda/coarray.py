@@ -216,15 +216,6 @@ def index_lag_map(array: SensorArray) -> np.ndarray:
     return np.concatenate([case1, case2, -case2, -case1])
 
 
-def flat_index(n: int, case_j: int, l1: int, l2: int, l3: int) -> int:
-    """0-based position of cumulant entry (case_j; l1, l2, l3), 1-based l's."""
-    if case_j not in _CASE_SIGNS:
-        raise InvalidParameterError(f"case_j must be in 1..4, got {case_j}")
-    if not all(1 <= l <= n for l in (l1, l2, l3)):
-        raise InvalidParameterError("sensor indices must be in 1..N")
-    return (case_j - 1) * n**3 + n * n * (l1 - 1) + n * (l2 - 1) + (l3 - 1)
-
-
 def brute_force_lag_multiset(positions: Iterable[int]) -> LagMultiset:
     """Independent O(4*N^3) python-loop oracle for :func:`to_eca` weights.
 

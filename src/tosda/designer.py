@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from . import coarray, geometry
 from .errors import (
@@ -219,36 +219,18 @@ class SplitResult:
     agreement: bool
 
 
-def _enumerate_splits(variant: str, n: int, bounds=None):
-    bounds = bounds or {}
-
-    def rng(key, default_hi):
-        lo, hi = bounds.get(key, (1, default_hi))
-        return range(max(1, lo), default_hi + 1 if hi is None else hi + 1)
-
-    if variant in ("cna", "scna"):
-        for m1 in rng("M1", n):
-            for m2 in rng("M2", n):
-                n1 = 2 * m1 + m2
-                n2 = n - n1
-                if n2 < 1:
-                    continue
-                yield n1, m1, m2, None
-    else:
-        for m1 in rng("M1", n):
-            for m2 in rng("M2", n):
-                n1 = m1 + m2
-                n2 = n - n1
-                if n2 < 1:
-                    continue
-                yield n1, m1, m2, math.ceil(n1 / 2) - 1
+def _enumerate_splits(variant: str, n: int):
+    for m1 in range(1, n + 1):
+        for m2 in range(1, n + 1):
+            if variant == "tna2":
+                n1, j = m1 + m2, math.ceil((m1 + m2) / 2) - 1
+            else:
+                n1, j = 2 * m1 + m2, None
+            if n1 < n:  # leaves N2 >= 1 tail sensors
+                yield n1, m1, m2, j
 
 
-def brute_force_split(
-    variant: str,
-    n: int,
-    search_bounds: Optional[Mapping[str, tuple[int, int]]] = None,
-) -> SplitResult:
+def brute_force_split(variant: str, n: int) -> SplitResult:
     """Exhaustive search over all feasible integer splits.
 
     Every candidate geometry is actually realized and its exhaustive
@@ -258,7 +240,7 @@ def brute_force_split(
     """
     variant = normalize_variant(variant)
     best: Optional[tuple[int, int, int, int, int, DesignParams]] = None
-    for n1, m1, m2, j in _enumerate_splits(variant, n, search_bounds):
+    for n1, m1, m2, j in _enumerate_splits(variant, n):
         try:
             params = _params_from_split(variant, n, n1, m1, m2, j)
             dof = _realized_dof(params)

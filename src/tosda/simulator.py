@@ -2,10 +2,13 @@
 
 Pipeline: synthesize snapshots (optionally through a mutual-coupling
 matrix), average their empirical third-order cumulants over each lag of
-the consecutive virtual array in one pass, then run spatial-smoothing
-MUSIC on the virtual uniform array.  Third-order statistics vanish for
-Gaussian processes, so additive Gaussian noise is suppressed by the
-statistics themselves rather than subtracted.
+the consecutive virtual array in one pass, then run co-array MUSIC on
+the Hermitian Toeplitz matrix of that virtual-array vector.  Its
+eigenvectors span the subspaces of the spatially smoothed covariance
+without forming it (Liu & Vaidyanathan, IEEE SPL 22(9), 2015).
+Third-order statistics vanish for Gaussian processes, so additive
+Gaussian noise is suppressed by the statistics themselves rather than
+subtracted.
 
 All randomness flows through ``numpy.random.Generator`` objects seeded
 from explicit integers; Monte-Carlo trials derive their generators from
@@ -15,13 +18,15 @@ number of worker threads.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import toeplitz
 from scipy.signal import find_peaks
 
 from . import coarray, metrics
@@ -87,7 +92,6 @@ class EstimationResult:
 
     angles_deg: np.ndarray
     spectrum: Optional[tuple[np.ndarray, np.ndarray]]
-    subarray_size: int
     peaks_padded: bool
 
 
@@ -213,27 +217,16 @@ def virtual_array_vector(
     return (sums + sums[::-1].conj()) / counts
 
 
-_STEERING_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _grid_and_steering(m: int, step_deg: float, unit_spacing: float):
     """Search grid over (-90, 90) plus the m-element virtual ULA responses."""
-    key = (m, float(step_deg), float(unit_spacing))
-    hit = _STEERING_CACHE.get(key)
-    if hit is None:
-        npts = int(round(180.0 / step_deg)) + 1
-        grid = np.linspace(-90.0, 90.0, npts)[1:-1]
-        u = np.sin(np.deg2rad(grid))
-        a = np.exp(
-            1j * 2 * np.pi * unit_spacing * np.outer(np.arange(m, dtype=float), u)
-        )
-        grid.setflags(write=False)  # shared across threads and callers
-        a.setflags(write=False)
-        if len(_STEERING_CACHE) >= 8:
-            _STEERING_CACHE.clear()
-        hit = (grid, a)
-        _STEERING_CACHE[key] = hit
-    return hit
+    npts = int(round(180.0 / step_deg)) + 1
+    grid = np.linspace(-90.0, 90.0, npts)[1:-1]
+    u = np.sin(np.deg2rad(grid))
+    a = np.exp(1j * 2 * np.pi * unit_spacing * np.outer(np.arange(m, dtype=float), u))
+    grid.setflags(write=False)  # shared across threads and callers
+    a.setflags(write=False)
+    return grid, a
 
 
 def ss_music(
@@ -244,18 +237,28 @@ def ss_music(
     unit_spacing: float = 0.5,
     keep_spectrum: bool = False,
 ) -> EstimationResult:
-    """Spatial-smoothing MUSIC on a virtual-array vector over [-Z, Z].
+    """Co-array MUSIC on a virtual-array vector over [-Z, Z].
 
-    The 2Z+1 lags are swept by Z+1 overlapping subvectors of length Z+1
-    whose averaged outer product restores rank; its noise subspace (the
-    Z+1-D smallest eigenpairs) defines the pseudo-spectrum, and the D
-    largest local maxima are returned sorted by angle.  Requires
-    D <= Z: each extra source consumes one dimension of the subarray.
+    The Z+1 lags 0..Z of the conjugate-symmetric vector z define the
+    Hermitian Toeplitz matrix T with T[i, k] = z(i - k).  The spatially
+    smoothed covariance of the Z+1 overlapping subvectors equals T T^H/(Z+1)
+    (Liu & Vaidyanathan, "Remarks on the spatial smoothing step in coarray
+    MUSIC", IEEE SPL 22(9), 2015), so its signal subspace is spanned by the
+    D eigenvectors of T with the largest |eigenvalue|.  The complementary
+    noise subspace defines the pseudo-spectrum, and the D largest local
+    maxima are returned sorted by angle.  Requires D <= Z: each extra
+    source consumes one dimension of the subarray.
     """
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim != 1 or z.size % 2 == 0:
         raise InvalidParameterError(
             f"virtual-array vector must have odd length 2Z+1, got {z.shape}"
+        )
+    if not np.all(np.isfinite(z)):
+        raise InvalidParameterError("virtual-array vector has non-finite entries")
+    if np.abs(z[::-1].conj() - z).max() > 1e-9 * np.abs(z).max():
+        raise InvalidParameterError(
+            "virtual-array vector is not conjugate-symmetric: z(-l) != conj z(l)"
         )
     big_z = (z.size - 1) // 2
     if n_sources < 1:
@@ -270,11 +273,8 @@ def ss_music(
     grid, a = _grid_and_steering(m, grid_step_deg, unit_spacing)
     if grid.size < n_sources:
         raise InvalidParameterError(f"{grid.size} grid points for {n_sources} sources")
-    windows = sliding_window_view(z, m)  # row i = lags [i-Z, i]
-    r = windows.T @ windows.conj() / m
-    r = (r + r.conj().T) / 2
-    _, vecs = np.linalg.eigh(r)
-    signal = vecs[:, m - n_sources:]
+    vals, vecs = np.linalg.eigh(toeplitz(z[big_z:]))  # Hermitian: row = conj(column)
+    signal = vecs[:, np.argsort(np.abs(vals), kind="stable")[m - n_sources:]]
 
     # |En^H a|^2 = m - |Es^H a|^2 because the eigenbasis is orthonormal
     proj = signal.conj().T @ a
@@ -297,7 +297,6 @@ def ss_music(
     return EstimationResult(
         angles_deg=angles,
         spectrum=(grid, spectrum) if keep_spectrum else None,
-        subarray_size=m,
         peaks_padded=padded,
     )
 
@@ -322,6 +321,17 @@ def rmse(estimates: np.ndarray, truth) -> float:
     return float(np.sqrt(np.mean(err**2)))
 
 
+def whole_number(value) -> int:
+    """``value`` as an int when it is a number with no fractional part.
+
+    Bools, non-numbers and non-whole values raise instead of truncating.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise InvalidParameterError(f"{value!r} is not a whole number")
+
+
 def _scene_for_point(scene: SourceScene, parameter: str, value) -> SourceScene:
     if parameter == "snr":
         return replace(scene, snr_db=float(value))
@@ -329,12 +339,13 @@ def _scene_for_point(scene: SourceScene, parameter: str, value) -> SourceScene:
         raise InvalidParameterError(
             f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}"
         )
-    if not (float(value).is_integer() and value >= 1):
+    count = whole_number(value)
+    if count < 1:
         raise InvalidParameterError(f"sweep {parameter} must be a whole number >= 1")
     if parameter == "snapshots":
-        return replace(scene, snapshots=int(value))
+        return replace(scene, snapshots=count)
     lo, hi = min(scene.angles_deg), max(scene.angles_deg)
-    return replace(scene, angles_deg=tuple(np.linspace(lo, hi, int(value))))
+    return replace(scene, angles_deg=tuple(np.linspace(lo, hi, count)))
 
 
 def monte_carlo(

@@ -165,6 +165,23 @@ def write_sim_config(path, **overrides):
     return config
 
 
+class TestThreadsEnvironment:
+    @pytest.mark.parametrize("value", ["abc", "2.5", ""])
+    def test_non_integer_exits_1(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("TOSDA_THREADS", value)
+        arr = tmp_path / "ula.json"
+        save_array(build_ula(3), arr)
+        assert main(["coarray", str(arr), "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: TOSDA_THREADS")
+
+    def test_sets_simulate_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TOSDA_THREADS", "2")
+        config = tmp_path / "config.json"
+        write_sim_config(config)
+        assert main(["simulate", "--config", str(config), "-o", str(tmp_path)]) == 0
+        assert read_manifest(tmp_path)["parameters"]["threads"] == 2
+
+
 class TestSimulate:
     def test_rmse_mode_deterministic_across_threads(self, tmp_path):
         config = tmp_path / "config.json"
@@ -286,12 +303,23 @@ class TestSimulate:
             {"sweep": {"parameter": "num_sources", "values": [2.7]}},
             {"sweep": {"parameter": "num_sources", "values": [-3]}},
             {"sweep": {"parameter": "snapshots", "values": [600.5]}},
+            {"array": {"variant": "cna", "sensors": 9.7}},
+            {"scene": {"angles_deg": {"count": 2.7}, "snapshots": 600}},
+            {"scene": {"angles_deg": [-20.0, 20.0], "snapshots": 600.9}},
+            {"coupling": {"enabled": True, "band_limit": 3.9}},
+            {"trials": 2.5},
+            {"master_seed": 77.5},
+            {"trials": True},
+            {"master_seed": True},
         ],
         ids=["trials", "master-seed", "sensors", "array-file", "sweep-value",
              "sweep-values-scalar", "music-scalar", "grid-step", "coupling-bool",
              "band-limit", "scene-scalar", "grid-step-nan", "grid-step-coarse",
              "fractional-num-sources", "negative-num-sources",
-             "fractional-snapshots"],
+             "fractional-snapshots", "fractional-sensors", "fractional-count",
+             "fractional-scene-snapshots", "fractional-band-limit",
+             "fractional-trials", "fractional-master-seed", "bool-trials",
+             "bool-master-seed"],
     )
     def test_bad_config_field_exits_1(self, tmp_path, capsys, overrides):
         config = tmp_path / "config.json"

@@ -18,7 +18,7 @@ from tosda import (
     to_eca,
     toca,
 )
-from tosda.coarray import brute_force_lag_multiset, flat_index, report_from_multiset
+from tosda.coarray import brute_force_lag_multiset, report_from_multiset
 
 
 SIGNS = {1: (1, 1, 1), 2: (1, 1, -1), 3: (-1, -1, 1), 4: (-1, -1, -1)}
@@ -272,10 +272,11 @@ class TestToEca:
 
 class TestIndexLagMap:
     def test_trivial_entries(self):
-        lags = index_lag_map(build_ula(2))
-        assert lags[flat_index(2, 1, 1, 1, 1)] == 0
-        assert lags[flat_index(2, 1, 2, 2, 2)] == 3
-        assert lags[flat_index(2, 2, 2, 2, 1)] == 2  # 1 + 1 - 0
+        # flat entry (j-1)*N^3 + N^2*i1 + N*i2 + i3 is [j-1, i1, i2, i3] in C order
+        lags = index_lag_map(build_ula(2)).reshape(4, 2, 2, 2)
+        assert lags[0, 0, 0, 0] == 0
+        assert lags[0, 1, 1, 1] == 3
+        assert lags[1, 1, 1, 0] == 2  # 1 + 1 - 0
 
     def test_size(self):
         arr = build_ula(3)
@@ -293,6 +294,6 @@ class TestIndexLagMap:
         p = arr.positions
         lags = index_lag_map(arr)
         for j, (s1, s2, s3) in SIGNS.items():
-            for l1, l2, l3 in itertools.product(range(1, n + 1), repeat=3):
-                want = s1 * p[l1 - 1] + s2 * p[l2 - 1] + s3 * p[l3 - 1]
-                assert lags[flat_index(n, j, l1, l2, l3)] == want
+            for i1, i2, i3 in itertools.product(range(n), repeat=3):
+                want = s1 * p[i1] + s2 * p[i2] + s3 * p[i3]
+                assert lags[(j - 1) * n**3 + n * n * i1 + n * i2 + i3] == want

@@ -1,11 +1,17 @@
-"""Every script under ``demos/`` runs to completion against the package."""
+"""Every script under ``demos/`` and every Python block of the README runs
+to completion against the package."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                           flags=re.MULTILINE | re.DOTALL)
 
 
 def test_demos_found():
@@ -15,4 +21,15 @@ def test_demos_found():
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()
+
+
+def test_readme_quickstart_found():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("code", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(code, capsys):
+    exec(compile(code, str(README), "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out.strip()

@@ -10,12 +10,11 @@ from tosda import (
     build_gtoa,
     dof_closed_form,
     dof_sweep,
-    lambda_pair,
     minimum_sensors,
     split_closed_form,
     to_eca,
 )
-from tosda.designer import continuous_optimum_n1, round_half_up
+from tosda.designer import continuous_optimum_n1, lambda_pair, round_half_up
 
 
 class TestRounding:
@@ -128,11 +127,6 @@ class TestBruteForceSplit:
         monkeypatch.setattr(coarray, "to_eca", broken)
         with pytest.raises(InternalConsistencyError, match="corrupted"):
             brute_force_split("cna", 8)
-
-    def test_search_bounds_restrict(self):
-        res = brute_force_split("cna", 8, search_bounds={"M1": (2, 2)})
-        assert res.params.M1 == 2
-        assert res.dof_brute_force < 187
 
     def test_closed_form_never_beats_brute_force(self):
         for variant in ("cna", "scna", "tna2"):

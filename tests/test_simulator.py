@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
+from scipy.signal import find_peaks
 
 from tosda import (
     CapacityExceededError,
@@ -264,12 +266,40 @@ class TestVirtualArrayVector:
                 virtual_array_vector(bad, arr, rep)
 
 
+def symmetric_noise(rng, big_z, scale):
+    """Complex noise on the lags [-Z, Z] with e(-l) = conj e(l)."""
+    e = np.array([1, 1j]) @ rng.standard_normal((2, 2 * big_z + 1))
+    return scale * (e + e[::-1].conj()) / 2
+
+
+def smoothed_covariance(z):
+    """Average outer product of the Z+1 overlapping length-(Z+1) subvectors."""
+    m = (z.size + 1) // 2
+    windows = np.lib.stride_tricks.sliding_window_view(z, m)  # row i = lags [i-Z, i]
+    return windows.T @ windows.conj() / m
+
+
+def smoothing_music_reference(z, d, grid):
+    """Spatial-smoothing MUSIC spectrum on ``grid`` and its d highest peaks."""
+    r = smoothed_covariance(z)
+    m = r.shape[0]
+    _, vecs = np.linalg.eigh((r + r.conj().T) / 2)
+    u = np.sin(np.deg2rad(grid))
+    a = np.exp(1j * np.pi * np.outer(np.arange(m), u))
+    signal = vecs[:, m - d :]
+    # |En^H a|^2 = m - |Es^H a|^2, the form ss_music evaluates
+    spectrum = 1.0 / np.maximum(m - np.sum(np.abs(signal.conj().T @ a) ** 2, axis=0), 1e-12)
+    peaks, _ = find_peaks(spectrum)
+    assert peaks.size >= d
+    top = peaks[np.argsort(spectrum[peaks], kind="stable")[::-1][:d]]
+    return spectrum, np.sort(grid[top])
+
+
 class TestSsMusic:
     def test_population_single_source(self):
         z = analytic_virtual_vector(40, [12.34])
         est = ss_music(z, 1)
         assert abs(est.angles_deg[0] - 12.34) <= 0.01
-        assert est.subarray_size == 41
 
     def test_population_broadside(self):
         z = analytic_virtual_vector(30, [0.0])
@@ -292,15 +322,57 @@ class TestSsMusic:
             ss_music(np.ones(10, dtype=complex), 1)
 
     def test_smoothed_matrix_hermitian_psd(self):
+        # the spatially smoothed matrix is T T^H / m for the Toeplitz T of lags 0..Z
         rng = np.random.default_rng(3)
-        z = analytic_virtual_vector(30, [-10.0, 25.0])
-        z += 0.01 * (rng.standard_normal(61) + 1j * rng.standard_normal(61))
+        z = analytic_virtual_vector(30, [-10.0, 25.0]) + symmetric_noise(rng, 30, 0.01)
         m = 31
-        windows = np.lib.stride_tricks.sliding_window_view(z, m)
-        r = windows.T @ windows.conj() / m
+        r = smoothed_covariance(z)
+        t = toeplitz(z[m - 1:])
+        assert np.linalg.norm(r - t @ t.conj().T / m) <= 1e-12 * np.linalg.norm(r)
         assert np.allclose(r, r.conj().T, atol=1e-10 * np.abs(r).max())
         eigvals = np.linalg.eigvalsh((r + r.conj().T) / 2)
         assert eigvals.min() >= -1e-10 * eigvals.max()
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_spatial_smoothing_reference(self, seed):
+        rng = np.random.default_rng([2015, seed])
+        d = int(rng.integers(1, 5))
+        while True:
+            angles = np.sort(rng.uniform(-70.0, 70.0, d))
+            if np.all(np.diff(angles) >= 2.0):
+                break
+        big_z = int(rng.integers(max(d, 8), 41))
+        # a source's cumulant may be negative: T then has a negative signal eigenvalue
+        gammas = rng.uniform(0.5, 2.0, d) * rng.choice([-1.0, 1.0], d)
+        z = analytic_virtual_vector(big_z, angles, gammas)
+        z += symmetric_noise(rng, big_z, 0.01 * np.abs(z).max())
+        est = ss_music(z, d, grid_step_deg=0.05, keep_spectrum=True)
+        grid, spectrum = est.spectrum
+        want_spectrum, want_angles = smoothing_music_reference(z, d, grid)
+        # compare |En^H a|^2 = 1/spectrum: float64 gives it to about eps*m absolute,
+        # so at a sharp peak the spectrum itself is only good to a few 1e-9 relative
+        m = big_z + 1
+        np.testing.assert_allclose(1 / spectrum, 1 / want_spectrum, rtol=0, atol=1e-12 * m)
+        np.testing.assert_array_equal(est.angles_deg, want_angles)
+
+    @pytest.mark.parametrize("defect", [1e-3, 1e-6])
+    def test_non_conjugate_symmetric_vector_rejected(self, defect):
+        z = analytic_virtual_vector(20, [5.0, 30.0])
+        z[:20] += defect * np.abs(z).max()  # negative lags only
+        with pytest.raises(InvalidParameterError, match="conjugate-symmetric"):
+            ss_music(z, 2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_vector_rejected(self, bad):
+        z = analytic_virtual_vector(20, [5.0, 30.0])
+        z[[5, -6]] = bad  # lags -15 and 15, so the vector stays symmetric
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            ss_music(z, 2)
+
+    def test_rounding_level_asymmetry_accepted(self):
+        z = analytic_virtual_vector(20, [5.0, 30.0])
+        z[:20] *= 1 + 1e-12
+        assert np.all(np.abs(ss_music(z, 2).angles_deg - [5.0, 30.0]) <= 0.01)
 
     @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.5])
     def test_bad_grid_step_rejected(self, step):
