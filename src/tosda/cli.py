@@ -310,10 +310,10 @@ def _angles(value) -> tuple[float, ...]:
 
 
 def _array_from_config(spec: dict):
-    if "file" in spec:
+    if spec.get("file") is not None:
         return geometry.load_array(_read(spec, "file", str)), None
-    if "variant" in spec and "sensors" in spec:
-        sensors = _read(spec, "sensors", simulator.whole_number)
+    sensors = _read(spec, "sensors", simulator.whole_number)
+    if spec.get("variant") is not None and sensors is not None:
         return geometry.build_to_sda(spec["variant"], sensors)
     raise TosdaError(
         "config 'array' needs either {'file': path} or {'variant', 'sensors'}"

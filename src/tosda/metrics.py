@@ -188,6 +188,11 @@ class CouplingModel:
     def __post_init__(self):
         if not 0 <= self.c1_magnitude < 1:
             raise InvalidParameterError("|c1| must lie in [0, 1)")
+        if not (math.isfinite(self.c1_phase) and math.isfinite(self.decay_phase_step)):
+            raise InvalidParameterError(
+                f"coupling phases must be finite, got {self.c1_phase} and "
+                f"{self.decay_phase_step}"
+            )
         if self.band_limit < 0:
             raise InvalidParameterError("band limit must be >= 0")
 

@@ -19,13 +19,24 @@ All randomness flows through ``numpy.random.Generator`` objects seeded
 from explicit integers; Monte-Carlo trials derive their generators from
 (master seed, sweep point, trial index) so results do not depend on the
 number of worker threads.
+
+While more than one worker runs trials, the OpenBLAS copies bundled with
+numpy and scipy are pinned to one thread each and restored afterwards.
+Each worker would otherwise call a BLAS that starts a thread per core, so
+two workers on two cores ran four BLAS threads and were slower than one
+worker.  The pin leaves every result unchanged.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import importlib
 import math
 import numbers
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -70,6 +81,10 @@ class SourceScene:
         if not all(math.isfinite(a) for a in (*angles, self.snr_db)):
             raise InvalidParameterError(
                 f"angles and snr_db must be finite, got {angles} and {self.snr_db}"
+            )
+        if -self.snr_db / 10.0 > math.log10(sys.float_info.max):
+            raise InvalidParameterError(
+                f"snr_db {self.snr_db} puts the noise power 10**(-snr_db/10) beyond float range"
             )
         if len(set(angles)) != len(angles):
             raise InvalidParameterError(f"source angles must be distinct: {angles}")
@@ -233,8 +248,15 @@ _BLOCK = 64
 
 # Largest virtual array whose signal subspace comes from a dense eigh.  ARPACK's
 # reverse-communication loop runs in Python under the GIL, so it loses on small
-# matrices and wins from m ~ 256 on.  Medians on 2 cores, eigh vs eigsh:
-# m=124 3.8 vs 8.0 ms, m=252 17 vs 15 ms, m=512 129 vs 16 ms, m=1514 2.8 s vs 38 ms.
+# matrices, and two pool workers overlap their eighs but not their ARPACK loops.
+# Medians in ms on real CNA vectors (12 sources, K=12000, coupling) on 2 cores,
+# eigh / eigsh, ranges over 3-4 runs; "2 workers" is the wall time per call
+# while two pool workers run:
+#                       m=124          m=252          m=309         m=512
+#   pinned, one call    1.8 / 3.9-4.1  10-11 / 5.8-6  18-20 / 7-7.5 115-117 / 7
+#   pinned, 2 workers   1.1-2 / 3.9-6  5.6-11 / 6-7   10 / 7-7.3    57-59 / 8.5-9
+#   unpinned, one call  2.3 / 4.2      9.9 / 6.5      16 / 8.0      59 / 16
+# so in the pool the crossover stays near m = 256.  At m=1514: 2.8 s vs 38 ms.
 _DENSE_EIGH_MAX_M = 256
 
 
@@ -415,6 +437,72 @@ def _scene_for_point(scene: SourceScene, parameter: str, value) -> SourceScene:
     return replace(scene, angles_deg=tuple(np.linspace(lo, hi, count)))
 
 
+# Extension modules that link each bundled OpenBLAS copy, with the suffix of
+# its thread-count symbols (numpy's copy is the 64-bit-integer build).
+_OPENBLAS_COPIES = (
+    ("numpy._core._multiarray_umath", "64_"),
+    ("scipy.linalg._fblas", ""),
+)
+
+
+def _openblas_thread_controls():
+    """``(get, set)`` thread-count functions of each OpenBLAS copy found, and
+    the modules of the copies whose symbols are missing."""
+    controls, missing = [], []
+    for module, suffix in _OPENBLAS_COPIES:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (ImportError, OSError, AttributeError):
+            missing.append(module)
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        controls.append((get, set_))
+    return controls, missing
+
+
+class _BlasPin:
+    """Pins every OpenBLAS copy found to one thread while any caller holds it.
+
+    Thread counts are process state, so concurrent ``monte_carlo`` calls share
+    one pin: the first caller in saves the counts and pins, the last one out
+    restores them.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = []
+
+    @contextlib.contextmanager
+    def held(self, progress: Optional[Callable[[str], None]]):
+        controls, missing = _openblas_thread_controls()
+        if missing and progress is not None:
+            progress(
+                f"BLAS thread-count symbols not found in {', '.join(missing)}; "
+                "that BLAS runs unpinned"
+            )
+        with self._lock:
+            if self._holders == 0:
+                self._saved = [(set_, get()) for get, set_ in controls]
+                for set_, _ in self._saved:
+                    set_(1)
+            self._holders += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._holders -= 1
+                if self._holders == 0:
+                    for set_, count in self._saved:
+                        set_(count)
+
+
+_BLAS_PIN = _BlasPin()
+
+
 def monte_carlo(
     array: SensorArray,
     scene: SourceScene,
@@ -433,6 +521,14 @@ def monte_carlo(
     independent of ``threads``.  A trial that cannot estimate (more
     sources than consecutive lags) aborts its sweep point with a
     :class:`CapacityExceededError` naming the point.
+
+    ``min(threads, trials)`` worker threads run the trials of every sweep
+    point from one pool.  While more than one runs, the OpenBLAS copies of
+    numpy and scipy are pinned to one thread each, because a worker per core
+    that each starts a BLAS thread per core oversubscribes the cores; their
+    previous counts are restored on return, also when a trial raises.  A copy
+    whose thread-count symbols are missing runs unpinned, and ``progress``
+    is told so.  With one worker BLAS keeps its own threads.
     """
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
@@ -451,47 +547,50 @@ def monte_carlo(
     report = coarray.to_eca(array)
     big_z = report.one_sided_z
     results = []
-    for point_idx, (value, point_scene) in enumerate(points):
-        d = point_scene.n_sources
-        if d > big_z:
-            raise CapacityExceededError(
-                f"sweep point {value!r}: {d} sources exceed the {big_z} "
-                f"one-sided consecutive lags of {array.name}"
-            )
+    workers = min(threads, trials)
+    with contextlib.ExitStack() as stack:
+        trial_map = map
+        if workers > 1:
+            # entered first, so the pin outlasts the pool's threads
+            stack.enter_context(_BLAS_PIN.held(progress))
+            trial_map = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
+        for point_idx, (value, point_scene) in enumerate(points):
+            d = point_scene.n_sources
+            if d > big_z:
+                raise CapacityExceededError(
+                    f"sweep point {value!r}: {d} sources exceed the {big_z} "
+                    f"one-sided consecutive lags of {array.name}"
+                )
 
-        def run_trial(t: int) -> EstimationResult:
-            rng = np.random.default_rng([point_scene.seed, point_idx, t])
-            x = synthesize_snapshots(array, point_scene, coupling, rng)
-            zvec = virtual_array_vector(x, array, report)
-            return ss_music(
-                zvec,
-                d,
-                grid_step_deg=grid_step_deg,
-                unit_spacing=array.unit_spacing,
-            )
+            def run_trial(t: int) -> EstimationResult:
+                rng = np.random.default_rng([point_scene.seed, point_idx, t])
+                x = synthesize_snapshots(array, point_scene, coupling, rng)
+                zvec = virtual_array_vector(x, array, report)
+                return ss_music(
+                    zvec,
+                    d,
+                    grid_step_deg=grid_step_deg,
+                    unit_spacing=array.unit_spacing,
+                )
 
-        if threads == 1:
-            estimates = [run_trial(t) for t in range(trials)]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                estimates = list(pool.map(run_trial, range(trials)))
-        est_matrix = np.vstack([est.angles_deg for est in estimates])
-        padded = sum(est.peaks_padded for est in estimates)
-        truth = np.sort(np.asarray(point_scene.angles_deg))
-        results.append(
-            RunStats(
-                sweep_value=math.nan if value is None else float(value),
-                trials=trials,
-                padded_trials=padded,
-                rmse_deg=rmse(est_matrix, truth),
-                per_trial_estimates=est_matrix,
-                truth_deg=truth,
+            estimates = list(trial_map(run_trial, range(trials)))
+            est_matrix = np.vstack([est.angles_deg for est in estimates])
+            padded = sum(est.peaks_padded for est in estimates)
+            truth = np.sort(np.asarray(point_scene.angles_deg))
+            results.append(
+                RunStats(
+                    sweep_value=math.nan if value is None else float(value),
+                    trials=trials,
+                    padded_trials=padded,
+                    rmse_deg=rmse(est_matrix, truth),
+                    per_trial_estimates=est_matrix,
+                    truth_deg=truth,
+                )
             )
-        )
-        if progress is not None:
-            progress(
-                f"sweep point {point_idx + 1}/{len(points)} "
-                f"(value={value!r}): rmse={results[-1].rmse_deg:.4f} deg, "
-                f"{padded}/{trials} trials padded"
-            )
+            if progress is not None:
+                progress(
+                    f"sweep point {point_idx + 1}/{len(points)} "
+                    f"(value={value!r}): rmse={results[-1].rmse_deg:.4f} deg, "
+                    f"{padded}/{trials} trials padded"
+                )
     return results

@@ -1,8 +1,17 @@
+import contextlib
+import copy
 import csv
 import dataclasses
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tosda import build_ula, save_array, simulator
 from tosda.cli import main
@@ -273,9 +282,10 @@ class TestSimulate:
             {"angles_deg": [float("nan")]},
             {"angles_deg": {"span_deg": [-40, 40]}},
             {"angles_deg": [0.0, 20.0], "snapshots": "many"},
+            {"angles_deg": [0.0, 20.0], "snr_db": -4000.0},
         ],
         ids=["custom-source-kind", "nan-angle", "span-without-count",
-             "non-numeric-snapshots"],
+             "non-numeric-snapshots", "overflowing-noise-power"],
     )
     def test_bad_scene_exits_1(self, tmp_path, capsys, scene):
         config = tmp_path / "config.json"
@@ -311,6 +321,8 @@ class TestSimulate:
             {"master_seed": 77.5},
             {"trials": True},
             {"master_seed": True},
+            {"array": {"variant": "cna", "sensors": None}},
+            {"coupling": {"enabled": True, "c1_phase_rad": float("inf")}},
         ],
         ids=["trials", "master-seed", "sensors", "array-file", "sweep-value",
              "sweep-values-scalar", "music-scalar", "grid-step", "coupling-bool",
@@ -319,7 +331,7 @@ class TestSimulate:
              "fractional-snapshots", "fractional-sensors", "fractional-count",
              "fractional-scene-snapshots", "fractional-band-limit",
              "fractional-trials", "fractional-master-seed", "bool-trials",
-             "bool-master-seed"],
+             "bool-master-seed", "null-sensors", "infinite-coupling-phase"],
     )
     def test_bad_config_field_exits_1(self, tmp_path, capsys, overrides):
         config = tmp_path / "config.json"
@@ -361,3 +373,84 @@ class TestSimulate:
         )
         assert main(["simulate", "--config", str(config),
                      "-o", str(tmp_path / "out")]) == 0
+
+
+# A valid simulate config small enough that a fuzzed run takes milliseconds.
+TINY_SIM_CONFIG = {
+    "mode": "rmse",
+    "array": {"variant": "cna", "sensors": 5},
+    "scene": {"angles_deg": {"count": 2, "span_deg": [-40, 40]}, "snr_db": 5.0,
+              "snapshots": 64, "source_kind": "skewed_real"},
+    "sweep": {"parameter": "snr", "values": [0.0]},
+    "trials": 1,
+    "master_seed": 3,
+    "coupling": {"enabled": True, "c1_magnitude": 0.3, "c1_phase_rad": 1.0,
+                 "band_limit": 2, "decay_phase_step_rad": 0.4},
+    "music": {"grid_step_deg": 1.0},
+    "dump_trials": False,
+}
+
+
+def _field_paths(spec, prefix=()):
+    for key, value in spec.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+_DELETE = object()
+# Wrong types, non-finite and boundary numbers, bools, nulls and nested
+# non-objects.  Positive magnitudes stay small: a large but valid trial,
+# snapshot or sensor count is a long run, not a malformed config.
+_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.sampled_from([math.nan, math.inf, -math.inf, -4000.0, -0.5, 0.0, 0.5, 2.5, 7.0]),
+    st.sampled_from(["", "x", "rmse", "spectrum", "cna", "scna", "snr",
+                     "snapshots", "num_sources"]),
+)
+_fuzz_value = st.one_of(
+    _leaf,
+    st.lists(_leaf, max_size=3),
+    st.dictionaries(st.sampled_from(["count", "span_deg", "enabled", "x"]), _leaf,
+                    max_size=2),
+)
+_mutation = st.tuples(
+    st.sampled_from(list(_field_paths(TINY_SIM_CONFIG))),
+    st.one_of(st.just(_DELETE), _fuzz_value),
+)
+
+
+class TestSimulateFuzz:
+    def test_tiny_config_runs(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_SIM_CONFIG))
+        assert main(["simulate", "--config", str(config), "-o", str(tmp_path)]) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutations=st.lists(_mutation, min_size=1, max_size=3))
+    def test_mutated_config_exits_cleanly(self, mutations):
+        config = copy.deepcopy(TINY_SIM_CONFIG)
+        for path, value in mutations:
+            section = config
+            for key in path[:-1]:
+                section = section.get(key) if isinstance(section, dict) else None
+            if not isinstance(section, dict):
+                continue  # an earlier mutation replaced or removed the section
+            if value is _DELETE:
+                section.pop(path[-1], None)
+            else:
+                section[path[-1]] = value
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            # any exception other than TosdaError escapes main and fails here,
+            # and so does a NaN or overflow numpy would only warn about
+            with contextlib.redirect_stderr(stderr), np.errstate(invalid="raise", over="raise"):
+                code = main(["simulate", "--config", str(path), "-o", str(Path(tmp) / "out")])
+        lines = stderr.getvalue().splitlines()
+        assert code in (0, 1)
+        if code == 1:
+            assert lines and lines[-1].startswith("error: ")

@@ -131,6 +131,12 @@ class TestCouplingModel:
         with pytest.raises(InvalidParameterError):
             CouplingModel(c1_magnitude=1.0)
 
+    @pytest.mark.parametrize("field", ["c1_phase", "decay_phase_step"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_phase(self, field, bad):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            CouplingModel(**{field: bad})
+
     def test_coefficient_decay(self):
         model = CouplingModel()
         mags = [abs(model.coefficient(l)) for l in range(1, 12)]

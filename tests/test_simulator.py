@@ -1,5 +1,8 @@
 import dataclasses
 import itertools
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +54,11 @@ class TestSourceScene:
     def test_rejects_non_finite_snr(self, bad):
         with pytest.raises(InvalidParameterError):
             SourceScene((0.0,), snr_db=bad, snapshots=8)
+
+    def test_rejects_snr_whose_noise_power_overflows(self):
+        SourceScene((0.0,), snr_db=-3000.0, snapshots=8)
+        with pytest.raises(InvalidParameterError, match="noise power"):
+            SourceScene((0.0,), snr_db=-3100.0, snapshots=8)
 
 
 class TestSteeringMatrix:
@@ -467,6 +475,45 @@ def array9():
     return arr
 
 
+def blas_threads():
+    """Thread count of each bundled OpenBLAS copy whose symbols resolve."""
+    controls, _ = simulator._openblas_thread_controls()
+    return [get() for get, _ in controls]
+
+
+@pytest.fixture
+def blas_at_three():
+    """Both OpenBLAS copies at 3 threads, a count no pin would leave behind;
+    their own counts are put back after the test."""
+    controls, missing = simulator._openblas_thread_controls()
+    assert missing == []
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(3)
+    yield
+    for (_, set_), count in zip(controls, saved):
+        set_(count)
+
+
+def recording_controls(monkeypatch, count=4):
+    """Replace the OpenBLAS controls by one fake copy; returns its count
+    cell and the list of values set.  Like a ctypes call, each fake call
+    lets other threads run."""
+    state, calls = [count], []
+
+    def get():
+        time.sleep(0)
+        return state[0]
+
+    def set_(n):
+        time.sleep(0)
+        calls.append(n)
+        state[0] = n
+
+    monkeypatch.setattr(simulator, "_openblas_thread_controls", lambda: ([(get, set_)], []))
+    return state, calls
+
+
 class TestMonteCarlo:
     def test_deterministic_across_threads(self, array9):
         scene = SourceScene(
@@ -559,3 +606,127 @@ class TestMonteCarlo:
         for a, b in zip(clean, padded):
             assert np.array_equal(a.per_trial_estimates, b.per_trial_estimates)
             assert a.rmse_deg == b.rmse_deg
+
+    def test_workers_capped_at_trial_count(self, array9, monkeypatch):
+        sizes = []
+        real_pool = simulator.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", recording_pool)
+        scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
+        # one pool serves the whole sweep, with no more workers than trials
+        monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=3, threads=64)
+        assert sizes == [3]
+        # a single trial runs on the calling thread
+        monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=1, threads=64)
+        assert sizes == [3]
+
+    def test_blas_pinned_while_pool_runs_and_restored(self, array9, monkeypatch,
+                                                      blas_at_three):
+        real = simulator.ss_music
+        inside = []
+
+        def recording_music(*args, **kwargs):
+            inside.append(blas_threads())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "ss_music", recording_music)
+        scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
+        monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=3, threads=2)
+        assert inside == [[1, 1]] * 6
+        assert blas_threads() == [3, 3]
+
+    def test_blas_restored_when_a_trial_raises(self, array9, monkeypatch,
+                                               blas_at_three):
+        def failing_music(*args, **kwargs):
+            raise RuntimeError("trial failed")
+
+        monkeypatch.setattr(simulator, "ss_music", failing_music)
+        scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            monte_carlo(array9, scene, trials=4, threads=2)
+        assert blas_threads() == [3, 3]
+
+    def test_concurrent_calls_leave_blas_unpinned(self, array9, blas_at_three):
+        scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
+        errors = []
+
+        def call():
+            try:
+                monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=3, threads=2)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        callers = [threading.Thread(target=call) for _ in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+        assert not any(caller.is_alive() for caller in callers)
+        assert errors == []
+        assert blas_threads() == [3, 3]
+
+    @pytest.mark.parametrize("threads, trials", [(1, 3), (4, 1)])
+    def test_one_worker_never_pins(self, array9, monkeypatch, threads, trials):
+        _, calls = recording_controls(monkeypatch)
+        scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
+        monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=trials, threads=threads)
+        assert calls == []
+        monte_carlo(array9, scene, trials=2, threads=2)
+        assert calls == [1, 4]
+
+    def test_pin_held_by_interleaved_callers(self, monkeypatch):
+        # a lost update of the holder count would restore the count while
+        # another holder is inside, or leave the fake copy pinned at the end
+        state, _ = recording_controls(monkeypatch)
+        pin = simulator._BlasPin()
+        inside = []
+
+        def hold():
+            for _ in range(300):
+                with pin.held(None):
+                    inside.append(state[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            holders = [threading.Thread(target=hold) for _ in range(4)]
+            for holder in holders:
+                holder.start()
+            for holder in holders:
+                holder.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(holder.is_alive() for holder in holders)
+        assert len(inside) == 1200 and set(inside) == {1}
+        assert state == [4]
+
+    def test_missing_blas_symbols_run_unpinned(self, array9, monkeypatch,
+                                               blas_at_three):
+        scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
+        pinned = monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=3, threads=2)
+        controls, _ = simulator._openblas_thread_controls()
+        real = simulator.ss_music
+        inside = []
+
+        def recording_music(*args, **kwargs):
+            inside.append([get() for get, _ in controls])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "ss_music", recording_music)
+        monkeypatch.setattr(
+            simulator, "_OPENBLAS_COPIES",
+            tuple((module, suffix + "_absent") for module, suffix in simulator._OPENBLAS_COPIES),
+        )
+        lines = []
+        unpinned = monte_carlo(
+            array9, scene, ("snr", [0.0, 6.0]), trials=3, threads=2, progress=lines.append
+        )
+        assert inside == [[3, 3]] * 6
+        # one note on BLAS, then one line per sweep point
+        assert len(lines) == 3 and "BLAS" in lines[0] and "unpinned" in lines[0]
+        for a, b in zip(pinned, unpinned):
+            assert np.array_equal(a.per_trial_estimates, b.per_trial_estimates)
