@@ -288,13 +288,18 @@ def _object(value) -> dict:
     return value
 
 
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
 def _numbers(value) -> list:
     """A non-empty list of finite JSON numbers, returned unchanged."""
-    if not isinstance(value, list) or not value or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-        for v in value
-    ):
-        raise TypeError("expected a non-empty list of finite numbers")
+    if not isinstance(value, list) or not value:
+        raise TypeError("expected a non-empty list")
+    for v in value:
+        simulator.real_number(v)
     return value
 
 
@@ -303,10 +308,12 @@ def _angles(value) -> tuple[float, ...]:
     if isinstance(value, dict):
         lo, hi = value.get("span_deg", (-60.0, 60.0))
         count = simulator.whole_number(value["count"])
-        value = np.linspace(float(lo), float(hi), count).tolist()
+        value = np.linspace(
+            simulator.real_number(lo), simulator.real_number(hi), count
+        ).tolist()
     if not isinstance(value, list):
         raise TypeError("expected a list or {'count', 'span_deg'}")
-    return tuple(float(a) for a in value)
+    return tuple(simulator.real_number(a) for a in value)
 
 
 def _array_from_config(spec: dict):
@@ -329,7 +336,7 @@ def _scene_from_config(config: dict, master_seed: int) -> simulator.SourceScene:
         raise TosdaError(f"scene 'source_kind' must be 'skewed_real', got {kind!r}")
     return simulator.SourceScene(
         angles_deg=_read(scene, "angles_deg", _angles, ()),
-        snr_db=_read(scene, "snr_db", float, 0.0),
+        snr_db=_read(scene, "snr_db", simulator.real_number, 0.0),
         snapshots=_read(scene, "snapshots", simulator.whole_number, 1000),
         seed=master_seed,
     )
@@ -337,13 +344,15 @@ def _scene_from_config(config: dict, master_seed: int) -> simulator.SourceScene:
 
 def _coupling_from_config(config: dict):
     spec = _read(config, "coupling", _object, {})
-    if not spec.get("enabled", False):
+    if not _read(spec, "enabled", _boolean, False):
         return None
     return metrics.CouplingModel(
-        c1_magnitude=_read(spec, "c1_magnitude", float, 0.3),
-        c1_phase=_read(spec, "c1_phase_rad", float, math.pi / 3),
+        c1_magnitude=_read(spec, "c1_magnitude", simulator.real_number, 0.3),
+        c1_phase=_read(spec, "c1_phase_rad", simulator.real_number, math.pi / 3),
         band_limit=_read(spec, "band_limit", simulator.whole_number, 100),
-        decay_phase_step=_read(spec, "decay_phase_step_rad", float, math.pi / 8),
+        decay_phase_step=_read(
+            spec, "decay_phase_step_rad", simulator.real_number, math.pi / 8
+        ),
     )
 
 
@@ -355,7 +364,9 @@ def cmd_simulate(args) -> int:
     array, _ = _array_from_config(_read(config, "array", _object, {}))
     scene = _scene_from_config(config, master_seed)
     coupling = _coupling_from_config(config)
-    grid_step = _read(_read(config, "music", _object, {}), "grid_step_deg", float, 0.01)
+    grid_step = _read(
+        _read(config, "music", _object, {}), "grid_step_deg", simulator.real_number, 0.01
+    )
     threads = args.threads
     outputs: list[str] = []
     warnings: list[str] = []
@@ -374,6 +385,7 @@ def cmd_simulate(args) -> int:
                 f"sweep needs 'parameter' in {simulator.SWEEP_PARAMETERS} and 'values'"
             )
         trials = _read(config, "trials", simulator.whole_number, 1)
+        dump_trials = _read(config, "dump_trials", _boolean, False)
         stats = simulator.monte_carlo(
             array, scene, (parameter, values), trials=trials, coupling=coupling,
             grid_step_deg=grid_step, threads=threads, progress=progress,
@@ -391,7 +403,7 @@ def cmd_simulate(args) -> int:
                     "trials had fewer spectrum peaks than sources; their "
                     "padded estimates are in rmse_deg"
                 )
-        if config.get("dump_trials", False):
+        if dump_trials:
             rows = []
             for s in stats:
                 for t in range(s.trials):

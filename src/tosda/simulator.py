@@ -7,10 +7,12 @@ the Hermitian Toeplitz matrix of that virtual-array vector.  Its
 eigenvectors span the subspaces of the spatially smoothed covariance
 without forming it (Liu & Vaidyanathan, IEEE SPL 22(9), 2015).  Small
 virtual arrays take them from a dense ``eigh``; large ones from
-implicitly restarted Lanczos (ARPACK) on an FFT Toeplitz product, so the
-matrix is never formed.  The grid projection evaluates the virtual-array
-steering vectors block by block from one table whose size does not
-depend on the aperture.
+implicitly restarted Lanczos (ARPACK) on a product with the circulant
+embedding of T, whose spectrum is transformed once per call, so the
+matrix is never formed.  The grid projection evaluates ||Es^H a||^2 as
+one trigonometric polynomial whose coefficients are the superdiagonal
+sums of Es Es^H (the root-MUSIC identity, Barabell, ICASSP 1983), from one
+steering table whose size does not depend on the aperture.
 Third-order statistics vanish for Gaussian processes, so additive
 Gaussian noise is suppressed by the statistics themselves rather than
 subtracted.
@@ -42,7 +44,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz, toeplitz
+import scipy.fft
+from scipy.linalg import toeplitz
 from scipy.signal import find_peaks
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -110,10 +113,15 @@ class EstimationResult:
     largest off-peak grid values; such trials should be treated as
     resolution failures.
 
-    ``spectrum`` is 1/|En^H a|^2 with |En^H a|^2 = m - ||Es^H a||^2, which
-    float64 gives to about eps*m absolute.  Near a peak the subtraction
-    cancels, so a spectrum value is only good to about
-    eps*m/(m - ||Es^H a||^2) relative; compare 1/spectrum, not spectrum.
+    ``spectrum`` is 1/|En^H a|^2 with |En^H a|^2 = m - ||Es^H a||^2.  The
+    second term is the polynomial r_0 + 2 Re sum_l r_l w**l (see
+    :func:`ss_music`), whose rounding is bounded by about eps*sum|r_l|
+    <= eps*D*m; measured, |En^H a|^2 stays within 6.5e-15*m of the
+    per-row form sum_k |Es[:, k]^H a|^2 on CNA vectors (D = 12,
+    m = 124..1514), so float64 gives it to about eps*m absolute.  Near a
+    peak the subtraction cancels, so a spectrum value is only good to
+    about eps*m/(m - ||Es^H a||^2) relative; compare 1/spectrum, not
+    spectrum.
     """
 
     angles_deg: np.ndarray
@@ -250,13 +258,15 @@ _BLOCK = 64
 # reverse-communication loop runs in Python under the GIL, so it loses on small
 # matrices, and two pool workers overlap their eighs but not their ARPACK loops.
 # Medians in ms on real CNA vectors (12 sources, K=12000, coupling) on 2 cores,
-# eigh / eigsh, ranges over 3-4 runs; "2 workers" is the wall time per call
-# while two pool workers run:
-#                       m=124          m=252          m=309         m=512
-#   pinned, one call    1.8 / 3.9-4.1  10-11 / 5.8-6  18-20 / 7-7.5 115-117 / 7
-#   pinned, 2 workers   1.1-2 / 3.9-6  5.6-11 / 6-7   10 / 7-7.3    57-59 / 8.5-9
-#   unpinned, one call  2.3 / 4.2      9.9 / 6.5      16 / 8.0      59 / 16
-# so in the pool the crossover stays near m = 256.  At m=1514: 2.8 s vs 38 ms.
+# eigh / eigsh on the FFT operator of _signal_subspace, ranges over 3 runs;
+# "2 workers" is the wall time per call while two pool workers run:
+#                       m=124          m=252          m=309          m=512
+#   pinned, one call    4.1-7.8 / 6-7  22 / 5.4-11    38-41 / 7      210-220 / 9
+#   pinned, 2 workers   2.8-3.3 / 8-15 12.5-13 / 9-11 18-22 / 10-16  103-117 / 13-15
+#   unpinned, one call  3.9-18 / 6-16  20-28 / 7-10   33-54 / 8-20   128-200 / 18-67
+# One call alone crosses over below m = 195, but with 2 workers eigh still wins
+# at m=195 (8-12 / 11-15 ms) and ties at m=252 (11.5-13 / 10-11.6 ms), so in the
+# pool the crossover stays near m = 256.  At m=1514: 4.8 s vs 11 ms.
 _DENSE_EIGH_MAX_M = 256
 
 
@@ -290,9 +300,15 @@ def _signal_subspace(c: np.ndarray, n_sources: int) -> np.ndarray:
     if m <= _DENSE_EIGH_MAX_M or n_sources >= m - 1:
         vals, vecs = np.linalg.eigh(toeplitz(c))
         return vecs[:, np.argsort(np.abs(vals), kind="stable")[m - n_sources:]]
+    # T is the leading m x m block of the circulant matrix with first column
+    # [c, 0..., conj(c[m-1:0:-1])], whose spectrum is transformed once here
+    n_fft = scipy.fft.next_fast_len(2 * m - 1)
+    spec = scipy.fft.fft(
+        np.concatenate([c, np.zeros(n_fft - 2 * m + 1), c[:0:-1].conj()])
+    )
     op = LinearOperator(
         (m, m),
-        matvec=lambda v: matmul_toeplitz((c, c.conj()), v),
+        matvec=lambda v: scipy.fft.ifft(spec * scipy.fft.fft(np.ravel(v), n_fft))[:m],
         dtype=np.complex128,
     )
     try:
@@ -330,9 +346,17 @@ def ss_music(
     Up to m = Z+1 = 256, or when D >= m - 1, the subspace comes from a dense
     ``eigh`` of T.  Above that it comes from ARPACK (``eigsh`` with a fixed
     start vector, so results are reproducible) on an operator that applies T
-    by FFT, in O(m log m) time and O(m) memory per product.  The projections
-    Es^H a are summed over blocks of B = 64 virtual sensors by Horner's
-    rule, Es^H a = sum_q shift**q * Es_q^H inner, so no m x G table exists.
+    as the leading block of a circulant of FFT length L >= 2m - 1, whose
+    spectrum is computed once per call: O(L log L) time and O(L) memory per
+    product.
+
+    With w = exp(j*2*pi*d*u), ||Es^H a(u)||^2 = r_0 + 2 Re sum_{l>=1} r_l w**l,
+    where r_l is the sum of the l-th superdiagonal of Es Es^H, i.e. the summed
+    autocorrelations of the columns of conj(Es), taken by FFT; r_0 = D.  The
+    coefficients r_0/2, r_1, ..., r_{m-1} are cut into rows of B = 64, one
+    GEMM with the cached B x G table gives each row's partial sum, and
+    Horner's rule in shift = w**B adds the rows, so no m x G table exists and
+    the GEMM does not grow with D.
     """
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim != 1 or z.size % 2 == 0:
@@ -360,14 +384,20 @@ def ss_music(
     grid, inner, shift = _grid_and_steering(grid_step_deg, unit_spacing)
     if grid.size < n_sources:
         raise InvalidParameterError(f"{grid.size} grid points for {n_sources} sources")
-    signal_h = _signal_subspace(z[big_z:], n_sources).conj().T
+    signal = _signal_subspace(z[big_z:], n_sources)
 
-    # |En^H a|^2 = m - |Es^H a|^2 because the eigenbasis is orthonormal
-    blocks = [signal_h[:, q0 : q0 + _BLOCK] for q0 in range(0, m, _BLOCK)]
-    proj = blocks[-1] @ inner[: blocks[-1].shape[1]]
-    for block in reversed(blocks[:-1]):
-        proj = proj * shift + block @ inner
-    den = m - np.einsum("ij,ij->j", proj, proj.conj()).real
+    # |En^H a|^2 = m - ||Es^H a||^2 because the eigenbasis is orthonormal, and
+    # ||Es^H a||^2 = 2 Re acc with acc = r_0/2 + sum_l r_l w**l (see above)
+    n_fft = scipy.fft.next_fast_len(2 * m - 1)
+    power = np.abs(scipy.fft.fft(signal.conj(), n_fft, axis=0)) ** 2
+    coef = np.zeros(-(-m // _BLOCK) * _BLOCK, dtype=np.complex128)
+    coef[:m] = scipy.fft.ifft(power.sum(axis=1))[:m]
+    coef[0] /= 2
+    rows = coef.reshape(-1, _BLOCK) @ inner
+    acc = rows[-1]
+    for row in rows[-2::-1]:
+        acc = acc * shift + row
+    den = m - 2 * acc.real
     spectrum = 1.0 / np.maximum(den, 1e-12)
 
     peaks, _ = find_peaks(spectrum)
@@ -419,6 +449,18 @@ def whole_number(value) -> int:
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
     raise InvalidParameterError(f"{value!r} is not a whole number")
+
+
+def real_number(value) -> float:
+    """``value`` as a float when it is a finite real number.
+
+    Bools, non-numbers (numeric strings too) and non-finite values raise
+    instead of converting.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if math.isfinite(value):
+            return float(value)
+    raise InvalidParameterError(f"{value!r} is not a finite real number")
 
 
 def _scene_for_point(scene: SourceScene, parameter: str, value) -> SourceScene:

@@ -340,6 +340,44 @@ class TestSimulate:
                      "-o", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [
+            ("snr_db", {"scene": {"angles_deg": [-20.0, 20.0], "snr_db": True}}),
+            ("snr_db", {"scene": {"angles_deg": [-20.0, 20.0], "snr_db": "5"}}),
+            ("grid_step_deg", {"music": {"grid_step_deg": True}}),
+            ("grid_step_deg", {"music": {"grid_step_deg": "0.5"}}),
+            ("c1_magnitude", {"coupling": {"enabled": True, "c1_magnitude": True}}),
+            ("c1_phase_rad", {"coupling": {"enabled": True, "c1_phase_rad": "1"}}),
+            ("decay_phase_step_rad",
+             {"coupling": {"enabled": True, "decay_phase_step_rad": False}}),
+            ("angles_deg", {"scene": {"angles_deg": [True, 20.0]}}),
+            ("angles_deg", {"scene": {"angles_deg": ["5", 20.0]}}),
+            ("angles_deg", {"scene": {"angles_deg": {"count": 2, "span_deg": [True, 40]}}}),
+            ("angles_deg",
+             {"scene": {"angles_deg": {"count": 2, "span_deg": [-math.inf, 40]}}}),
+            ("values", {"sweep": {"parameter": "snr", "values": [True]}}),
+            ("enabled", {"coupling": {"enabled": "no"}}),
+            ("enabled", {"coupling": {"enabled": 1}}),
+            ("dump_trials", {"dump_trials": "yes"}),
+            ("dump_trials", {"dump_trials": 1}),
+        ],
+        ids=["snr-bool", "snr-string", "grid-step-bool", "grid-step-string",
+             "c1-magnitude-bool", "c1-phase-string", "decay-step-bool",
+             "angle-bool", "angle-string", "span-bool", "span-infinite",
+             "sweep-value-bool", "enabled-string", "enabled-int",
+             "dump-trials-string", "dump-trials-int"],
+    )
+    def test_non_real_or_non_boolean_field_exits_1(self, tmp_path, capsys, key,
+                                                   overrides):
+        config = tmp_path / "config.json"
+        write_sim_config(config, **overrides)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field {key!r} cannot be ")
+        assert not (out / "rmse.csv").exists()  # rejected before any trial ran
+
     def test_padded_trials_warn_without_changing_rmse(self, tmp_path, capsys,
                                                       monkeypatch):
         config = tmp_path / "config.json"
@@ -422,6 +460,25 @@ _mutation = st.tuples(
 )
 
 
+def _bool_or_string_in_real_field(config) -> bool:
+    """Whether a real-number field the run reads holds a bool or a string."""
+    def section(parent, key):
+        value = parent.get(key) if isinstance(parent, dict) else None
+        return value if isinstance(value, dict) else {}
+
+    scene, coupling = section(config, "scene"), section(config, "coupling")
+    values = [scene.get("snr_db"), section(config, "music").get("grid_step_deg")]
+    angles = scene.get("angles_deg")
+    if isinstance(angles, dict):
+        angles = angles.get("span_deg")
+    if isinstance(angles, list):
+        values += angles
+    if coupling.get("enabled") is True:
+        values += [coupling.get(key) for key in
+                   ("c1_magnitude", "c1_phase_rad", "decay_phase_step_rad")]
+    return any(isinstance(v, (bool, str)) for v in values)
+
+
 class TestSimulateFuzz:
     def test_tiny_config_runs(self, tmp_path):
         config = tmp_path / "config.json"
@@ -452,5 +509,7 @@ class TestSimulateFuzz:
                 code = main(["simulate", "--config", str(path), "-o", str(Path(tmp) / "out")])
         lines = stderr.getvalue().splitlines()
         assert code in (0, 1)
+        if _bool_or_string_in_real_field(config):
+            assert code == 1
         if code == 1:
             assert lines and lines[-1].startswith("error: ")

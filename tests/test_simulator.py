@@ -404,6 +404,23 @@ class TestSsMusic:
         np.testing.assert_allclose(1 / spectrum, 1 / want_spectrum, rtol=0, atol=atol)
         np.testing.assert_array_equal(est.angles_deg, want_angles)
 
+    # m = Z+1 at both sides of the 64-row coefficient blocks and of the dense-eigh
+    # limit; at m = 257 and 513, 2m-1 is one above the fast FFT lengths 512 and 1024
+    @pytest.mark.parametrize("big_z", [63, 64, 255, 256, 512])
+    def test_matches_spatial_smoothing_reference_at_edge_lengths(self, big_z):
+        rng = np.random.default_rng([2015, big_z])
+        angles = [-47.5, -3.2, 21.0, 58.4]
+        gammas = np.array([1.0, -0.7, 1.6, 0.9])
+        z = analytic_virtual_vector(big_z, angles, gammas)
+        z += symmetric_noise(rng, big_z, 0.01 * np.abs(z).max())
+        est = ss_music(z, 4, grid_step_deg=0.05, keep_spectrum=True)
+        grid, spectrum = est.spectrum
+        want_spectrum, want_angles = smoothing_music_reference(z, 4, grid)
+        m = big_z + 1
+        atol = (1e-11 if m > simulator._DENSE_EIGH_MAX_M else 1e-12) * m
+        np.testing.assert_allclose(1 / spectrum, 1 / want_spectrum, rtol=0, atol=atol)
+        np.testing.assert_array_equal(est.angles_deg, want_angles)
+
     @pytest.mark.parametrize("defect", [1e-3, 1e-6])
     def test_non_conjugate_symmetric_vector_rejected(self, defect):
         z = analytic_virtual_vector(20, [5.0, 30.0])
