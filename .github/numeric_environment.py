@@ -6,7 +6,7 @@ Run from any directory: ``python .github/numeric_environment.py``.
 import ctypes, importlib, numpy, scipy
 print('numpy', numpy.__version__, 'scipy', scipy.__version__)
 numpy.show_runtime()
-# the OpenBLAS thread counts monte_carlo pins while its worker pool runs
+# the OpenBLAS thread counts monte_carlo pins to one for the whole call
 for module, symbol in (('numpy._core._multiarray_umath', 'scipy_openblas_get_num_threads64_'),
                        ('scipy.linalg._fblas', 'scipy_openblas_get_num_threads')):
     try:

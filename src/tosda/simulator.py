@@ -22,11 +22,12 @@ from explicit integers; Monte-Carlo trials derive their generators from
 (master seed, sweep point, trial index) so results do not depend on the
 number of worker threads.
 
-While more than one worker runs trials, the OpenBLAS copies bundled with
-numpy and scipy are pinned to one thread each and restored afterwards.
-Each worker would otherwise call a BLAS that starts a thread per core, so
-two workers on two cores ran four BLAS threads and were slower than one
-worker.  The pin leaves every result unchanged.
+For the whole of every ``monte_carlo`` call, the OpenBLAS copies bundled
+with numpy and scipy are pinned to one thread each and restored afterwards.
+Several workers would each start a BLAS thread per core and oversubscribe
+the cores.  With one worker, the threads ARPACK wakes in scipy's copy still
+spin when numpy's copy starts the next trial's GEMM, which slowed both by
+about 2x.  The pin leaves every result unchanged.
 """
 
 from __future__ import annotations
@@ -267,6 +268,7 @@ _BLOCK = 64
 # One call alone crosses over below m = 195, but with 2 workers eigh still wins
 # at m=195 (8-12 / 11-15 ms) and ties at m=252 (11.5-13 / 10-11.6 ms), so in the
 # pool the crossover stays near m = 256.  At m=1514: 4.8 s vs 11 ms.
+# One-worker monte_carlo calls run in the "pinned, one call" row too.
 _DENSE_EIGH_MAX_M = 256
 
 
@@ -372,6 +374,7 @@ def ss_music(
             "virtual-array vector is not conjugate-symmetric: z(-l) != conj z(l)"
         )
     big_z = (z.size - 1) // 2
+    n_sources = whole_number(n_sources)
     if n_sources < 1:
         raise InvalidParameterError("need at least one source")
     if n_sources > big_z:
@@ -565,13 +568,16 @@ def monte_carlo(
     :class:`CapacityExceededError` naming the point.
 
     ``min(threads, trials)`` worker threads run the trials of every sweep
-    point from one pool.  While more than one runs, the OpenBLAS copies of
-    numpy and scipy are pinned to one thread each, because a worker per core
-    that each starts a BLAS thread per core oversubscribes the cores; their
-    previous counts are restored on return, also when a trial raises.  A copy
-    whose thread-count symbols are missing runs unpinned, and ``progress``
-    is told so.  With one worker BLAS keeps its own threads.
+    point from one pool, or on the calling thread when there is one worker.
+    For the whole call the OpenBLAS copies of numpy and scipy are pinned to
+    one thread each: several workers would oversubscribe the cores, and with
+    one worker the threads one copy leaves spinning slow the other's next
+    call.  Their previous counts are restored on return, also when a trial
+    raises.  A copy whose thread-count symbols are missing runs unpinned,
+    and ``progress`` is told so.
     """
+    trials = whole_number(trials)
+    threads = whole_number(threads)
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
     if threads < 1:
@@ -590,11 +596,10 @@ def monte_carlo(
     big_z = report.one_sided_z
     results = []
     workers = min(threads, trials)
-    with contextlib.ExitStack() as stack:
+    # the pin is entered first, so it outlasts the pool's threads
+    with _BLAS_PIN.held(progress), contextlib.ExitStack() as stack:
         trial_map = map
         if workers > 1:
-            # entered first, so the pin outlasts the pool's threads
-            stack.enter_context(_BLAS_PIN.held(progress))
             trial_map = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
         for point_idx, (value, point_scene) in enumerate(points):
             d = point_scene.n_sources

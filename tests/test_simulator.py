@@ -363,6 +363,11 @@ class TestSsMusic:
         np.testing.assert_allclose(1 / spectrum, 1 / want_spectrum, rtol=0, atol=1e-11 * 401)
         np.testing.assert_array_equal(est.angles_deg, want_angles)
 
+    @pytest.mark.parametrize("count", [2.5, True, "2", None, float("inf")])
+    def test_non_whole_source_count_rejected(self, count):
+        with pytest.raises(InvalidParameterError):
+            ss_music(analytic_virtual_vector(20, [10.0, 40.0]), count)
+
     def test_even_length_rejected(self):
         with pytest.raises(InvalidParameterError):
             ss_music(np.ones(10, dtype=complex), 1)
@@ -512,11 +517,10 @@ def blas_at_three():
         set_(count)
 
 
-def recording_controls(monkeypatch, count=4):
+def fake_controls(monkeypatch, count=4):
     """Replace the OpenBLAS controls by one fake copy; returns its count
-    cell and the list of values set.  Like a ctypes call, each fake call
-    lets other threads run."""
-    state, calls = [count], []
+    cell.  Like a ctypes call, each fake call lets other threads run."""
+    state = [count]
 
     def get():
         time.sleep(0)
@@ -524,11 +528,10 @@ def recording_controls(monkeypatch, count=4):
 
     def set_(n):
         time.sleep(0)
-        calls.append(n)
         state[0] = n
 
     monkeypatch.setattr(simulator, "_openblas_thread_controls", lambda: ([(get, set_)], []))
-    return state, calls
+    return state
 
 
 class TestMonteCarlo:
@@ -583,6 +586,21 @@ class TestMonteCarlo:
         scene = SourceScene((-20.0, 20.0), snr_db=0.0, snapshots=64, seed=0)
         with pytest.raises(InvalidParameterError):
             monte_carlo(array9, scene, (parameter, [3, value]), trials=1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("trials", 2.5), ("trials", True), ("trials", "3"), ("trials", float("nan")),
+         ("threads", 1.5), ("threads", True), ("threads", None)],
+    )
+    def test_non_whole_trials_or_threads_rejected(self, array9, name, value):
+        scene = SourceScene((-20.0, 20.0), snr_db=0.0, snapshots=64, seed=0)
+        with pytest.raises(InvalidParameterError):
+            monte_carlo(array9, scene, **{"trials": 1, "threads": 1, name: value})
+
+    def test_whole_float_trials_recorded_as_int(self, array9):
+        scene = SourceScene((-20.0, 20.0), snr_db=0.0, snapshots=64, seed=0)
+        stats = monte_carlo(array9, scene, trials=2.0, threads=np.int64(2))
+        assert type(stats[0].trials) is int and stats[0].trials == 2
 
     def test_whole_float_sweep_value_accepted(self, array9):
         scene = SourceScene((-60.0, 60.0), snr_db=10.0, snapshots=500, seed=2)
@@ -652,9 +670,12 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(simulator, "ss_music", recording_music)
         scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
-        monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=3, threads=2)
-        assert inside == [[1, 1]] * 6
-        assert blas_threads() == [3, 3]
+        # a pool of two, then one worker on the calling thread in both ways
+        for threads, trials in [(2, 3), (1, 3), (4, 1)]:
+            inside.clear()
+            monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=trials, threads=threads)
+            assert inside == [[1, 1]] * (2 * trials), (threads, trials)
+            assert blas_threads() == [3, 3], (threads, trials)
 
     def test_blas_restored_when_a_trial_raises(self, array9, monkeypatch,
                                                blas_at_three):
@@ -663,9 +684,10 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(simulator, "ss_music", failing_music)
         scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
-        with pytest.raises(RuntimeError, match="trial failed"):
-            monte_carlo(array9, scene, trials=4, threads=2)
-        assert blas_threads() == [3, 3]
+        for threads in (2, 1):
+            with pytest.raises(RuntimeError, match="trial failed"):
+                monte_carlo(array9, scene, trials=4, threads=threads)
+            assert blas_threads() == [3, 3], threads
 
     def test_concurrent_calls_leave_blas_unpinned(self, array9, blas_at_three):
         scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
@@ -686,19 +708,10 @@ class TestMonteCarlo:
         assert errors == []
         assert blas_threads() == [3, 3]
 
-    @pytest.mark.parametrize("threads, trials", [(1, 3), (4, 1)])
-    def test_one_worker_never_pins(self, array9, monkeypatch, threads, trials):
-        _, calls = recording_controls(monkeypatch)
-        scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
-        monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=trials, threads=threads)
-        assert calls == []
-        monte_carlo(array9, scene, trials=2, threads=2)
-        assert calls == [1, 4]
-
     def test_pin_held_by_interleaved_callers(self, monkeypatch):
         # a lost update of the holder count would restore the count while
         # another holder is inside, or leave the fake copy pinned at the end
-        state, _ = recording_controls(monkeypatch)
+        state = fake_controls(monkeypatch)
         pin = simulator._BlasPin()
         inside = []
 
@@ -723,8 +736,12 @@ class TestMonteCarlo:
 
     def test_missing_blas_symbols_run_unpinned(self, array9, monkeypatch,
                                                blas_at_three):
+        # CNA N=9 (m = 124) takes its subspace from eigh, N=13 (m = 309) from ARPACK
+        cases = [(arr, threads) for arr in (array9, build_to_sda("cna", 13)[0])
+                 for threads in (2, 1)]
         scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
-        pinned = monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=3, threads=2)
+        pinned = [monte_carlo(arr, scene, ("snr", [0.0, 6.0]), trials=3, threads=threads)
+                  for arr, threads in cases]
         controls, _ = simulator._openblas_thread_controls()
         real = simulator.ss_music
         inside = []
@@ -738,12 +755,15 @@ class TestMonteCarlo:
             simulator, "_OPENBLAS_COPIES",
             tuple((module, suffix + "_absent") for module, suffix in simulator._OPENBLAS_COPIES),
         )
-        lines = []
-        unpinned = monte_carlo(
-            array9, scene, ("snr", [0.0, 6.0]), trials=3, threads=2, progress=lines.append
-        )
-        assert inside == [[3, 3]] * 6
-        # one note on BLAS, then one line per sweep point
-        assert len(lines) == 3 and "BLAS" in lines[0] and "unpinned" in lines[0]
-        for a, b in zip(pinned, unpinned):
-            assert np.array_equal(a.per_trial_estimates, b.per_trial_estimates)
+        for (arr, threads), expected in zip(cases, pinned):
+            inside.clear()
+            lines = []
+            unpinned = monte_carlo(
+                arr, scene, ("snr", [0.0, 6.0]), trials=3, threads=threads,
+                progress=lines.append,
+            )
+            assert inside == [[3, 3]] * 6, (arr.name, threads)
+            # one note on BLAS, then one line per sweep point
+            assert len(lines) == 3 and "BLAS" in lines[0] and "unpinned" in lines[0]
+            for a, b in zip(expected, unpinned):
+                assert np.array_equal(a.per_trial_estimates, b.per_trial_estimates)
