@@ -517,10 +517,11 @@ def blas_at_three():
         set_(count)
 
 
-def fake_controls(monkeypatch, count=4):
+def recording_controls(monkeypatch, count=4):
     """Replace the OpenBLAS controls by one fake copy; returns its count
-    cell.  Like a ctypes call, each fake call lets other threads run."""
-    state = [count]
+    cell and the list of values set.  Like a ctypes call, each fake call
+    lets other threads run."""
+    state, calls = [count], []
 
     def get():
         time.sleep(0)
@@ -528,10 +529,11 @@ def fake_controls(monkeypatch, count=4):
 
     def set_(n):
         time.sleep(0)
+        calls.append(n)
         state[0] = n
 
     monkeypatch.setattr(simulator, "_openblas_thread_controls", lambda: ([(get, set_)], []))
-    return state
+    return state, calls
 
 
 class TestMonteCarlo:
@@ -708,10 +710,20 @@ class TestMonteCarlo:
         assert errors == []
         assert blas_threads() == [3, 3]
 
+    @pytest.mark.parametrize("threads, trials", [(1, 3), (4, 1)])
+    def test_one_worker_pins(self, array9, monkeypatch, threads, trials):
+        # one pin and one restore per call, with one worker as with a pool
+        _, calls = recording_controls(monkeypatch)
+        scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
+        monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=trials, threads=threads)
+        assert calls == [1, 4]
+        monte_carlo(array9, scene, trials=2, threads=2)
+        assert calls == [1, 4, 1, 4]
+
     def test_pin_held_by_interleaved_callers(self, monkeypatch):
         # a lost update of the holder count would restore the count while
         # another holder is inside, or leave the fake copy pinned at the end
-        state = fake_controls(monkeypatch)
+        state, _ = recording_controls(monkeypatch)
         pin = simulator._BlasPin()
         inside = []
 
