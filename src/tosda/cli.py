@@ -307,7 +307,7 @@ def _angles(value) -> tuple[float, ...]:
     """An explicit angle list, or ``{'count', 'span_deg'}`` spread evenly."""
     if isinstance(value, dict):
         lo, hi = value.get("span_deg", (-60.0, 60.0))
-        count = simulator.whole_number(value["count"])
+        count = simulator.whole_number(value["count"], "count")
         value = np.linspace(
             simulator.real_number(lo), simulator.real_number(hi), count
         ).tolist()

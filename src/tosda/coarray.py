@@ -54,6 +54,14 @@ class LagMultiset:
         weights._set(lo, np.bincount(lags - lo))
         return weights
 
+    @classmethod
+    def _from_counts(cls, lo: int, counts: np.ndarray) -> "LagMultiset":
+        """``counts[i]`` copies of lag ``lo + i``; zero ends are trimmed."""
+        present = np.flatnonzero(counts)
+        weights = cls.__new__(cls)
+        weights._set(lo + int(present[0]), counts[present[0] : present[-1] + 1])
+        return weights
+
     def _set(self, lo: int, counts: np.ndarray) -> None:
         self.lo = lo
         self.counts = counts
@@ -174,21 +182,52 @@ def second_order(array: SensorArray, kind: str) -> CoarrayReport:
     return report_from_multiset(weights)
 
 
+def _pattern_histograms(array: SensorArray) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(top, case1, case2)``: lag counts of patterns 1 and 2 on [0, 3*top].
+
+    ``top`` is the largest position; ``case1[l]`` counts lag l and
+    ``case2[l]`` lag l - top.  Patterns 4 and 3 are their mirrors.
+    """
+    p = np.asarray(array.positions, dtype=np.int64)
+    top = int(p[-1])
+    pairs = (p[:, None] + p).ravel()
+    # case 1 reaches 3*top with all three sensors at top; case 2 only does
+    # when the first sensor is at 0
+    case1 = np.bincount((pairs[:, None] + p).ravel())
+    case2 = np.bincount((pairs[:, None] - p + top).ravel(), minlength=3 * top + 1)
+    return top, case1, case2
+
+
 def toca(array: SensorArray, case_j: int) -> LagMultiset:
     """Third-order co-array of one conjugation pattern over N^3 triples."""
     if case_j not in _CASE_SIGNS:
         raise InvalidParameterError(f"case_j must be in 1..4, got {case_j}")
-    n3 = array.size**3
-    return LagMultiset.from_lags(index_lag_map(array)[(case_j - 1) * n3 : case_j * n3])
+    top, case1, case2 = _pattern_histograms(array)
+    lo, counts = {
+        1: (0, case1),
+        2: (-top, case2),
+        3: (-2 * top, case2[::-1]),
+        4: (-3 * top, case1[::-1]),
+    }[case_j]
+    return LagMultiset._from_counts(lo, counts)
 
 
 def to_eca(array: SensorArray) -> CoarrayReport:
     """Third-order exhaustive co-array: all four patterns combined.
 
     The result is symmetric about lag 0 (patterns 1/4 and 2/3 mirror
-    each other) and carries total multiplicity 4*N^3.
+    each other) and carries total multiplicity 4*N^3.  The counts are the
+    histogram of :func:`index_lag_map`, built from the histograms of
+    patterns 1 and 2 and their reversals without forming the map.
     """
-    weights = LagMultiset.from_lags(index_lag_map(array))
+    top, case1, case2 = _pattern_histograms(array)
+    # index i of counts is lag i - 3*top
+    counts = np.zeros(6 * top + 1, dtype=np.int64)
+    counts[3 * top :] += case1
+    counts[: 3 * top + 1] += case1[::-1]
+    counts[2 * top : 5 * top + 1] += case2
+    counts[top : 4 * top + 1] += case2[::-1]
+    weights = LagMultiset._from_counts(-3 * top, counts)
     n = array.size
     if weights.total != 4 * n**3:
         raise InternalConsistencyError(

@@ -47,7 +47,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.fft
 from scipy.linalg import toeplitz
-from scipy.signal import find_peaks
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from . import coarray, metrics
@@ -324,6 +323,21 @@ def _signal_subspace(c: np.ndarray, n_sources: int) -> np.ndarray:
     return np.linalg.qr(vecs)[0]
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of x, one per run of equal values.
+
+    A run is a maximum when both neighbouring runs are lower; runs at
+    either end never are.  Its index is (first + last) // 2.
+    """
+    if x.size == 0:
+        return np.empty(0, dtype=np.intp)
+    edges = np.flatnonzero(x[1:] != x[:-1]) + 1
+    first, last = np.r_[0, edges], np.r_[edges, x.size] - 1
+    runs = x[first]
+    peak = np.flatnonzero((runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])) + 1
+    return (first[peak] + last[peak]) // 2
+
+
 def ss_music(
     z: np.ndarray,
     n_sources: int,
@@ -344,6 +358,12 @@ def ss_music(
     maxima are returned sorted by angle.  Requires D <= Z: each extra
     source consumes one dimension of the subarray, and a z that is all zero
     is rejected.
+
+    A local maximum is a run of equal grid values whose neighbouring runs
+    are both lower; runs touching either end of the grid never count, and a
+    run reports its middle index (first + last) // 2.  This is the rule of
+    ``scipy.signal.find_peaks``, plateaus included; they occur where the
+    spectrum is clamped at 1e12.
 
     Up to m = Z+1 = 256, or when D >= m - 1, the subspace comes from a dense
     ``eigh`` of T.  Above that it comes from ARPACK (``eigsh`` with a fixed
@@ -374,7 +394,7 @@ def ss_music(
             "virtual-array vector is not conjugate-symmetric: z(-l) != conj z(l)"
         )
     big_z = (z.size - 1) // 2
-    n_sources = whole_number(n_sources)
+    n_sources = whole_number(n_sources, "n_sources")
     if n_sources < 1:
         raise InvalidParameterError("need at least one source")
     if n_sources > big_z:
@@ -403,7 +423,7 @@ def ss_music(
     den = m - 2 * acc.real
     spectrum = 1.0 / np.maximum(den, 1e-12)
 
-    peaks, _ = find_peaks(spectrum)
+    peaks = _local_maxima(spectrum)
     order = peaks[np.argsort(spectrum[peaks], kind="stable")[::-1]]
     chosen = list(order[:n_sources])
     padded = len(chosen) < n_sources
@@ -443,15 +463,16 @@ def rmse(estimates: np.ndarray, truth) -> float:
     return float(np.sqrt(np.mean(err**2)))
 
 
-def whole_number(value) -> int:
+def whole_number(value, name: str = "value") -> int:
     """``value`` as an int when it is a number with no fractional part.
 
-    Bools, non-numbers and non-whole values raise instead of truncating.
+    Bools, non-numbers and non-whole values raise instead of truncating;
+    the message names the argument as ``name``.
     """
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
-    raise InvalidParameterError(f"{value!r} is not a whole number")
+    raise InvalidParameterError(f"{name} must be a whole number, got {value!r}")
 
 
 def real_number(value) -> float:
@@ -473,7 +494,7 @@ def _scene_for_point(scene: SourceScene, parameter: str, value) -> SourceScene:
         raise InvalidParameterError(
             f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}"
         )
-    count = whole_number(value)
+    count = whole_number(value, f"sweep {parameter}")
     if count < 1:
         raise InvalidParameterError(f"sweep {parameter} must be a whole number >= 1")
     if parameter == "snapshots":
@@ -576,8 +597,8 @@ def monte_carlo(
     raises.  A copy whose thread-count symbols are missing runs unpinned,
     and ``progress`` is told so.
     """
-    trials = whole_number(trials)
-    threads = whole_number(threads)
+    trials = whole_number(trials, "trials")
+    threads = whole_number(threads, "threads")
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
     if threads < 1:

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tosda import (
@@ -287,6 +287,19 @@ class TestIndexLagMap:
         lags = index_lag_map(arr)
         values, counts = np.unique(lags, return_counts=True)
         assert LagMultiset(dict(zip(values.tolist(), counts.tolist()))) == to_eca(arr).weights
+
+    @given(st.sets(st.integers(0, 60), min_size=1, max_size=7))
+    @example({0})
+    @example({7})
+    @example({3, 4, 20})
+    def test_histogram_reproduces_to_eca_and_toca(self, positions):
+        # to_eca and toca count lags without forming the map, so tie them to it
+        arr = SensorArray("h", tuple(sorted(positions)))
+        lags = index_lag_map(arr)
+        assert to_eca(arr).weights == LagMultiset.from_lags(lags)
+        n3 = arr.size**3
+        for j in range(1, 5):
+            assert toca(arr, j) == LagMultiset.from_lags(lags[(j - 1) * n3 : j * n3])
 
     def test_explicit_loop_oracle(self):
         arr = SensorArray("a", (0, 1, 4))

@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
+import os
+import subprocess
 import sys
 import threading
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 from scipy.signal import find_peaks
@@ -304,6 +306,39 @@ def smoothing_music_reference(z, d, grid):
     return spectrum, np.sort(grid[top])
 
 
+class TestLocalMaxima:
+    """``simulator._local_maxima`` against ``scipy.signal.find_peaks``."""
+
+    @given(st.lists(st.integers(0, 3), max_size=40))
+    @example([2, 2, 1, 0, 1, 1])  # plateaus at both edges
+    @example([0, 3, 3, 3, 3, 1, 3])
+    def test_small_integers_match_find_peaks(self, values):
+        x = np.asarray(values, dtype=float)
+        assert np.array_equal(simulator._local_maxima(x), find_peaks(x)[0])
+
+    @given(st.lists(st.sampled_from([0.5, 2.0, 1e12]), max_size=40))
+    @example([1e12, 1e12, 2.0, 1e12, 1e12, 1e12, 0.5, 1e12])
+    def test_clamped_runs_match_find_peaks(self, values):
+        # 1/max(den, 1e-12) turns every den <= 1e-12 into a run of 1e12
+        x = np.asarray(values)
+        assert np.array_equal(simulator._local_maxima(x), find_peaks(x)[0])
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    """``import tosda`` loads none of scipy's slow submodules."""
+    heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    probe = f"import sys, tosda; print([m for m in {heavy!r} if m in sys.modules])"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert loaded.strip() == "[]"
+
+
 class TestSsMusic:
     def test_population_single_source(self):
         z = analytic_virtual_vector(40, [12.34])
@@ -365,7 +400,7 @@ class TestSsMusic:
 
     @pytest.mark.parametrize("count", [2.5, True, "2", None, float("inf")])
     def test_non_whole_source_count_rejected(self, count):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="n_sources"):
             ss_music(analytic_virtual_vector(20, [10.0, 40.0]), count)
 
     def test_even_length_rejected(self):
@@ -586,7 +621,7 @@ class TestMonteCarlo:
     )
     def test_non_whole_count_sweep_value_rejected(self, array9, parameter, value):
         scene = SourceScene((-20.0, 20.0), snr_db=0.0, snapshots=64, seed=0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=f"^sweep {parameter} must be a whole number"):
             monte_carlo(array9, scene, (parameter, [3, value]), trials=1)
 
     @pytest.mark.parametrize(
@@ -596,7 +631,7 @@ class TestMonteCarlo:
     )
     def test_non_whole_trials_or_threads_rejected(self, array9, name, value):
         scene = SourceScene((-20.0, 20.0), snr_db=0.0, snapshots=64, seed=0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be a whole number, got "):
             monte_carlo(array9, scene, **{"trials": 1, "threads": 1, name: value})
 
     def test_whole_float_trials_recorded_as_int(self, array9):
