@@ -9,10 +9,11 @@ rounding conventions they were printed with.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import coarray, geometry
 from .errors import (
@@ -24,7 +25,6 @@ from .geometry import DesignParams, normalize_variant
 
 log = logging.getLogger(__name__)
 
-_MINIMUM_CACHE: dict[str, int] = {}
 _MINIMUM_SCAN_LIMIT = 64
 
 
@@ -64,29 +64,29 @@ def _lambda_values(variant: str, m1: int, m2: int, j: Optional[int], n: int):
     return 2 * core, 3 * core
 
 
-def lambda_pair(variant: str, params: DesignParams) -> tuple[int, int]:
-    """Longest consecutive second-/third-order sum co-array run lengths."""
-    variant = normalize_variant(variant)
-    return _lambda_values(variant, params.M1, params.M2, params.J, params.N)
+def dof_closed_form(params: DesignParams) -> int:
+    """Consecutive-lag count predicted by the variant's closed form.
 
-
-def dof_closed_form(variant: str, params: DesignParams) -> int:
-    """Consecutive-lag count predicted by the variant's closed form."""
-    variant = normalize_variant(variant)
+    CNA and SCNA use the gap-free GTOA count 2*(lambda2 + N2*delta2) + 1
+    with delta2 = 2*lambda1 + 1; TNA-II keeps its printed expressions.
+    """
     m1, m2, n2 = params.M1, params.M2, params.N2
-    if variant == "cna":
-        return (6 + 8 * n2) * ((m1 - 1) + m2 * (m1 + 1)) + 2 * n2 + 1
-    if variant == "scna":
-        return (6 + 8 * n2) * (m1 + m2 * (m1 + 1)) + 2 * n2 + 1
+    if params.variant != "tna2":
+        lam1, lam2 = _lambda_values(params.variant, m1, m2, None, params.N)
+        return 2 * (lam2 + n2 * (2 * lam1 + 1)) + 1
     core = m1 * (m2 + 1) + params.J
     if 9 <= params.N <= 14:
         return 2 * (5 + 4 * n2) * core - 6 * n2 - 5
     return 2 * ((4 * n2 + 1) * core + (n2 - 1) + 4 * m1 * (m2 + 1) + 4 * params.J) + 1
 
 
-def _params_from_split(
-    variant: str, n: int, n1: int, m1: int, m2: int, j: Optional[int]
-) -> DesignParams:
+def _generator_size(variant: str, m1: int, m2: int) -> int:
+    return m1 + m2 if variant == "tna2" else 2 * m1 + m2
+
+
+def _params_from_split(variant: str, n: int, m1: int, m2: int) -> DesignParams:
+    n1 = _generator_size(variant, m1, m2)
+    j = math.ceil(n1 / 2) - 1 if variant == "tna2" else None
     n2 = n - n1
     if m1 < 1 or m2 < 1 or n2 < 1:
         raise _SplitInfeasible(f"split ({m1}, {m2}, {n2}) leaves an empty sub-array")
@@ -106,87 +106,80 @@ def _params_from_split(
     )
 
 
-def _realized_dof(params: DesignParams) -> int:
-    gen = geometry.build_generator(params.variant, params.M1, params.M2, params.J)
-    arr = geometry.build_gtoa(gen, params.delta1, params.delta2, params.N2)
-    return 2 * coarray.to_eca(arr).one_sided_z + 1
+def _realized(
+    variant: str, n: int, splits: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, DesignParams]]:
+    """(consecutive lags, params) of every (M1, M2) split that builds."""
+    for m1, m2 in splits:
+        try:
+            params = _params_from_split(variant, n, m1, m2)
+            gen = geometry.build_generator(variant, m1, m2, params.J)
+            arr = geometry.build_gtoa(gen, params.delta1, params.delta2, params.N2)
+            lags = 2 * coarray.to_eca(arr).one_sided_z + 1
+        except _INFEASIBLE:
+            continue  # inconsistent generator or empty sub-array: infeasible
+        yield lags, params
 
 
-def _attempt_closed_form(variant: str, n: int, quiet: bool = False) -> DesignParams:
+def _best(
+    realized: Iterable[tuple[int, DesignParams]]
+) -> Optional[tuple[int, DesignParams]]:
+    """The most consecutive lags; ties go to the smaller generator, then
+    to the lexicographically smaller (M1, M2).  None when nothing built."""
+    return min(
+        realized,
+        key=lambda item: (-item[0], item[1].N1, item[1].M1, item[1].M2),
+        default=None,
+    )
+
+
+def _attempt_closed_form(variant: str, n: int) -> tuple[DesignParams, bool]:
+    """The closed-form split, and whether the TNA-II rounding search chose it."""
     n1_star = continuous_optimum_n1(variant, n)
     if variant in ("cna", "scna"):
         n1 = round_half_up(n1_star)
         m1 = round_half_up((n1 - 1) / 4)
-        m2 = n1 - 2 * m1
-        params = _params_from_split(variant, n, n1, m1, m2, None)
-        geometry.build_generator(variant, m1, m2)  # cardinality check
-        return params
+        direct, others = (m1, n1 - 2 * m1), []
+    else:
+        # TNA-II: the printed rounding can produce an inconsistent generator
+        # (a segment can come out empty), so when the direct split fails
+        # its cardinality check the brute-force rule picks among the
+        # ceil/floor rounding variants.
+        def roundings(x):  # the printed rounding first, then ceil and floor
+            return dict.fromkeys((round_half_up(x), math.ceil(x), math.floor(x)))
 
-    # TNA-II: the printed rounding can produce an inconsistent generator
-    # (a segment can come out empty), so when the direct split fails its
-    # cardinality check we search the ceil/floor rounding variants and
-    # keep the one with the highest realized consecutive-lag count.
-    def candidates():
-        seen = set()
-        for n1 in (round_half_up(n1_star), math.ceil(n1_star), math.floor(n1_star)):
-            m2_star = (2 * n1 - 1) / 4
-            for m2 in (round_half_up(m2_star), math.ceil(m2_star), math.floor(m2_star)):
-                key = (n1, m2)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield n1, n1 - m2, m2
-
-    def realize(n1, m1, m2):
-        j = math.ceil(n1 / 2) - 1
-        params = _params_from_split(variant, n, n1, m1, m2, j)
-        geometry.build_generator(variant, m1, m2, j)
-        return params
-
-    first = True
-    valid: list[tuple[int, DesignParams]] = []
-    for n1, m1, m2 in candidates():
-        try:
-            params = realize(n1, m1, m2)
-        except _INFEASIBLE:
-            if first and not quiet:
-                log.warning(
-                    "TNA-II split for N=%d: direct rounding (N1=%d, M1=%d, M2=%d) "
-                    "fails its cardinality check; falling back to rounding search",
-                    n, n1, m1, m2,
-                )
-            first = False
-            continue
-        if first:
-            return params  # the printed rounding worked, no search needed
-        valid.append((_realized_dof(params), params))
-    if not valid:
+        direct, *others = [
+            (n1 - m2, m2)
+            for n1 in roundings(n1_star)
+            for m2 in roundings((2 * n1 - 1) / 4)
+        ]
+    try:
+        params = _params_from_split(variant, n, *direct)
+        geometry.build_generator(variant, *direct, params.J)  # cardinality check
+        return params, False
+    except _INFEASIBLE:
+        if not others:
+            raise
+    best = _best(_realized(variant, n, others))
+    if best is None:
         raise _SplitInfeasible(f"no TNA-II rounding variant is feasible at N={n}")
-    valid.sort(key=lambda item: (-item[0], item[1].N1, item[1].M1, item[1].M2))
-    dof, params = valid[0]
-    if not quiet:
-        log.warning(
-            "TNA-II fallback for N=%d chose (N1=%d, M1=%d, M2=%d, J=%d) with %d "
-            "consecutive lags",
-            n, params.N1, params.M1, params.M2, params.J, dof,
-        )
-    return params
+    return best[1], True
 
 
+@functools.cache
 def minimum_sensors(variant: str) -> int:
     """Smallest N whose closed-form split passes every invariant."""
     variant = normalize_variant(variant)
-    if variant not in _MINIMUM_CACHE:
-        for n in range(2, _MINIMUM_SCAN_LIMIT + 1):
-            try:
-                _attempt_closed_form(variant, n, quiet=True)
-            except _INFEASIBLE:
-                continue
-            _MINIMUM_CACHE[variant] = n
-            break
-        else:  # pragma: no cover - all variants are feasible well below the limit
-            raise InvalidParameterError(f"no feasible {variant} split up to N=64")
-    return _MINIMUM_CACHE[variant]
+    for n in range(2, _MINIMUM_SCAN_LIMIT + 1):
+        try:
+            _attempt_closed_form(variant, n)
+        except _INFEASIBLE:
+            continue
+        return n
+    # all variants are feasible well below the limit
+    raise InvalidParameterError(  # pragma: no cover
+        f"no feasible {variant} split up to N={_MINIMUM_SCAN_LIMIT}"
+    )
 
 
 def split_closed_form(variant: str, n: int) -> DesignParams:
@@ -200,11 +193,18 @@ def split_closed_form(variant: str, n: int) -> DesignParams:
             minimum=minimum,
         )
     try:
-        return _attempt_closed_form(variant, n)
+        params, fell_back = _attempt_closed_form(variant, n)
     except _INFEASIBLE as exc:
         raise UnsupportedSizeError(
             f"no feasible {variant} split at N={n}: {exc}", minimum=minimum
         ) from exc
+    if fell_back:
+        log.warning(
+            "TNA-II split for N=%d: the printed rounding fails its cardinality "
+            "check; the rounding search chose (N1=%d, M1=%d, M2=%d, J=%d)",
+            n, params.N1, params.M1, params.M2, params.J,
+        )
+    return params
 
 
 @dataclass(frozen=True)
@@ -222,12 +222,8 @@ class SplitResult:
 def _enumerate_splits(variant: str, n: int):
     for m1 in range(1, n + 1):
         for m2 in range(1, n + 1):
-            if variant == "tna2":
-                n1, j = m1 + m2, math.ceil((m1 + m2) / 2) - 1
-            else:
-                n1, j = 2 * m1 + m2, None
-            if n1 < n:  # leaves N2 >= 1 tail sensors
-                yield n1, m1, m2, j
+            if _generator_size(variant, m1, m2) < n:  # leaves N2 >= 1 tail sensors
+                yield m1, m2
 
 
 def brute_force_split(variant: str, n: int) -> SplitResult:
@@ -235,45 +231,27 @@ def brute_force_split(variant: str, n: int) -> SplitResult:
 
     Every candidate geometry is actually realized and its exhaustive
     co-array enumerated, so the returned consecutive-lag count is ground
-    truth regardless of what the closed forms claim.  Ties break toward
-    the smaller generator, then lexicographically smaller (M1, M2, J).
+    truth regardless of what the closed forms claim.  Ties break as in
+    :func:`_best`.
     """
     variant = normalize_variant(variant)
-    best: Optional[tuple[int, int, int, int, int, DesignParams]] = None
-    for n1, m1, m2, j in _enumerate_splits(variant, n):
-        try:
-            params = _params_from_split(variant, n, n1, m1, m2, j)
-            dof = _realized_dof(params)
-        except _INFEASIBLE:
-            continue  # inconsistent generator or empty sub-array: infeasible
-        key = (-dof, n1, m1, m2, -1 if j is None else j)
-        if best is None or key < best[:5]:
-            best = (*key, params)
+    best = _best(_realized(variant, n, _enumerate_splits(variant, n)))
     if best is None:
         raise UnsupportedSizeError(
             f"no feasible {variant} split exists at N={n}", minimum=None
         )
-    dof_bf = -best[0]
-    params = best[5]
-
-    dof_cf: Optional[int] = None
+    dof_bf, params = best
+    # below minimum_sensors the closed form is infeasible by definition, so
+    # this matches split_closed_form without repeating its fallback warning
     try:
-        dof_cf = dof_closed_form(variant, split_closed_form(variant, n))
-    except UnsupportedSizeError:
-        pass
-    agreement = dof_cf == dof_bf
-    if not agreement:
-        log.warning(
-            "%s N=%d: closed-form consecutive-lag count %s != brute force %d "
-            "(best split N1=%d, M1=%d, M2=%d, J=%s)",
-            variant, n, dof_cf, dof_bf,
-            params.N1, params.M1, params.M2, params.J,
-        )
+        dof_cf: Optional[int] = dof_closed_form(_attempt_closed_form(variant, n)[0])
+    except _INFEASIBLE:
+        dof_cf = None
     return SplitResult(
         params=params,
         dof_closed_form=dof_cf,
         dof_brute_force=dof_bf,
-        agreement=agreement,
+        agreement=dof_cf == dof_bf,
     )
 
 

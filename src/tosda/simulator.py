@@ -93,11 +93,15 @@ class SourceScene:
             raise InvalidParameterError(f"source angles must be distinct: {angles}")
         if any(abs(a) >= 90 for a in angles):
             raise InvalidParameterError("angles must lie inside (-90, 90) degrees")
-        if self.snapshots < 1:
+        snapshots = whole_number(self.snapshots, "snapshots")
+        if snapshots < 1:
             raise InvalidParameterError("need at least one snapshot")
-        if int(self.seed) != self.seed or self.seed < 0:
+        seed = whole_number(self.seed, "seed")
+        if seed < 0:
             raise InvalidParameterError("seed must be a non-negative integer")
         object.__setattr__(self, "angles_deg", angles)
+        object.__setattr__(self, "snapshots", snapshots)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def n_sources(self) -> int:

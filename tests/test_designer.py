@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -14,7 +15,7 @@ from tosda import (
     split_closed_form,
     to_eca,
 )
-from tosda.designer import continuous_optimum_n1, lambda_pair, round_half_up
+from tosda.designer import continuous_optimum_n1, round_half_up
 
 
 class TestRounding:
@@ -47,6 +48,31 @@ class TestClosedFormSplit:
         gen = build_generator("tna2", p.M1, p.M2, p.J)
         assert gen.size == p.N1
 
+    @pytest.mark.parametrize(
+        "n,want",
+        [
+            (5, (2, 1, 1, 0)), (8, (5, 2, 3, 2)),
+            (11, (7, 3, 4, 3)), (38, (25, 12, 13, 12)),
+        ],
+    )
+    def test_tna2_fallback_choices(self, n, want):
+        # the rounding search picks by the brute-force rule; at N=5 the
+        # first feasible rounding variant would be a different split
+        p = split_closed_form("tna2", n)
+        assert (p.N1, p.M1, p.M2, p.J) == want
+
+    def test_fallback_logged_once_and_only_by_split_closed_form(self, caplog):
+        caplog.set_level(logging.WARNING, logger="tosda.designer")
+        split_closed_form("tna2", 8)
+        assert len(caplog.records) == 1
+        assert "N=8" in caplog.records[0].getMessage()
+        caplog.clear()
+        minimum_sensors.cache_clear()
+        assert minimum_sensors("tna2") == 3
+        assert caplog.records == []
+        brute_force_split("tna2", 8)
+        assert caplog.records == []
+
     def test_below_minimum_names_minimum(self):
         minimum = minimum_sensors("cna")
         with pytest.raises(UnsupportedSizeError) as err:
@@ -62,16 +88,16 @@ class TestClosedFormSplit:
 class TestLambdaPair:
     def test_cna_values(self):
         p = split_closed_form("cna", 8)
-        assert lambda_pair("cna", p) == (12, 18)
+        assert (p.lambda1, p.lambda2) == (12, 18)
 
     def test_scna_values(self):
         p = split_closed_form("scna", 8)
-        assert lambda_pair("scna", p) == (14, 21)
+        assert (p.lambda1, p.lambda2) == (14, 21)
 
     def test_cna_m1_1_m2_1(self):
         p = split_closed_form("cna", 4)  # splits to M1=1, M2=1, N2=1
         assert (p.M1, p.M2) == (1, 1)
-        assert lambda_pair("cna", p) == (4, 6)
+        assert (p.lambda1, p.lambda2) == (4, 6)
 
     @pytest.mark.parametrize("m1", [1, 2, 3, 4])
     @pytest.mark.parametrize("m2", [1, 2, 3, 4])
@@ -85,14 +111,14 @@ class TestLambdaPair:
 
 class TestDofClosedForm:
     def test_cna8(self):
-        assert dof_closed_form("cna", split_closed_form("cna", 8)) == 187
+        assert dof_closed_form(split_closed_form("cna", 8)) == 187
 
     def test_scna8(self):
-        assert dof_closed_form("scna", split_closed_form("scna", 8)) == 217
+        assert dof_closed_form(split_closed_form("scna", 8)) == 217
 
     def test_cna_minimal(self):
         p = split_closed_form("cna", 4)
-        assert dof_closed_form("cna", p) == 31
+        assert dof_closed_form(p) == 31
 
 
 class TestBruteForceSplit:
@@ -161,10 +187,11 @@ class TestInvariants:
         from tosda.designer import _params_from_split
 
         n1 = 2 * m1 + m2
-        params = _params_from_split("cna", n1 + n2, n1, m1, m2, None)
+        params = _params_from_split("cna", n1 + n2, m1, m2)
+        assert (params.N1, params.J) == (n1, None)
         gen = build_generator("cna", m1, m2)
         arr = build_gtoa(gen, params.delta1, params.delta2, n2)
-        assert dof_closed_form("cna", params) == 2 * to_eca(arr).one_sided_z + 1
+        assert dof_closed_form(params) == 2 * to_eca(arr).one_sided_z + 1
 
     @pytest.mark.parametrize("variant", ["cna", "scna", "tna2"])
     def test_monotone_in_n(self, variant):
@@ -195,4 +222,4 @@ class TestInvariants:
         p = split_closed_form(variant, n)
         gen = build_generator(variant, p.M1, p.M2)
         arr = build_gtoa(gen, p.delta1, p.delta2, p.N2)
-        assert 2 * to_eca(arr).one_sided_z + 1 == dof_closed_form(variant, p)
+        assert 2 * to_eca(arr).one_sided_z + 1 == dof_closed_form(p)

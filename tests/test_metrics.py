@@ -121,7 +121,7 @@ class TestClosedFormRedundancy:
         # their DOF views must stay within a few percent of each other
         from tosda import dof_closed_form, split_closed_form
 
-        dof = dof_closed_form("cna", split_closed_form("cna", n))
+        dof = dof_closed_form(split_closed_form("cna", n))
         z2p1 = 2 * z_closed_form("cna", n) + 1
         assert abs(z2p1 - dof) / dof <= 0.05
 

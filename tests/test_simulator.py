@@ -62,6 +62,27 @@ class TestSourceScene:
         with pytest.raises(InvalidParameterError, match="noise power"):
             SourceScene((0.0,), snr_db=-3100.0, snapshots=8)
 
+    @pytest.mark.parametrize(
+        "field,bad",
+        [("snapshots", 2.5), ("snapshots", True), ("seed", 2.5), ("seed", "2")],
+    )
+    def test_rejects_non_whole_counts(self, field, bad):
+        kwargs = {"snapshots": 8, "seed": 0, field: bad}
+        with pytest.raises(InvalidParameterError, match=field):
+            SourceScene((0.0,), snr_db=0.0, **kwargs)
+
+    def test_whole_float_seed_runs_as_int(self):
+        scene = SourceScene((0.0,), snr_db=0.0, snapshots=8.0, seed=2.0)
+        assert (scene.snapshots, scene.seed) == (8, 2)
+        assert type(scene.snapshots) is int and type(scene.seed) is int
+        arr, _ = build_to_sda("cna", 6)
+        ran, want = (
+            monte_carlo(arr, s, trials=2, grid_step_deg=0.1)
+            for s in (scene, dataclasses.replace(scene, seed=2))
+        )
+        assert ran[0].rmse_deg == want[0].rmse_deg
+        assert np.array_equal(ran[0].per_trial_estimates, want[0].per_trial_estimates)
+
 
 class TestSteeringMatrix:
     def test_broadside_is_all_ones(self):
@@ -538,18 +559,31 @@ def blas_threads():
     return [get() for get, _ in controls]
 
 
-@pytest.fixture
-def blas_at_three():
-    """Both OpenBLAS copies at 3 threads, a count no pin would leave behind;
-    their own counts are put back after the test."""
+def blas_held_at(count):
+    """Both OpenBLAS copies at ``count`` threads; their own counts are put
+    back after the test."""
     controls, missing = simulator._openblas_thread_controls()
     assert missing == []
     saved = [get() for get, _ in controls]
     for _, set_ in controls:
-        set_(3)
-    yield
-    for (_, set_), count in zip(controls, saved):
         set_(count)
+    yield
+    for (_, set_), saved_count in zip(controls, saved):
+        set_(saved_count)
+
+
+@pytest.fixture
+def blas_at_three():
+    """3 threads, a count no pin would leave behind."""
+    yield from blas_held_at(3)
+
+
+@pytest.fixture
+def blas_at_two():
+    """2 threads: not the pin's count, and few enough not to oversubscribe
+    two cores, where the unpinned runs below took about 12 s at 3 threads
+    and under 1 s at 2."""
+    yield from blas_held_at(2)
 
 
 def recording_controls(monkeypatch, count=4):
@@ -782,7 +816,7 @@ class TestMonteCarlo:
         assert state == [4]
 
     def test_missing_blas_symbols_run_unpinned(self, array9, monkeypatch,
-                                               blas_at_three):
+                                               blas_at_two):
         # CNA N=9 (m = 124) takes its subspace from eigh, N=13 (m = 309) from ARPACK
         cases = [(arr, threads) for arr in (array9, build_to_sda("cna", 13)[0])
                  for threads in (2, 1)]
@@ -809,7 +843,7 @@ class TestMonteCarlo:
                 arr, scene, ("snr", [0.0, 6.0]), trials=3, threads=threads,
                 progress=lines.append,
             )
-            assert inside == [[3, 3]] * 6, (arr.name, threads)
+            assert inside == [[2, 2]] * 6, (arr.name, threads)
             # one note on BLAS, then one line per sweep point
             assert len(lines) == 3 and "BLAS" in lines[0] and "unpinned" in lines[0]
             for a, b in zip(expected, unpinned):
