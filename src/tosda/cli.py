@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, coarray, designer, geometry, metrics, simulator
-from .errors import TosdaError
+from .errors import TosdaError, real_number, whole_number
 
 _ENV_THREADS = "TOSDA_THREADS"
 
@@ -243,12 +244,7 @@ def cmd_leakage(args) -> int:
         [[array.name, config, leak]],
     )
     print(f"{array.name} {config}: leakage {leak:.4f}")
-    params["model"] = {
-        "c1_magnitude": model.c1_magnitude,
-        "c1_phase": model.c1_phase,
-        "band_limit": model.band_limit,
-        "decay_phase_step": model.decay_phase_step,
-    }
+    params["model"] = dataclasses.asdict(model)
     _write_manifest(outdir, "leakage", params, ["leakage.csv"], [])
     return _finish(args, outdir, [])
 
@@ -299,7 +295,7 @@ def _numbers(value) -> list:
     if not isinstance(value, list) or not value:
         raise TypeError("expected a non-empty list")
     for v in value:
-        simulator.real_number(v)
+        real_number(v)
     return value
 
 
@@ -307,19 +303,17 @@ def _angles(value) -> tuple[float, ...]:
     """An explicit angle list, or ``{'count', 'span_deg'}`` spread evenly."""
     if isinstance(value, dict):
         lo, hi = value.get("span_deg", (-60.0, 60.0))
-        count = simulator.whole_number(value["count"], "count")
-        value = np.linspace(
-            simulator.real_number(lo), simulator.real_number(hi), count
-        ).tolist()
+        count = whole_number(value["count"], "count")
+        value = np.linspace(real_number(lo), real_number(hi), count).tolist()
     if not isinstance(value, list):
         raise TypeError("expected a list or {'count', 'span_deg'}")
-    return tuple(simulator.real_number(a) for a in value)
+    return tuple(real_number(a) for a in value)
 
 
 def _array_from_config(spec: dict):
     if spec.get("file") is not None:
         return geometry.load_array(_read(spec, "file", str)), None
-    sensors = _read(spec, "sensors", simulator.whole_number)
+    sensors = _read(spec, "sensors", whole_number)
     if spec.get("variant") is not None and sensors is not None:
         return geometry.build_to_sda(spec["variant"], sensors)
     raise TosdaError(
@@ -336,8 +330,8 @@ def _scene_from_config(config: dict, master_seed: int) -> simulator.SourceScene:
         raise TosdaError(f"scene 'source_kind' must be 'skewed_real', got {kind!r}")
     return simulator.SourceScene(
         angles_deg=_read(scene, "angles_deg", _angles, ()),
-        snr_db=_read(scene, "snr_db", simulator.real_number, 0.0),
-        snapshots=_read(scene, "snapshots", simulator.whole_number, 1000),
+        snr_db=_read(scene, "snr_db", real_number, 0.0),
+        snapshots=_read(scene, "snapshots", whole_number, 1000),
         seed=master_seed,
     )
 
@@ -346,12 +340,13 @@ def _coupling_from_config(config: dict):
     spec = _read(config, "coupling", _object, {})
     if not _read(spec, "enabled", _boolean, False):
         return None
+    default = metrics.CouplingModel()
     return metrics.CouplingModel(
-        c1_magnitude=_read(spec, "c1_magnitude", simulator.real_number, 0.3),
-        c1_phase=_read(spec, "c1_phase_rad", simulator.real_number, math.pi / 3),
-        band_limit=_read(spec, "band_limit", simulator.whole_number, 100),
+        c1_magnitude=_read(spec, "c1_magnitude", real_number, default.c1_magnitude),
+        c1_phase=_read(spec, "c1_phase_rad", real_number, default.c1_phase),
+        band_limit=_read(spec, "band_limit", whole_number, default.band_limit),
         decay_phase_step=_read(
-            spec, "decay_phase_step_rad", simulator.real_number, math.pi / 8
+            spec, "decay_phase_step_rad", real_number, default.decay_phase_step
         ),
     )
 
@@ -360,12 +355,12 @@ def cmd_simulate(args) -> int:
     outdir = _outdir(args)
     config = _load_sim_config(Path(args.config))
     mode = config.get("mode", "rmse")
-    master_seed = _read(config, "master_seed", simulator.whole_number, 0)
+    master_seed = _read(config, "master_seed", whole_number, 0)
     array, _ = _array_from_config(_read(config, "array", _object, {}))
     scene = _scene_from_config(config, master_seed)
     coupling = _coupling_from_config(config)
     grid_step = _read(
-        _read(config, "music", _object, {}), "grid_step_deg", simulator.real_number, 0.01
+        _read(config, "music", _object, {}), "grid_step_deg", real_number, 0.01
     )
     threads = args.threads
     outputs: list[str] = []
@@ -384,7 +379,7 @@ def cmd_simulate(args) -> int:
             raise TosdaError(
                 f"sweep needs 'parameter' in {simulator.SWEEP_PARAMETERS} and 'values'"
             )
-        trials = _read(config, "trials", simulator.whole_number, 1)
+        trials = _read(config, "trials", whole_number, 1)
         dump_trials = _read(config, "dump_trials", _boolean, False)
         stats = simulator.monte_carlo(
             array, scene, (parameter, values), trials=trials, coupling=coupling,
@@ -548,10 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--array", help="array JSON file")
     p.add_argument("--variant", choices=list(geometry.VARIANTS))
     p.add_argument("--sensors", type=int)
-    p.add_argument("--c1-mag", type=float, default=0.3)
-    p.add_argument("--c1-phase", type=float, default=math.pi / 3)
-    p.add_argument("--band", type=int, default=100)
-    p.add_argument("--decay-step", type=float, default=math.pi / 8)
+    coupling = metrics.CouplingModel()
+    p.add_argument("--c1-mag", type=float, default=coupling.c1_magnitude)
+    p.add_argument("--c1-phase", type=float, default=coupling.c1_phase)
+    p.add_argument("--band", type=int, default=coupling.band_limit)
+    p.add_argument("--decay-step", type=float, default=coupling.decay_phase_step)
     add_common(p)
     p.set_defaults(func=cmd_leakage)
 

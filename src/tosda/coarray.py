@@ -14,7 +14,6 @@ over all ordered triples, 4*N^3 entries in total.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -137,9 +136,6 @@ class CoarrayReport:
             "holes": list(self.holes),
             "symmetric": self.symmetric,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def report_from_multiset(weights: LagMultiset) -> CoarrayReport:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check every
+layer applies to a whole or finite real number it is given."""
+
+import math
+import numbers
 
 
 class TosdaError(Exception):
@@ -48,3 +52,35 @@ class CapacityExceededError(TosdaError, ValueError):
 class InternalConsistencyError(TosdaError, RuntimeError):
     """Two views of the same quantity disagree; indicates a bug or a
     corrupted intermediate, never bad user input."""
+
+
+def whole_number(value, name: str = "value") -> int:
+    """``value`` as an int when it is a number with no fractional part.
+
+    Bools, non-numbers (numeric strings too) and non-whole values raise
+    instead of truncating; the message names the argument as ``name``.
+    """
+    if type(value) is int:  # the common case, kept cheap for hot constructors
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise InvalidParameterError(f"{name} must be a whole number, got {value!r}")
+
+
+def real_number(value, name: str = "value") -> float:
+    """``value`` as a float when it is a finite real number.
+
+    Bools, non-numbers (numeric strings too) and non-finite values raise
+    instead of converting, and so does an int too large for a float; the
+    message names the argument as ``name``.
+    """
+    if type(value) is float and math.isfinite(value):  # the common case, kept cheap
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond float range
+            pass
+    raise InvalidParameterError(f"{name} must be a finite real number, got {value!r}")

@@ -10,7 +10,7 @@ coarse uniform tail into a third-order sum-difference array (TO-SDA).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -19,6 +19,8 @@ from .errors import (
     ArrayValidationError,
     GeometryInconsistencyError,
     InvalidParameterError,
+    real_number,
+    whole_number,
 )
 
 VARIANTS = ("cna", "scna", "tna2")
@@ -71,23 +73,20 @@ class SensorArray:
     unit_spacing: float = 0.5
 
     def __post_init__(self):
-        pos = []
-        for p in self.positions:
-            q = int(p)
-            if q != p:
-                raise InvalidParameterError(f"non-integer position {p!r}")
-            pos.append(q)
+        pos = tuple([whole_number(p, "positions") for p in self.positions])
         if not pos:
             raise InvalidParameterError("array must contain at least one sensor")
-        if any(p < 0 for p in pos):
+        if min(pos) < 0:
             raise InvalidParameterError(f"negative positions not allowed: {pos}")
         if any(b <= a for a, b in zip(pos, pos[1:])):
             raise InvalidParameterError(
                 f"positions must be strictly increasing, got {pos}"
             )
-        if not self.unit_spacing > 0:
-            raise InvalidParameterError("unit_spacing must be positive")
-        object.__setattr__(self, "positions", tuple(pos))
+        spacing = real_number(self.unit_spacing, "unit_spacing")
+        if not spacing > 0:
+            raise InvalidParameterError(f"unit_spacing must be positive, got {spacing}")
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "unit_spacing", spacing)
 
     @property
     def size(self) -> int:
@@ -103,6 +102,12 @@ class SensorArray:
             "unit_spacing_wavelengths": self.unit_spacing,
             "positions": list(self.positions),
         }
+
+
+# the DesignParams fields that are non-negative whole numbers (J may be None)
+_COUNT_FIELDS = (
+    "N", "N1", "N2", "M1", "M2", "delta1", "delta2", "lambda1", "lambda2",
+)
 
 
 @dataclass(frozen=True)
@@ -129,14 +134,15 @@ class DesignParams:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", normalize_variant(self.variant))
-        ints = {
-            "N": self.N, "N1": self.N1, "N2": self.N2, "M1": self.M1,
-            "M2": self.M2, "delta1": self.delta1, "delta2": self.delta2,
-            "lambda1": self.lambda1, "lambda2": self.lambda2,
-        }
-        for key, value in ints.items():
-            if int(value) != value or value < 0:
+        for key in _COUNT_FIELDS:
+            given = getattr(self, key)
+            value = whole_number(given, key)
+            if value < 0:
                 raise InvalidParameterError(f"{key} must be a non-negative integer")
+            if value is not given:  # frozen-field writes are slow; most are ints
+                object.__setattr__(self, key, value)
+        if self.J is not None:
+            object.__setattr__(self, "J", whole_number(self.J, "J"))
         if self.N2 < 1:
             raise InvalidParameterError("N2 must be >= 1")
         if self.N != self.N1 + self.N2:
@@ -171,26 +177,15 @@ class DesignParams:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "N": self.N,
-            "N1": self.N1,
-            "N2": self.N2,
-            "M1": self.M1,
-            "M2": self.M2,
-            "J": self.J,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-        }
+        return asdict(self)
 
 
-def build_ula(n: int, unit_spacing: float = 0.5) -> SensorArray:
+def build_ula(n: int) -> SensorArray:
     """Uniform linear array at positions 0..n-1."""
+    n = whole_number(n, "n")
     if n < 1:
         raise InvalidParameterError(f"ULA needs at least one sensor, got n={n}")
-    return SensorArray(f"ULA({n})", tuple(range(n)), unit_spacing)
+    return SensorArray(f"ULA({n})", tuple(range(n)))
 
 
 def _generator_segments(variant: str, m1: int, m2: int, j: Optional[int]):
@@ -222,7 +217,6 @@ def build_generator(
     m1: int,
     m2: int,
     j: Optional[int] = None,
-    unit_spacing: float = 0.5,
 ) -> SensorArray:
     """Build a generator sub-array from its defining segments.
 
@@ -233,6 +227,9 @@ def build_generator(
     carrying the offending segments.
     """
     variant = normalize_variant(variant)
+    m1, m2 = whole_number(m1, "m1"), whole_number(m2, "m2")
+    if j is not None:
+        j = whole_number(j, "j")
     if m1 < 1 or m2 < 1:
         raise InvalidParameterError(f"need M1 >= 1 and M2 >= 1, got ({m1}, {m2})")
     if variant == "tna2":
@@ -261,9 +258,7 @@ def build_generator(
         )
     label = VARIANT_LABELS[variant]
     jtag = f",J={j}" if variant == "tna2" else ""
-    return SensorArray(
-        f"{label}(M1={m1},M2={m2}{jtag})", tuple(sorted(flat)), unit_spacing
-    )
+    return SensorArray(f"{label}(M1={m1},M2={m2}{jtag})", tuple(sorted(flat)))
 
 
 def build_gtoa(
@@ -278,6 +273,8 @@ def build_gtoa(
     Every physical position may host exactly one sensor, so any overlap
     between the generator and the tail is rejected.
     """
+    delta1, delta2 = whole_number(delta1, "delta1"), whole_number(delta2, "delta2")
+    n2 = whole_number(n2, "n2")
     if n2 < 1:
         raise InvalidParameterError(f"tail needs at least one sensor, got n2={n2}")
     if delta1 < 0 or delta2 < 0:
@@ -299,9 +296,7 @@ def build_gtoa(
     )
 
 
-def build_to_sda(
-    variant: str, n: int, unit_spacing: float = 0.5
-) -> tuple[SensorArray, DesignParams]:
+def build_to_sda(variant: str, n: int) -> tuple[SensorArray, DesignParams]:
     """Compose the DOF-maximizing TO-SDA with ``n`` physical sensors.
 
     The sensor split comes from the closed-form optimizer in
@@ -314,9 +309,7 @@ def build_to_sda(
 
     variant = normalize_variant(variant)
     params = designer.split_closed_form(variant, n)
-    generator = build_generator(
-        variant, params.M1, params.M2, params.J, unit_spacing
-    )
+    generator = build_generator(variant, params.M1, params.M2, params.J)
     array = build_gtoa(
         generator,
         params.delta1,
@@ -336,8 +329,11 @@ def load_array(path) -> SensorArray:
     """Read a sensor array from its JSON file format.
 
     Schema: ``{"name": str, "unit_spacing_wavelengths": number,
-    "positions": [int, ...]}``.  Positions are sorted on load; negative
-    or duplicate positions are rejected.
+    "positions": [int, ...]}``.  Positions are sorted on load, and the
+    array is checked as :class:`SensorArray` checks it: whole, non-negative
+    and distinct positions and a finite positive spacing.  A file that is
+    not such an object raises :class:`ArrayParseError`, one whose values
+    break these rules :class:`ArrayValidationError`.
     """
     path = Path(path)
     try:
@@ -349,21 +345,15 @@ def load_array(path) -> SensorArray:
     positions = raw["positions"]
     if not isinstance(positions, list) or not positions:
         raise ArrayParseError(f"{path}: 'positions' must be a non-empty list")
-    cleaned = []
-    for p in positions:
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or int(p) != p:
-            raise ArrayValidationError(f"{path}: non-integer position {p!r}")
-        cleaned.append(int(p))
-    if len(set(cleaned)) != len(cleaned):
-        dupes = sorted({p for p in cleaned if cleaned.count(p) > 1})
-        raise ArrayValidationError(f"{path}: duplicate positions {dupes}")
-    if any(p < 0 for p in cleaned):
-        raise ArrayValidationError(f"{path}: negative positions not allowed")
-    name = raw.get("name") or path.stem
-    spacing = raw.get("unit_spacing_wavelengths", 0.5)
-    if not isinstance(spacing, (int, float)) or not spacing > 0:
-        raise ArrayValidationError(f"{path}: bad unit spacing {spacing!r}")
-    return SensorArray(str(name), tuple(sorted(cleaned)), float(spacing))
+    try:
+        return SensorArray(
+            str(raw.get("name") or path.stem),
+            # checked before sorting, so a bad entry is reported, not compared
+            tuple(sorted(whole_number(p, "positions") for p in positions)),
+            raw.get("unit_spacing_wavelengths", 0.5),
+        )
+    except InvalidParameterError as exc:
+        raise ArrayValidationError(f"{path}: {exc}") from exc
 
 
 def save_array(array: SensorArray, path) -> None:

@@ -16,7 +16,12 @@ import numpy as np
 
 from . import coarray
 from .designer import continuous_optimum_n1, round_half_up
-from .errors import InternalConsistencyError, InvalidParameterError
+from .errors import (
+    InternalConsistencyError,
+    InvalidParameterError,
+    real_number,
+    whole_number,
+)
 from .geometry import SensorArray, normalize_variant
 
 
@@ -186,13 +191,11 @@ class CouplingModel:
     decay_phase_step: float = math.pi / 8
 
     def __post_init__(self):
+        for key in ("c1_magnitude", "c1_phase", "decay_phase_step"):
+            object.__setattr__(self, key, real_number(getattr(self, key), key))
+        object.__setattr__(self, "band_limit", whole_number(self.band_limit, "band_limit"))
         if not 0 <= self.c1_magnitude < 1:
             raise InvalidParameterError("|c1| must lie in [0, 1)")
-        if not (math.isfinite(self.c1_phase) and math.isfinite(self.decay_phase_step)):
-            raise InvalidParameterError(
-                f"coupling phases must be finite, got {self.c1_phase} and "
-                f"{self.decay_phase_step}"
-            )
         if self.band_limit < 0:
             raise InvalidParameterError("band limit must be >= 0")
 

@@ -37,7 +37,6 @@ import ctypes
 import functools
 import importlib
 import math
-import numbers
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -55,6 +54,8 @@ from .errors import (
     CapacityExceededError,
     InternalConsistencyError,
     InvalidParameterError,
+    real_number,
+    whole_number,
 )
 from .geometry import SensorArray
 
@@ -78,16 +79,13 @@ class SourceScene:
     seed: int = 0
 
     def __post_init__(self):
-        angles = tuple(float(a) for a in self.angles_deg)
+        angles = tuple(real_number(a, "angles_deg") for a in self.angles_deg)
         if len(angles) < 1:
             raise InvalidParameterError("need at least one source")
-        if not all(math.isfinite(a) for a in (*angles, self.snr_db)):
+        snr_db = real_number(self.snr_db, "snr_db")
+        if -snr_db / 10.0 > math.log10(sys.float_info.max):
             raise InvalidParameterError(
-                f"angles and snr_db must be finite, got {angles} and {self.snr_db}"
-            )
-        if -self.snr_db / 10.0 > math.log10(sys.float_info.max):
-            raise InvalidParameterError(
-                f"snr_db {self.snr_db} puts the noise power 10**(-snr_db/10) beyond float range"
+                f"snr_db {snr_db} puts the noise power 10**(-snr_db/10) beyond float range"
             )
         if len(set(angles)) != len(angles):
             raise InvalidParameterError(f"source angles must be distinct: {angles}")
@@ -100,6 +98,7 @@ class SourceScene:
         if seed < 0:
             raise InvalidParameterError("seed must be a non-negative integer")
         object.__setattr__(self, "angles_deg", angles)
+        object.__setattr__(self, "snr_db", snr_db)
         object.__setattr__(self, "snapshots", snapshots)
         object.__setattr__(self, "seed", seed)
 
@@ -405,8 +404,9 @@ def ss_music(
         raise CapacityExceededError(
             f"{n_sources} sources exceed the {big_z} one-sided consecutive lags"
         )
-    if not (math.isfinite(grid_step_deg) and grid_step_deg > 0):
-        raise InvalidParameterError(f"grid step {grid_step_deg} is not finite and > 0")
+    grid_step_deg = real_number(grid_step_deg, "grid_step_deg")
+    if not grid_step_deg > 0:
+        raise InvalidParameterError(f"grid_step_deg must be > 0, got {grid_step_deg}")
     m = big_z + 1
     grid, inner, shift = _grid_and_steering(grid_step_deg, unit_spacing)
     if grid.size < n_sources:
@@ -467,33 +467,9 @@ def rmse(estimates: np.ndarray, truth) -> float:
     return float(np.sqrt(np.mean(err**2)))
 
 
-def whole_number(value, name: str = "value") -> int:
-    """``value`` as an int when it is a number with no fractional part.
-
-    Bools, non-numbers and non-whole values raise instead of truncating;
-    the message names the argument as ``name``.
-    """
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value)
-    raise InvalidParameterError(f"{name} must be a whole number, got {value!r}")
-
-
-def real_number(value) -> float:
-    """``value`` as a float when it is a finite real number.
-
-    Bools, non-numbers (numeric strings too) and non-finite values raise
-    instead of converting.
-    """
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if math.isfinite(value):
-            return float(value)
-    raise InvalidParameterError(f"{value!r} is not a finite real number")
-
-
 def _scene_for_point(scene: SourceScene, parameter: str, value) -> SourceScene:
     if parameter == "snr":
-        return replace(scene, snr_db=float(value))
+        return replace(scene, snr_db=value)
     if parameter not in SWEEP_PARAMETERS:
         raise InvalidParameterError(
             f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}"
