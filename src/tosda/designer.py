@@ -20,6 +20,7 @@ from .errors import (
     GeometryInconsistencyError,
     InvalidParameterError,
     UnsupportedSizeError,
+    whole_number,
 )
 from .geometry import DesignParams, normalize_variant
 
@@ -184,6 +185,7 @@ def minimum_sensors(variant: str) -> int:
 
 def split_closed_form(variant: str, n: int) -> DesignParams:
     """DOF-maximizing sensor split via the closed-form expressions."""
+    n = whole_number(n, "n")
     variant = normalize_variant(variant)
     minimum = minimum_sensors(variant)
     if n < minimum:
@@ -234,6 +236,7 @@ def brute_force_split(variant: str, n: int) -> SplitResult:
     truth regardless of what the closed forms claim.  Ties break as in
     :func:`_best`.
     """
+    n = whole_number(n, "n")
     variant = normalize_variant(variant)
     best = _best(_realized(variant, n, _enumerate_splits(variant, n)))
     if best is None:

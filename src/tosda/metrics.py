@@ -31,6 +31,7 @@ def size_bounds(n: int) -> tuple[int, int, int]:
     lower = 6N-5, upper = (4N^3+3N^2-N+3)/3, one-sided max
     k_tilde = (4N^3+3N^2-N)/6.  Both divisions are provably exact.
     """
+    n = whole_number(n, "n")
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     lower = 6 * n - 5
@@ -52,6 +53,7 @@ def l3_bound(n: int) -> float:
     (1 + 2/(3*pi)) * (4N^3+3N^2-N) / (N^3+3N^2+2N); increases with N and
     tends to 4*(1 + 2/(3*pi)) ~ 4.8488.
     """
+    n = whole_number(n, "n")
     if n < 2:
         raise InvalidParameterError(f"redundancy bound needs n >= 2, got {n}")
     return (1 + 2 / (3 * math.pi)) * (4 * n**3 + 3 * n**2 - n) / (
@@ -102,6 +104,7 @@ def redundancy_second_order(n: int, kind: str, e: Optional[int] = None) -> float
     of the consecutive difference co-array.  The textbook ">= 1" claim
     fails for tiny N; such values are returned as-is with a warning.
     """
+    n = whole_number(n, "n")
     kind = str(kind).strip().lower()
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
@@ -110,6 +113,7 @@ def redundancy_second_order(n: int, kind: str, e: Optional[int] = None) -> float
     elif kind == "dca":
         if e is None:
             raise InvalidParameterError("DCA redundancy requires the aperture E")
+        e = whole_number(e, "e")
         if e < 1:
             raise InvalidParameterError(f"aperture E must be >= 1, got {e}")
         value = (n * (n - 1) / 2) / e
@@ -133,6 +137,7 @@ def z_closed_form(variant: str, n: int) -> float:
     at small N the snapped N1 can fall below any realizable generator, so
     cross-checks against brute force only make sense where both exist.
     """
+    n = whole_number(n, "n")
     variant = normalize_variant(variant)
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")

@@ -28,6 +28,11 @@ Several workers would each start a BLAS thread per core and oversubscribe
 the cores.  With one worker, the threads ARPACK wakes in scipy's copy still
 spin when numpy's copy starts the next trial's GEMM, which slowed both by
 about 2x.  The pin leaves every result unchanged.
+
+scipy is imported inside the calls that use it, so ``import tosda`` and the
+design layers load numpy alone: ``ss_music`` loads ``scipy.fft`` and
+``scipy.linalg``, its ARPACK path ``scipy.sparse.linalg``, and the pin of
+``monte_carlo`` ``scipy.linalg._fblas``.
 """
 
 from __future__ import annotations
@@ -44,9 +49,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.fft
-from scipy.linalg import toeplitz
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from . import coarray, metrics
 from .coarray import CoarrayReport
@@ -79,7 +81,13 @@ class SourceScene:
     seed: int = 0
 
     def __post_init__(self):
-        angles = tuple(real_number(a, "angles_deg") for a in self.angles_deg)
+        try:
+            angles = tuple(self.angles_deg)
+        except TypeError:  # a bare number, say
+            raise InvalidParameterError(
+                f"angles_deg must be a sequence of real numbers, got {self.angles_deg!r}"
+            ) from None
+        angles = tuple(real_number(a, "angles_deg") for a in angles)
         if len(angles) < 1:
             raise InvalidParameterError("need at least one source")
         snr_db = real_number(self.snr_db, "snr_db")
@@ -302,8 +310,13 @@ def _signal_subspace(c: np.ndarray, n_sources: int) -> np.ndarray:
     m = c.size
     # ARPACK cannot return k >= m - 1 eigenpairs of an operator
     if m <= _DENSE_EIGH_MAX_M or n_sources >= m - 1:
+        from scipy.linalg import toeplitz
+
         vals, vecs = np.linalg.eigh(toeplitz(c))
         return vecs[:, np.argsort(np.abs(vals), kind="stable")[m - n_sources:]]
+    import scipy.fft
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
     # T is the leading m x m block of the circulant matrix with first column
     # [c, 0..., conj(c[m-1:0:-1])], whose spectrum is transformed once here
     n_fft = scipy.fft.next_fast_len(2 * m - 1)
@@ -412,6 +425,7 @@ def ss_music(
     if grid.size < n_sources:
         raise InvalidParameterError(f"{grid.size} grid points for {n_sources} sources")
     signal = _signal_subspace(z[big_z:], n_sources)
+    import scipy.fft  # imported on use, so the design layers never load scipy
 
     # |En^H a|^2 = m - ||Es^H a||^2 because the eigenbasis is orthonormal, and
     # ||Es^H a||^2 = 2 Re acc with acc = r_0/2 + sum_l r_l w**l (see above)

@@ -16,12 +16,21 @@ from tosda import (
     InvalidParameterError,
     SensorArray,
     SourceScene,
+    brute_force_split,
     build_generator,
     build_gtoa,
+    build_to_sda,
     build_ula,
+    closed_form_redundancy,
+    dof_sweep,
+    k_tilde,
+    l3_bound,
     load_array,
+    redundancy_second_order,
+    size_bounds,
     split_closed_form,
     ss_music,
+    z_closed_form,
 )
 from tosda.errors import real_number
 
@@ -50,6 +59,8 @@ CASES = [
     ("CouplingModel", "band_limit", WHOLE, lambda v: CouplingModel(band_limit=v)),
     ("SourceScene", "angles_deg", REAL,
      lambda v: SourceScene((0.0, v), snr_db=0.0, snapshots=8)),
+    ("SourceScene", "angles_deg", (5.0, None),
+     lambda v: SourceScene(v, snr_db=0.0, snapshots=3)),
     ("SourceScene", "snr_db", REAL,
      lambda v: SourceScene((0.0,), snr_db=v, snapshots=8)),
     ("build_ula", "n", WHOLE, build_ula),
@@ -61,6 +72,14 @@ CASES = [
     ("build_gtoa", "n2", WHOLE, lambda v: _gtoa(n2=v)),
     ("ss_music", "grid_step_deg", REAL,
      lambda v: ss_music(np.ones(9), 1, grid_step_deg=v)),
+    *[(f.__name__, "n", WHOLE, lambda v, f=f: f("cna", v))
+      for f in (split_closed_form, brute_force_split, build_to_sda, z_closed_form,
+                closed_form_redundancy)],
+    ("dof_sweep", "n", WHOLE, lambda v: dof_sweep(["cna"], [v])),
+    *[(f.__name__, "n", WHOLE, f) for f in (size_bounds, k_tilde, l3_bound)],
+    ("redundancy_second_order", "n", WHOLE, lambda v: redundancy_second_order(v, "sca")),
+    ("redundancy_second_order", "e", WHOLE,
+     lambda v: redundancy_second_order(5, "dca", v)),
 ]
 
 
@@ -81,6 +100,13 @@ def test_valid_inputs_of_the_table_build():
     assert _gtoa().positions == (0, 1, 3, 4, 9, 18)
     assert build_generator("tna2", 2, 2, 1).size == 4
     ss_music(np.ones(9), 1, grid_step_deg=1.0)
+    row = dof_sweep(["cna"], [8])[0]
+    assert row.dof_brute == brute_force_split("cna", 8).dof_brute_force
+    assert z_closed_form("cna", 8.0) == z_closed_form("cna", 8) == 93.0
+    assert size_bounds(np.int64(3)) == (13, 45, 22) and k_tilde(3.0) == 22
+    assert l3_bound(4.0) == l3_bound(4)
+    assert redundancy_second_order(5, "dca", 10.0) == 1.0
+    assert SourceScene(np.array([5.0]), snr_db=0.0, snapshots=3).angles_deg == (5.0,)
 
 
 def test_fields_store_the_checked_value():

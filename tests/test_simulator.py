@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
@@ -345,19 +347,75 @@ class TestLocalMaxima:
         assert np.array_equal(simulator._local_maxima(x), find_peaks(x)[0])
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    """``import tosda`` loads none of scipy's slow submodules."""
-    heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate")
+def fresh_python(code):
+    """Standard output of ``code`` run in a new interpreter on this checkout."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    probe = f"import sys, tosda; print([m for m in {heavy!r} if m in sys.modules])"
-    loaded = subprocess.run(
-        [sys.executable, "-c", probe],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    assert loaded.strip() == "[]"
+
+
+def loaded_after(code, prefix="scipy"):
+    """Modules whose names start with ``prefix`` that a new interpreter has
+    loaded after running ``code``."""
+    names = f"sorted(m for m in sys.modules if m.startswith({prefix!r}))"
+    probe = f"{code}\nimport sys\nprint({names})"
+    return fresh_python(probe).strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    """``import tosda`` loads no scipy module at all."""
+    assert loaded_after("import tosda") == "[]"
+
+
+def test_design_paths_load_no_scipy(tmp_path):
+    code = (
+        "from tosda import cli, dof_sweep\n"
+        "dof_sweep(('cna', 'scna', 'tna2'), range(4, 8))\n"
+        "assert cli.main(['design', '--variant', 'tna2', '--sensors', '8', "
+        f"'--output', {str(tmp_path)!r}]) == 0"
+    )
+    assert loaded_after(code) == "[]"
+    assert (tmp_path / "manifest.json").exists()
+
+
+def test_dense_ss_music_loads_no_scipy_sparse():
+    # CNA N=9 has m = 124 <= 256: the subspace comes from eigh, not ARPACK
+    code = (
+        "import numpy as np\n"
+        "from tosda import *\n"
+        "arr, _ = build_to_sda('cna', 9)\n"
+        "scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 400, seed=3)\n"
+        "z = virtual_array_vector(synthesize_snapshots(arr, scene), arr, to_eca(arr))\n"
+        "assert z.size == 2 * 123 + 1\n"
+        "ss_music(z, 12)"
+    )
+    assert loaded_after(code, "scipy.sparse") == "[]"
+
+
+def test_first_call_imports_scipy_in_two_workers_at_once():
+    # CNA N=13 has m = 309 > 256, so both pool workers of the process's first
+    # call meet the imports of scipy.fft and scipy.sparse.linalg together
+    counts = "[get() for get, _ in simulator._openblas_thread_controls()[0]]"
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from tosda import SourceScene, build_to_sda, monte_carlo, simulator\n"
+        "arr, _ = build_to_sda('cna', 13)\n"
+        "scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 2000, seed=13)\n"
+        "fresh = not any(m.startswith('scipy') for m in sys.modules)\n"
+        "pooled = monte_carlo(arr, scene, trials=4, threads=2)[0].per_trial_estimates\n"
+        "serial = monte_carlo(arr, scene, trials=4, threads=1)[0].per_trial_estimates\n"
+        f"print(json.dumps([fresh, np.array_equal(pooled, serial), {counts}]))"
+    )
+    defaults = fresh_python(f"from tosda import simulator\nprint({counts})")
+    fresh, equal, restored = json.loads(fresh_python(code))
+    assert fresh and equal
+    assert len(restored) == 2 and restored == json.loads(defaults)
 
 
 class TestSsMusic:
@@ -397,7 +455,7 @@ class TestSsMusic:
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(simulator, "eigsh", fail)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
         z = analytic_virtual_vector(300, [5.0, 30.0])
         with pytest.raises(InternalConsistencyError, match="ARPACK"):
             ss_music(z, 2)
