@@ -273,7 +273,12 @@ class SweepRow:
 
 
 def dof_sweep(variants: Iterable[str], n_values: Iterable[int]) -> list[SweepRow]:
-    """One row of closed-form vs brute-force DOF per (variant, N)."""
+    """One row of closed-form vs brute-force DOF per (variant, N).
+
+    ``n_values`` is read once, so an iterator serves every variant, and each
+    N is stored as the int it converts to.
+    """
+    n_values = [whole_number(n, "n") for n in n_values]
     rows = []
     for variant in variants:
         variant = normalize_variant(variant)

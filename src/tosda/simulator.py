@@ -22,17 +22,18 @@ from explicit integers; Monte-Carlo trials derive their generators from
 (master seed, sweep point, trial index) so results do not depend on the
 number of worker threads.
 
-For the whole of every ``monte_carlo`` call, the OpenBLAS copies bundled
-with numpy and scipy are pinned to one thread each and restored afterwards.
-Several workers would each start a BLAS thread per core and oversubscribe
-the cores.  With one worker, the threads ARPACK wakes in scipy's copy still
-spin when numpy's copy starts the next trial's GEMM, which slowed both by
-about 2x.  The pin leaves every result unchanged.
+For the whole of every ``monte_carlo`` call, each OpenBLAS copy that is
+loaded (numpy's, and scipy's once ARPACK loads it) is pinned to one thread
+and restored afterwards.  Several workers would each start a BLAS thread per
+core and oversubscribe the cores.  With one worker, the threads ARPACK wakes
+in scipy's copy still spin when numpy's copy starts the next trial's GEMM,
+which slowed both by about 2x.  The pin leaves every result unchanged.
 
-scipy is imported inside the calls that use it, so ``import tosda`` and the
-design layers load numpy alone: ``ss_music`` loads ``scipy.fft`` and
-``scipy.linalg``, its ARPACK path ``scipy.sparse.linalg``, and the pin of
-``monte_carlo`` ``scipy.linalg._fblas``.
+Virtual arrays of up to 256 sensors run on numpy alone: their Toeplitz
+matrix is built by indexing, their subspace comes from ``eigh`` and every
+FFT is numpy's.  Only the ARPACK path above that size imports scipy
+(``scipy.sparse.linalg``, inside the call), so ``import tosda``, the design
+layers and small-array Monte-Carlo runs load no scipy module.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import importlib
 import math
 import sys
 import threading
@@ -225,6 +225,10 @@ def sample_third_cumulants(x: np.ndarray, array: SensorArray) -> np.ndarray:
     )
 
 
+# Snapshot columns per GEMM of the pair products in virtual_array_vector.
+_SNAPSHOT_BLOCK = 1024
+
+
 def virtual_array_vector(
     x: np.ndarray, array: SensorArray, report: CoarrayReport
 ) -> np.ndarray:
@@ -251,8 +255,19 @@ def virtual_array_vector(
         return np.bincount(lags[keep] + z, values[keep], 2 * z + 1)
 
     both = np.concatenate([xc, xc.conj()]).T
-    # one block of pair rows per sensor keeps peak memory at N x K, not N^2/2 x K
-    moments = np.concatenate([(xc[a] * xc[a:]) @ both for a in range(n)]).ravel()
+    # one GEMM per block of snapshot columns over all pairs; the blocks keep
+    # peak memory at N^2/2 x _SNAPSHOT_BLOCK, not N^2/2 x K
+    first_row = np.r_[0, np.cumsum(np.arange(n, 1, -1))]
+    pairs = np.empty((i.size, min(k, _SNAPSHOT_BLOCK)), dtype=np.complex128)
+    moments = np.zeros((i.size, 2 * n), dtype=np.complex128)
+    for lo in range(0, k, _SNAPSHOT_BLOCK):
+        cols = slice(lo, lo + _SNAPSHOT_BLOCK)
+        block = pairs[:, : min(_SNAPSHOT_BLOCK, k - lo)]
+        for a in range(n):
+            rows = slice(first_row[a], first_row[a] + n - a)
+            np.multiply(xc[a, cols], xc[a:, cols], out=block[rows])
+        moments += block @ both[cols]
+    moments = moments.ravel()
     moments *= mult / k
     sums = binned(moments.real) + 1j * binned(moments.imag)
     counts = binned(mult) + binned(mult)[::-1]
@@ -302,6 +317,20 @@ def _grid_and_steering(step_deg: float, unit_spacing: float):
     return grid, inner, shift
 
 
+def _fft_length(m: int) -> int:
+    """FFT length for an exact autocorrelation or circulant product of
+    length-m columns: the smallest power of two >= 2m - 1."""
+    return 1 << (2 * m - 2).bit_length()
+
+
+def _toeplitz(c: np.ndarray) -> np.ndarray:
+    """The Hermitian Toeplitz matrix with first column c and first row conj(c),
+    whose diagonal is c[0] as given (``scipy.linalg.toeplitz(c)``, bit for bit)."""
+    m = c.size
+    i = np.arange(m)
+    return np.concatenate([c[:0:-1].conj(), c])[m - 1 + i[:, None] - i]
+
+
 def _signal_subspace(c: np.ndarray, n_sources: int) -> np.ndarray:
     """Orthonormal basis of the eigenvectors of largest |eigenvalue| of T.
 
@@ -310,22 +339,19 @@ def _signal_subspace(c: np.ndarray, n_sources: int) -> np.ndarray:
     m = c.size
     # ARPACK cannot return k >= m - 1 eigenpairs of an operator
     if m <= _DENSE_EIGH_MAX_M or n_sources >= m - 1:
-        from scipy.linalg import toeplitz
-
-        vals, vecs = np.linalg.eigh(toeplitz(c))
+        vals, vecs = np.linalg.eigh(_toeplitz(c))
         return vecs[:, np.argsort(np.abs(vals), kind="stable")[m - n_sources:]]
-    import scipy.fft
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+    # the import may have loaded scipy's OpenBLAS copy; pin it before it runs
+    _BLAS_PIN.cover_loaded()
     # T is the leading m x m block of the circulant matrix with first column
     # [c, 0..., conj(c[m-1:0:-1])], whose spectrum is transformed once here
-    n_fft = scipy.fft.next_fast_len(2 * m - 1)
-    spec = scipy.fft.fft(
-        np.concatenate([c, np.zeros(n_fft - 2 * m + 1), c[:0:-1].conj()])
-    )
+    n_fft = _fft_length(m)
+    spec = np.fft.fft(np.concatenate([c, np.zeros(n_fft - 2 * m + 1), c[:0:-1].conj()]))
     op = LinearOperator(
         (m, m),
-        matvec=lambda v: scipy.fft.ifft(spec * scipy.fft.fft(np.ravel(v), n_fft))[:m],
+        matvec=lambda v: np.fft.ifft(spec * np.fft.fft(np.ravel(v), n_fft))[:m],
         dtype=np.complex128,
     )
     try:
@@ -384,17 +410,17 @@ def ss_music(
     Up to m = Z+1 = 256, or when D >= m - 1, the subspace comes from a dense
     ``eigh`` of T.  Above that it comes from ARPACK (``eigsh`` with a fixed
     start vector, so results are reproducible) on an operator that applies T
-    as the leading block of a circulant of FFT length L >= 2m - 1, whose
-    spectrum is computed once per call: O(L log L) time and O(L) memory per
-    product.
+    as the leading block of a circulant whose spectrum is computed once per
+    call: O(L log L) time and O(L) memory per product, where the FFT length
+    L is the smallest power of two >= 2m - 1.
 
     With w = exp(j*2*pi*d*u), ||Es^H a(u)||^2 = r_0 + 2 Re sum_{l>=1} r_l w**l,
     where r_l is the sum of the l-th superdiagonal of Es Es^H, i.e. the summed
-    autocorrelations of the columns of conj(Es), taken by FFT; r_0 = D.  The
-    coefficients r_0/2, r_1, ..., r_{m-1} are cut into rows of B = 64, one
-    GEMM with the cached B x G table gives each row's partial sum, and
-    Horner's rule in shift = w**B adds the rows, so no m x G table exists and
-    the GEMM does not grow with D.
+    autocorrelations of the columns of conj(Es), taken by FFTs of length L;
+    r_0 = D.  The coefficients r_0/2, r_1, ..., r_{m-1} are cut into rows of
+    B = 64, one GEMM with the cached B x G table gives each row's partial
+    sum, and Horner's rule in shift = w**B adds the rows, so no m x G table
+    exists and the GEMM does not grow with D.
     """
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim != 1 or z.size % 2 == 0:
@@ -425,14 +451,13 @@ def ss_music(
     if grid.size < n_sources:
         raise InvalidParameterError(f"{grid.size} grid points for {n_sources} sources")
     signal = _signal_subspace(z[big_z:], n_sources)
-    import scipy.fft  # imported on use, so the design layers never load scipy
 
     # |En^H a|^2 = m - ||Es^H a||^2 because the eigenbasis is orthonormal, and
     # ||Es^H a||^2 = 2 Re acc with acc = r_0/2 + sum_l r_l w**l (see above)
-    n_fft = scipy.fft.next_fast_len(2 * m - 1)
-    power = np.abs(scipy.fft.fft(signal.conj(), n_fft, axis=0)) ** 2
+    n_fft = _fft_length(m)
+    power = np.abs(np.fft.fft(signal.conj(), n_fft, axis=0)) ** 2
     coef = np.zeros(-(-m // _BLOCK) * _BLOCK, dtype=np.complex128)
-    coef[:m] = scipy.fft.ifft(power.sum(axis=1))[:m]
+    coef[:m] = np.fft.ifft(power.sum(axis=1))[:m]
     coef[0] /= 2
     rows = coef.reshape(-1, _BLOCK) @ inner
     acc = rows[-1]
@@ -504,37 +529,70 @@ _OPENBLAS_COPIES = (
     ("scipy.linalg._fblas", ""),
 )
 
+# (get, set) of each entry of _OPENBLAS_COPIES once its module has loaded, or
+# None when its symbols are missing; resolved once per process (a race between
+# two threads only resolves an entry twice).
+_RESOLVED_CONTROLS = {}
+
+
+def _resolve_controls(path: str, suffix: str):
+    try:
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
 
 def _openblas_thread_controls():
-    """``(get, set)`` thread-count functions of each OpenBLAS copy found, and
-    the modules of the copies whose symbols are missing."""
-    controls, missing = [], []
-    for module, suffix in _OPENBLAS_COPIES:
-        try:
-            lib = ctypes.CDLL(importlib.import_module(module).__file__)
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-        except (ImportError, OSError, AttributeError):
-            missing.append(module)
+    """``{module: (get, set)}`` thread-count functions of each OpenBLAS copy
+    whose extension module is loaded, and the loaded modules whose symbols
+    are missing.  A copy whose module is not loaded yet is left out: nothing
+    has run on it."""
+    controls, missing = {}, []
+    for name, suffix in _OPENBLAS_COPIES:
+        module = sys.modules.get(name)
+        if module is None:
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        controls.append((get, set_))
+        if (name, suffix) not in _RESOLVED_CONTROLS:
+            _RESOLVED_CONTROLS[name, suffix] = _resolve_controls(module.__file__, suffix)
+        resolved = _RESOLVED_CONTROLS[name, suffix]
+        if resolved is None:
+            missing.append(name)
+        else:
+            controls[name] = resolved
     return controls, missing
 
 
 class _BlasPin:
-    """Pins every OpenBLAS copy found to one thread while any caller holds it.
+    """Pins every loaded OpenBLAS copy to one thread while any caller holds it.
 
     Thread counts are process state, so concurrent ``monte_carlo`` calls share
-    one pin: the first caller in saves the counts and pins, the last one out
-    restores them.
+    one pin: the first caller in saves the counts and pins, a copy that loads
+    while the pin is held is saved and pinned by :meth:`cover_loaded`, and the
+    last caller out restores every saved count.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._holders = 0
-        self._saved = []
+        self._saved = {}  # module -> (set, count before the pin)
+
+    def _pin(self, controls):
+        """Save and pin each copy of ``controls`` not pinned yet; call under the lock."""
+        for module, (get, set_) in controls.items():
+            if module not in self._saved:
+                self._saved[module] = (set_, get())
+                set_(1)
+
+    def cover_loaded(self):
+        """While the pin is held, pin each copy loaded since it was taken."""
+        with self._lock:
+            if self._holders:
+                self._pin(_openblas_thread_controls()[0])
 
     @contextlib.contextmanager
     def held(self, progress: Optional[Callable[[str], None]]):
@@ -545,10 +603,7 @@ class _BlasPin:
                 "that BLAS runs unpinned"
             )
         with self._lock:
-            if self._holders == 0:
-                self._saved = [(set_, get()) for get, set_ in controls]
-                for set_, _ in self._saved:
-                    set_(1)
+            self._pin(controls)
             self._holders += 1
         try:
             yield
@@ -556,8 +611,9 @@ class _BlasPin:
             with self._lock:
                 self._holders -= 1
                 if self._holders == 0:
-                    for set_, count in self._saved:
+                    for set_, count in self._saved.values():
                         set_(count)
+                    self._saved = {}
 
 
 _BLAS_PIN = _BlasPin()
@@ -584,12 +640,14 @@ def monte_carlo(
 
     ``min(threads, trials)`` worker threads run the trials of every sweep
     point from one pool, or on the calling thread when there is one worker.
-    For the whole call the OpenBLAS copies of numpy and scipy are pinned to
-    one thread each: several workers would oversubscribe the cores, and with
-    one worker the threads one copy leaves spinning slow the other's next
-    call.  Their previous counts are restored on return, also when a trial
-    raises.  A copy whose thread-count symbols are missing runs unpinned,
-    and ``progress`` is told so.
+    For the whole call each loaded OpenBLAS copy is pinned to one thread:
+    several workers would oversubscribe the cores, and with one worker the
+    threads one copy leaves spinning slow the other's next call.  numpy's
+    copy is pinned on entry; scipy's is pinned on entry when it is loaded,
+    or else by the ARPACK path right after its import loads it and before
+    ARPACK runs.  Every saved count is restored on return, also when a trial
+    raises.  A copy whose thread-count symbols are missing runs unpinned;
+    ``progress`` is told so for the copies loaded on entry.
     """
     trials = whole_number(trials, "trials")
     threads = whole_number(threads, "threads")

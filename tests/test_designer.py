@@ -173,6 +173,18 @@ class TestBruteForceSplit:
             if not r.agreement:
                 assert r.dof_closed < r.dof_brute
 
+    def test_sweep_stores_whole_float_n_as_int(self):
+        row = dof_sweep(["cna"], [8.0])[0]
+        assert type(row.N) is int and row.N == 8
+        assert row == dof_sweep(["cna"], [8])[0]
+
+    def test_sweep_reads_an_iterator_for_every_variant(self):
+        rows = dof_sweep(["cna", "scna"], iter([8, 9]))
+        assert [(r.variant, r.N) for r in rows] == [
+            ("cna", 8), ("cna", 9), ("scna", 8), ("scna", 9),
+        ]
+        assert rows == dof_sweep(["cna", "scna"], [8, 9])
+
     def test_tna2_8_reports_disagreement(self):
         res = brute_force_split("tna2", 8)
         assert res.dof_brute_force == 2 * 90 + 1  # realized optimum

@@ -397,10 +397,58 @@ def test_dense_ss_music_loads_no_scipy_sparse():
     assert loaded_after(code, "scipy.sparse") == "[]"
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_dense_monte_carlo_loads_no_scipy(threads):
+    # CNA N=9 has m = 124 <= 256: eigh, numpy's FFTs and numpy's copy alone
+    code = (
+        "import numpy as np\n"
+        "from tosda import SourceScene, build_to_sda, monte_carlo\n"
+        "arr, _ = build_to_sda('cna', 9)\n"
+        "scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 400, seed=3)\n"
+        f"monte_carlo(arr, scene, ('snr', [0.0, 10.0]), trials=2, threads={threads})"
+    )
+    assert loaded_after(code) == "[]"
+
+
+@pytest.mark.parametrize("mode", ["rmse", "spectrum"])
+def test_dense_simulate_loads_no_scipy(tmp_path, mode):
+    config = {
+        "mode": mode,
+        "array": {"variant": "cna", "sensors": 9},
+        "scene": {"angles_deg": {"count": 4, "span_deg": [-40, 40]},
+                  "snr_db": 5.0, "snapshots": 600},
+        "sweep": {"parameter": "snr", "values": [0.0, 10.0]},
+        "trials": 2,
+        "master_seed": 77,
+        "coupling": {"enabled": True},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = (
+        "from tosda import cli\n"
+        f"assert cli.main(['simulate', '--config', {str(path)!r}, "
+        f"'--threads', '2', '-o', {str(tmp_path)!r}]) == 0"
+    )
+    assert loaded_after(code) == "[]"
+    assert (tmp_path / f"{mode}.csv").exists()
+
+
+@pytest.mark.parametrize("m", [1, 2, 124, 256])
+def test_toeplitz_matches_scipy_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    t = simulator._toeplitz(c)
+    assert t.shape == (m, m) and t.dtype == np.complex128
+    assert np.array_equal(t.view(np.float64), toeplitz(c).view(np.float64))
+
+
+# numpy's and scipy's thread counts, in a new interpreter that has loaded both
+BLAS_COUNTS = "[get() for get, _ in simulator._openblas_thread_controls()[0].values()]"
+
+
 def test_first_call_imports_scipy_in_two_workers_at_once():
     # CNA N=13 has m = 309 > 256, so both pool workers of the process's first
-    # call meet the imports of scipy.fft and scipy.sparse.linalg together
-    counts = "[get() for get, _ in simulator._openblas_thread_controls()[0]]"
+    # call meet the import of scipy.sparse.linalg together
     code = (
         "import json, sys\n"
         "import numpy as np\n"
@@ -410,12 +458,44 @@ def test_first_call_imports_scipy_in_two_workers_at_once():
         "fresh = not any(m.startswith('scipy') for m in sys.modules)\n"
         "pooled = monte_carlo(arr, scene, trials=4, threads=2)[0].per_trial_estimates\n"
         "serial = monte_carlo(arr, scene, trials=4, threads=1)[0].per_trial_estimates\n"
-        f"print(json.dumps([fresh, np.array_equal(pooled, serial), {counts}]))"
+        f"print(json.dumps([fresh, np.array_equal(pooled, serial), {BLAS_COUNTS}]))"
     )
-    defaults = fresh_python(f"from tosda import simulator\nprint({counts})")
+    # an unloaded copy has no count, so the defaults are read with scipy's loaded
+    defaults = fresh_python(
+        f"import scipy.linalg\nfrom tosda import simulator\nprint({BLAS_COUNTS})"
+    )
     fresh, equal, restored = json.loads(fresh_python(code))
     assert fresh and equal
     assert len(restored) == 2 and restored == json.loads(defaults)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_first_arpack_call_runs_with_both_copies_pinned(threads):
+    # Every inverse FFT of a fresh process's first monte_carlo call on CNA N=13
+    # (m = 309) runs inside ss_music after scipy's copy has loaded: inside the
+    # ARPACK products and in the grid projection.  Both copies start at 2
+    # threads, so an unpinned copy would show.
+    code = (
+        "import os\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from tosda import SourceScene, build_to_sda, monte_carlo, simulator\n"
+        "inside, ifft = [], np.fft.ifft\n"
+        "def recording_ifft(*args, **kwargs):\n"
+        f"    inside.append({BLAS_COUNTS})\n"
+        "    return ifft(*args, **kwargs)\n"
+        "np.fft.ifft = recording_ifft\n"
+        "arr, _ = build_to_sda('cna', 13)\n"
+        "scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 2000, seed=13)\n"
+        "fresh = not any(m.startswith('scipy') for m in sys.modules)\n"
+        f"monte_carlo(arr, scene, trials=2, threads={threads})\n"
+        f"print(json.dumps([fresh, inside, {BLAS_COUNTS}]))"
+    )
+    fresh, inside, restored = json.loads(fresh_python(code))
+    assert fresh and len(inside) > 2
+    assert all(counts == [1, 1] for counts in inside)
+    assert restored == [2, 2]
 
 
 class TestSsMusic:
@@ -614,19 +694,19 @@ def array9():
 def blas_threads():
     """Thread count of each bundled OpenBLAS copy whose symbols resolve."""
     controls, _ = simulator._openblas_thread_controls()
-    return [get() for get, _ in controls]
+    return [get() for get, _ in controls.values()]
 
 
 def blas_held_at(count):
     """Both OpenBLAS copies at ``count`` threads; their own counts are put
     back after the test."""
     controls, missing = simulator._openblas_thread_controls()
-    assert missing == []
-    saved = [get() for get, _ in controls]
-    for _, set_ in controls:
+    assert missing == [] and len(controls) == 2
+    saved = [(set_, get()) for get, set_ in controls.values()]
+    for set_, _ in saved:
         set_(count)
     yield
-    for (_, set_), saved_count in zip(controls, saved):
+    for set_, saved_count in saved:
         set_(saved_count)
 
 
@@ -659,7 +739,9 @@ def recording_controls(monkeypatch, count=4):
         calls.append(n)
         state[0] = n
 
-    monkeypatch.setattr(simulator, "_openblas_thread_controls", lambda: ([(get, set_)], []))
+    monkeypatch.setattr(
+        simulator, "_openblas_thread_controls", lambda: ({"fake": (get, set_)}, [])
+    )
     return state, calls
 
 
@@ -873,6 +955,55 @@ class TestMonteCarlo:
         assert len(inside) == 1200 and set(inside) == {1}
         assert state == [4]
 
+    def test_copy_loaded_while_held_is_pinned_and_restored(self, monkeypatch):
+        # a second fake copy "loads" after the first holders are in; every
+        # holder that asks for it afterwards must see it pinned, and the last
+        # one out must restore both copies
+        states = {"early": [4], "late": [4]}
+        loaded = threading.Event()
+
+        def fake(state):
+            def get():
+                time.sleep(0)
+                return state[0]
+
+            def set_(n):
+                time.sleep(0)
+                state[0] = n
+
+            return get, set_
+
+        def controls():
+            names = ["early", "late"] if loaded.is_set() else ["early"]
+            return {name: fake(states[name]) for name in names}, []
+
+        monkeypatch.setattr(simulator, "_openblas_thread_controls", controls)
+        pin = simulator._BlasPin()
+        inside = []
+
+        def hold():
+            for round_ in range(300):
+                with pin.held(None):
+                    if round_ == 10:
+                        loaded.set()
+                    if loaded.is_set():
+                        pin.cover_loaded()
+                        inside.append((states["early"][0], states["late"][0]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            holders = [threading.Thread(target=hold) for _ in range(4)]
+            for holder in holders:
+                holder.start()
+            for holder in holders:
+                holder.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(holder.is_alive() for holder in holders)
+        assert len(inside) >= 4 * 289 and set(inside) == {(1, 1)}
+        assert states == {"early": [4], "late": [4]}
+
     def test_missing_blas_symbols_run_unpinned(self, array9, monkeypatch,
                                                blas_at_two):
         # CNA N=9 (m = 124) takes its subspace from eigh, N=13 (m = 309) from ARPACK
@@ -886,7 +1017,7 @@ class TestMonteCarlo:
         inside = []
 
         def recording_music(*args, **kwargs):
-            inside.append([get() for get, _ in controls])
+            inside.append([get() for get, _ in controls.values()])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "ss_music", recording_music)
