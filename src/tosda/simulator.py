@@ -6,13 +6,13 @@ the consecutive virtual array in one pass, then run co-array MUSIC on
 the Hermitian Toeplitz matrix of that virtual-array vector.  Its
 eigenvectors span the subspaces of the spatially smoothed covariance
 without forming it (Liu & Vaidyanathan, IEEE SPL 22(9), 2015).  Small
-virtual arrays take them from a dense ``eigh``; large ones from
-implicitly restarted Lanczos (ARPACK) on a product with the circulant
-embedding of T, whose spectrum is transformed once per call, so the
-matrix is never formed.  The grid projection evaluates ||Es^H a||^2 as
-one trigonometric polynomial whose coefficients are the superdiagonal
-sums of Es Es^H (the root-MUSIC identity, Barabell, ICASSP 1983), from one
-steering table whose size does not depend on the aperture.
+virtual arrays take them from a dense ``eigh``; large ones from Lanczos
+with full reorthogonalisation on a product with the circulant embedding
+of T, whose spectrum is transformed once per call, so the matrix is never
+formed.  The grid projection evaluates ||Es^H a||^2 as one trigonometric
+polynomial whose coefficients are the superdiagonal sums of Es Es^H (the
+root-MUSIC identity, Barabell, ICASSP 1983), from one steering table whose
+size does not depend on the aperture.
 Third-order statistics vanish for Gaussian processes, so additive
 Gaussian noise is suppressed by the statistics themselves rather than
 subtracted.
@@ -22,18 +22,11 @@ from explicit integers; Monte-Carlo trials derive their generators from
 (master seed, sweep point, trial index) so results do not depend on the
 number of worker threads.
 
-For the whole of every ``monte_carlo`` call, each OpenBLAS copy that is
-loaded (numpy's, and scipy's once ARPACK loads it) is pinned to one thread
-and restored afterwards.  Several workers would each start a BLAS thread per
-core and oversubscribe the cores.  With one worker, the threads ARPACK wakes
-in scipy's copy still spin when numpy's copy starts the next trial's GEMM,
-which slowed both by about 2x.  The pin leaves every result unchanged.
-
-Virtual arrays of up to 256 sensors run on numpy alone: their Toeplitz
-matrix is built by indexing, their subspace comes from ``eigh`` and every
-FFT is numpy's.  Only the ARPACK path above that size imports scipy
-(``scipy.sparse.linalg``, inside the call), so ``import tosda``, the design
-layers and small-array Monte-Carlo runs load no scipy module.
+The simulator runs on numpy alone and loads no scipy module: T is built
+by indexing, and every FFT and both subspace solvers are numpy's.  While a
+``monte_carlo`` call runs a worker pool, numpy's OpenBLAS copy is pinned
+to one thread (see :func:`monte_carlo`); the pin leaves every result
+unchanged.
 """
 
 from __future__ import annotations
@@ -126,13 +119,14 @@ class EstimationResult:
 
     ``spectrum`` is 1/|En^H a|^2 with |En^H a|^2 = m - ||Es^H a||^2.  The
     second term is the polynomial r_0 + 2 Re sum_l r_l w**l (see
-    :func:`ss_music`), whose rounding is bounded by about eps*sum|r_l|
-    <= eps*D*m; measured, |En^H a|^2 stays within 6.5e-15*m of the
-    per-row form sum_k |Es[:, k]^H a|^2 on CNA vectors (D = 12,
-    m = 124..1514), so float64 gives it to about eps*m absolute.  Near a
-    peak the subtraction cancels, so a spectrum value is only good to
-    about eps*m/(m - ||Es^H a||^2) relative; compare 1/spectrum, not
-    spectrum.
+    :func:`ss_music`), summed by Horner's rule over about m/B rows, each
+    step rounding the phase of shift = w**B on terms up to sum|r_l| <= D*m,
+    so the error grows like eps*D*m**2/B.  Against the per-row form
+    m - sum_k |Es[:, k]^H a|^2 in long double (same Es, float64 u and pi;
+    CNA, D = 12, K = 12000, 0 dB) it was at most 5.8e-15*m at m = 124 and
+    7.4e-14*m at m = 1514, about 5e-17*m**2.  Near a peak the subtraction
+    cancels, so a spectrum value is only good to that error over
+    m - ||Es^H a||^2, relative; compare 1/spectrum, not spectrum.
     """
 
     angles_deg: np.ndarray
@@ -280,21 +274,28 @@ def virtual_array_vector(
 # Rows per block of the factored steering table; the cached table is B x G.
 _BLOCK = 64
 
-# Largest virtual array whose signal subspace comes from a dense eigh.  ARPACK's
-# reverse-communication loop runs in Python under the GIL, so it loses on small
-# matrices, and two pool workers overlap their eighs but not their ARPACK loops.
-# Medians in ms on real CNA vectors (12 sources, K=12000, coupling) on 2 cores,
-# eigh / eigsh on the FFT operator of _signal_subspace, ranges over 3 runs;
-# "2 workers" is the wall time per call while two pool workers run:
-#                       m=124          m=252          m=309          m=512
-#   pinned, one call    4.1-7.8 / 6-7  22 / 5.4-11    38-41 / 7      210-220 / 9
-#   pinned, 2 workers   2.8-3.3 / 8-15 12.5-13 / 9-11 18-22 / 10-16  103-117 / 13-15
-#   unpinned, one call  3.9-18 / 6-16  20-28 / 7-10   33-54 / 8-20   128-200 / 18-67
-# One call alone crosses over below m = 195, but with 2 workers eigh still wins
-# at m=195 (8-12 / 11-15 ms) and ties at m=252 (11.5-13 / 10-11.6 ms), so in the
-# pool the crossover stays near m = 256.  At m=1514: 4.8 s vs 11 ms.
-# One-worker monte_carlo calls run in the "pinned, one call" row too.
-_DENSE_EIGH_MAX_M = 256
+# Largest virtual array whose signal subspace comes from a dense eigh.  The
+# Lanczos loop runs in Python under the GIL, so it loses on small matrices, and
+# two pool workers overlap their eighs better than their Lanczos loops.  Medians
+# in ms on real CNA vectors (12 sources, K=12000, coupling) on 2 cores, eigh /
+# Lanczos, ranges over 2 runs; "2 workers" is the wall time per call while two
+# pinned pool workers run, "one call" runs numpy's copy unpinned, as one-worker
+# monte_carlo calls do:
+#     m     one call          2 workers
+#     124   5.6 / 7-8         4 / 8-9
+#     154   9 / 7-9           5 / 11-13
+#     195   14-15 / 7-9       8 / 9-11
+#     252   25 / 7-9          12-13 / 9-11
+#     309   35-45 / 7-10      24 / 11
+#     512   150-180 / 10-13   124-132 / 13-15
+# One call crosses over near m = 154 and the pool between m = 195 and 252.
+_DENSE_EIGH_MAX_M = 224
+
+# Lanczos stops when every wanted Ritz residual is within this factor of the
+# largest |Ritz value|, and restarts, from this seed, when a new vector's norm
+# is within it of ||T||.
+_LANCZOS_TOL = 1e-14
+_LANCZOS_RESTART_SEED = 2015
 
 
 @functools.lru_cache(maxsize=8)
@@ -331,38 +332,66 @@ def _toeplitz(c: np.ndarray) -> np.ndarray:
     return np.concatenate([c[:0:-1].conj(), c])[m - 1 + i[:, None] - i]
 
 
+def _orthogonalised(w: np.ndarray, rows: np.ndarray):
+    """w less its projection on the orthonormal ``rows``, by two passes of
+    classical Gram-Schmidt, and the coefficients of the first pass."""
+    h = (rows @ w.conj()).conj()
+    w = w - h @ rows
+    return w - (rows @ w.conj()).conj() @ rows, h
+
+
 def _signal_subspace(c: np.ndarray, n_sources: int) -> np.ndarray:
     """Orthonormal basis of the eigenvectors of largest |eigenvalue| of T.
 
     T = toeplitz(c) is Hermitian with first column c (row = conj(column)).
     """
     m = c.size
-    # ARPACK cannot return k >= m - 1 eigenpairs of an operator
-    if m <= _DENSE_EIGH_MAX_M or n_sources >= m - 1:
+    if m <= _DENSE_EIGH_MAX_M:
         vals, vecs = np.linalg.eigh(_toeplitz(c))
         return vecs[:, np.argsort(np.abs(vals), kind="stable")[m - n_sources:]]
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-    # the import may have loaded scipy's OpenBLAS copy; pin it before it runs
-    _BLAS_PIN.cover_loaded()
     # T is the leading m x m block of the circulant matrix with first column
-    # [c, 0..., conj(c[m-1:0:-1])], whose spectrum is transformed once here
+    # [c, 0..., conj(c[m-1:0:-1])], whose spectrum is transformed once here;
+    # its largest |value| bounds ||T||
     n_fft = _fft_length(m)
     spec = np.fft.fft(np.concatenate([c, np.zeros(n_fft - 2 * m + 1), c[:0:-1].conj()]))
-    op = LinearOperator(
-        (m, m),
-        matvec=lambda v: np.fft.ifft(spec * np.fft.fft(np.ravel(v), n_fft))[:m],
-        dtype=np.complex128,
-    )
-    try:
-        # for complex input eigsh defers to eigs without its rng, so an
-        # implicit start vector would come from OS entropy
-        _, vecs = eigsh(op, k=n_sources, which="LM", v0=np.ones(m))
-    except ArpackError as exc:  # includes ArpackNoConvergence
-        raise InternalConsistencyError(f"ARPACK found no signal subspace: {exc}") from exc
-    # eigs normalises its Ritz vectors but does not orthogonalise them, and in
-    # a (nearly) degenerate eigenspace they can be far from orthogonal
-    return np.linalg.qr(vecs)[0]
+    breakdown = _LANCZOS_TOL * np.abs(spec).max()
+    # Lanczos with full reorthogonalisation: row k of basis is the k-th Lanczos
+    # vector, alpha and beta the diagonal and off-diagonal of the tridiagonal
+    basis = np.empty((min(m, 4 * n_sources + 32), m), dtype=np.complex128)
+    alpha, beta = np.empty(m), np.empty(m)
+    q = np.full(m, 1 / math.sqrt(m), dtype=np.complex128)
+    rng = None
+    for k in range(1, m + 1):
+        if k > basis.shape[0]:  # double the rows, up to m
+            basis = np.concatenate([basis, np.empty_like(basis[: m - basis.shape[0]])])
+        basis[k - 1] = q
+        # orthogonalising T q against every Lanczos vector also takes out
+        # alpha q and beta q_prev
+        tq = np.fft.ifft(spec * np.fft.fft(q, n_fft))[:m]
+        w, h = _orthogonalised(tq, basis[:k])
+        alpha[k - 1] = h[-1].real
+        beta[k - 1] = np.linalg.norm(w)
+        if k >= n_sources and (k % 4 == 0 or k == m):
+            tri = np.diag(alpha[:k]) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
+            theta, s = np.linalg.eigh(tri)
+            wanted = np.argsort(np.abs(theta), kind="stable")[k - n_sources:]
+            residual = beta[k - 1] * np.abs(s[-1, wanted])
+            # at k = m the Lanczos vectors span the whole space: T is exact
+            if k == m or residual.max() <= _LANCZOS_TOL * np.abs(theta).max():
+                break
+        if beta[k - 1] <= breakdown:
+            # the Lanczos vectors span an invariant subspace of T; go on from
+            # a fixed-seed vector orthogonal to them
+            beta[k - 1] = 0.0
+            if rng is None:
+                rng = np.random.default_rng(_LANCZOS_RESTART_SEED)
+            w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            w = _orthogonalised(w, basis[:k])[0]
+            q = w / np.linalg.norm(w)
+        else:
+            q = w / beta[k - 1]
+    # the QR keeps the basis orthonormal to working precision
+    return np.linalg.qr(basis[:k].T @ s[:, wanted])[0]
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -407,12 +436,13 @@ def ss_music(
     ``scipy.signal.find_peaks``, plateaus included; they occur where the
     spectrum is clamped at 1e12.
 
-    Up to m = Z+1 = 256, or when D >= m - 1, the subspace comes from a dense
-    ``eigh`` of T.  Above that it comes from ARPACK (``eigsh`` with a fixed
-    start vector, so results are reproducible) on an operator that applies T
-    as the leading block of a circulant whose spectrum is computed once per
-    call: O(L log L) time and O(L) memory per product, where the FFT length
-    L is the smallest power of two >= 2m - 1.
+    Up to m = Z+1 = 224 the subspace comes from a dense ``eigh`` of T.  Above
+    that it comes from Lanczos with full reorthogonalisation on an operator
+    that applies T as the leading block of a circulant whose spectrum is
+    computed once per call: O(L log L) time and O(L) memory per product,
+    where the FFT length L is the smallest power of two >= 2m - 1.  It starts
+    from ones/sqrt(m) and restarts from a fixed-seed vector, so results are
+    reproducible, and after m steps it is exact, so it always returns.
 
     With w = exp(j*2*pi*d*u), ||Es^H a(u)||^2 = r_0 + 2 Re sum_{l>=1} r_l w**l,
     where r_l is the sum of the l-th superdiagonal of Es Es^H, i.e. the summed
@@ -524,10 +554,7 @@ def _scene_for_point(scene: SourceScene, parameter: str, value) -> SourceScene:
 
 # Extension modules that link each bundled OpenBLAS copy, with the suffix of
 # its thread-count symbols (numpy's copy is the 64-bit-integer build).
-_OPENBLAS_COPIES = (
-    ("numpy._core._multiarray_umath", "64_"),
-    ("scipy.linalg._fblas", ""),
-)
+_OPENBLAS_COPIES = (("numpy._core._multiarray_umath", "64_"),)
 
 # (get, set) of each entry of _OPENBLAS_COPIES once its module has loaded, or
 # None when its symbols are missing; resolved once per process (a race between
@@ -571,28 +598,14 @@ class _BlasPin:
     """Pins every loaded OpenBLAS copy to one thread while any caller holds it.
 
     Thread counts are process state, so concurrent ``monte_carlo`` calls share
-    one pin: the first caller in saves the counts and pins, a copy that loads
-    while the pin is held is saved and pinned by :meth:`cover_loaded`, and the
-    last caller out restores every saved count.
+    one pin: the first caller in saves the counts and pins, and the last
+    caller out restores them.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._holders = 0
-        self._saved = {}  # module -> (set, count before the pin)
-
-    def _pin(self, controls):
-        """Save and pin each copy of ``controls`` not pinned yet; call under the lock."""
-        for module, (get, set_) in controls.items():
-            if module not in self._saved:
-                self._saved[module] = (set_, get())
-                set_(1)
-
-    def cover_loaded(self):
-        """While the pin is held, pin each copy loaded since it was taken."""
-        with self._lock:
-            if self._holders:
-                self._pin(_openblas_thread_controls()[0])
+        self._saved = []  # (set, count before the pin) of each pinned copy
 
     @contextlib.contextmanager
     def held(self, progress: Optional[Callable[[str], None]]):
@@ -603,7 +616,10 @@ class _BlasPin:
                 "that BLAS runs unpinned"
             )
         with self._lock:
-            self._pin(controls)
+            if self._holders == 0:
+                self._saved = [(set_, get()) for get, set_ in controls.values()]
+                for set_, _ in self._saved:
+                    set_(1)
             self._holders += 1
         try:
             yield
@@ -611,9 +627,9 @@ class _BlasPin:
             with self._lock:
                 self._holders -= 1
                 if self._holders == 0:
-                    for set_, count in self._saved.values():
+                    for set_, count in self._saved:
                         set_(count)
-                    self._saved = {}
+                    self._saved = []
 
 
 _BLAS_PIN = _BlasPin()
@@ -640,14 +656,13 @@ def monte_carlo(
 
     ``min(threads, trials)`` worker threads run the trials of every sweep
     point from one pool, or on the calling thread when there is one worker.
-    For the whole call each loaded OpenBLAS copy is pinned to one thread:
-    several workers would oversubscribe the cores, and with one worker the
-    threads one copy leaves spinning slow the other's next call.  numpy's
-    copy is pinned on entry; scipy's is pinned on entry when it is loaded,
-    or else by the ARPACK path right after its import loads it and before
-    ARPACK runs.  Every saved count is restored on return, also when a trial
-    raises.  A copy whose thread-count symbols are missing runs unpinned;
-    ``progress`` is told so for the copies loaded on entry.
+    While the pool runs, numpy's OpenBLAS copy is pinned to one thread, since
+    several workers would oversubscribe the cores, and its count is restored
+    on return, also when a trial raises.  One worker leaves the count alone,
+    because the copy's own threads make its trials faster: on 2 cores a
+    CNA N=24 trial (12 sources, K = 12000) took a median of 76-105 ms
+    unpinned against 104-117 ms pinned.  A copy whose thread-count symbols
+    are missing runs unpinned, and ``progress`` is told so.
     """
     trials = whole_number(trials, "trials")
     threads = whole_number(threads, "threads")
@@ -669,10 +684,11 @@ def monte_carlo(
     big_z = report.one_sided_z
     results = []
     workers = min(threads, trials)
-    # the pin is entered first, so it outlasts the pool's threads
-    with _BLAS_PIN.held(progress), contextlib.ExitStack() as stack:
+    with contextlib.ExitStack() as stack:
         trial_map = map
         if workers > 1:
+            # the pin is entered first, so it outlasts the pool's threads
+            stack.enter_context(_BLAS_PIN.held(progress))
             trial_map = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
         for point_idx, (value, point_scene) in enumerate(points):
             d = point_scene.n_sources
