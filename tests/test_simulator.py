@@ -442,6 +442,62 @@ def test_toeplitz_matches_scipy_bit_for_bit(m):
     assert np.array_equal(t.view(np.float64), toeplitz(c).view(np.float64))
 
 
+# numpy's thread count, and the scipy modules loaded, in a new interpreter
+BLAS_COUNTS = "[get() for get, _ in simulator._openblas_thread_controls()[0].values()]"
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
+def test_first_lanczos_call_runs_in_two_workers_at_once():
+    # CNA N=13 has m = 309 > 224, so both pool workers of the process's first
+    # call start the Lanczos path together, before anything has warmed up
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from tosda import SourceScene, build_to_sda, monte_carlo, simulator\n"
+        "arr, _ = build_to_sda('cna', 13)\n"
+        "scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 2000, seed=13)\n"
+        "pooled = monte_carlo(arr, scene, trials=4, threads=2)[0].per_trial_estimates\n"
+        "serial = monte_carlo(arr, scene, trials=4, threads=1)[0].per_trial_estimates\n"
+        f"print(json.dumps([{SCIPY_LOADED}, np.array_equal(pooled, serial), "
+        f"{BLAS_COUNTS}]))"
+    )
+    defaults = fresh_python(f"from tosda import simulator\nprint({BLAS_COUNTS})")
+    loaded, equal, restored = json.loads(fresh_python(code))
+    assert loaded == [] and equal
+    assert len(restored) == 1 and restored == json.loads(defaults)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_first_lanczos_call_pins_blas_only_in_a_pool(threads):
+    # Every FFT of a fresh process's first monte_carlo call on CNA N=13
+    # (m = 309): the Lanczos products and the grid projection.  numpy's copy
+    # starts at 2 threads, so a pin on one worker, or a missed one in a pool,
+    # would show.
+    code = (
+        "import os\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from tosda import SourceScene, build_to_sda, monte_carlo, simulator\n"
+        "inside = []\n"
+        "def recording(transform):\n"
+        "    def wrapped(*args, **kwargs):\n"
+        f"        inside.append({BLAS_COUNTS})\n"
+        "        return transform(*args, **kwargs)\n"
+        "    return wrapped\n"
+        "np.fft.fft, np.fft.ifft = recording(np.fft.fft), recording(np.fft.ifft)\n"
+        "arr, _ = build_to_sda('cna', 13)\n"
+        "scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 2000, seed=13)\n"
+        f"monte_carlo(arr, scene, trials=2, threads={threads})\n"
+        f"print(json.dumps([{SCIPY_LOADED}, inside, {BLAS_COUNTS}]))"
+    )
+    loaded, inside, restored = json.loads(fresh_python(code))
+    expected = [1] if threads > 1 else [2]
+    assert loaded == [] and len(inside) > 20
+    assert all(counts == expected for counts in inside)
+    assert restored == [2]
+
+
 class TestSsMusic:
     def test_population_single_source(self):
         z = analytic_virtual_vector(40, [12.34])
