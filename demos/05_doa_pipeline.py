@@ -12,14 +12,7 @@ covariance T T^H / (Z+1) without forming it (Liu & Vaidyanathan, IEEE SPL
 
 import numpy as np
 
-from tosda import (
-    SourceScene,
-    build_to_sda,
-    ss_music,
-    synthesize_snapshots,
-    to_eca,
-    virtual_array_vector,
-)
+from tosda import SourceScene, build_to_sda, run_trial, to_eca
 
 arr, params = build_to_sda("cna", 9)
 report = to_eca(arr)
@@ -35,9 +28,7 @@ scene = SourceScene(
 print(f"\nscene: {scene.n_sources} sources, {scene.snapshots} snapshots, "
       f"{scene.snr_db:+.0f} dB SNR")
 
-x = synthesize_snapshots(arr, scene)
-z = virtual_array_vector(x, arr, report)
-est = ss_music(z, scene.n_sources, keep_spectrum=True)
+est = run_trial(arr, scene, report, np.random.default_rng(2024), keep_spectrum=True)
 
 print(f"\n{'truth':>10s} {'estimate':>10s} {'error':>9s}")
 for t, e in zip(truth, est.angles_deg):

@@ -69,6 +69,7 @@ from .simulator import (
     SourceScene,
     monte_carlo,
     rmse,
+    run_trial,
     sample_third_cumulants,
     ss_music,
     steering_matrix,

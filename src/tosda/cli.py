@@ -411,12 +411,9 @@ def cmd_simulate(args) -> int:
             )
             outputs.append("trials.csv")
     elif mode == "spectrum":
-        rng = np.random.default_rng([master_seed, 0, 0])
-        x = simulator.synthesize_snapshots(array, scene, coupling, rng)
-        zvec = simulator.virtual_array_vector(x, array, coarray.to_eca(array))
-        est = simulator.ss_music(
-            zvec, scene.n_sources, grid_step_deg=grid_step,
-            unit_spacing=array.unit_spacing, keep_spectrum=True,
+        est = simulator.run_trial(
+            array, scene, coarray.to_eca(array), np.random.default_rng([master_seed, 0, 0]),
+            coupling=coupling, grid_step_deg=grid_step, keep_spectrum=True,
         )
         grid, spectrum = est.spectrum
         _write_csv(

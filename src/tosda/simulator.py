@@ -17,16 +17,17 @@ Third-order statistics vanish for Gaussian processes, so additive
 Gaussian noise is suppressed by the statistics themselves rather than
 subtracted.
 
-All randomness flows through ``numpy.random.Generator`` objects seeded
-from explicit integers; Monte-Carlo trials derive their generators from
-(master seed, sweep point, trial index) so results do not depend on the
-number of worker threads.
+One seeded trial of the pipeline is :func:`run_trial`.  All randomness
+flows through ``numpy.random.Generator`` objects seeded from explicit
+integers; Monte-Carlo trials derive their generators from (master seed,
+sweep point, trial index) so results do not depend on the number of
+worker threads.
 
 The simulator runs on numpy alone and loads no scipy module: T is built
-by indexing, and every FFT and both subspace solvers are numpy's.  While a
-``monte_carlo`` call runs a worker pool, numpy's OpenBLAS copy is pinned
-to one thread (see :func:`monte_carlo`); the pin leaves every result
-unchanged.
+by indexing, and every FFT and both subspace solvers are numpy's, so its
+one BLAS copy is numpy's OpenBLAS.  While a ``monte_carlo`` call runs a
+worker pool, that copy is pinned to one thread (see :func:`monte_carlo`);
+the pin leaves every result unchanged.
 """
 
 from __future__ import annotations
@@ -552,21 +553,19 @@ def _scene_for_point(scene: SourceScene, parameter: str, value) -> SourceScene:
     return replace(scene, angles_deg=tuple(np.linspace(lo, hi, count)))
 
 
-# Extension modules that link each bundled OpenBLAS copy, with the suffix of
-# its thread-count symbols (numpy's copy is the 64-bit-integer build).
-_OPENBLAS_COPIES = (("numpy._core._multiarray_umath", "64_"),)
-
-# (get, set) of each entry of _OPENBLAS_COPIES once its module has loaded, or
-# None when its symbols are missing; resolved once per process (a race between
-# two threads only resolves an entry twice).
-_RESOLVED_CONTROLS = {}
+# Thread-count symbols ("get", "set") of numpy's bundled OpenBLAS, the
+# 64-bit-integer build linked by its core extension module.
+_OPENBLAS_SYMBOL = "scipy_openblas_{}_num_threads64_"
 
 
-def _resolve_controls(path: str, suffix: str):
+@functools.cache
+def _openblas_thread_controls():
+    """``(get, set)`` thread-count functions of numpy's OpenBLAS copy, or
+    None when its symbols are missing; resolved once per process."""
     try:
-        lib = ctypes.CDLL(path)
-        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-        set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = getattr(lib, _OPENBLAS_SYMBOL.format("get"))
+        set_ = getattr(lib, _OPENBLAS_SYMBOL.format("set"))
     except (OSError, AttributeError):
         return None
     get.argtypes, get.restype = [], ctypes.c_int
@@ -574,65 +573,62 @@ def _resolve_controls(path: str, suffix: str):
     return get, set_
 
 
-def _openblas_thread_controls():
-    """``{module: (get, set)}`` thread-count functions of each OpenBLAS copy
-    whose extension module is loaded, and the loaded modules whose symbols
-    are missing.  A copy whose module is not loaded yet is left out: nothing
-    has run on it."""
-    controls, missing = {}, []
-    for name, suffix in _OPENBLAS_COPIES:
-        module = sys.modules.get(name)
-        if module is None:
-            continue
-        if (name, suffix) not in _RESOLVED_CONTROLS:
-            _RESOLVED_CONTROLS[name, suffix] = _resolve_controls(module.__file__, suffix)
-        resolved = _RESOLVED_CONTROLS[name, suffix]
-        if resolved is None:
-            missing.append(name)
-        else:
-            controls[name] = resolved
-    return controls, missing
-
-
 class _BlasPin:
-    """Pins every loaded OpenBLAS copy to one thread while any caller holds it.
+    """Pins numpy's OpenBLAS copy to one thread while any caller holds it.
 
-    Thread counts are process state, so concurrent ``monte_carlo`` calls share
-    one pin: the first caller in saves the counts and pins, and the last
-    caller out restores them.
+    The thread count is process state, so concurrent ``monte_carlo`` calls
+    share one pin: the first caller in saves the count and pins, and the last
+    caller out restores it.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._holders = 0
-        self._saved = []  # (set, count before the pin) of each pinned copy
+        self._saved = 0  # the count before the pin
 
     @contextlib.contextmanager
     def held(self, progress: Optional[Callable[[str], None]]):
-        controls, missing = _openblas_thread_controls()
-        if missing and progress is not None:
-            progress(
-                f"BLAS thread-count symbols not found in {', '.join(missing)}; "
-                "that BLAS runs unpinned"
-            )
+        controls = _openblas_thread_controls()
+        if controls is None and progress is not None:
+            progress("BLAS thread-count symbols not found in numpy; its BLAS runs unpinned")
         with self._lock:
-            if self._holders == 0:
-                self._saved = [(set_, get()) for get, set_ in controls.values()]
-                for set_, _ in self._saved:
-                    set_(1)
+            if self._holders == 0 and controls is not None:
+                self._saved = controls[0]()
+                controls[1](1)
             self._holders += 1
         try:
             yield
         finally:
             with self._lock:
                 self._holders -= 1
-                if self._holders == 0:
-                    for set_, count in self._saved:
-                        set_(count)
-                    self._saved = []
+                if self._holders == 0 and controls is not None:
+                    controls[1](self._saved)
 
 
 _BLAS_PIN = _BlasPin()
+
+
+def run_trial(
+    array: SensorArray,
+    scene: SourceScene,
+    report: CoarrayReport,
+    rng: np.random.Generator,
+    *,
+    coupling: Optional[metrics.CouplingModel] = None,
+    grid_step_deg: float = 0.01,
+    keep_spectrum: bool = False,
+) -> EstimationResult:
+    """One seeded trial of the pipeline: snapshots drawn from ``rng``, the
+    virtual-array vector over ``report`` (``coarray.to_eca(array)``), and
+    co-array MUSIC for ``scene``'s sources on a ``grid_step_deg`` grid.
+    ``keep_spectrum`` keeps the grid and pseudo-spectrum in the result.
+    """
+    x = synthesize_snapshots(array, scene, coupling, rng)
+    zvec = virtual_array_vector(x, array, report)
+    return ss_music(
+        zvec, scene.n_sources, grid_step_deg=grid_step_deg,
+        unit_spacing=array.unit_spacing, keep_spectrum=keep_spectrum,
+    )
 
 
 def monte_carlo(
@@ -648,9 +644,10 @@ def monte_carlo(
 ) -> list[RunStats]:
     """Run seeded end-to-end trials for each sweep point.
 
-    ``scene.seed`` acts as the master seed; trial t of sweep point i
-    uses ``default_rng([seed, i, t])``, so a run is reproducible and
-    independent of ``threads``.  A trial that cannot estimate (more
+    ``scene.seed`` acts as the master seed; trial t of sweep point i is a
+    :func:`run_trial` on ``default_rng([seed, i, t])``, so a run is
+    reproducible and independent of ``threads``.  ``sweep``'s values are
+    read once, so an iterator serves.  A trial that cannot estimate (more
     sources than consecutive lags) aborts its sweep point with a
     :class:`CapacityExceededError` naming the point.
 
@@ -661,8 +658,8 @@ def monte_carlo(
     on return, also when a trial raises.  One worker leaves the count alone,
     because the copy's own threads make its trials faster: on 2 cores a
     CNA N=24 trial (12 sources, K = 12000) took a median of 76-105 ms
-    unpinned against 104-117 ms pinned.  A copy whose thread-count symbols
-    are missing runs unpinned, and ``progress`` is told so.
+    unpinned against 104-117 ms pinned.  If the copy's thread-count symbols
+    are missing, it runs unpinned, and ``progress`` is told so.
     """
     trials = whole_number(trials, "trials")
     threads = whole_number(threads, "threads")
@@ -673,8 +670,14 @@ def monte_carlo(
     if sweep is None:
         points = [(None, scene)]
     else:
-        parameter, values = sweep
-        if not len(values):
+        try:
+            parameter, values = sweep
+            values = list(values)
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                f"sweep must be a (parameter, values) pair, got {sweep!r}"
+            ) from None
+        if not values:
             raise InvalidParameterError("sweep needs at least one value")
         points = [
             (value, _scene_for_point(scene, parameter, value)) for value in values
@@ -698,18 +701,14 @@ def monte_carlo(
                     f"one-sided consecutive lags of {array.name}"
                 )
 
-            def run_trial(t: int) -> EstimationResult:
+            def trial(t: int) -> EstimationResult:
                 rng = np.random.default_rng([point_scene.seed, point_idx, t])
-                x = synthesize_snapshots(array, point_scene, coupling, rng)
-                zvec = virtual_array_vector(x, array, report)
-                return ss_music(
-                    zvec,
-                    d,
-                    grid_step_deg=grid_step_deg,
-                    unit_spacing=array.unit_spacing,
+                return run_trial(
+                    array, point_scene, report, rng,
+                    coupling=coupling, grid_step_deg=grid_step_deg,
                 )
 
-            estimates = list(trial_map(run_trial, range(trials)))
+            estimates = list(trial_map(trial, range(trials)))
             est_matrix = np.vstack([est.angles_deg for est in estimates])
             padded = sum(est.peaks_padded for est in estimates)
             truth = np.sort(np.asarray(point_scene.angles_deg))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tosda import build_ula, save_array, simulator
+from tosda import CouplingModel, build_to_sda, build_ula, save_array, simulator
 from tosda.cli import main
 
 
@@ -231,6 +231,21 @@ class TestSimulate:
         rows = read_csv(out / "spectrum.csv")
         assert rows[0] == ["angle_deg", "value"]
         assert len(rows) == 1 + 3599  # open interval at 0.05 degrees
+
+    def test_spectrum_estimates_are_first_monte_carlo_trial(self, tmp_path, capsys):
+        # both run simulator.run_trial with rng [master_seed, 0, 0]; CNA N=13
+        # (m = 309) takes the Lanczos path
+        config = tmp_path / "config.json"
+        write_sim_config(config, mode="spectrum", array={"variant": "cna", "sensors": 13},
+                         scene={"angles_deg": {"count": 12}, "snapshots": 2000},
+                         master_seed=13, coupling={"enabled": True})
+        assert main(["simulate", "--config", str(config), "-o", str(tmp_path)]) == 0
+        line = capsys.readouterr().err.splitlines()[0]
+        arr, _ = build_to_sda("cna", 13)
+        scene = simulator.SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 2000, seed=13)
+        stats = simulator.monte_carlo(arr, scene, None, trials=1, coupling=CouplingModel())
+        expected = [round(a, 4) for a in stats[0].per_trial_estimates[0].tolist()]
+        assert line == f"estimates: {expected}"
 
     def test_spectrum_resolves_half_degree_pair(self, tmp_path):
         # three sources with two only half a degree apart: the dumped

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -33,6 +34,7 @@ from tosda import (
     to_eca,
     virtual_array_vector,
 )
+import tosda
 from tosda import simulator
 
 
@@ -345,94 +347,6 @@ class TestLocalMaxima:
         assert np.array_equal(simulator._local_maxima(x), find_peaks(x)[0])
 
 
-def fresh_python(code):
-    """Standard output of ``code`` run in a new interpreter on this checkout."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-
-
-def loaded_after(code, prefix="scipy"):
-    """Modules whose names start with ``prefix`` that a new interpreter has
-    loaded after running ``code``."""
-    names = f"sorted(m for m in sys.modules if m.startswith({prefix!r}))"
-    probe = f"{code}\nimport sys\nprint({names})"
-    return fresh_python(probe).strip().splitlines()[-1]
-
-
-def test_import_leaves_scipy_signal_unloaded():
-    """``import tosda`` loads no scipy module at all."""
-    assert loaded_after("import tosda") == "[]"
-
-
-def test_design_paths_load_no_scipy(tmp_path):
-    code = (
-        "from tosda import cli, dof_sweep\n"
-        "dof_sweep(('cna', 'scna', 'tna2'), range(4, 8))\n"
-        "assert cli.main(['design', '--variant', 'tna2', '--sensors', '8', "
-        f"'--output', {str(tmp_path)!r}]) == 0"
-    )
-    assert loaded_after(code) == "[]"
-    assert (tmp_path / "manifest.json").exists()
-
-
-def test_dense_ss_music_loads_no_scipy_sparse():
-    # CNA N=9 has m = 124 <= 224: the subspace comes from eigh
-    code = (
-        "import numpy as np\n"
-        "from tosda import *\n"
-        "arr, _ = build_to_sda('cna', 9)\n"
-        "scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 400, seed=3)\n"
-        "z = virtual_array_vector(synthesize_snapshots(arr, scene), arr, to_eca(arr))\n"
-        "assert z.size == 2 * 123 + 1\n"
-        "ss_music(z, 12)"
-    )
-    assert loaded_after(code, "scipy.sparse") == "[]"
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_dense_monte_carlo_loads_no_scipy(threads):
-    # CNA N=9 (m = 124) takes its subspace from eigh, N=13 (m = 309) from
-    # Lanczos: numpy's FFTs and numpy's copy alone on both paths
-    code = (
-        "import numpy as np\n"
-        "from tosda import SourceScene, build_to_sda, monte_carlo\n"
-        "scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 400, seed=3)\n"
-        "for n in (9, 13):\n"
-        "    arr, _ = build_to_sda('cna', n)\n"
-        f"    monte_carlo(arr, scene, ('snr', [0.0, 10.0]), trials=2, threads={threads})"
-    )
-    assert loaded_after(code) == "[]"
-
-
-@pytest.mark.parametrize("mode", ["rmse", "spectrum"])
-def test_dense_simulate_loads_no_scipy(tmp_path, mode):
-    config = {
-        "mode": mode,
-        "array": {"variant": "cna", "sensors": 9},
-        "scene": {"angles_deg": {"count": 4, "span_deg": [-40, 40]},
-                  "snr_db": 5.0, "snapshots": 600},
-        "sweep": {"parameter": "snr", "values": [0.0, 10.0]},
-        "trials": 2,
-        "master_seed": 77,
-        "coupling": {"enabled": True},
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    code = (
-        "from tosda import cli\n"
-        f"assert cli.main(['simulate', '--config', {str(path)!r}, "
-        f"'--threads', '2', '-o', {str(tmp_path)!r}]) == 0"
-    )
-    assert loaded_after(code) == "[]"
-    assert (tmp_path / f"{mode}.csv").exists()
-
-
 @pytest.mark.parametrize("m", [1, 2, 124, 256])
 def test_toeplitz_matches_scipy_bit_for_bit(m):
     rng = np.random.default_rng(m)
@@ -442,60 +356,128 @@ def test_toeplitz_matches_scipy_bit_for_bit(m):
     assert np.array_equal(t.view(np.float64), toeplitz(c).view(np.float64))
 
 
-# numpy's thread count, and the scipy modules loaded, in a new interpreter
-BLAS_COUNTS = "[get() for get, _ in simulator._openblas_thread_controls()[0].values()]"
-SCIPY_LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+# Fresh interpreters, for what holds only from a process's start: the scipy
+# modules loaded, and the BLAS count in the first call.  numpy's copy starts
+# at 2 threads, so a pin on one worker, or a missed one in a pool, would show.
+# Each script prints the dict of facts it saw; each test checks its entries.
+FRESH_PRELUDE = """\
+import json, os, sys
+import numpy as np
+facts = {}
+def scipy_loaded(prefix='scipy'):
+    return sorted(m for m in sys.modules if m.startswith(prefix))
+"""
+
+SCIPY_FREE_PATHS = """\
+import tosda
+facts['import tosda'] = scipy_loaded()
+from tosda import *
+from tosda import cli
+dof_sweep(('cna', 'scna', 'tna2'), range(4, 8))
+exit_code = cli.main(['design', '--variant', 'tna2', '--sensors', '8', '--output', tmp])
+facts['design'] = [exit_code, os.path.exists(os.path.join(tmp, 'manifest.json')), scipy_loaded()]
+# CNA N=9 has m = 124 <= 224, so its subspace comes from eigh, and N=13
+# (m = 309) from Lanczos: numpy's FFTs and numpy's copy alone on both paths
+arr, _ = build_to_sda('cna', 9)
+scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 400, seed=3)
+z = virtual_array_vector(synthesize_snapshots(arr, scene), arr, to_eca(arr))
+ss_music(z, 12)
+facts['dense ss_music'] = [z.size, scipy_loaded('scipy.sparse')]
+for threads in (1, 2):
+    for n in (9, 13):
+        arr, _ = build_to_sda('cna', n)
+        monte_carlo(arr, scene, ('snr', [0.0, 10.0]), trials=2, threads=threads)
+    facts[f'monte_carlo threads={threads}'] = scipy_loaded()
+for mode in ('rmse', 'spectrum'):
+    path, out = os.path.join(tmp, mode + '.json'), os.path.join(tmp, mode)
+    with open(path, 'w') as f:
+        json.dump({'mode': mode, 'array': {'variant': 'cna', 'sensors': 9},
+                   'scene': {'angles_deg': {'count': 4, 'span_deg': [-40, 40]},
+                             'snr_db': 5.0, 'snapshots': 600},
+                   'sweep': {'parameter': 'snr', 'values': [0.0, 10.0]}, 'trials': 2,
+                   'master_seed': 77, 'coupling': {'enabled': True}}, f)
+    exit_code = cli.main(['simulate', '--config', path, '--threads', '2', '-o', out])
+    facts[f'simulate {mode}'] = [exit_code, os.path.exists(os.path.join(out, mode + '.csv')),
+                                 scipy_loaded()]
+"""
+
+# The process's first call on CNA N=13 (m = 309 > 224), with `threads`
+# workers: with two, both start the Lanczos path together, before anything
+# has warmed up.  Every FFT of it is recorded: the Lanczos products and the
+# grid projection.  A second call with the other worker count must agree.
+FIRST_LANCZOS_CALL = """\
+from tosda import SourceScene, build_to_sda, monte_carlo, simulator
+get, _ = simulator._openblas_thread_controls()
+facts['count at start'] = get()
+inside, fft, ifft = [], np.fft.fft, np.fft.ifft
+def recording(transform):
+    return lambda *args, **kwargs: (inside.append(get()), transform(*args, **kwargs))[1]
+np.fft.fft, np.fft.ifft = recording(fft), recording(ifft)
+arr, _ = build_to_sda('cna', 13)
+scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 2000, seed=13)
+first = monte_carlo(arr, scene, trials=4, threads=threads)[0].per_trial_estimates
+np.fft.fft, np.fft.ifft = fft, ifft
+facts.update({'counts in its FFTs': sorted(set(inside)), 'FFTs': len(inside), 'count after': get()})
+other = monte_carlo(arr, scene, trials=4, threads=3 - threads)[0].per_trial_estimates
+facts['estimates equal'] = bool(np.array_equal(first, other))
+facts['scipy'] = scipy_loaded()
+"""
+
+FRESH_SCRIPTS = {"scipy-free paths": SCIPY_FREE_PATHS,
+                 **{f"threads={t}": f"threads = {t}\n{FIRST_LANCZOS_CALL}" for t in (1, 2)}}
 
 
-def test_first_lanczos_call_runs_in_two_workers_at_once():
-    # CNA N=13 has m = 309 > 224, so both pool workers of the process's first
-    # call start the Lanczos path together, before anything has warmed up
-    code = (
-        "import json, sys\n"
-        "import numpy as np\n"
-        "from tosda import SourceScene, build_to_sda, monte_carlo, simulator\n"
-        "arr, _ = build_to_sda('cna', 13)\n"
-        "scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 2000, seed=13)\n"
-        "pooled = monte_carlo(arr, scene, trials=4, threads=2)[0].per_trial_estimates\n"
-        "serial = monte_carlo(arr, scene, trials=4, threads=1)[0].per_trial_estimates\n"
-        f"print(json.dumps([{SCIPY_LOADED}, np.array_equal(pooled, serial), "
-        f"{BLAS_COUNTS}]))"
-    )
-    defaults = fresh_python(f"from tosda import simulator\nprint({BLAS_COUNTS})")
-    loaded, equal, restored = json.loads(fresh_python(code))
-    assert loaded == [] and equal
-    assert len(restored) == 1 and restored == json.loads(defaults)
+@pytest.fixture(scope="module")
+def fresh_facts(tmp_path_factory):
+    """``fresh_facts(name)``: the facts that ``FRESH_SCRIPTS[name]`` printed
+    in a new interpreter on this checkout; each script runs once."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+           "OPENBLAS_NUM_THREADS": "2"}
+
+    @functools.cache
+    def facts(name):
+        tmp = str(tmp_path_factory.mktemp("fresh"))
+        probe = f"{FRESH_PRELUDE}tmp = {tmp!r}\n{FRESH_SCRIPTS[name]}print(json.dumps(facts))"
+        return json.loads(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                         capture_output=True, text=True).stdout.splitlines()[-1])
+
+    return facts
+
+
+def test_import_leaves_scipy_signal_unloaded(fresh_facts):
+    assert fresh_facts("scipy-free paths")["import tosda"] == []
+
+
+def test_design_paths_load_no_scipy(fresh_facts):
+    assert fresh_facts("scipy-free paths")["design"] == [0, True, []]
+
+
+def test_dense_ss_music_loads_no_scipy_sparse(fresh_facts):
+    assert fresh_facts("scipy-free paths")["dense ss_music"] == [2 * 123 + 1, []]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_first_lanczos_call_pins_blas_only_in_a_pool(threads):
-    # Every FFT of a fresh process's first monte_carlo call on CNA N=13
-    # (m = 309): the Lanczos products and the grid projection.  numpy's copy
-    # starts at 2 threads, so a pin on one worker, or a missed one in a pool,
-    # would show.
-    code = (
-        "import os\n"
-        "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
-        "import json, sys\n"
-        "import numpy as np\n"
-        "from tosda import SourceScene, build_to_sda, monte_carlo, simulator\n"
-        "inside = []\n"
-        "def recording(transform):\n"
-        "    def wrapped(*args, **kwargs):\n"
-        f"        inside.append({BLAS_COUNTS})\n"
-        "        return transform(*args, **kwargs)\n"
-        "    return wrapped\n"
-        "np.fft.fft, np.fft.ifft = recording(np.fft.fft), recording(np.fft.ifft)\n"
-        "arr, _ = build_to_sda('cna', 13)\n"
-        "scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 2000, seed=13)\n"
-        f"monte_carlo(arr, scene, trials=2, threads={threads})\n"
-        f"print(json.dumps([{SCIPY_LOADED}, inside, {BLAS_COUNTS}]))"
-    )
-    loaded, inside, restored = json.loads(fresh_python(code))
-    expected = [1] if threads > 1 else [2]
-    assert loaded == [] and len(inside) > 20
-    assert all(counts == expected for counts in inside)
-    assert restored == [2]
+def test_dense_monte_carlo_loads_no_scipy(fresh_facts, threads):
+    assert fresh_facts("scipy-free paths")[f"monte_carlo threads={threads}"] == []
+
+
+@pytest.mark.parametrize("mode", ["rmse", "spectrum"])
+def test_dense_simulate_loads_no_scipy(fresh_facts, mode):
+    assert fresh_facts("scipy-free paths")[f"simulate {mode}"] == [0, True, []]
+
+
+def test_first_lanczos_call_runs_in_two_workers_at_once(fresh_facts):
+    facts = fresh_facts("threads=2")
+    assert facts["scipy"] == [] and facts["estimates equal"]
+    assert facts["count after"] == facts["count at start"] == 2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_first_lanczos_call_pins_blas_only_in_a_pool(fresh_facts, threads):
+    facts = fresh_facts(f"threads={threads}")
+    assert facts["scipy"] == [] and facts["FFTs"] > 20 and facts["estimates equal"]
+    assert facts["counts in its FFTs"] == ([1] if threads > 1 else [2])
+    assert facts["count after"] == 2
 
 
 class TestSsMusic:
@@ -703,22 +685,19 @@ def array9():
 
 
 def blas_threads():
-    """Thread count of each bundled OpenBLAS copy whose symbols resolve."""
-    controls, _ = simulator._openblas_thread_controls()
-    return [get() for get, _ in controls.values()]
+    """Thread count of numpy's OpenBLAS copy."""
+    get, _ = simulator._openblas_thread_controls()
+    return get()
 
 
 def blas_held_at(count):
     """numpy's OpenBLAS copy at ``count`` threads; its own count is put back
     after the test."""
-    controls, missing = simulator._openblas_thread_controls()
-    assert missing == [] and len(controls) == 1
-    saved = [(set_, get()) for get, set_ in controls.values()]
-    for set_, _ in saved:
-        set_(count)
+    get, set_ = simulator._openblas_thread_controls()
+    saved = get()
+    set_(count)
     yield
-    for set_, saved_count in saved:
-        set_(saved_count)
+    set_(saved)
 
 
 @pytest.fixture
@@ -736,8 +715,8 @@ def blas_at_two():
 
 
 def recording_controls(monkeypatch, count=4):
-    """Replace the OpenBLAS controls by one fake copy; returns its count
-    cell and the list of values set.  Like a ctypes call, each fake call
+    """Replace numpy's OpenBLAS controls by a fake; returns its count cell
+    and the list of values set.  Like a ctypes call, each fake call
     lets other threads run."""
     state, calls = [count], []
 
@@ -750,10 +729,19 @@ def recording_controls(monkeypatch, count=4):
         calls.append(n)
         state[0] = n
 
-    monkeypatch.setattr(
-        simulator, "_openblas_thread_controls", lambda: ({"fake": (get, set_)}, [])
-    )
+    monkeypatch.setattr(simulator, "_openblas_thread_controls", lambda: (get, set_))
     return state, calls
+
+
+def test_run_trial_keeps_spectrum_on_request(array9):
+    scene = SourceScene((-20.0, 20.0), snr_db=10.0, snapshots=600, seed=4)
+    kept, bare = [tosda.run_trial(array9, scene, to_eca(array9), np.random.default_rng(4),
+                                  grid_step_deg=0.05, keep_spectrum=keep)
+                  for keep in (True, False)]
+    grid, spectrum = kept.spectrum
+    assert grid.shape == spectrum.shape == (3599,)  # open interval at 0.05 degrees
+    assert grid[0] == pytest.approx(-89.95) and bare.spectrum is None
+    assert np.array_equal(kept.angles_deg, bare.angles_deg)
 
 
 class TestMonteCarlo:
@@ -840,6 +828,22 @@ class TestMonteCarlo:
         with pytest.raises(InvalidParameterError):
             monte_carlo(array9, scene, ("bandwidth", [1]), trials=1)
 
+    @pytest.mark.parametrize(
+        "sweep", [("snr", 5.0), ("snr", None), "snr", 5, ("snr",), ("snr", [0.0], [1.0])]
+    )
+    def test_malformed_sweep_rejected(self, array9, sweep):
+        scene = SourceScene((0.0,), snr_db=0.0, snapshots=64, seed=0)
+        with pytest.raises(InvalidParameterError, match=r"^sweep must be a \(parameter, values\)"):
+            monte_carlo(array9, scene, sweep, trials=1)
+
+    def test_sweep_values_read_once_from_an_iterator(self, array9):
+        scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
+        stats = monte_carlo(array9, scene, ("snr", iter([0.0, 6.0])), trials=2)
+        listed = monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=2)
+        assert [s.sweep_value for s in stats] == [0.0, 6.0]
+        for a, b in zip(stats, listed):
+            assert np.array_equal(a.per_trial_estimates, b.per_trial_estimates)
+
     def test_padded_trials_counted(self, array9, monkeypatch):
         scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=400, seed=1)
         clean = monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=3)
@@ -896,8 +900,8 @@ class TestMonteCarlo:
         for threads, trials, count in [(2, 3, 1), (1, 3, 2), (4, 1, 2)]:
             inside.clear()
             monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=trials, threads=threads)
-            assert inside == [[count]] * (2 * trials), (threads, trials)
-            assert blas_threads() == [2], (threads, trials)
+            assert inside == [count] * (2 * trials), (threads, trials)
+            assert blas_threads() == 2, (threads, trials)
 
     def test_every_fft_of_a_two_worker_lanczos_call_runs_pinned(self, monkeypatch,
                                                               blas_at_three):
@@ -918,8 +922,8 @@ class TestMonteCarlo:
             monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
         scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 2000, seed=13)
         monte_carlo(arr, scene, trials=2, threads=2)
-        assert len(inside) > 20 and all(counts == [1] for counts in inside)
-        assert blas_threads() == [3]
+        assert len(inside) > 20 and set(inside) == {1}
+        assert blas_threads() == 3
 
     def test_blas_restored_when_a_trial_raises(self, array9, monkeypatch,
                                                blas_at_three):
@@ -931,7 +935,7 @@ class TestMonteCarlo:
         for threads in (2, 1):
             with pytest.raises(RuntimeError, match="trial failed"):
                 monte_carlo(array9, scene, trials=4, threads=threads)
-            assert blas_threads() == [3], threads
+            assert blas_threads() == 3, threads
 
     def test_concurrent_calls_leave_blas_unpinned(self, array9, blas_at_three):
         scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
@@ -950,7 +954,7 @@ class TestMonteCarlo:
             caller.join(timeout=60)
         assert not any(caller.is_alive() for caller in callers)
         assert errors == []
-        assert blas_threads() == [3]
+        assert blas_threads() == 3
 
     @pytest.mark.parametrize("threads, trials", [(1, 3), (4, 1)])
     def test_one_worker_leaves_blas_count_untouched(self, array9, monkeypatch,
@@ -998,31 +1002,36 @@ class TestMonteCarlo:
         scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
         pinned = [monte_carlo(arr, scene, ("snr", [0.0, 6.0]), trials=3, threads=threads)
                   for arr, threads in cases]
-        controls, _ = simulator._openblas_thread_controls()
+        get, _ = simulator._openblas_thread_controls()
         real = simulator.ss_music
         inside = []
 
         def recording_music(*args, **kwargs):
-            inside.append([get() for get, _ in controls.values()])
+            inside.append(get())
             return real(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "ss_music", recording_music)
-        monkeypatch.setattr(
-            simulator, "_OPENBLAS_COPIES",
-            tuple((module, suffix + "_absent") for module, suffix in simulator._OPENBLAS_COPIES),
-        )
-        for (arr, threads), expected in zip(cases, pinned):
-            inside.clear()
-            lines = []
-            unpinned = monte_carlo(
-                arr, scene, ("snr", [0.0, 6.0]), trials=3, threads=threads,
-                progress=lines.append,
-            )
-            assert inside == [[2]] * 6, (arr.name, threads)
-            # with a pool, one note on BLAS; then one line per sweep point
-            if threads > 1:
-                note = lines.pop(0)
-                assert "BLAS" in note and "unpinned" in note
-            assert len(lines) == 2 and not any("BLAS" in line for line in lines)
-            for a, b in zip(expected, unpinned):
-                assert np.array_equal(a.per_trial_estimates, b.per_trial_estimates)
+        try:
+            # the real lookup, sent down its missing-symbol branch
+            with monkeypatch.context() as patch:
+                patch.setattr(simulator, "_OPENBLAS_SYMBOL", "absent_{}")
+                simulator._openblas_thread_controls.cache_clear()
+                assert simulator._openblas_thread_controls() is None
+                for (arr, threads), expected in zip(cases, pinned):
+                    inside.clear()
+                    lines = []
+                    unpinned = monte_carlo(
+                        arr, scene, ("snr", [0.0, 6.0]), trials=3, threads=threads,
+                        progress=lines.append,
+                    )
+                    assert inside == [2] * 6, (arr.name, threads)
+                    # with a pool, one note on BLAS; then one line per sweep point
+                    if threads > 1:
+                        note = lines.pop(0)
+                        assert "BLAS" in note and "unpinned" in note
+                    assert len(lines) == 2 and not any("BLAS" in line for line in lines)
+                    for a, b in zip(expected, unpinned):
+                        assert np.array_equal(a.per_trial_estimates, b.per_trial_estimates)
+        finally:
+            simulator._openblas_thread_controls.cache_clear()
+        assert simulator._openblas_thread_controls() is not None
