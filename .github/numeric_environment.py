@@ -1,17 +1,16 @@
 """Print the numeric environment the test tolerances rest on: the numpy and
 scipy versions (scipy is the tests' oracle), numpy's BLAS/LAPACK runtime, and
-numpy's OpenBLAS thread count.
+numpy's OpenBLAS thread count as the simulator reads it.
 
 Run from any directory: ``python .github/numeric_environment.py``.
 """
-import ctypes, numpy, scipy
+import os, sys
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, 'src'))
+import numpy, scipy
+from tosda import simulator
 print('numpy', numpy.__version__, 'scipy', scipy.__version__)
 numpy.show_runtime()
 # the count monte_carlo pins to one while a worker pool runs
-symbol = 'scipy_openblas_get_num_threads64_'
-try:
-    get = getattr(ctypes.CDLL(numpy._core._multiarray_umath.__file__), symbol)
-    get.restype = ctypes.c_int
-    print('numpy._core._multiarray_umath', symbol, get())
-except (OSError, AttributeError) as exc:
-    print('numpy._core._multiarray_umath', symbol, 'missing:', exc)
+controls = simulator._openblas_thread_controls()
+print('numpy._core._multiarray_umath', simulator._OPENBLAS_SYMBOL.format('get'),
+      controls[0]() if controls else 'missing')

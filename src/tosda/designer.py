@@ -10,6 +10,7 @@ rounding conventions they were printed with.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .errors import (
     UnsupportedSizeError,
     whole_number,
 )
-from .geometry import DesignParams, normalize_variant
+from .geometry import DesignParams, SensorArray, normalize_variant
 
 log = logging.getLogger(__name__)
 
@@ -32,14 +33,6 @@ _MINIMUM_SCAN_LIMIT = 64
 def round_half_up(x: float) -> int:
     """Round to nearest integer, halves away from the floor (2.5 -> 3)."""
     return math.floor(x + 0.5)
-
-
-class _SplitInfeasible(Exception):
-    """Internal: requested N admits no valid split on this path."""
-
-
-# what an infeasible split raises; any other exception is a bug and propagates
-_INFEASIBLE = (_SplitInfeasible, InvalidParameterError, GeometryInconsistencyError)
 
 
 def continuous_optimum_n1(variant: str, n: int) -> float:
@@ -85,18 +78,26 @@ def _generator_size(variant: str, m1: int, m2: int) -> int:
     return m1 + m2 if variant == "tna2" else 2 * m1 + m2
 
 
-def _params_from_split(variant: str, n: int, m1: int, m2: int) -> DesignParams:
+def _design(
+    variant: str, n: int, m1: int, m2: int
+) -> Optional[tuple[DesignParams, SensorArray]]:
+    """(params, array) of the split (M1, M2) at N sensors, or None when it is
+    infeasible: a sub-array comes out empty, or the generator's segments are
+    inconsistent.  Any other error is a bug and propagates."""
     n1 = _generator_size(variant, m1, m2)
+    if m1 < 1 or m2 < 1 or n1 >= n:
+        return None
     j = math.ceil(n1 / 2) - 1 if variant == "tna2" else None
-    n2 = n - n1
-    if m1 < 1 or m2 < 1 or n2 < 1:
-        raise _SplitInfeasible(f"split ({m1}, {m2}, {n2}) leaves an empty sub-array")
+    try:
+        generator = geometry.build_generator(variant, m1, m2, j)
+    except GeometryInconsistencyError:
+        return None
     lam1, lam2 = _lambda_values(variant, m1, m2, j, n)
-    return DesignParams(
+    params = DesignParams(
         variant=variant,
         N=n,
         N1=n1,
-        N2=n2,
+        N2=n - n1,
         M1=m1,
         M2=m2,
         J=j,
@@ -105,6 +106,7 @@ def _params_from_split(variant: str, n: int, m1: int, m2: int) -> DesignParams:
         lambda1=lam1,
         lambda2=lam2,
     )
+    return params, geometry.build_gtoa(generator, params.delta1, params.delta2, params.N2)
 
 
 def _realized(
@@ -112,14 +114,10 @@ def _realized(
 ) -> Iterator[tuple[int, DesignParams]]:
     """(consecutive lags, params) of every (M1, M2) split that builds."""
     for m1, m2 in splits:
-        try:
-            params = _params_from_split(variant, n, m1, m2)
-            gen = geometry.build_generator(variant, m1, m2, params.J)
-            arr = geometry.build_gtoa(gen, params.delta1, params.delta2, params.N2)
-            lags = 2 * coarray.to_eca(arr).one_sided_z + 1
-        except _INFEASIBLE:
-            continue  # inconsistent generator or empty sub-array: infeasible
-        yield lags, params
+        design = _design(variant, n, m1, m2)
+        if design is not None:
+            params, arr = design
+            yield 2 * coarray.to_eca(arr).one_sided_z + 1, params
 
 
 def _best(
@@ -134,8 +132,9 @@ def _best(
     )
 
 
-def _attempt_closed_form(variant: str, n: int) -> tuple[DesignParams, bool]:
-    """The closed-form split, and whether the TNA-II rounding search chose it."""
+def _attempt_closed_form(variant: str, n: int) -> Optional[tuple[DesignParams, bool]]:
+    """The closed-form split, and whether the TNA-II rounding search chose it;
+    None when no candidate split builds."""
     n1_star = continuous_optimum_n1(variant, n)
     if variant in ("cna", "scna"):
         n1 = round_half_up(n1_star)
@@ -154,17 +153,11 @@ def _attempt_closed_form(variant: str, n: int) -> tuple[DesignParams, bool]:
             for n1 in roundings(n1_star)
             for m2 in roundings((2 * n1 - 1) / 4)
         ]
-    try:
-        params = _params_from_split(variant, n, *direct)
-        geometry.build_generator(variant, *direct, params.J)  # cardinality check
-        return params, False
-    except _INFEASIBLE:
-        if not others:
-            raise
+    design = _design(variant, n, *direct)
+    if design is not None:
+        return design[0], False
     best = _best(_realized(variant, n, others))
-    if best is None:
-        raise _SplitInfeasible(f"no TNA-II rounding variant is feasible at N={n}")
-    return best[1], True
+    return None if best is None else (best[1], True)
 
 
 @functools.cache
@@ -172,11 +165,8 @@ def minimum_sensors(variant: str) -> int:
     """Smallest N whose closed-form split passes every invariant."""
     variant = normalize_variant(variant)
     for n in range(2, _MINIMUM_SCAN_LIMIT + 1):
-        try:
-            _attempt_closed_form(variant, n)
-        except _INFEASIBLE:
-            continue
-        return n
+        if _attempt_closed_form(variant, n) is not None:
+            return n
     # all variants are feasible well below the limit
     raise InvalidParameterError(  # pragma: no cover
         f"no feasible {variant} split up to N={_MINIMUM_SCAN_LIMIT}"
@@ -194,12 +184,12 @@ def split_closed_form(variant: str, n: int) -> DesignParams:
             f"sensors, got {n}",
             minimum=minimum,
         )
-    try:
-        params, fell_back = _attempt_closed_form(variant, n)
-    except _INFEASIBLE as exc:
+    closed = _attempt_closed_form(variant, n)
+    if closed is None:
         raise UnsupportedSizeError(
-            f"no feasible {variant} split at N={n}: {exc}", minimum=minimum
-        ) from exc
+            f"no feasible {variant} split at N={n}", minimum=minimum
+        )
+    params, fell_back = closed
     if fell_back:
         log.warning(
             "TNA-II split for N=%d: the printed rounding fails its cardinality "
@@ -221,13 +211,6 @@ class SplitResult:
     agreement: bool
 
 
-def _enumerate_splits(variant: str, n: int):
-    for m1 in range(1, n + 1):
-        for m2 in range(1, n + 1):
-            if _generator_size(variant, m1, m2) < n:  # leaves N2 >= 1 tail sensors
-                yield m1, m2
-
-
 def brute_force_split(variant: str, n: int) -> SplitResult:
     """Exhaustive search over all feasible integer splits.
 
@@ -238,7 +221,7 @@ def brute_force_split(variant: str, n: int) -> SplitResult:
     """
     n = whole_number(n, "n")
     variant = normalize_variant(variant)
-    best = _best(_realized(variant, n, _enumerate_splits(variant, n)))
+    best = _best(_realized(variant, n, itertools.product(range(1, n), repeat=2)))
     if best is None:
         raise UnsupportedSizeError(
             f"no feasible {variant} split exists at N={n}", minimum=None
@@ -246,10 +229,8 @@ def brute_force_split(variant: str, n: int) -> SplitResult:
     dof_bf, params = best
     # below minimum_sensors the closed form is infeasible by definition, so
     # this matches split_closed_form without repeating its fallback warning
-    try:
-        dof_cf: Optional[int] = dof_closed_form(_attempt_closed_form(variant, n)[0])
-    except _INFEASIBLE:
-        dof_cf = None
+    closed = _attempt_closed_form(variant, n)
+    dof_cf = None if closed is None else dof_closed_form(closed[0])
     return SplitResult(
         params=params,
         dof_closed_form=dof_cf,

@@ -114,10 +114,12 @@ _COUNT_FIELDS = (
 class DesignParams:
     """Complete parameter tuple of one TO-SDA instance.
 
-    ``lambda1``/``lambda2`` are the lengths of the longest consecutive
-    runs of the generator's second-/third-order sum co-arrays (measured
-    by their right endpoints), and ``delta1``/``delta2`` the offset and
-    pitch of the coarse uniform extension.
+    ``lambda1``/``lambda2`` are the variant's printed closed-form reaches
+    of the generator's second-/third-order co-arrays, not runs measured on
+    the built generator.  For CNA and SCNA the two agree; for TNA-II the
+    printed value can exceed the measured one (N = 8: lambda1 = 20 printed,
+    4 measured).  ``delta1``/``delta2`` are the offset and pitch of the
+    coarse uniform extension.
     """
 
     variant: str
@@ -300,10 +302,13 @@ def build_to_sda(variant: str, n: int) -> tuple[SensorArray, DesignParams]:
     """Compose the DOF-maximizing TO-SDA with ``n`` physical sensors.
 
     The sensor split comes from the closed-form optimizer in
-    :mod:`tosda.designer`; the tail offsets are pinned to the values for
-    which the co-array is provably gap-free (delta1 = lambda1+lambda2+1,
-    delta2 = 2*lambda1+1).  Other offsets remain reachable through
-    :func:`build_gtoa`.
+    :mod:`tosda.designer`; the tail offsets are pinned to
+    delta1 = lambda1+lambda2+1 and delta2 = 2*lambda1+1.  For CNA and SCNA
+    that makes the co-array gap-free, so the realized DOF is the closed
+    form's (187 and 217 at N = 8).  TNA-II's printed lambda1 exceeds its
+    generator's measured one, so its tail leaves gaps: at N = 8 the closed
+    form says 345 and the array realizes 71.  Other offsets remain
+    reachable through :func:`build_gtoa`.
     """
     from . import designer  # deferred: designer builds on this module
 

@@ -608,6 +608,19 @@ class _BlasPin:
 _BLAS_PIN = _BlasPin()
 
 
+def _check_capacity(
+    array: SensorArray, report: CoarrayReport, scene: SourceScene, where: str = ""
+) -> None:
+    """Raise :class:`CapacityExceededError`, its message prefixed by ``where``,
+    when ``scene`` has more sources than ``array``'s co-array ``report`` has
+    one-sided consecutive lags."""
+    if scene.n_sources > report.one_sided_z:
+        raise CapacityExceededError(
+            f"{where}{scene.n_sources} sources exceed the {report.one_sided_z} "
+            f"one-sided consecutive lags of {array.name}"
+        )
+
+
 def run_trial(
     array: SensorArray,
     scene: SourceScene,
@@ -622,7 +635,10 @@ def run_trial(
     virtual-array vector over ``report`` (``coarray.to_eca(array)``), and
     co-array MUSIC for ``scene``'s sources on a ``grid_step_deg`` grid.
     ``keep_spectrum`` keeps the grid and pseudo-spectrum in the result.
+    More sources than ``report``'s Z raise :class:`CapacityExceededError`
+    before any snapshot is drawn.
     """
+    _check_capacity(array, report, scene)
     x = synthesize_snapshots(array, scene, coupling, rng)
     zvec = virtual_array_vector(x, array, report)
     return ss_music(
@@ -684,7 +700,6 @@ def monte_carlo(
         ]
 
     report = coarray.to_eca(array)
-    big_z = report.one_sided_z
     results = []
     workers = min(threads, trials)
     with contextlib.ExitStack() as stack:
@@ -694,12 +709,7 @@ def monte_carlo(
             stack.enter_context(_BLAS_PIN.held(progress))
             trial_map = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
         for point_idx, (value, point_scene) in enumerate(points):
-            d = point_scene.n_sources
-            if d > big_z:
-                raise CapacityExceededError(
-                    f"sweep point {value!r}: {d} sources exceed the {big_z} "
-                    f"one-sided consecutive lags of {array.name}"
-                )
+            _check_capacity(array, report, point_scene, f"sweep point {value!r}: ")
 
             def trial(t: int) -> EstimationResult:
                 rng = np.random.default_rng([point_scene.seed, point_idx, t])

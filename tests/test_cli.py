@@ -247,6 +247,24 @@ class TestSimulate:
         expected = [round(a, 4) for a in stats[0].per_trial_estimates[0].tolist()]
         assert line == f"estimates: {expected}"
 
+    def test_spectrum_capacity_checked_before_any_snapshot(self, tmp_path, capsys,
+                                                           monkeypatch):
+        real, calls = simulator.synthesize_snapshots, []
+
+        def recording(*args, **kwargs):
+            calls.append(args[0].name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "synthesize_snapshots", recording)
+        config = tmp_path / "config.json"
+        write_sim_config(config, mode="spectrum", array={"variant": "cna", "sensors": 4},
+                         scene={"angles_deg": {"count": 40}, "snapshots": 1000})
+        assert main(["simulate", "--config", str(config), "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: 40 sources exceed the 15 one-sided consecutive lags of TO-SDA(CNA) N=4"
+        )
+        assert calls == []
+
     def test_spectrum_resolves_half_degree_pair(self, tmp_path):
         # three sources with two only half a degree apart: the dumped
         # spectrum must carry at least two of its top peaks below 1 degree

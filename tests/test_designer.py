@@ -4,7 +4,9 @@ import math
 import pytest
 
 from tosda import (
+    GeometryInconsistencyError,
     InternalConsistencyError,
+    InvalidParameterError,
     UnsupportedSizeError,
     brute_force_split,
     build_generator,
@@ -145,14 +147,27 @@ class TestBruteForceSplit:
             brute_force_split("cna", 3)
 
     def test_internal_error_is_not_an_infeasible_split(self, monkeypatch):
-        from tosda import coarray
+        from tosda import coarray, geometry
 
-        def broken(array):
-            raise InternalConsistencyError("corrupted co-array")
+        # the closed-form split of CNA N=8 builds its tail but counts no co-array
+        for module, name, error, calls in [
+            (coarray, "to_eca", InternalConsistencyError("corrupted co-array"),
+             [brute_force_split]),
+            (geometry, "build_gtoa", InvalidParameterError("broken tail"),
+             [brute_force_split, split_closed_form]),
+            (geometry, "build_gtoa", GeometryInconsistencyError("broken tail"),
+             [brute_force_split, split_closed_form]),
+        ]:
+            def broken(*args, error=error):
+                raise error
 
-        monkeypatch.setattr(coarray, "to_eca", broken)
-        with pytest.raises(InternalConsistencyError, match="corrupted"):
-            brute_force_split("cna", 8)
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, broken)
+                for call in calls:
+                    minimum_sensors.cache_clear()
+                    with pytest.raises(type(error)) as raised:
+                        call("cna", 8)
+                    assert raised.value is error, (name, call.__name__)
 
     def test_closed_form_never_beats_brute_force(self):
         for variant in ("cna", "scna", "tna2"):
@@ -196,13 +211,14 @@ class TestInvariants:
     @pytest.mark.parametrize("m2", [1, 2, 3, 4])
     @pytest.mark.parametrize("n2", [1, 2, 3, 4])
     def test_cna_closed_form_equals_realized_everywhere(self, m1, m2, n2):
-        from tosda.designer import _params_from_split
+        from tosda.designer import _design
 
         n1 = 2 * m1 + m2
-        params = _params_from_split("cna", n1 + n2, m1, m2)
+        params, built = _design("cna", n1 + n2, m1, m2)
         assert (params.N1, params.J) == (n1, None)
         gen = build_generator("cna", m1, m2)
         arr = build_gtoa(gen, params.delta1, params.delta2, n2)
+        assert built == arr
         assert dof_closed_form(params) == 2 * to_eca(arr).one_sided_z + 1
 
     @pytest.mark.parametrize("variant", ["cna", "scna", "tna2"])

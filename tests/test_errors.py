@@ -26,6 +26,7 @@ from tosda import (
     k_tilde,
     l3_bound,
     load_array,
+    monte_carlo,
     redundancy_second_order,
     size_bounds,
     split_closed_form,
@@ -47,6 +48,11 @@ def _gtoa(delta1=9, delta2=9, n2=2):
     return build_gtoa(build_generator("cna", 1, 2), delta1, delta2, n2)
 
 
+def _monte_carlo(trials=1, threads=1):
+    scene = SourceScene((-20.0, 20.0), snr_db=0.0, snapshots=64, seed=0)
+    return monte_carlo(build_to_sda("cna", 9)[0], scene, trials=trials, threads=threads)
+
+
 # (constructor, field, bad values, call taking the bad value)
 CASES = [
     ("SensorArray", "positions", WHOLE, lambda v: SensorArray("x", (0, v))),
@@ -63,6 +69,13 @@ CASES = [
      lambda v: SourceScene(v, snr_db=0.0, snapshots=3)),
     ("SourceScene", "snr_db", REAL,
      lambda v: SourceScene((0.0,), snr_db=v, snapshots=8)),
+    ("SourceScene", "snapshots", (2.5, True),
+     lambda v: SourceScene((0.0,), snr_db=0.0, snapshots=v, seed=0)),
+    ("SourceScene", "seed", (2.5, "2"),
+     lambda v: SourceScene((0.0,), snr_db=0.0, snapshots=8, seed=v)),
+    ("monte_carlo", "trials", (2.5, True, "3", math.nan),
+     lambda v: _monte_carlo(trials=v)),
+    ("monte_carlo", "threads", (1.5, True, None), lambda v: _monte_carlo(threads=v)),
     ("build_ula", "n", WHOLE, build_ula),
     ("build_generator", "m1", WHOLE, lambda v: build_generator("cna", v, 2)),
     ("build_generator", "m2", WHOLE, lambda v: build_generator("cna", 1, v)),
@@ -72,6 +85,8 @@ CASES = [
     ("build_gtoa", "n2", WHOLE, lambda v: _gtoa(n2=v)),
     ("ss_music", "grid_step_deg", REAL,
      lambda v: ss_music(np.ones(9), 1, grid_step_deg=v)),
+    ("ss_music", "n_sources", (2.5, True, "2", None, math.inf),
+     lambda v: ss_music(np.ones(9), v)),
     *[(f.__name__, "n", WHOLE, lambda v, f=f: f("cna", v))
       for f in (split_closed_form, brute_force_split, build_to_sda, z_closed_form,
                 closed_form_redundancy)],
@@ -92,7 +107,7 @@ CASES = [
     ],
 )
 def test_bad_number_names_its_field(call, field, bad):
-    with pytest.raises(InvalidParameterError, match=f"^{field} must be "):
+    with pytest.raises(InvalidParameterError, match=f"^{field} must be .+, got "):
         call(bad)
 
 
