@@ -74,17 +74,13 @@ def dof_closed_form(params: DesignParams) -> int:
     return 2 * ((4 * n2 + 1) * core + (n2 - 1) + 4 * m1 * (m2 + 1) + 4 * params.J) + 1
 
 
-def _generator_size(variant: str, m1: int, m2: int) -> int:
-    return m1 + m2 if variant == "tna2" else 2 * m1 + m2
-
-
 def _design(
     variant: str, n: int, m1: int, m2: int
 ) -> Optional[tuple[DesignParams, SensorArray]]:
     """(params, array) of the split (M1, M2) at N sensors, or None when it is
     infeasible: a sub-array comes out empty, or the generator's segments are
     inconsistent.  Any other error is a bug and propagates."""
-    n1 = _generator_size(variant, m1, m2)
+    n1 = m1 + m2 if variant == "tna2" else 2 * m1 + m2
     if m1 < 1 or m2 < 1 or n1 >= n:
         return None
     j = math.ceil(n1 / 2) - 1 if variant == "tna2" else None

@@ -49,6 +49,16 @@ def analytic_virtual_vector(big_z, angles_deg, gammas=None):
 
 
 class TestSourceScene:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_angle(self, bad):
+        with pytest.raises(InvalidParameterError):
+            SourceScene((0.0, bad), snr_db=0.0, snapshots=8)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_snr(self, bad):
+        with pytest.raises(InvalidParameterError):
+            SourceScene((0.0,), snr_db=bad, snapshots=8)
+
     def test_rejects_snr_whose_noise_power_overflows(self):
         SourceScene((0.0,), snr_db=-3000.0, snapshots=8)
         with pytest.raises(InvalidParameterError, match="noise power"):
@@ -610,7 +620,7 @@ class TestSsMusic:
         z[:20] *= 1 + 1e-12
         assert np.all(np.abs(ss_music(z, 2).angles_deg - [5.0, 30.0]) <= 0.01)
 
-    @pytest.mark.parametrize("step", [0.0, -0.5])
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.5])
     def test_bad_grid_step_rejected(self, step):
         z = analytic_virtual_vector(20, [5.0])
         with pytest.raises(InvalidParameterError):
