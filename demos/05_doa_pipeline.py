@@ -28,7 +28,7 @@ scene = SourceScene(
 print(f"\nscene: {scene.n_sources} sources, {scene.snapshots} snapshots, "
       f"{scene.snr_db:+.0f} dB SNR")
 
-est = run_trial(arr, scene, report, np.random.default_rng(2024), keep_spectrum=True)
+est = run_trial(arr, scene, report, np.random.default_rng(2024))
 
 print(f"\n{'truth':>10s} {'estimate':>10s} {'error':>9s}")
 for t, e in zip(truth, est.angles_deg):

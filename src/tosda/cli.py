@@ -413,7 +413,7 @@ def cmd_simulate(args) -> int:
     elif mode == "spectrum":
         est = simulator.run_trial(
             array, scene, coarray.to_eca(array), np.random.default_rng([master_seed, 0, 0]),
-            coupling=coupling, grid_step_deg=grid_step, keep_spectrum=True,
+            coupling=coupling, grid_step_deg=grid_step,
         )
         grid, spectrum = est.spectrum
         _write_csv(
@@ -568,19 +568,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate_args(args) -> None:
     if args.subcommand == "design":
-        variant_route = args.variant is not None or args.sensors is not None
-        generator_route = args.generator is not None
+        generator_args = (args.generator, args.delta1, args.delta2, args.n2)
+        variant_route = args.variant is not None or args.sensors is not None or args.oracle
+        generator_route = generator_args != (None,) * 4
         if variant_route == generator_route:
             raise TosdaError(
-                "design needs either --variant/--sensors or "
-                "--generator/--delta1/--delta2/--n2"
+                "design needs the flags of one route: --variant/--sensors/--oracle "
+                "or --generator/--delta1/--delta2/--n2"
             )
         if variant_route and (args.variant is None or args.sensors is None):
-            raise TosdaError("design --variant requires --sensors")
-        if generator_route and None in (args.delta1, args.delta2, args.n2):
-            raise TosdaError(
-                "design --generator requires --delta1, --delta2 and --n2"
-            )
+            raise TosdaError("design --variant and --sensors go together")
+        if generator_route and None in generator_args:
+            raise TosdaError("design --generator, --delta1, --delta2 and --n2 go together")
     if args.subcommand == "metrics":
         if (args.array is None) == (args.variant is None and args.n_range is None):
             raise TosdaError("metrics needs --array or --variant with --n-range")

@@ -93,12 +93,9 @@ def _design(
         variant=variant,
         N=n,
         N1=n1,
-        N2=n - n1,
         M1=m1,
         M2=m2,
         J=j,
-        delta1=lam1 + lam2 + 1,
-        delta2=2 * lam1 + 1,
         lambda1=lam1,
         lambda2=lam2,
     )

@@ -10,7 +10,7 @@ coarse uniform tail into a third-order sum-difference array (TO-SDA).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -105,9 +105,7 @@ class SensorArray:
 
 
 # the DesignParams fields that are non-negative whole numbers (J may be None)
-_COUNT_FIELDS = (
-    "N", "N1", "N2", "M1", "M2", "delta1", "delta2", "lambda1", "lambda2",
-)
+_COUNT_FIELDS = ("N", "N1", "M1", "M2", "lambda1", "lambda2")
 
 
 @dataclass(frozen=True)
@@ -118,19 +116,16 @@ class DesignParams:
     of the generator's second-/third-order co-arrays, not runs measured on
     the built generator.  For CNA and SCNA the two agree; for TNA-II the
     printed value can exceed the measured one (N = 8: lambda1 = 20 printed,
-    4 measured).  ``delta1``/``delta2`` are the offset and pitch of the
-    coarse uniform extension.
+    4 measured).  The tail is derived from them: ``N2`` = N - N1 sensors
+    from ``delta1`` = lambda1 + lambda2 + 1 at pitch ``delta2`` = 2*lambda1 + 1.
     """
 
     variant: str
     N: int
     N1: int
-    N2: int
     M1: int
     M2: int
     J: Optional[int]
-    delta1: int
-    delta2: int
     lambda1: int
     lambda2: int
 
@@ -147,10 +142,6 @@ class DesignParams:
             object.__setattr__(self, "J", whole_number(self.J, "J"))
         if self.N2 < 1:
             raise InvalidParameterError("N2 must be >= 1")
-        if self.N != self.N1 + self.N2:
-            raise InvalidParameterError(
-                f"N={self.N} != N1+N2={self.N1 + self.N2}"
-            )
         if self.variant == "tna2":
             if self.J is None or self.J < 0:
                 raise InvalidParameterError("TNA-II parameters require J >= 0")
@@ -169,17 +160,23 @@ class DesignParams:
                 raise InvalidParameterError(
                     f"N1={self.N1} != 2*M1+M2={2 * self.M1 + self.M2}"
                 )
-        if not 0 <= self.delta1 <= self.lambda1 + self.lambda2 + 1:
-            raise InvalidParameterError(
-                f"delta1={self.delta1} outside [0, {self.lambda1 + self.lambda2 + 1}]"
-            )
-        if not 0 <= self.delta2 <= 2 * self.lambda1 + 1:
-            raise InvalidParameterError(
-                f"delta2={self.delta2} outside [0, {2 * self.lambda1 + 1}]"
-            )
+
+    @property
+    def N2(self) -> int:
+        return self.N - self.N1
+
+    @property
+    def delta1(self) -> int:
+        return self.lambda1 + self.lambda2 + 1
+
+    @property
+    def delta2(self) -> int:
+        return 2 * self.lambda1 + 1
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        keys = ("variant", "N", "N1", "N2", "M1", "M2", "J",
+                "delta1", "delta2", "lambda1", "lambda2")
+        return {key: getattr(self, key) for key in keys}
 
 
 def build_ula(n: int) -> SensorArray:
@@ -302,7 +299,7 @@ def build_to_sda(variant: str, n: int) -> tuple[SensorArray, DesignParams]:
     """Compose the DOF-maximizing TO-SDA with ``n`` physical sensors.
 
     The sensor split comes from the closed-form optimizer in
-    :mod:`tosda.designer`; the tail offsets are pinned to
+    :mod:`tosda.designer`; the params derive the tail from their lambdas,
     delta1 = lambda1+lambda2+1 and delta2 = 2*lambda1+1.  For CNA and SCNA
     that makes the co-array gap-free, so the realized DOF is the closed
     form's (187 and 217 at N = 8).  TNA-II's printed lambda1 exceeds its

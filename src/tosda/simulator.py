@@ -118,7 +118,7 @@ class EstimationResult:
     largest off-peak grid values; such trials should be treated as
     resolution failures.
 
-    ``spectrum`` is 1/|En^H a|^2 with |En^H a|^2 = m - ||Es^H a||^2.  The
+    ``spectrum`` is (grid, 1/|En^H a|^2) with |En^H a|^2 = m - ||Es^H a||^2.  The
     second term is the polynomial r_0 + 2 Re sum_l r_l w**l (see
     :func:`ss_music`), summed by Horner's rule over about m/B rows, each
     step rounding the phase of shift = w**B on terms up to sum|r_l| <= D*m,
@@ -131,7 +131,7 @@ class EstimationResult:
     """
 
     angles_deg: np.ndarray
-    spectrum: Optional[tuple[np.ndarray, np.ndarray]]
+    spectrum: tuple[np.ndarray, np.ndarray]
     peaks_padded: bool
 
 
@@ -275,6 +275,9 @@ def virtual_array_vector(
 # Rows per block of the factored steering table; the cached table is B x G.
 _BLOCK = 64
 
+# Smallest grid step: it leaves 2**20 interior points, a B x G table of 1 GiB.
+_MIN_GRID_STEP_DEG = 180.0 / (2**20 + 1)
+
 # Largest virtual array whose signal subspace comes from a dense eigh.  The
 # Lanczos loop runs in Python under the GIL, so it loses on small matrices, and
 # two pool workers overlap their eighs better than their Lanczos loops.  Medians
@@ -416,7 +419,6 @@ def ss_music(
     *,
     grid_step_deg: float = 0.01,
     unit_spacing: float = 0.5,
-    keep_spectrum: bool = False,
 ) -> EstimationResult:
     """Co-array MUSIC on a virtual-array vector over [-Z, Z].
 
@@ -475,8 +477,10 @@ def ss_music(
             f"{n_sources} sources exceed the {big_z} one-sided consecutive lags"
         )
     grid_step_deg = real_number(grid_step_deg, "grid_step_deg")
-    if not grid_step_deg > 0:
-        raise InvalidParameterError(f"grid_step_deg must be > 0, got {grid_step_deg}")
+    if not grid_step_deg >= _MIN_GRID_STEP_DEG:
+        raise InvalidParameterError(
+            f"grid_step_deg must be >= {_MIN_GRID_STEP_DEG:.3g}, got {grid_step_deg}"
+        )
     m = big_z + 1
     grid, inner, shift = _grid_and_steering(grid_step_deg, unit_spacing)
     if grid.size < n_sources:
@@ -512,7 +516,7 @@ def ss_music(
     angles = np.sort(grid[np.asarray(chosen, dtype=np.intp)])
     return EstimationResult(
         angles_deg=angles,
-        spectrum=(grid, spectrum) if keep_spectrum else None,
+        spectrum=(grid, spectrum),
         peaks_padded=padded,
     )
 
@@ -629,21 +633,20 @@ def run_trial(
     *,
     coupling: Optional[metrics.CouplingModel] = None,
     grid_step_deg: float = 0.01,
-    keep_spectrum: bool = False,
 ) -> EstimationResult:
     """One seeded trial of the pipeline: snapshots drawn from ``rng``, the
     virtual-array vector over ``report`` (``coarray.to_eca(array)``), and
-    co-array MUSIC for ``scene``'s sources on a ``grid_step_deg`` grid.
-    ``keep_spectrum`` keeps the grid and pseudo-spectrum in the result.
-    More sources than ``report``'s Z raise :class:`CapacityExceededError`
-    before any snapshot is drawn.
+    co-array MUSIC for ``scene``'s sources on a ``grid_step_deg`` grid; the
+    result carries the grid and its pseudo-spectrum.  More sources than
+    ``report``'s Z raise :class:`CapacityExceededError` before any snapshot
+    is drawn.
     """
     _check_capacity(array, report, scene)
     x = synthesize_snapshots(array, scene, coupling, rng)
     zvec = virtual_array_vector(x, array, report)
     return ss_music(
         zvec, scene.n_sources, grid_step_deg=grid_step_deg,
-        unit_spacing=array.unit_spacing, keep_spectrum=keep_spectrum,
+        unit_spacing=array.unit_spacing,
     )
 
 
@@ -711,22 +714,22 @@ def monte_carlo(
         for point_idx, (value, point_scene) in enumerate(points):
             _check_capacity(array, report, point_scene, f"sweep point {value!r}: ")
 
-            def trial(t: int) -> EstimationResult:
+            def trial(t: int) -> tuple[np.ndarray, bool]:
                 rng = np.random.default_rng([point_scene.seed, point_idx, t])
-                return run_trial(
+                est = run_trial(
                     array, point_scene, report, rng,
                     coupling=coupling, grid_step_deg=grid_step_deg,
                 )
+                return est.angles_deg, est.peaks_padded
 
-            estimates = list(trial_map(trial, range(trials)))
-            est_matrix = np.vstack([est.angles_deg for est in estimates])
-            padded = sum(est.peaks_padded for est in estimates)
+            angles, padded = zip(*trial_map(trial, range(trials)))
+            est_matrix = np.vstack(angles)
             truth = np.sort(np.asarray(point_scene.angles_deg))
             results.append(
                 RunStats(
                     sweep_value=math.nan if value is None else float(value),
                     trials=trials,
-                    padded_trials=padded,
+                    padded_trials=sum(padded),
                     rmse_deg=rmse(est_matrix, truth),
                     per_trial_estimates=est_matrix,
                     truth_deg=truth,
@@ -736,6 +739,6 @@ def monte_carlo(
                 progress(
                     f"sweep point {point_idx + 1}/{len(points)} "
                     f"(value={value!r}): rmse={results[-1].rmse_deg:.4f} deg, "
-                    f"{padded}/{trials} trials padded"
+                    f"{results[-1].padded_trials}/{trials} trials padded"
                 )
     return results

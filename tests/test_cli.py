@@ -35,7 +35,8 @@ class TestDesign:
         array = json.loads((tmp_path / "array.json").read_text())
         assert array["positions"] == [0, 1, 3, 5, 6, 31, 56, 81]
         params = json.loads((tmp_path / "params.json").read_text())
-        assert params["N1"] == 5 and params["M2"] == 3
+        assert params == {"variant": "cna", "N": 8, "N1": 5, "N2": 3, "M1": 1, "M2": 3,
+                          "J": None, "delta1": 31, "delta2": 25, "lambda1": 12, "lambda2": 18}
         manifest = read_manifest(tmp_path)
         assert manifest["subcommand"] == "design"
         assert manifest["warnings"] == []
@@ -70,8 +71,14 @@ class TestDesign:
                      "--oracle", "--strict", "-o", str(tmp_path)]) == 3
 
     def test_conflicting_routes_rejected(self, tmp_path):
-        assert main(["design", "--variant", "cna", "--sensors", "8",
-                     "--generator", "x.json", "-o", str(tmp_path)]) == 1
+        save_array(build_ula(3), tmp_path / "g.json")
+        generator = ["--generator", str(tmp_path / "g.json"), "--delta1", "31", "--delta2",
+                     "25", "--n2", "3"]
+        for argv in (["--variant", "cna", "--sensors", "8", "--generator", "x.json"],
+                     ["--variant", "cna", "--sensors", "8", "--delta1", "3", "--n2", "9"],
+                     [*generator, "--oracle"]):
+            assert main(["design", *argv, "-o", str(tmp_path / "out")]) == 1, argv
+        assert not (tmp_path / "out").exists()  # rejected before anything is written
 
 
 class TestCoarray:
@@ -356,6 +363,7 @@ class TestSimulate:
             {"master_seed": True},
             {"array": {"variant": "cna", "sensors": None}},
             {"coupling": {"enabled": True, "c1_phase_rad": float("inf")}},
+            {"music": {"grid_step_deg": 1e-9}},
         ],
         ids=["trials", "master-seed", "sensors", "array-file", "sweep-value",
              "sweep-values-scalar", "music-scalar", "grid-step", "coupling-bool",
@@ -364,7 +372,7 @@ class TestSimulate:
              "fractional-snapshots", "fractional-sensors", "fractional-count",
              "fractional-scene-snapshots", "fractional-band-limit",
              "fractional-trials", "fractional-master-seed", "bool-trials",
-             "bool-master-seed", "null-sensors", "infinite-coupling-phase"],
+             "bool-master-seed", "null-sensors", "infinite-coupling-phase", "grid-step-tiny"],
     )
     def test_bad_config_field_exits_1(self, tmp_path, capsys, overrides):
         config = tmp_path / "config.json"

@@ -41,7 +41,7 @@ REAL = (True, "0.5", math.inf, -math.inf, math.nan)
 
 CNA8 = split_closed_form("cna", 8)
 TNA9 = split_closed_form("tna2", 9)
-COUNTS = ("N", "N1", "N2", "M1", "M2", "delta1", "delta2", "lambda1", "lambda2")
+COUNTS = ("N", "N1", "M1", "M2", "lambda1", "lambda2")
 
 
 def _gtoa(delta1=9, delta2=9, n2=2):

@@ -164,16 +164,12 @@ class TestToSda:
 
 class TestDesignParams:
     def test_rejects_mismatched_total(self):
-        with pytest.raises(InvalidParameterError):
-            DesignParams("cna", 9, 5, 3, 1, 3, None, 31, 25, 12, 18)
+        with pytest.raises(InvalidParameterError, match="N2 must be >= 1"):
+            DesignParams("cna", 5, 5, 1, 3, None, 12, 18)
 
     def test_rejects_bad_j(self):
         with pytest.raises(InvalidParameterError):
-            DesignParams("tna2", 8, 5, 3, 2, 3, 5, 51, 41, 20, 30)
-
-    def test_rejects_delta_outside_range(self):
-        with pytest.raises(InvalidParameterError):
-            DesignParams("cna", 8, 5, 3, 1, 3, None, 32, 25, 12, 18)
+            DesignParams("tna2", 8, 5, 2, 3, 5, 20, 30)
 
 
 class TestArrayFiles:

@@ -506,14 +506,14 @@ class TestSsMusic:
         rng = np.random.default_rng(7)
         z = analytic_virtual_vector(300, [-20.0, 10.0, 40.0])
         z += symmetric_noise(rng, 300, 0.1)
-        first, second = (ss_music(z, 3, keep_spectrum=True) for _ in range(2))
+        first, second = (ss_music(z, 3) for _ in range(2))
         assert np.array_equal(first.spectrum[1], second.spectrum[1])
         assert np.array_equal(first.angles_deg, second.angles_deg)
 
     def test_degenerate_signal_eigenspace_on_lanczos_path(self):
         # T has the eigenvalue m twice, so its eigenvectors there are not unique
         z = analytic_virtual_vector(400, [-30.0, 0.0, 30.0])
-        est = ss_music(z, 3, grid_step_deg=0.05, keep_spectrum=True)
+        est = ss_music(z, 3, grid_step_deg=0.05)
         grid, spectrum = est.spectrum
         want_spectrum, want_angles = smoothing_music_reference(z, 3, grid)
         np.testing.assert_allclose(1 / spectrum, 1 / want_spectrum, rtol=0, atol=1e-12 * 401)
@@ -536,7 +536,7 @@ class TestSsMusic:
         angles = [-41.0, 7.5, 52.0][:d]
         z = analytic_virtual_vector(300, angles)
         assert z.size // 2 + 1 > simulator._DENSE_EIGH_MAX_M
-        est = ss_music(z, d, grid_step_deg=0.05, keep_spectrum=True)
+        est = ss_music(z, d, grid_step_deg=0.05)
         assert seeds == [simulator._LANCZOS_RESTART_SEED]
         grid, spectrum = est.spectrum
         want_spectrum, want_angles = smoothing_music_reference(z, d, grid)
@@ -574,7 +574,7 @@ class TestSsMusic:
         gammas = rng.uniform(0.5, 2.0, d) * rng.choice([-1.0, 1.0], d)
         z = analytic_virtual_vector(big_z, angles, gammas)
         z += symmetric_noise(rng, big_z, 0.01 * np.abs(z).max())
-        est = ss_music(z, d, grid_step_deg=0.05, keep_spectrum=True)
+        est = ss_music(z, d, grid_step_deg=0.05)
         grid, spectrum = est.spectrum
         want_spectrum, want_angles = smoothing_music_reference(z, d, grid)
         # compare |En^H a|^2 = 1/spectrum: float64 gives it to about 5e-17*m**2
@@ -594,7 +594,7 @@ class TestSsMusic:
         gammas = np.array([1.0, -0.7, 1.6, 0.9])
         z = analytic_virtual_vector(big_z, angles, gammas)
         z += symmetric_noise(rng, big_z, 0.01 * np.abs(z).max())
-        est = ss_music(z, 4, grid_step_deg=0.05, keep_spectrum=True)
+        est = ss_music(z, 4, grid_step_deg=0.05)
         grid, spectrum = est.spectrum
         want_spectrum, want_angles = smoothing_music_reference(z, 4, grid)
         m = big_z + 1
@@ -620,7 +620,7 @@ class TestSsMusic:
         z[:20] *= 1 + 1e-12
         assert np.all(np.abs(ss_music(z, 2).angles_deg - [5.0, 30.0]) <= 0.01)
 
-    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.5])
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.5, 1e-9])
     def test_bad_grid_step_rejected(self, step):
         z = analytic_virtual_vector(20, [5.0])
         with pytest.raises(InvalidParameterError):
@@ -637,7 +637,7 @@ class TestSsMusic:
 
     def test_spectrum_returned_on_request(self):
         z = analytic_virtual_vector(20, [5.0])
-        est = ss_music(z, 1, keep_spectrum=True)
+        est = ss_music(z, 1)
         grid, spec = est.spectrum
         assert grid.shape == spec.shape
         assert grid[0] > -90 and grid[-1] < 90
@@ -723,13 +723,11 @@ def recording_controls(monkeypatch, count=4):
 
 def test_run_trial_keeps_spectrum_on_request(array9):
     scene = SourceScene((-20.0, 20.0), snr_db=10.0, snapshots=600, seed=4)
-    kept, bare = [tosda.run_trial(array9, scene, to_eca(array9), np.random.default_rng(4),
-                                  grid_step_deg=0.05, keep_spectrum=keep)
-                  for keep in (True, False)]
+    kept = tosda.run_trial(array9, scene, to_eca(array9), np.random.default_rng(4),
+                           grid_step_deg=0.05)
     grid, spectrum = kept.spectrum
     assert grid.shape == spectrum.shape == (3599,)  # open interval at 0.05 degrees
-    assert grid[0] == pytest.approx(-89.95) and bare.spectrum is None
-    assert np.array_equal(kept.angles_deg, bare.angles_deg)
+    assert grid[0] == pytest.approx(-89.95)
 
 
 class TestMonteCarlo:
