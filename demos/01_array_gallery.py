@@ -29,7 +29,7 @@ show(build_ula(8))
 print("\nThe three generator families (dense blocks):")
 show(build_generator("cna", 1, 3))
 show(build_generator("scna", 1, 3))
-show(build_generator("tna2", 3, 3, 2))
+show(build_generator("tna2", 3, 3))
 
 print("\nA generator plus a coarse tail = general third-order array:")
 gen = build_generator("cna", 1, 3)

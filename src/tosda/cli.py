@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -25,8 +24,6 @@ import numpy as np
 
 from . import __version__, coarray, designer, geometry, metrics, simulator
 from .errors import TosdaError, real_number, whole_number
-
-_ENV_THREADS = "TOSDA_THREADS"
 
 
 def _fmt(value) -> str:
@@ -496,12 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    env_threads = os.environ.get(_ENV_THREADS, "1")
-    try:
-        default_threads = int(env_threads)
-    except ValueError:
-        raise TosdaError(f"{_ENV_THREADS} must be an integer, got {env_threads!r}") from None
-
     def add_common(p):
         p.add_argument("-o", "--output", default=".",
                        help="output directory (default: current directory)")
@@ -550,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo RMSE sweep or spectrum dump")
     p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--threads", type=int, default=default_threads,
-                   help=f"worker threads (default ${_ENV_THREADS} or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads (default 1)")
     add_common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -80,24 +80,16 @@ def _design(
     """(params, array) of the split (M1, M2) at N sensors, or None when it is
     infeasible: a sub-array comes out empty, or the generator's segments are
     inconsistent.  Any other error is a bug and propagates."""
-    n1 = m1 + m2 if variant == "tna2" else 2 * m1 + m2
+    n1, j = geometry.split_sizes(variant, m1, m2)
     if m1 < 1 or m2 < 1 or n1 >= n:
         return None
-    j = math.ceil(n1 / 2) - 1 if variant == "tna2" else None
     try:
-        generator = geometry.build_generator(variant, m1, m2, j)
+        generator = geometry.build_generator(variant, m1, m2)
     except GeometryInconsistencyError:
         return None
     lam1, lam2 = _lambda_values(variant, m1, m2, j, n)
     params = DesignParams(
-        variant=variant,
-        N=n,
-        N1=n1,
-        M1=m1,
-        M2=m2,
-        J=j,
-        lambda1=lam1,
-        lambda2=lam2,
+        variant=variant, N=n, M1=m1, M2=m2, lambda1=lam1, lambda2=lam2
     )
     return params, geometry.build_gtoa(generator, params.delta1, params.delta2, params.N2)
 

@@ -104,8 +104,18 @@ class SensorArray:
         }
 
 
-# the DesignParams fields that are non-negative whole numbers (J may be None)
-_COUNT_FIELDS = ("N", "N1", "M1", "M2", "lambda1", "lambda2")
+def split_sizes(variant: str, m1: int, m2: int) -> tuple[int, Optional[int]]:
+    """Generator size N1 and TNA-II's J of the split (M1, M2) of a canonical
+    ``variant``: N1 = 2*M1+M2 for CNA and SCNA, and N1 = M1+M2 with
+    J = ceil(N1/2)-1 for TNA-II (J is None for the others)."""
+    if variant == "tna2":
+        n1 = m1 + m2
+        return n1, -(-n1 // 2) - 1
+    return 2 * m1 + m2, None
+
+
+# the DesignParams fields that are non-negative whole numbers
+_COUNT_FIELDS = ("N", "M1", "M2", "lambda1", "lambda2")
 
 
 @dataclass(frozen=True)
@@ -116,16 +126,16 @@ class DesignParams:
     of the generator's second-/third-order co-arrays, not runs measured on
     the built generator.  For CNA and SCNA the two agree; for TNA-II the
     printed value can exceed the measured one (N = 8: lambda1 = 20 printed,
-    4 measured).  The tail is derived from them: ``N2`` = N - N1 sensors
-    from ``delta1`` = lambda1 + lambda2 + 1 at pitch ``delta2`` = 2*lambda1 + 1.
+    4 measured).  The rest is derived: the generator size ``N1`` and
+    TNA-II's ``J`` from the split (M1, M2) by :func:`split_sizes`, and the
+    tail of ``N2`` = N - N1 sensors from ``delta1`` = lambda1 + lambda2 + 1
+    at pitch ``delta2`` = 2*lambda1 + 1.
     """
 
     variant: str
     N: int
-    N1: int
     M1: int
     M2: int
-    J: Optional[int]
     lambda1: int
     lambda2: int
 
@@ -138,28 +148,16 @@ class DesignParams:
                 raise InvalidParameterError(f"{key} must be a non-negative integer")
             if value is not given:  # frozen-field writes are slow; most are ints
                 object.__setattr__(self, key, value)
-        if self.J is not None:
-            object.__setattr__(self, "J", whole_number(self.J, "J"))
         if self.N2 < 1:
             raise InvalidParameterError("N2 must be >= 1")
-        if self.variant == "tna2":
-            if self.J is None or self.J < 0:
-                raise InvalidParameterError("TNA-II parameters require J >= 0")
-            if self.N1 != self.M1 + self.M2:
-                raise InvalidParameterError(
-                    f"N1={self.N1} != M1+M2={self.M1 + self.M2}"
-                )
-            if self.J != -(-self.N1 // 2) - 1:
-                raise InvalidParameterError(
-                    f"J={self.J} != ceil(N1/2)-1 for N1={self.N1}"
-                )
-        else:
-            if self.J is not None:
-                raise InvalidParameterError("J is only defined for TNA-II")
-            if self.N1 != 2 * self.M1 + self.M2:
-                raise InvalidParameterError(
-                    f"N1={self.N1} != 2*M1+M2={2 * self.M1 + self.M2}"
-                )
+
+    @property
+    def N1(self) -> int:
+        return split_sizes(self.variant, self.M1, self.M2)[0]
+
+    @property
+    def J(self) -> Optional[int]:
+        return split_sizes(self.variant, self.M1, self.M2)[1]
 
     @property
     def N2(self) -> int:
@@ -211,34 +209,20 @@ def _generator_segments(variant: str, m1: int, m2: int, j: Optional[int]):
     ]
 
 
-def build_generator(
-    variant: str,
-    m1: int,
-    m2: int,
-    j: Optional[int] = None,
-) -> SensorArray:
+def build_generator(variant: str, m1: int, m2: int) -> SensorArray:
     """Build a generator sub-array from its defining segments.
 
     The generator is the dense block whose second-/third-order sum
-    co-arrays seed the consecutive virtual segment.  Cardinality must
-    come out as 2*M1+M2 (CNA/SCNA) or M1+M2 (TNA-II); a mismatch or a
-    duplicated position raises :class:`GeometryInconsistencyError`
+    co-arrays seed the consecutive virtual segment.  Its size N1 and
+    TNA-II's J come from :func:`split_sizes`; segments that do not hold
+    N1 distinct positions raise :class:`GeometryInconsistencyError`
     carrying the offending segments.
     """
     variant = normalize_variant(variant)
     m1, m2 = whole_number(m1, "m1"), whole_number(m2, "m2")
-    if j is not None:
-        j = whole_number(j, "j")
     if m1 < 1 or m2 < 1:
         raise InvalidParameterError(f"need M1 >= 1 and M2 >= 1, got ({m1}, {m2})")
-    if variant == "tna2":
-        if j is None or j < 0:
-            raise InvalidParameterError("TNA-II generator requires J >= 0")
-        expected = m1 + m2
-    else:
-        if j is not None:
-            raise InvalidParameterError(f"J is not a {variant.upper()} parameter")
-        expected = 2 * m1 + m2
+    expected, j = split_sizes(variant, m1, m2)
 
     segments = _generator_segments(variant, m1, m2, j)
     flat = [p for seg in segments for p in seg]
@@ -311,7 +295,7 @@ def build_to_sda(variant: str, n: int) -> tuple[SensorArray, DesignParams]:
 
     variant = normalize_variant(variant)
     params = designer.split_closed_form(variant, n)
-    generator = build_generator(variant, params.M1, params.M2, params.J)
+    generator = build_generator(variant, params.M1, params.M2)
     array = build_gtoa(
         generator,
         params.delta1,

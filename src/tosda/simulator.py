@@ -413,6 +413,17 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (first[peak] + last[peak]) // 2
 
 
+def _checked_grid_step(grid_step_deg: float) -> float:
+    """``grid_step_deg`` as a float, or :class:`InvalidParameterError` when it
+    is not a real number of at least ``_MIN_GRID_STEP_DEG``."""
+    grid_step_deg = real_number(grid_step_deg, "grid_step_deg")
+    if not grid_step_deg >= _MIN_GRID_STEP_DEG:
+        raise InvalidParameterError(
+            f"grid_step_deg must be >= {_MIN_GRID_STEP_DEG:.3g}, got {grid_step_deg}"
+        )
+    return grid_step_deg
+
+
 def ss_music(
     z: np.ndarray,
     n_sources: int,
@@ -476,11 +487,7 @@ def ss_music(
         raise CapacityExceededError(
             f"{n_sources} sources exceed the {big_z} one-sided consecutive lags"
         )
-    grid_step_deg = real_number(grid_step_deg, "grid_step_deg")
-    if not grid_step_deg >= _MIN_GRID_STEP_DEG:
-        raise InvalidParameterError(
-            f"grid_step_deg must be >= {_MIN_GRID_STEP_DEG:.3g}, got {grid_step_deg}"
-        )
+    grid_step_deg = _checked_grid_step(grid_step_deg)
     m = big_z + 1
     grid, inner, shift = _grid_and_steering(grid_step_deg, unit_spacing)
     if grid.size < n_sources:
@@ -638,10 +645,11 @@ def run_trial(
     virtual-array vector over ``report`` (``coarray.to_eca(array)``), and
     co-array MUSIC for ``scene``'s sources on a ``grid_step_deg`` grid; the
     result carries the grid and its pseudo-spectrum.  More sources than
-    ``report``'s Z raise :class:`CapacityExceededError` before any snapshot
-    is drawn.
+    ``report``'s Z raise :class:`CapacityExceededError`, and a bad grid step
+    :class:`InvalidParameterError`, before any snapshot is drawn.
     """
     _check_capacity(array, report, scene)
+    _checked_grid_step(grid_step_deg)
     x = synthesize_snapshots(array, scene, coupling, rng)
     zvec = virtual_array_vector(x, array, report)
     return ss_music(

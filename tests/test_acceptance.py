@@ -96,7 +96,7 @@ def test_criterion_2_tna2_discrepancy_reporting(tmp_path):
     p = result.params
 
     # independent confirmation through the pure-python enumeration oracle
-    gen = build_generator("tna2", p.M1, p.M2, p.J)
+    gen = build_generator("tna2", p.M1, p.M2)
     arr = build_gtoa(gen, p.delta1, p.delta2, p.N2)
     weights = brute_force_lag_multiset(arr.positions)
     z = 0

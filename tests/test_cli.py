@@ -41,6 +41,13 @@ class TestDesign:
         assert manifest["subcommand"] == "design"
         assert manifest["warnings"] == []
 
+    def test_tna2_params(self, tmp_path):
+        assert main(["design", "--variant", "tna2", "--sensors", "8",
+                     "-o", str(tmp_path)]) == 0
+        params = json.loads((tmp_path / "params.json").read_text())
+        assert params == {"variant": "tna2", "N": 8, "N1": 5, "N2": 3, "M1": 2, "M2": 3,
+                          "J": 2, "delta1": 51, "delta2": 41, "lambda1": 20, "lambda2": 30}
+
     def test_below_minimum_fails(self, tmp_path, capsys):
         assert main(["design", "--variant", "cna", "--sensors", "2",
                      "-o", str(tmp_path)]) == 1
@@ -179,23 +186,6 @@ def write_sim_config(path, **overrides):
     config.update(overrides)
     path.write_text(json.dumps(config))
     return config
-
-
-class TestThreadsEnvironment:
-    @pytest.mark.parametrize("value", ["abc", "2.5", ""])
-    def test_non_integer_exits_1(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("TOSDA_THREADS", value)
-        arr = tmp_path / "ula.json"
-        save_array(build_ula(3), arr)
-        assert main(["coarray", str(arr), "-o", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith("error: TOSDA_THREADS")
-
-    def test_sets_simulate_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TOSDA_THREADS", "2")
-        config = tmp_path / "config.json"
-        write_sim_config(config)
-        assert main(["simulate", "--config", str(config), "-o", str(tmp_path)]) == 0
-        assert read_manifest(tmp_path)["parameters"]["threads"] == 2
 
 
 class TestSimulate:

@@ -47,7 +47,7 @@ class TestClosedFormSplit:
         # direct rounding gives (M1=3, M2=2), which is inconsistent; the
         # fallback must return a split whose generator actually builds
         p = split_closed_form("tna2", 8)
-        gen = build_generator("tna2", p.M1, p.M2, p.J)
+        gen = build_generator("tna2", p.M1, p.M2)
         assert gen.size == p.N1
 
     @pytest.mark.parametrize(

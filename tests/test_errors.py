@@ -40,8 +40,7 @@ WHOLE = (True, "3", 2.5)
 REAL = (True, "0.5", math.inf, -math.inf, math.nan)
 
 CNA8 = split_closed_form("cna", 8)
-TNA9 = split_closed_form("tna2", 9)
-COUNTS = ("N", "N1", "M1", "M2", "lambda1", "lambda2")
+COUNTS = ("N", "M1", "M2", "lambda1", "lambda2")
 
 
 def _gtoa(delta1=9, delta2=9, n2=2):
@@ -59,7 +58,6 @@ CASES = [
     ("SensorArray", "unit_spacing", REAL, lambda v: SensorArray("x", (0, 1), v)),
     *[("DesignParams", f, WHOLE, lambda v, f=f: replace(CNA8, **{f: v}))
       for f in COUNTS],
-    ("DesignParams", "J", WHOLE, lambda v: replace(TNA9, J=v)),
     *[("CouplingModel", f, REAL, lambda v, f=f: CouplingModel(**{f: v}))
       for f in ("c1_magnitude", "c1_phase", "decay_phase_step")],
     ("CouplingModel", "band_limit", WHOLE, lambda v: CouplingModel(band_limit=v)),
@@ -79,7 +77,6 @@ CASES = [
     ("build_ula", "n", WHOLE, build_ula),
     ("build_generator", "m1", WHOLE, lambda v: build_generator("cna", v, 2)),
     ("build_generator", "m2", WHOLE, lambda v: build_generator("cna", 1, v)),
-    ("build_generator", "j", WHOLE, lambda v: build_generator("tna2", 2, 2, v)),
     ("build_gtoa", "delta1", WHOLE, lambda v: _gtoa(delta1=v)),
     ("build_gtoa", "delta2", WHOLE, lambda v: _gtoa(delta2=v)),
     ("build_gtoa", "n2", WHOLE, lambda v: _gtoa(n2=v)),
@@ -113,7 +110,7 @@ def test_bad_number_names_its_field(call, field, bad):
 
 def test_valid_inputs_of_the_table_build():
     assert _gtoa().positions == (0, 1, 3, 4, 9, 18)
-    assert build_generator("tna2", 2, 2, 1).size == 4
+    assert build_generator("tna2", 2, 2).size == 4
     ss_music(np.ones(9), 1, grid_step_deg=1.0)
     row = dof_sweep(["cna"], [8])[0]
     assert row.dof_brute == brute_force_split("cna", 8).dof_brute_force

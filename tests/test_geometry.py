@@ -18,7 +18,7 @@ from tosda import (
     normalize_variant,
     save_array,
 )
-from tosda.geometry import irange
+from tosda.geometry import irange, split_sizes
 
 
 class TestUla:
@@ -76,15 +76,23 @@ class TestGenerators:
     def test_known_layouts(self, variant, m1, m2, expected):
         assert build_generator(variant, m1, m2).positions == expected
 
+    @pytest.mark.parametrize(
+        "variant,m1,m2,sizes",
+        [("cna", 1, 3, (5, None)), ("scna", 2, 1, (5, None)),
+         ("tna2", 2, 2, (4, 1)), ("tna2", 2, 3, (5, 2)), ("tna2", 3, 3, (6, 2))],
+    )
+    def test_split_sizes(self, variant, m1, m2, sizes):
+        assert split_sizes(variant, m1, m2) == sizes
+
     def test_tna2_known_layout(self):
         # N1=5 only validates with the swapped role split (M1=2, M2=3)
-        assert build_generator("tna2", 2, 3, 2).positions == (0, 3, 7, 9, 10)
-        assert build_generator("tna2", 3, 3, 2).positions == (0, 4, 8, 11, 13, 14)
+        assert build_generator("tna2", 2, 3).positions == (0, 3, 7, 9, 10)
+        assert build_generator("tna2", 3, 3).positions == (0, 4, 8, 11, 13, 14)
 
     def test_tna2_inconsistent_split_rejected(self):
         # the middle segment collapses to empty and cardinality drops to 4
         with pytest.raises(GeometryInconsistencyError) as err:
-            build_generator("tna2", 3, 2, 2)
+            build_generator("tna2", 3, 2)
         assert err.value.segments is not None
 
     @pytest.mark.parametrize("variant", ["cna", "scna"])
@@ -92,10 +100,6 @@ class TestGenerators:
     @pytest.mark.parametrize("m2", [1, 2, 3, 4])
     def test_cardinality(self, variant, m1, m2):
         assert build_generator(variant, m1, m2).size == 2 * m1 + m2
-
-    def test_j_rejected_for_cna(self):
-        with pytest.raises(InvalidParameterError):
-            build_generator("cna", 1, 1, 0)
 
     def test_bad_m_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -165,11 +169,7 @@ class TestToSda:
 class TestDesignParams:
     def test_rejects_mismatched_total(self):
         with pytest.raises(InvalidParameterError, match="N2 must be >= 1"):
-            DesignParams("cna", 5, 5, 1, 3, None, 12, 18)
-
-    def test_rejects_bad_j(self):
-        with pytest.raises(InvalidParameterError):
-            DesignParams("tna2", 8, 5, 2, 3, 5, 20, 30)
+            DesignParams("cna", 5, 1, 3, 12, 18)
 
 
 class TestArrayFiles:

@@ -799,6 +799,19 @@ class TestMonteCarlo:
         with pytest.raises(CapacityExceededError):
             monte_carlo(tiny, scene, None, trials=1)
 
+    def test_bad_grid_step_rejected_before_any_snapshot(self, array9, monkeypatch):
+        real, calls = simulator.synthesize_snapshots, []
+
+        def recording(*args, **kwargs):
+            calls.append(args[0].name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "synthesize_snapshots", recording)
+        scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=64, seed=0)
+        with pytest.raises(InvalidParameterError, match="^grid_step_deg must be >= "):
+            monte_carlo(array9, scene, trials=2, grid_step_deg=1e-9)
+        assert calls == []
+
     def test_bad_sweep_parameter(self, array9):
         scene = SourceScene((0.0,), snr_db=0.0, snapshots=64, seed=0)
         with pytest.raises(InvalidParameterError):
