@@ -114,7 +114,8 @@ def split_sizes(variant: str, m1: int, m2: int) -> tuple[int, Optional[int]]:
     return 2 * m1 + m2, None
 
 
-# the DesignParams fields that are non-negative whole numbers
+# the DesignParams fields that are whole numbers: M1 and M2 at least 1, as
+# build_generator needs, the others at least 0
 _COUNT_FIELDS = ("N", "M1", "M2", "lambda1", "lambda2")
 
 
@@ -144,8 +145,9 @@ class DesignParams:
         for key in _COUNT_FIELDS:
             given = getattr(self, key)
             value = whole_number(given, key)
-            if value < 0:
-                raise InvalidParameterError(f"{key} must be a non-negative integer")
+            least = 1 if key in ("M1", "M2") else 0
+            if value < least:
+                raise InvalidParameterError(f"{key} must be >= {least}, got {value}")
             if value is not given:  # frozen-field writes are slow; most are ints
                 object.__setattr__(self, key, value)
         if self.N2 < 1:

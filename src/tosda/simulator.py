@@ -6,10 +6,11 @@ the consecutive virtual array in one pass, then run co-array MUSIC on
 the Hermitian Toeplitz matrix of that virtual-array vector.  Its
 eigenvectors span the subspaces of the spatially smoothed covariance
 without forming it (Liu & Vaidyanathan, IEEE SPL 22(9), 2015).  Small
-virtual arrays take them from a dense ``eigh``; large ones from Lanczos
-with full reorthogonalisation on a product with the circulant embedding
-of T, whose spectrum is transformed once per call, so the matrix is never
-formed.  The grid projection evaluates ||Es^H a||^2 as one trigonometric
+virtual arrays take them from a dense real symmetric ``eigh`` of a
+unitary transform of T; large ones from Lanczos with full
+reorthogonalisation on a product with the circulant embedding of T, whose
+spectrum is transformed once per call, so the matrix is never formed.
+The grid projection evaluates ||Es^H a||^2 as one trigonometric
 polynomial whose coefficients are the superdiagonal sums of Es Es^H (the
 root-MUSIC identity, Barabell, ICASSP 1983), from one steering table whose
 size does not depend on the aperture.
@@ -120,12 +121,13 @@ class EstimationResult:
 
     ``spectrum`` is (grid, 1/|En^H a|^2) with |En^H a|^2 = m - ||Es^H a||^2.  The
     second term is the polynomial r_0 + 2 Re sum_l r_l w**l (see
-    :func:`ss_music`), summed by Horner's rule over about m/B rows, each
-    step rounding the phase of shift = w**B on terms up to sum|r_l| <= D*m,
-    so the error grows like eps*D*m**2/B.  Against the per-row form
+    :func:`ss_music`), summed by Horner's rule over about m/b rows, each
+    step rounding the phase of shift = w**b on terms up to sum|r_l| <= D*m,
+    so the error is bounded by about eps*D*m**2/b.  Against the per-row form
     m - sum_k |Es[:, k]^H a|^2 in long double (same Es, float64 u and pi;
-    CNA, D = 12, K = 12000, 0 dB) it was at most 5.8e-15*m at m = 124 and
-    7.4e-14*m at m = 1514, about 5e-17*m**2.  Near a peak the subtraction
+    CNA, D = 12, K = 12000, 0 dB) it was at most 7.3e-15*m at m = 124 (b = 16,
+    three seeds; 6.6e-15*m with b = 64) and 7.6e-14*m at m = 1514 (b = 64),
+    about 6e-17*m**2, far inside that bound.  Near a peak the subtraction
     cancels, so a spectrum value is only good to that error over
     m - ||Es^H a||^2, relative; compare 1/spectrum, not spectrum.
     """
@@ -171,21 +173,25 @@ def synthesize_snapshots(
 
     Sources are drawn first, then noise, so a fixed seed reproduces the
     matrix bit for bit.  The coupling matrix multiplies only the signal
-    part; sensor noise is injected after it.
+    part; sensor noise is injected after it.  The signal is C A S computed as
+    (C A) S, so coupling costs N^2 D rather than N^2 K, and A S as two real
+    GEMMs, since the source amplitudes S are real.
     """
     if rng is None:
         rng = np.random.default_rng(scene.seed)
     d, k = scene.n_sources, scene.snapshots
     a = steering_matrix(array, scene.angles_deg)
-    s = rng.exponential(1.0, size=(d, k)) - 1.0
-    x = a @ s.astype(np.complex128)
     if coupling is not None:
-        x = metrics.coupling_matrix(array, coupling) @ x
+        a = metrics.coupling_matrix(array, coupling) @ a
+    s = rng.exponential(1.0, size=(d, k)) - 1.0
     sigma = math.sqrt(10.0 ** (-scene.snr_db / 10.0))
-    noise = rng.standard_normal((array.size, k)) + 1j * rng.standard_normal(
-        (array.size, k)
-    )
-    return x + (sigma / math.sqrt(2.0)) * noise
+    # the real parts of the noise, then its imaginary parts
+    noise = rng.standard_normal((2, array.size, k))
+    noise *= sigma / math.sqrt(2.0)
+    x = np.empty((array.size, k), dtype=np.complex128)
+    np.add(a.real @ s, noise[0], out=x.real)
+    np.add(a.imag @ s, noise[1], out=x.imag)
+    return x
 
 
 def _centred(x: np.ndarray, array: SensorArray) -> np.ndarray:
@@ -272,27 +278,32 @@ def virtual_array_vector(
     return (sums + sums[::-1].conj()) / counts
 
 
-# Rows per block of the factored steering table; the cached table is B x G.
+# The most rows a block of the grid evaluation uses; the cached steering table
+# has B+1 rows.
 _BLOCK = 64
 
-# Smallest grid step: it leaves 2**20 interior points, a B x G table of 1 GiB.
+# Smallest grid step: it leaves 2**20 interior points, a (B+1) x G table of
+# 1.02 GiB.
 _MIN_GRID_STEP_DEG = 180.0 / (2**20 + 1)
 
 # Largest virtual array whose signal subspace comes from a dense eigh.  The
 # Lanczos loop runs in Python under the GIL, so it loses on small matrices, and
 # two pool workers overlap their eighs better than their Lanczos loops.  Medians
-# in ms on real CNA vectors (12 sources, K=12000, coupling) on 2 cores, eigh /
-# Lanczos, ranges over 2 runs; "2 workers" is the wall time per call while two
-# pinned pool workers run, "one call" runs numpy's copy unpinned, as one-worker
-# monte_carlo calls do:
-#     m     one call          2 workers
-#     124   5.6 / 7-8         4 / 8-9
-#     154   9 / 7-9           5 / 11-13
-#     195   14-15 / 7-9       8 / 9-11
-#     252   25 / 7-9          12-13 / 9-11
-#     309   35-45 / 7-10      24 / 11
-#     512   150-180 / 10-13   124-132 / 13-15
-# One call crosses over near m = 154 and the pool between m = 195 and 252.
+# in ms of _signal_subspace on real CNA vectors (12 sources, K=12000, coupling)
+# on 2 cores, real eigh / Lanczos, ranges over 3 runs; "2 workers" is the wall
+# time per call while two pinned pool workers each run the call, "one call"
+# runs numpy's copy unpinned, as one-worker monte_carlo calls do:
+#     m     one call             2 workers
+#     124   2.5-2.8 / 6.4-6.6    2.9-5.5 / 14-17
+#     154   3.6-4.0 / 7.7-8.1    6.0-7.9 / 19-24
+#     195   4.8-6.3 / 5.5-8.5    9.0-12 / 17-28
+#     252   9.2-10 / 5.3-9.2     15-16 / 20-25
+#     309   13-16 / 5.7-9.1      15-19 / 20-23
+#     374   20-23 / 5.8-9.7      24 / 18-21
+#     512   46-51 / 7.5-11       62-69 / 24-28
+# One call crosses over between m = 195 and 252, the pool between 309 and 374.
+# The limit stays at the first: from 252 to 309 a one-worker call would lose
+# about as much to the dense eigh as a pool worker gains from it.
 _DENSE_EIGH_MAX_M = 224
 
 # Lanczos stops when every wanted Ritz residual is within this factor of the
@@ -306,20 +317,19 @@ _LANCZOS_RESTART_SEED = 2015
 def _grid_and_steering(step_deg: float, unit_spacing: float):
     """Search grid over (-90, 90) plus the block factors of the ULA responses.
 
-    Element qB + r of the steering vector at u = sin(angle) is
-    shift(u)**q * inner[r](u), with inner[r] = exp(j*2*pi*d*r*u) for the
-    B = ``_BLOCK`` offsets r and shift = exp(j*2*pi*d*B*u), so one B x G
-    table serves virtual arrays of any length.
+    Row r of the (B+1) x G table is exp(j*2*pi*d*r*u) at u = sin(angle), for
+    r = 0..B with B = ``_BLOCK``.  For any block length b <= B, element qb + r
+    of the steering vector is table[b]**q * table[r], so one table serves
+    virtual arrays of any length.
     """
     npts = int(round(180.0 / step_deg)) + 1
     grid = np.linspace(-90.0, 90.0, npts)[1:-1]
     u = np.sin(np.deg2rad(grid))
     phase = 1j * 2 * np.pi * unit_spacing
-    inner = np.exp(phase * np.outer(np.arange(_BLOCK, dtype=float), u))
-    shift = np.exp(phase * _BLOCK * u)
-    for table in (grid, inner, shift):
+    steering = np.exp(phase * np.outer(np.arange(_BLOCK + 1, dtype=float), u))
+    for table in (grid, steering):
         table.setflags(write=False)  # shared across threads and callers
-    return grid, inner, shift
+    return grid, steering
 
 
 def _fft_length(m: int) -> int:
@@ -336,6 +346,36 @@ def _toeplitz(c: np.ndarray) -> np.ndarray:
     return np.concatenate([c[:0:-1].conj(), c])[m - 1 + i[:, None] - i]
 
 
+def _real_transform(t: np.ndarray) -> np.ndarray:
+    """Q^H T Q for a Hermitian Toeplitz T = ``t`` and the unitary Q of
+    :func:`_signal_subspace`, which is real symmetric.  With A the top-left
+    n x n block of T and B that of T with its columns reversed (n = m//2),
+    its blocks are Re(A + B), Im(B - A), Im(B - A)^T and Re(A - B), plus for
+    odd m the middle row sqrt(2) [Re t_n, -Im t_n] with t_n = T[n, :n]."""
+    m = t.shape[0]
+    n = m // 2
+    a, b = t[:n, :n], t[:n, ::-1][:, :n]
+    r = np.empty((m, m))
+    r[:n, :n] = (a + b).real
+    r[m - n :, m - n :] = (a - b).real
+    r[:n, m - n :] = (b - a).imag
+    r[m - n :, :n] = r[:n, m - n :].T
+    if m % 2:
+        mid = math.sqrt(2) * t[n, :n]
+        r[n, :n] = r[:n, n] = mid.real
+        r[n, m - n :] = r[m - n :, n] = -mid.imag
+        r[n, n] = t[n, n].real
+    return r
+
+
+def _unfolded(w: np.ndarray) -> np.ndarray:
+    """Q w for a real m x D matrix w and the Q of :func:`_signal_subspace`."""
+    m = w.shape[0]
+    n = m // 2
+    top = (w[:n] + 1j * w[m - n :]) / math.sqrt(2)
+    return np.concatenate([top, w[n : m - n], top[::-1].conj()])
+
+
 def _orthogonalised(w: np.ndarray, rows: np.ndarray):
     """w less its projection on the orthonormal ``rows``, by two passes of
     classical Gram-Schmidt, and the coefficients of the first pass."""
@@ -348,11 +388,22 @@ def _signal_subspace(c: np.ndarray, n_sources: int) -> np.ndarray:
     """Orthonormal basis of the eigenvectors of largest |eigenvalue| of T.
 
     T = toeplitz(c) is Hermitian with first column c (row = conj(column)).
+
+    Up to ``_DENSE_EIGH_MAX_M`` the eigenvectors come from a real ``eigh``.
+    T is Hermitian Toeplitz, hence centro-Hermitian, so R = Q^H T Q is real
+    symmetric for the sparse unitary Q whose columns are (e_k + e_k')/sqrt(2)
+    for k < m//2, e_{m//2} when m is odd, and j(e_k - e_k')/sqrt(2), with
+    k' = m-1-k (Lee, 1980; the unitary transform of unitary root-MUSIC,
+    Pesavento, Gershman & Haardt, IEEE TSP 48(5), 2000).  R and the vectors
+    Q W are formed from blocks and reversals, never by a product with Q.
     """
     m = c.size
     if m <= _DENSE_EIGH_MAX_M:
-        vals, vecs = np.linalg.eigh(_toeplitz(c))
-        return vecs[:, np.argsort(np.abs(vals), kind="stable")[m - n_sources:]]
+        # eigh reads only the real part of a Hermitian matrix's diagonal
+        t = _toeplitz(np.concatenate([c[:1].real, c[1:]]))
+        vals, vecs = np.linalg.eigh(_real_transform(t))
+        wanted = np.argsort(np.abs(vals), kind="stable")[m - n_sources:]
+        return _unfolded(vecs[:, wanted])
     # T is the leading m x m block of the circulant matrix with first column
     # [c, 0..., conj(c[m-1:0:-1])], whose spectrum is transformed once here;
     # its largest |value| bounds ||T||
@@ -413,6 +464,30 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (first[peak] + last[peak]) // 2
 
 
+def _music_spectrum(signal: np.ndarray, steering: np.ndarray) -> np.ndarray:
+    """1/|En^H a|^2 on the grid of the cached ``steering`` table for the
+    orthonormal m x D signal basis ``signal``, clamped at 1e12 (see
+    :func:`ss_music`)."""
+    # |En^H a|^2 = m - ||Es^H a||^2 because the eigenbasis is orthonormal, and
+    # ||Es^H a||^2 = 2 Re acc with acc = r_0/2 + sum_l r_l w**l
+    m = signal.shape[0]
+    power = np.abs(np.fft.fft(signal.conj(), _fft_length(m), axis=0)) ** 2
+    # b rows per block, the power of two with sqrt(m) < b <= 2 sqrt(m), at most
+    # _BLOCK: the GEMM makes m*G multiplications whatever b is, but it reads b
+    # rows of the table and Horner's rule adds m/b rows, so b near sqrt(2m)
+    # keeps both small; b doubles at m = 4, 16, 64, 256 and 1024
+    b = min(_BLOCK, 1 << ((2 * m).bit_length() // 2))
+    coef = np.zeros(-(-m // b) * b, dtype=np.complex128)
+    coef[:m] = np.fft.ifft(power.sum(axis=1))[:m]
+    coef[0] /= 2
+    rows = coef.reshape(-1, b) @ steering[:b]
+    shift = steering[b]
+    acc = rows[-1]
+    for row in rows[-2::-1]:
+        acc = acc * shift + row
+    return 1.0 / np.maximum(m - 2 * acc.real, 1e-12)
+
+
 def _checked_grid_step(grid_step_deg: float) -> float:
     """``grid_step_deg`` as a float, or :class:`InvalidParameterError` when it
     is not a real number of at least ``_MIN_GRID_STEP_DEG``."""
@@ -450,21 +525,24 @@ def ss_music(
     ``scipy.signal.find_peaks``, plateaus included; they occur where the
     spectrum is clamped at 1e12.
 
-    Up to m = Z+1 = 224 the subspace comes from a dense ``eigh`` of T.  Above
-    that it comes from Lanczos with full reorthogonalisation on an operator
-    that applies T as the leading block of a circulant whose spectrum is
-    computed once per call: O(L log L) time and O(L) memory per product,
-    where the FFT length L is the smallest power of two >= 2m - 1.  It starts
-    from ones/sqrt(m) and restarts from a fixed-seed vector, so results are
-    reproducible, and after m steps it is exact, so it always returns.
+    Up to m = Z+1 = 224 the subspace comes from a dense real symmetric
+    ``eigh`` of Q^H T Q for a sparse unitary Q (see :func:`_signal_subspace`).
+    Above that it comes from Lanczos with full reorthogonalisation on an
+    operator that applies T as the leading block of a circulant whose
+    spectrum is computed once per call: O(L log L) time and O(L) memory per
+    product, where the FFT length L is the smallest power of two >= 2m - 1.
+    It starts from ones/sqrt(m) and restarts from a fixed-seed vector, so
+    results are reproducible, and after m steps it is exact, so it always
+    returns.
 
     With w = exp(j*2*pi*d*u), ||Es^H a(u)||^2 = r_0 + 2 Re sum_{l>=1} r_l w**l,
     where r_l is the sum of the l-th superdiagonal of Es Es^H, i.e. the summed
     autocorrelations of the columns of conj(Es), taken by FFTs of length L;
     r_0 = D.  The coefficients r_0/2, r_1, ..., r_{m-1} are cut into rows of
-    B = 64, one GEMM with the cached B x G table gives each row's partial
-    sum, and Horner's rule in shift = w**B adds the rows, so no m x G table
-    exists and the GEMM does not grow with D.
+    b, the power of two with sqrt(m) < b <= 2 sqrt(m) up to 64 (16 at m = 124,
+    64 at m = 1514); one GEMM with the first b rows of the cached 65 x G table
+    gives each row's partial sum, and Horner's rule in w**b adds the rows, so
+    no m x G table exists and the GEMM does not grow with D.
     """
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim != 1 or z.size % 2 == 0:
@@ -488,25 +566,10 @@ def ss_music(
             f"{n_sources} sources exceed the {big_z} one-sided consecutive lags"
         )
     grid_step_deg = _checked_grid_step(grid_step_deg)
-    m = big_z + 1
-    grid, inner, shift = _grid_and_steering(grid_step_deg, unit_spacing)
+    grid, steering = _grid_and_steering(grid_step_deg, unit_spacing)
     if grid.size < n_sources:
         raise InvalidParameterError(f"{grid.size} grid points for {n_sources} sources")
-    signal = _signal_subspace(z[big_z:], n_sources)
-
-    # |En^H a|^2 = m - ||Es^H a||^2 because the eigenbasis is orthonormal, and
-    # ||Es^H a||^2 = 2 Re acc with acc = r_0/2 + sum_l r_l w**l (see above)
-    n_fft = _fft_length(m)
-    power = np.abs(np.fft.fft(signal.conj(), n_fft, axis=0)) ** 2
-    coef = np.zeros(-(-m // _BLOCK) * _BLOCK, dtype=np.complex128)
-    coef[:m] = np.fft.ifft(power.sum(axis=1))[:m]
-    coef[0] /= 2
-    rows = coef.reshape(-1, _BLOCK) @ inner
-    acc = rows[-1]
-    for row in rows[-2::-1]:
-        acc = acc * shift + row
-    den = m - 2 * acc.real
-    spectrum = 1.0 / np.maximum(den, 1e-12)
+    spectrum = _music_spectrum(_signal_subspace(z[big_z:], n_sources), steering)
 
     peaks = _local_maxima(spectrum)
     order = peaks[np.argsort(spectrum[peaks], kind="stable")[::-1]]
@@ -684,8 +747,8 @@ def monte_carlo(
     several workers would oversubscribe the cores, and its count is restored
     on return, also when a trial raises.  One worker leaves the count alone,
     because the copy's own threads make its trials faster: on 2 cores a
-    CNA N=24 trial (12 sources, K = 12000) took a median of 76-105 ms
-    unpinned against 104-117 ms pinned.  If the copy's thread-count symbols
+    CNA N=24 trial (12 sources, K = 12000, 0 dB) took a median of 83-86 ms
+    unpinned against 87-108 ms pinned.  If the copy's thread-count symbols
     are missing, it runs unpinned, and ``progress`` is told so.
     """
     trials = whole_number(trials, "trials")

@@ -58,6 +58,10 @@ CASES = [
     ("SensorArray", "unit_spacing", REAL, lambda v: SensorArray("x", (0, 1), v)),
     *[("DesignParams", f, WHOLE, lambda v, f=f: replace(CNA8, **{f: v}))
       for f in COUNTS],
+    # a split with M1 or M2 below 1 has no generator
+    *[("DesignParams", f, (0, -1), lambda v, f=f: replace(CNA8, **{f: v}))
+      for f in ("M1", "M2")],
+    ("DesignParams", "lambda1", (-1,), lambda v: replace(CNA8, lambda1=v)),
     *[("CouplingModel", f, REAL, lambda v, f=f: CouplingModel(**{f: v}))
       for f in ("c1_magnitude", "c1_phase", "decay_phase_step")],
     ("CouplingModel", "band_limit", WHOLE, lambda v: CouplingModel(band_limit=v)),

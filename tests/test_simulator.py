@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -117,6 +118,27 @@ class TestSynthesizeSnapshots:
         plain = synthesize_snapshots(arr, scene)
         coupled = synthesize_snapshots(arr, scene, CouplingModel(band_limit=0))
         assert np.array_equal(plain, coupled)
+
+    @pytest.mark.parametrize("coupling", [None, CouplingModel()])
+    def test_matches_direct_formula(self, coupling):
+        # A S + sigma/sqrt(2) (n_re + j n_im) from the same random stream: bit
+        # for bit without coupling; C (A S) rounds apart from (C A) S
+        arr, _ = build_to_sda("cna", 9)
+        scene = SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), snr_db=-3.0, snapshots=500)
+        rng = np.random.default_rng(21)
+        s = rng.exponential(1.0, size=(12, 500)) - 1.0
+        n_re = rng.standard_normal((9, 500))
+        n_im = rng.standard_normal((9, 500))
+        signal = steering_matrix(arr, scene.angles_deg) @ s
+        if coupling is not None:
+            signal = tosda.coupling_matrix(arr, coupling) @ signal
+        sigma = math.sqrt(10.0 ** (3.0 / 10.0))
+        want = signal + (sigma / math.sqrt(2.0)) * (n_re + 1j * n_im)
+        x = synthesize_snapshots(arr, scene, coupling, np.random.default_rng(21))
+        if coupling is None:
+            assert np.array_equal(x.view(np.float64), want.view(np.float64))
+        else:
+            assert np.abs(x - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_noiseless_broadside_rows_equal(self):
         arr = build_ula(3)
@@ -345,6 +367,27 @@ def test_toeplitz_matches_scipy_bit_for_bit(m):
     t = simulator._toeplitz(c)
     assert t.shape == (m, m) and t.dtype == np.complex128
     assert np.array_equal(t.view(np.float64), toeplitz(c).view(np.float64))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 124, 125])
+def test_real_transform_subspace_matches_complex_eigh(m):
+    # the dense path's real eigh of Q^H T Q spans the eigenvectors of largest
+    # |eigenvalue| of T; a negative-cumulant source makes one of them negative
+    big_z = m - 1
+    d = min(3, big_z)
+    angles = [-41.0, 7.5, 33.0][:d]
+    gammas = np.array([-1.5, 1.0, 0.8])[:d]
+    z = analytic_virtual_vector(big_z, angles, gammas)
+    z += symmetric_noise(np.random.default_rng([11, m]), big_z, 0.01 * np.abs(z).max())
+    c = z[big_z:]
+    assert m <= simulator._DENSE_EIGH_MAX_M and c[0].imag == 0
+    vals, vecs = np.linalg.eigh(toeplitz(c))
+    wanted = np.argsort(np.abs(vals), kind="stable")[m - d:]
+    assert vals[wanted].min() < 0
+    want = vecs[:, wanted] @ vecs[:, wanted].conj().T
+    signal = simulator._signal_subspace(c, d)
+    assert signal.shape == (m, d)
+    np.testing.assert_allclose(signal @ signal.conj().T, want, rtol=0, atol=1e-14)
 
 
 # Fresh interpreters, for what holds only from a process's start: the scipy
@@ -584,19 +627,23 @@ class TestSsMusic:
         np.testing.assert_allclose(1 / spectrum, 1 / want_spectrum, rtol=0, atol=1e-12 * m)
         np.testing.assert_array_equal(est.angles_deg, want_angles)
 
-    # m = Z+1 at both sides of the 64-row coefficient blocks and of the dense-eigh
-    # limit 224; at m = 257 and 513, 2m-1 is one above the fast FFT lengths 512
-    # and 1024
-    @pytest.mark.parametrize("big_z", [63, 64, 223, 224, 255, 256, 512])
+    # m = Z+1 at both sides of every m = 4, 16, 64, 256, 1024 where the grid
+    # evaluation's block rows b double and of the dense-eigh limit 224; m = 65,
+    # 225, 257 and 513 leave one coefficient in a last block of b, and at
+    # m = 257 and 513, 2m-1 is one above the fast FFT lengths 512 and 1024
+    @pytest.mark.parametrize(
+        "big_z", [2, 3, 14, 15, 62, 63, 64, 223, 224, 254, 255, 256, 512, 1022, 1023]
+    )
     def test_matches_spatial_smoothing_reference_at_edge_lengths(self, big_z):
         rng = np.random.default_rng([2015, big_z])
-        angles = [-47.5, -3.2, 21.0, 58.4]
-        gammas = np.array([1.0, -0.7, 1.6, 0.9])
+        d = min(4, big_z)
+        angles = [-47.5, -3.2, 21.0, 58.4][:d]
+        gammas = np.array([1.0, -0.7, 1.6, 0.9])[:d]
         z = analytic_virtual_vector(big_z, angles, gammas)
         z += symmetric_noise(rng, big_z, 0.01 * np.abs(z).max())
-        est = ss_music(z, 4, grid_step_deg=0.05)
+        est = ss_music(z, d, grid_step_deg=0.05)
         grid, spectrum = est.spectrum
-        want_spectrum, want_angles = smoothing_music_reference(z, 4, grid)
+        want_spectrum, want_angles = smoothing_music_reference(z, d, grid)
         m = big_z + 1
         np.testing.assert_allclose(1 / spectrum, 1 / want_spectrum, rtol=0, atol=1e-12 * m)
         np.testing.assert_array_equal(est.angles_deg, want_angles)
