@@ -12,8 +12,9 @@ reorthogonalisation on a product with the circulant embedding of T, whose
 spectrum is transformed once per call, so the matrix is never formed.
 The grid projection evaluates ||Es^H a||^2 as one trigonometric
 polynomial whose coefficients are the superdiagonal sums of Es Es^H (the
-root-MUSIC identity, Barabell, ICASSP 1983), from one steering table whose
-size does not depend on the aperture.
+root-MUSIC identity, Barabell, ICASSP 1983), from a cached steering table
+holding only the b+1 rows (at most 65) that the array's block length b
+reads, a fixed chunk of grid columns at a time.
 Third-order statistics vanish for Gaussian processes, so additive
 Gaussian noise is suppressed by the statistics themselves rather than
 subtracted.
@@ -183,7 +184,8 @@ def synthesize_snapshots(
     a = steering_matrix(array, scene.angles_deg)
     if coupling is not None:
         a = metrics.coupling_matrix(array, coupling) @ a
-    s = rng.exponential(1.0, size=(d, k)) - 1.0
+    s = rng.exponential(1.0, size=(d, k))
+    s -= 1.0
     sigma = math.sqrt(10.0 ** (-scene.snr_db / 10.0))
     # the real parts of the noise, then its imaginary parts
     noise = rng.standard_normal((2, array.size, k))
@@ -240,6 +242,11 @@ def virtual_array_vector(
     (i, j), so only the pairs i <= j are formed, weighted by multiplicity;
     patterns 3 and 4 are their conjugate mirror.  The lag counts found
     here must equal the weights of ``report``, the TO-ECA of ``array``.
+
+    The snapshots go through in blocks of ``_SNAPSHOT_BLOCK`` columns; each
+    block's pair products and its columns of [xc; conj(xc)] are written into
+    two reusable buffers, so besides the centred copy xc the working memory
+    does not grow with K.
     """
     xc = _centred(x, array)
     n, k = xc.shape
@@ -255,11 +262,13 @@ def virtual_array_vector(
     def binned(values):
         return np.bincount(lags[keep] + z, values[keep], 2 * z + 1)
 
-    both = np.concatenate([xc, xc.conj()]).T
-    # one GEMM per block of snapshot columns over all pairs; the blocks keep
-    # peak memory at N^2/2 x _SNAPSHOT_BLOCK, not N^2/2 x K
+    # one GEMM per block of snapshot columns over all pairs, with the block's
+    # columns of [xc; conj(xc)] as its transposed right operand; the blocks keep
+    # peak memory at (N^2/2 + 2N) x _SNAPSHOT_BLOCK, not N^2/2 x K
     first_row = np.r_[0, np.cumsum(np.arange(n, 1, -1))]
-    pairs = np.empty((i.size, min(k, _SNAPSHOT_BLOCK)), dtype=np.complex128)
+    width = min(k, _SNAPSHOT_BLOCK)
+    pairs = np.empty((i.size, width), dtype=np.complex128)
+    both = np.empty((2 * n, width), dtype=np.complex128)
     moments = np.zeros((i.size, 2 * n), dtype=np.complex128)
     for lo in range(0, k, _SNAPSHOT_BLOCK):
         cols = slice(lo, lo + _SNAPSHOT_BLOCK)
@@ -267,7 +276,10 @@ def virtual_array_vector(
         for a in range(n):
             rows = slice(first_row[a], first_row[a] + n - a)
             np.multiply(xc[a, cols], xc[a:, cols], out=block[rows])
-        moments += block @ both[cols]
+        rhs = both[:, : block.shape[1]]
+        rhs[:n] = xc[:, cols]
+        np.conjugate(xc[:, cols], out=rhs[n:])
+        moments += block @ rhs.T
     moments = moments.ravel()
     moments *= mult / k
     sums = binned(moments.real) + 1j * binned(moments.imag)
@@ -278,12 +290,14 @@ def virtual_array_vector(
     return (sums + sums[::-1].conj()) / counts
 
 
-# The most rows a block of the grid evaluation uses; the cached steering table
-# has B+1 rows.
+# The most rows a block of the grid evaluation uses, and the grid columns one
+# GEMM and Horner pass of it cover.
 _BLOCK = 64
+_GRID_CHUNK = 4096
 
-# Smallest grid step: it leaves 2**20 interior points, a (B+1) x G table of
-# 1.02 GiB.
+# Smallest grid step: it leaves 2**20 interior points, a (b+1) x G steering
+# table of 1.02 GiB once b = _BLOCK (m >= 1024); its out-of-place build briefly
+# needs about twice that.
 _MIN_GRID_STEP_DEG = 180.0 / (2**20 + 1)
 
 # Largest virtual array whose signal subspace comes from a dense eigh.  The
@@ -314,22 +328,32 @@ _LANCZOS_RESTART_SEED = 2015
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_and_steering(step_deg: float, unit_spacing: float):
+def _grid_and_steering(step_deg: float, unit_spacing: float, rows: int):
     """Search grid over (-90, 90) plus the block factors of the ULA responses.
 
-    Row r of the (B+1) x G table is exp(j*2*pi*d*r*u) at u = sin(angle), for
-    r = 0..B with B = ``_BLOCK``.  For any block length b <= B, element qb + r
-    of the steering vector is table[b]**q * table[r], so one table serves
-    virtual arrays of any length.
+    Row r of the ``rows`` x G table is exp(j*2*pi*d*r*u) at u = sin(angle), for
+    r = 0..b with b = rows - 1.  Element qb + r of the steering vector is
+    table[b]**q * table[r], so a virtual array whose block length
+    (:func:`_block_length`) is b needs just these b+1 rows.  Every row is bit
+    for bit the same row of a taller table.
     """
     npts = int(round(180.0 / step_deg)) + 1
     grid = np.linspace(-90.0, 90.0, npts)[1:-1]
     u = np.sin(np.deg2rad(grid))
     phase = 1j * 2 * np.pi * unit_spacing
-    steering = np.exp(phase * np.outer(np.arange(_BLOCK + 1, dtype=float), u))
+    steering = np.exp(phase * np.outer(np.arange(rows, dtype=float), u))
     for table in (grid, steering):
         table.setflags(write=False)  # shared across threads and callers
     return grid, steering
+
+
+def _block_length(m: int) -> int:
+    """Coefficients per row of the grid evaluation for a length-m virtual
+    array: the power of two with sqrt(m) < b <= 2 sqrt(m), at most ``_BLOCK``.
+    The GEMM makes m*G multiplications whatever b is, but it reads b rows of
+    the table and Horner's rule adds m/b rows, so b near sqrt(2m) keeps both
+    small; b doubles at m = 4, 16, 64, 256 and 1024."""
+    return min(_BLOCK, 1 << ((2 * m).bit_length() // 2))
 
 
 def _fft_length(m: int) -> int:
@@ -426,7 +450,10 @@ def _signal_subspace(c: np.ndarray, n_sources: int) -> np.ndarray:
         w, h = _orthogonalised(tq, basis[:k])
         alpha[k - 1] = h[-1].real
         beta[k - 1] = np.linalg.norm(w)
-        if k >= n_sources and (k % 4 == 0 or k == m):
+        # the test takes an eigh of the k x k tridiagonal, every 4 steps up to
+        # k = 64, then every 8 up to 128, every 16 up to 256 and so on: about
+        # 8 tests per doubling of k, O(k^3) in all rather than O(k^4)
+        if k >= n_sources and (k % (1 << max(2, k.bit_length() - 4)) == 0 or k == m):
             tri = np.diag(alpha[:k]) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
             theta, s = np.linalg.eigh(tri)
             wanted = np.argsort(np.abs(theta), kind="stable")[k - n_sources:]
@@ -465,27 +492,32 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
 
 
 def _music_spectrum(signal: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    """1/|En^H a|^2 on the grid of the cached ``steering`` table for the
-    orthonormal m x D signal basis ``signal``, clamped at 1e12 (see
-    :func:`ss_music`)."""
+    """1/|En^H a|^2 on the grid of the cached (b+1) x G ``steering`` table for
+    the orthonormal m x D signal basis ``signal``, b = ``_block_length(m)``,
+    clamped at 1e12 (see :func:`ss_music`).  The grid is evaluated
+    ``_GRID_CHUNK`` columns at a time, so its partial sums take (m/b) x
+    ``_GRID_CHUNK``, not (m/b) x G; each column's value does not depend on the
+    chunking."""
     # |En^H a|^2 = m - ||Es^H a||^2 because the eigenbasis is orthonormal, and
     # ||Es^H a||^2 = 2 Re acc with acc = r_0/2 + sum_l r_l w**l
     m = signal.shape[0]
+    b = steering.shape[0] - 1
     power = np.abs(np.fft.fft(signal.conj(), _fft_length(m), axis=0)) ** 2
-    # b rows per block, the power of two with sqrt(m) < b <= 2 sqrt(m), at most
-    # _BLOCK: the GEMM makes m*G multiplications whatever b is, but it reads b
-    # rows of the table and Horner's rule adds m/b rows, so b near sqrt(2m)
-    # keeps both small; b doubles at m = 4, 16, 64, 256 and 1024
-    b = min(_BLOCK, 1 << ((2 * m).bit_length() // 2))
     coef = np.zeros(-(-m // b) * b, dtype=np.complex128)
     coef[:m] = np.fft.ifft(power.sum(axis=1))[:m]
     coef[0] /= 2
-    rows = coef.reshape(-1, b) @ steering[:b]
-    shift = steering[b]
-    acc = rows[-1]
-    for row in rows[-2::-1]:
-        acc = acc * shift + row
-    return 1.0 / np.maximum(m - 2 * acc.real, 1e-12)
+    coef = coef.reshape(-1, b)
+    total = np.empty(steering.shape[1])
+    for lo in range(0, total.size, _GRID_CHUNK):
+        cols = slice(lo, lo + _GRID_CHUNK)
+        rows = coef @ steering[:b, cols]
+        shift = steering[b, cols]
+        acc = rows[-1]
+        for row in rows[-2::-1]:
+            acc *= shift
+            acc += row
+        total[cols] = acc.real
+    return 1.0 / np.maximum(m - 2 * total, 1e-12)
 
 
 def _checked_grid_step(grid_step_deg: float) -> float:
@@ -540,9 +572,11 @@ def ss_music(
     autocorrelations of the columns of conj(Es), taken by FFTs of length L;
     r_0 = D.  The coefficients r_0/2, r_1, ..., r_{m-1} are cut into rows of
     b, the power of two with sqrt(m) < b <= 2 sqrt(m) up to 64 (16 at m = 124,
-    64 at m = 1514); one GEMM with the first b rows of the cached 65 x G table
-    gives each row's partial sum, and Horner's rule in w**b adds the rows, so
-    no m x G table exists and the GEMM does not grow with D.
+    64 at m = 1514); one GEMM with the first b rows of a (b+1) x G table,
+    cached per grid, spacing and b, gives each row's partial sum, and Horner's
+    rule in w**b, its last row, adds the rows.  Both run over chunks of
+    ``_GRID_CHUNK`` grid columns, so no m x G table exists, the partial sums
+    never span the whole grid, and the GEMM does not grow with D.
     """
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim != 1 or z.size % 2 == 0:
@@ -566,7 +600,9 @@ def ss_music(
             f"{n_sources} sources exceed the {big_z} one-sided consecutive lags"
         )
     grid_step_deg = _checked_grid_step(grid_step_deg)
-    grid, steering = _grid_and_steering(grid_step_deg, unit_spacing)
+    grid, steering = _grid_and_steering(
+        grid_step_deg, unit_spacing, _block_length(big_z + 1) + 1
+    )
     if grid.size < n_sources:
         raise InvalidParameterError(f"{grid.size} grid points for {n_sources} sources")
     spectrum = _music_spectrum(_signal_subspace(z[big_z:], n_sources), steering)
@@ -713,8 +749,10 @@ def run_trial(
     """
     _check_capacity(array, report, scene)
     _checked_grid_step(grid_step_deg)
-    x = synthesize_snapshots(array, scene, coupling, rng)
-    zvec = virtual_array_vector(x, array, report)
+    # the snapshots are not kept while ss_music runs
+    zvec = virtual_array_vector(
+        synthesize_snapshots(array, scene, coupling, rng), array, report
+    )
     return ss_music(
         zvec, scene.n_sources, grid_step_deg=grid_step_deg,
         unit_spacing=array.unit_spacing,

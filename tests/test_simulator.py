@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,29 @@ def test_real_transform_subspace_matches_complex_eigh(m):
     np.testing.assert_allclose(signal @ signal.conj().T, want, rtol=0, atol=1e-14)
 
 
+def test_lanczos_convergence_tests_spaced_geometrically(monkeypatch):
+    # a random Hermitian Toeplitz T has no wide gap after D, so Lanczos runs to
+    # k of about 450; one test every 4 steps took 72 tridiagonal eighs here
+    m, d = 800, 150
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    c[0] = c[0].real
+    vals, vecs = np.linalg.eigh(toeplitz(c))
+    wanted = vecs[:, np.argsort(np.abs(vals), kind="stable")[m - d:]]
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        sizes.append(a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    signal = simulator._signal_subspace(c, d)
+    assert sizes[-1] > 256 and len(sizes) <= 36
+    np.testing.assert_allclose(signal @ signal.conj().T, wanted @ wanted.conj().T,
+                               rtol=0, atol=1e-10)
+
+
 # Fresh interpreters, for what holds only from a process's start: the scipy
 # modules loaded, and the BLAS count in the first call.  numpy's copy starts
 # at 2 threads, so a pin on one worker, or a missed one in a pool, would show.
@@ -688,6 +712,69 @@ class TestSsMusic:
         grid, spec = est.spectrum
         assert grid.shape == spec.shape
         assert grid[0] > -90 and grid[-1] < 90
+
+
+def unchunked_music_spectrum(signal, steering):
+    """The grid evaluation over all G columns at once, as one (m/b) x G GEMM
+    and Horner's rule on whole rows."""
+    m = signal.shape[0]
+    b = steering.shape[0] - 1
+    power = np.abs(np.fft.fft(signal.conj(), simulator._fft_length(m), axis=0)) ** 2
+    coef = np.zeros(-(-m // b) * b, dtype=np.complex128)
+    coef[:m] = np.fft.ifft(power.sum(axis=1))[:m]
+    coef[0] /= 2
+    rows = coef.reshape(-1, b) @ steering[:b]
+    acc = rows[-1]
+    for row in rows[-2::-1]:
+        acc = acc * steering[b] + row
+    return 1.0 / np.maximum(m - 2 * acc.real, 1e-12)
+
+
+class TestSteeringTable:
+    @pytest.mark.parametrize("step, spacing", [(0.01, 0.5), (0.05, 0.37)])
+    @pytest.mark.parametrize("rows", [2, 17, 33, 65])
+    def test_rows_are_the_leading_rows_of_the_full_table(self, rows, step, spacing):
+        grid, table = simulator._grid_and_steering.__wrapped__(step, spacing, rows)
+        u = np.sin(np.deg2rad(grid))
+        full = np.exp(1j * 2 * np.pi * spacing * np.outer(np.arange(65, dtype=float), u))
+        assert table.shape == (rows, grid.size)
+        assert np.array_equal(table.view(np.float64), full[:rows].view(np.float64))
+
+    def test_ss_music_caches_only_the_rows_of_its_block(self):
+        simulator._grid_and_steering.cache_clear()
+        z = analytic_virtual_vector(123, [-20.0, 10.0, 40.0])  # m = 124, b = 16
+        ss_music(z, 3)
+        assert simulator._grid_and_steering.cache_info().currsize == 1
+        _, table = simulator._grid_and_steering(0.01, 0.5, 17)
+        info = simulator._grid_and_steering.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert table.shape == (17, 17999)
+
+    @pytest.mark.parametrize("m", [124, 1514])
+    def test_chunked_grid_evaluation_is_bit_identical(self, m):
+        _, table = simulator._grid_and_steering(
+            0.01, 0.5, simulator._block_length(m) + 1)
+        assert table.shape[1] == 17999 and table.shape[1] % simulator._GRID_CHUNK
+        rng = np.random.default_rng(m)
+        signal = np.linalg.qr(rng.standard_normal((m, 12))
+                              + 1j * rng.standard_normal((m, 12)))[0]
+        got = simulator._music_spectrum(signal, table)
+        assert np.array_equal(got, unchunked_music_spectrum(signal, table))
+
+    def test_cold_trial_traced_peak_below_16_mib(self, array9):
+        # one CNA N=9 trial with an empty steering cache: the 17-row table, its
+        # build and the trial's own arrays, as numpy reports them to tracemalloc
+        scene = SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), 0.0, 12000)
+        report = to_eca(array9)
+        simulator._grid_and_steering.cache_clear()
+        tracemalloc.start()
+        try:
+            tosda.run_trial(array9, scene, report, np.random.default_rng(1),
+                            coupling=CouplingModel())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestRmse:
