@@ -1,13 +1,21 @@
 """Command-line surface.
 
 Subcommands: ``design``, ``coarray``, ``metrics``, ``leakage``,
-``simulate``, ``sweep``.  Every run writes its outputs plus a
-``manifest.json`` (tool version, fully resolved parameters, master seed,
-structured warnings) into the output directory, and is deterministic
-given that manifest.  Human-readable progress goes to stderr only;
-stdout stays clean for piping.
+``simulate``, ``sweep``.  Each ``cmd_*`` returns its output files as text
+and its manifest fields; :func:`main` alone creates the output directory,
+writes the files and ``manifest.json``, prints the warnings and picks the
+exit code, so every subcommand keeps one contract:
 
-Exit codes: 0 success, 1 error, 3 warnings present under ``--strict``.
+- every successful run writes its outputs plus a ``manifest.json`` with the
+  same keys (``tool``, ``version``, ``subcommand``, ``parameters``,
+  ``master_seed``, ``outputs``, ``warnings``; ``design --oracle`` adds
+  ``oracle``), and is deterministic given that manifest;
+- rejected flags write nothing, not even the output directory;
+- exit codes are 0 success, 1 error (``error: ...`` on stderr, including an
+  output directory or file that cannot be written), 3 warnings present
+  under ``--strict``.
+
+Human-readable progress goes to stderr only; stdout stays clean for piping.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -41,41 +50,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+def _csv(header, rows) -> str:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(cell) for cell in row])
+    return text.getvalue()
 
 
-def _write_json(path: Path, obj, sort_keys: bool = True) -> None:
-    path.write_text(
-        json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8"
-    )
+def _json(obj, sort_keys: bool = True) -> str:
+    return json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n"
 
 
-def _write_manifest(outdir: Path, subcommand: str, parameters: dict,
-                    outputs: list[str], warnings: list[str],
-                    master_seed=None, extra: dict | None = None) -> None:
-    manifest = {
-        "tool": "tosda",
-        "version": __version__,
-        "subcommand": subcommand,
-        "parameters": parameters,
-        "master_seed": master_seed,
-        "outputs": outputs,
-        "warnings": warnings,
-    }
-    if extra:
-        manifest.update(extra)
-    _write_json(outdir / "manifest.json", manifest)
-
-
-def _outdir(args) -> Path:
-    path = Path(args.output)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _save(outdir: Path, files: dict[str, str]) -> None:
+    """Create ``outdir`` and write each ``{name: text}`` of ``files`` into it."""
+    path = outdir
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            path = outdir / name
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise TosdaError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _parse_range(text: str) -> list[int]:
@@ -88,37 +86,16 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _coupling_from_args(args) -> metrics.CouplingModel:
-    return metrics.CouplingModel(
-        c1_magnitude=args.c1_mag,
-        c1_phase=args.c1_phase,
-        band_limit=args.band,
-        decay_phase_step=args.decay_step,
-    )
-
-
-def _finish(args, outdir, warnings) -> int:
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    if warnings and getattr(args, "strict", False):
-        print("strict mode: warnings are fatal", file=sys.stderr)
-        return 3
-    return 0
-
-
 # ---------------------------------------------------------------- design
 
-def cmd_design(args) -> int:
-    outdir = _outdir(args)
-    warnings: list[str] = []
-    extra: dict = {}
+def cmd_design(args) -> tuple[dict, dict]:
+    fields: dict = {"warnings": []}
     if args.variant:
         array, params = geometry.build_to_sda(args.variant, args.sensors)
-        _write_json(outdir / "params.json", params.to_json_dict())
         params_info = params.to_json_dict()
         if args.oracle:
             result = designer.brute_force_split(args.variant, args.sensors)
-            extra["oracle"] = {
+            fields["oracle"] = {
                 "params": result.params.to_json_dict(),
                 "dof_closed_form": result.dof_closed_form,
                 "dof_brute_force": result.dof_brute_force,
@@ -131,7 +108,7 @@ def cmd_design(args) -> int:
                 file=sys.stderr,
             )
             if not result.agreement:
-                warnings.append(
+                fields["warnings"].append(
                     f"closed-form consecutive-lag count {result.dof_closed_form} "
                     f"!= brute-force optimum {result.dof_brute_force} "
                     f"(best split {result.params.to_json_dict()})"
@@ -147,49 +124,43 @@ def cmd_design(args) -> int:
             "delta2": args.delta2,
             "N2": args.n2,
         }
-        _write_json(outdir / "params.json", params_info)
-    geometry.save_array(array, outdir / "array.json")
     print(f"{array.name}: positions {list(array.positions)}")
-    _write_manifest(
-        outdir, "design",
-        {
-            "variant": args.variant,
-            "sensors": args.sensors,
-            "generator": args.generator,
-            "delta1": args.delta1,
-            "delta2": args.delta2,
-            "n2": args.n2,
-            "oracle": args.oracle,
-            "params": params_info,
-        },
-        ["array.json", "params.json"], warnings, extra=extra,
-    )
-    return _finish(args, outdir, warnings)
+    files = {
+        "array.json": _json(array.to_json_dict(), sort_keys=False),
+        "params.json": _json(params_info),
+    }
+    fields["parameters"] = {
+        "variant": args.variant,
+        "sensors": args.sensors,
+        "generator": args.generator,
+        "delta1": args.delta1,
+        "delta2": args.delta2,
+        "n2": args.n2,
+        "oracle": args.oracle,
+        "params": params_info,
+    }
+    return files, fields
 
 
 # --------------------------------------------------------------- coarray
 
-def cmd_coarray(args) -> int:
-    outdir = _outdir(args)
+def cmd_coarray(args) -> tuple[dict, dict]:
     array = geometry.load_array(args.array)
     report = coarray.to_eca(array)
-    _write_json(outdir / "coarray.json", report.to_json_dict(), sort_keys=False)
     print(
         f"{array.name}: |lags|={report.size_u} Z={report.one_sided_z} "
         f"consecutive={2 * report.one_sided_z + 1} "
         f"holes_in_span={len(report.holes)}"
     )
-    _write_manifest(
-        outdir, "coarray", {"array": str(args.array), "positions": list(array.positions)},
-        ["coarray.json"], [],
-    )
-    return _finish(args, outdir, [])
+    files = {"coarray.json": _json(report.to_json_dict(), sort_keys=False)}
+    return files, {
+        "parameters": {"array": str(args.array), "positions": list(array.positions)},
+    }
 
 
 # --------------------------------------------------------------- metrics
 
-def cmd_metrics(args) -> int:
-    outdir = _outdir(args)
+def cmd_metrics(args) -> tuple[dict, dict]:
     warnings: list[str] = []
     header = ["variant", "N", "Z", "k_tilde", "R_T", "L3", "within_bounds"]
     rows = []
@@ -216,16 +187,17 @@ def cmd_metrics(args) -> int:
                     f"published envelope [{low}, {high}]"
                 )
         params = {"variant": variant, "n_range": args.n_range}
-    _write_csv(outdir / "redundancy.csv", header, rows)
-    _write_manifest(outdir, "metrics", params, ["redundancy.csv"], warnings)
-    return _finish(args, outdir, warnings)
+    files = {"redundancy.csv": _csv(header, rows)}
+    return files, {"parameters": params, "warnings": warnings}
 
 
 # --------------------------------------------------------------- leakage
 
-def cmd_leakage(args) -> int:
-    outdir = _outdir(args)
-    model = _coupling_from_args(args)
+def cmd_leakage(args) -> tuple[dict, dict]:
+    model = metrics.CouplingModel(
+        c1_magnitude=args.c1_mag, c1_phase=args.c1_phase,
+        band_limit=args.band, decay_phase_step=args.decay_step,
+    )
     if args.array:
         array = geometry.load_array(args.array)
         config = "-"
@@ -235,15 +207,10 @@ def cmd_leakage(args) -> int:
         config = f"({dp.N1},{dp.N2})"
         params = {"variant": dp.variant, "sensors": args.sensors}
     leak = metrics.coupling_leakage(metrics.coupling_matrix(array, model))
-    _write_csv(
-        outdir / "leakage.csv",
-        ["array", "config", "leakage"],
-        [[array.name, config, leak]],
-    )
     print(f"{array.name} {config}: leakage {leak:.4f}")
     params["model"] = dataclasses.asdict(model)
-    _write_manifest(outdir, "leakage", params, ["leakage.csv"], [])
-    return _finish(args, outdir, [])
+    files = {"leakage.csv": _csv(["array", "config", "leakage"], [[array.name, config, leak]])}
+    return files, {"parameters": params}
 
 
 # -------------------------------------------------------------- simulate
@@ -307,14 +274,16 @@ def _angles(value) -> tuple[float, ...]:
     return tuple(real_number(a) for a in value)
 
 
-def _array_from_config(spec: dict):
-    if spec.get("file") is not None:
-        return geometry.load_array(_read(spec, "file", str)), None
+def _array_from_config(spec: dict) -> geometry.SensorArray:
+    path = _read(spec, "file", str)
     sensors = _read(spec, "sensors", whole_number)
-    if spec.get("variant") is not None and sensors is not None:
-        return geometry.build_to_sda(spec["variant"], sensors)
+    variant = spec.get("variant")
+    if path is not None and variant is None and sensors is None:
+        return geometry.load_array(path)
+    if path is None and variant is not None and sensors is not None:
+        return geometry.build_to_sda(variant, sensors)[0]
     raise TosdaError(
-        "config 'array' needs either {'file': path} or {'variant', 'sensors'}"
+        "config 'array' needs either {'file': path} or {'variant', 'sensors'}, not a mix"
     )
 
 
@@ -348,46 +317,35 @@ def _coupling_from_config(config: dict):
     )
 
 
-def cmd_simulate(args) -> int:
-    outdir = _outdir(args)
+def cmd_simulate(args) -> tuple[dict, dict]:
     config = _load_sim_config(Path(args.config))
     mode = config.get("mode", "rmse")
     master_seed = _read(config, "master_seed", whole_number, 0)
-    array, _ = _array_from_config(_read(config, "array", _object, {}))
+    array = _array_from_config(_read(config, "array", _object, {}))
     scene = _scene_from_config(config, master_seed)
     coupling = _coupling_from_config(config)
     grid_step = _read(
         _read(config, "music", _object, {}), "grid_step_deg", real_number, 0.01
     )
-    threads = args.threads
-    outputs: list[str] = []
+    files: dict[str, str] = {}
     warnings: list[str] = []
 
     def progress(msg: str) -> None:
         print(msg, file=sys.stderr)
 
     if mode == "rmse":
-        sweep_spec = _read(config, "sweep", _object)
-        if sweep_spec is None:
-            raise TosdaError("mode 'rmse' needs a 'sweep' object")
-        parameter = sweep_spec.get("parameter")
-        values = _read(sweep_spec, "values", _numbers)
-        if parameter not in simulator.SWEEP_PARAMETERS or not values:
-            raise TosdaError(
-                f"sweep needs 'parameter' in {simulator.SWEEP_PARAMETERS} and 'values'"
-            )
+        sweep_spec = _read(config, "sweep", _object, {})
+        sweep = (sweep_spec.get("parameter"), _read(sweep_spec, "values", _numbers))
         trials = _read(config, "trials", whole_number, 1)
         dump_trials = _read(config, "dump_trials", _boolean, False)
         stats = simulator.monte_carlo(
-            array, scene, (parameter, values), trials=trials, coupling=coupling,
-            grid_step_deg=grid_step, threads=threads, progress=progress,
+            array, scene, sweep, trials=trials, coupling=coupling,
+            grid_step_deg=grid_step, threads=args.threads, progress=progress,
         )
-        _write_csv(
-            outdir / "rmse.csv",
+        files["rmse.csv"] = _csv(
             ["sweep_value", "trials", "rmse_deg"],
             [[s.sweep_value, s.trials, s.rmse_deg] for s in stats],
         )
-        outputs.append("rmse.csv")
         for s in stats:
             if s.padded_trials:
                 warnings.append(
@@ -401,24 +359,18 @@ def cmd_simulate(args) -> int:
                 for t in range(s.trials):
                     for i, est in enumerate(s.per_trial_estimates[t]):
                         rows.append([s.sweep_value, t, i, est])
-            _write_csv(
-                outdir / "trials.csv",
-                ["sweep_value", "trial", "source_index", "estimate_deg"],
-                rows,
+            files["trials.csv"] = _csv(
+                ["sweep_value", "trial", "source_index", "estimate_deg"], rows
             )
-            outputs.append("trials.csv")
     elif mode == "spectrum":
         est = simulator.run_trial(
             array, scene, coarray.to_eca(array), np.random.default_rng([master_seed, 0, 0]),
             coupling=coupling, grid_step_deg=grid_step,
         )
         grid, spectrum = est.spectrum
-        _write_csv(
-            outdir / "spectrum.csv",
-            ["angle_deg", "value"],
-            zip(grid.tolist(), spectrum.tolist()),
+        files["spectrum.csv"] = _csv(
+            ["angle_deg", "value"], zip(grid.tolist(), spectrum.tolist())
         )
-        outputs.append("spectrum.csv")
         print(
             f"estimates: {[round(a, 4) for a in est.angles_deg.tolist()]}",
             file=sys.stderr,
@@ -427,19 +379,16 @@ def cmd_simulate(args) -> int:
             warnings.append("fewer local maxima than sources; estimates padded")
     else:
         raise TosdaError(f"unknown mode {mode!r}; expected 'rmse' or 'spectrum'")
-
-    _write_manifest(
-        outdir, "simulate",
-        {"config": config, "threads": threads},
-        outputs, warnings, master_seed=master_seed,
-    )
-    return _finish(args, outdir, warnings)
+    return files, {
+        "parameters": {"config": config, "threads": args.threads},
+        "warnings": warnings,
+        "master_seed": master_seed,
+    }
 
 
 # ----------------------------------------------------------------- sweep
 
-def cmd_sweep(args) -> int:
-    outdir = _outdir(args)
+def cmd_sweep(args) -> tuple[dict, dict]:
     warnings: list[str] = []
     variants = [geometry.normalize_variant(v) for v in args.variants.split(",")]
     n_values = _parse_range(args.n_range)
@@ -461,22 +410,16 @@ def cmd_sweep(args) -> int:
             array.name, array.size, None, None, None, None, None,
             None, 2 * z + 1, None,
         ])
-    _write_csv(
-        outdir / "dof.csv",
-        ["variant", "N", "N1", "N2", "M1", "M2", "J",
-         "dof_closed", "dof_brute", "agreement"],
-        rows,
-    )
-    _write_manifest(
-        outdir, "sweep",
-        {
+    header = ["variant", "N", "N1", "N2", "M1", "M2", "J",
+              "dof_closed", "dof_brute", "agreement"]
+    return {"dof.csv": _csv(header, rows)}, {
+        "parameters": {
             "variants": variants,
             "n_range": args.n_range,
             "baselines": [str(p) for p in (args.baseline or [])],
         },
-        ["dof.csv"], warnings,
-    )
-    return _finish(args, outdir, warnings)
+        "warnings": warnings,
+    }
 
 
 # ------------------------------------------------------------------ main
@@ -493,12 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
-        p.add_argument("-o", "--output", default=".",
-                       help="output directory (default: current directory)")
-        p.add_argument("--strict", action="store_true",
-                       help="treat warnings as fatal (exit code 3)")
-
     p = sub.add_parser(
         "design",
         help="build an array from a variant split or an explicit generator",
@@ -512,19 +449,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2", type=int, help="tail sensor count")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the split against exhaustive search")
-    add_common(p)
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("coarray", help="third-order exhaustive co-array report")
     p.add_argument("array", help="array JSON file")
-    add_common(p)
     p.set_defaults(func=cmd_coarray)
 
     p = sub.add_parser("metrics", help="redundancy figures (file or variant sweep)")
     p.add_argument("--array", help="array JSON file (brute-force redundancy)")
     p.add_argument("--variant", choices=list(geometry.VARIANTS))
     p.add_argument("--n-range", help="closed-form sweep range, e.g. 2:30")
-    add_common(p)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("leakage", help="mutual-coupling leakage of an array")
@@ -536,14 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1-phase", type=float, default=coupling.c1_phase)
     p.add_argument("--band", type=int, default=coupling.band_limit)
     p.add_argument("--decay-step", type=float, default=coupling.decay_phase_step)
-    add_common(p)
     p.set_defaults(func=cmd_leakage)
 
     p = sub.add_parser("simulate", help="Monte-Carlo RMSE sweep or spectrum dump")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads (default 1)")
-    add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="closed-form vs brute-force DOF table")
@@ -552,37 +484,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", required=True, help="e.g. 4:16")
     p.add_argument("--baseline", action="append",
                    help="extra array JSON file (repeatable)")
-    add_common(p)
     p.set_defaults(func=cmd_sweep)
+    # the flags main reads for every subcommand
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output", default=".",
+                       help="output directory (default: current directory)")
+        p.add_argument("--strict", action="store_true",
+                       help="treat warnings as fatal (exit code 3)")
     return parser
 
 
+# The two flag routes of a subcommand that has two: a run gives every flag
+# of one route and none of the other's.
+_ROUTES = {
+    "design": (("variant", "sensors"), ("generator", "delta1", "delta2", "n2")),
+    "metrics": (("array",), ("variant", "n_range")),
+    "leakage": (("array",), ("variant", "sensors")),
+}
+
+
 def _validate_args(args) -> None:
-    if args.subcommand == "design":
-        generator_args = (args.generator, args.delta1, args.delta2, args.n2)
-        variant_route = args.variant is not None or args.sensors is not None or args.oracle
-        generator_route = generator_args != (None,) * 4
-        if variant_route == generator_route:
-            raise TosdaError(
-                "design needs the flags of one route: --variant/--sensors/--oracle "
-                "or --generator/--delta1/--delta2/--n2"
+    routes = _ROUTES.get(args.subcommand)
+    if routes:
+        given = [[getattr(args, flag) is not None for flag in route] for route in routes]
+        started = [any(flags) for flags in given]
+        if started.count(True) != 1 or not all(given[started.index(True)]):
+            options = " or ".join(
+                " ".join("--" + flag.replace("_", "-") for flag in route) for route in routes
             )
-        if variant_route and (args.variant is None or args.sensors is None):
-            raise TosdaError("design --variant and --sensors go together")
-        if generator_route and None in generator_args:
-            raise TosdaError("design --generator, --delta1, --delta2 and --n2 go together")
-    if args.subcommand == "metrics":
-        if (args.array is None) == (args.variant is None and args.n_range is None):
-            raise TosdaError("metrics needs --array or --variant with --n-range")
-        if args.array is None and (args.variant is None or args.n_range is None):
-            raise TosdaError("metrics sweep requires both --variant and --n-range")
-    if args.subcommand == "leakage":
-        file_route = args.array is not None
-        build_route = args.variant is not None or args.sensors is not None
-        if file_route == build_route:
-            raise TosdaError("leakage needs --array or --variant/--sensors")
-        if build_route and (args.variant is None or args.sensors is None):
-            raise TosdaError("leakage --variant requires --sensors")
+            raise TosdaError(f"{args.subcommand} takes all the flags of one route: {options}")
+    if getattr(args, "oracle", False) and args.variant is None:
+        raise TosdaError("design --oracle goes with --variant and --sensors")
     if getattr(args, "threads", 1) < 1:
         raise TosdaError("--threads must be >= 1")
 
@@ -591,10 +523,28 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _validate_args(args)
-        return args.func(args)
+        outdir = Path(args.output)
+        _save(outdir, {})  # an unusable --output fails before the run
+        files, fields = args.func(args)
+        manifest = {
+            "tool": "tosda",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "master_seed": None,
+            "outputs": list(files),
+            "warnings": [],
+            **fields,
+        }
+        _save(outdir, {**files, "manifest.json": _json(manifest)})
     except TosdaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for w in manifest["warnings"]:
+        print(f"warning: {w}", file=sys.stderr)
+    if manifest["warnings"] and args.strict:
+        print("strict mode: warnings are fatal", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -25,6 +25,13 @@ from .geometry import SensorArray
 
 _CASE_SIGNS = {1: (1, 1, 1), 2: (1, 1, -1), 3: (-1, -1, 1), 4: (-1, -1, -1)}
 
+# Largest sensor position the lag builders accept.  to_eca's histograms
+# span [-3*top, 3*top], about 12 int64 counts (96 bytes) per unit of the
+# largest position ``top``: 1.5 GiB at this cap, which TO-SDAs pass beyond
+# N = 480 (TNA-II) and N = 600 (CNA, SCNA).  Every lag of a capped array
+# fits int64 with room to spare.
+MAX_POSITION = 2**24
+
 
 class LagMultiset:
     """Integer lags with positive multiplicities, as one dense count vector.
@@ -155,12 +162,23 @@ def report_from_multiset(weights: LagMultiset) -> CoarrayReport:
     )
 
 
+def _positions(array: SensorArray) -> np.ndarray:
+    """``array``'s positions as int64, once the largest is within MAX_POSITION."""
+    top = array.positions[-1]
+    if top > MAX_POSITION:
+        raise InvalidParameterError(
+            f"{array.name}: largest position {top} exceeds {MAX_POSITION}, "
+            "the most the lag histograms take"
+        )
+    return np.asarray(array.positions, dtype=np.int64)
+
+
 def second_order(array: SensorArray, kind: str) -> CoarrayReport:
     """Second-order difference (DCA) or sum (SCA) co-array with weights."""
     kind = str(kind).strip().lower()
     if kind not in ("dca", "sca"):
         raise InvalidParameterError(f"kind must be 'DCA' or 'SCA', got {kind!r}")
-    p = np.asarray(array.positions, dtype=np.int64)
+    p = _positions(array)
     n = array.size
     if kind == "dca":
         lags = p[:, None] - p[None, :]
@@ -184,7 +202,7 @@ def _pattern_histograms(array: SensorArray) -> tuple[int, np.ndarray, np.ndarray
     ``top`` is the largest position; ``case1[l]`` counts lag l and
     ``case2[l]`` lag l - top.  Patterns 4 and 3 are their mirrors.
     """
-    p = np.asarray(array.positions, dtype=np.int64)
+    p = _positions(array)
     top = int(p[-1])
     pairs = (p[:, None] + p).ravel()
     # case 1 reaches 3*top with all three sensors at top; case 2 only does
@@ -244,7 +262,7 @@ def index_lag_map(array: SensorArray) -> np.ndarray:
     ``(j-1)*N^3 + N^2*i1 + N*i2 + i3``.  Cases 3 and 4 negate cases 2
     and 1.
     """
-    p = np.asarray(array.positions, dtype=np.int64)
+    p = _positions(array)
     pairs = p[:, None, None] + p[None, :, None]
     case1 = (pairs + p[None, None, :]).ravel()
     case2 = (pairs - p[None, None, :]).ravel()

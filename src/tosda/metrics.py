@@ -226,13 +226,18 @@ def coupling_matrix(
 
     Entry (a, b) depends only on |p_a - p_b|, so the matrix equals its
     transpose, has a unit diagonal, and is exactly zero beyond the band.
+    Coefficients are computed up to ``min(aperture, band_limit)`` only.
     """
     model = model or CouplingModel()
-    p = np.asarray(array.positions, dtype=np.int64)
-    dist = np.abs(p[:, None] - p[None, :])
+    reach = min(array.aperture, model.band_limit)
+    # a gap between neighbours beyond the band shrinks to reach + 1: no
+    # distance within reach changes and none beyond it comes within, and
+    # the shrunk positions fit int64 whatever the aperture
+    pos = array.positions
+    p = np.cumsum([0] + [min(b - a, reach + 1) for a, b in zip(pos, pos[1:])])
+    dist = np.minimum(np.abs(p[:, None] - p[None, :]), reach + 1)
     table = np.array(
-        [model.coefficient(l) for l in range(int(dist.max()) + 1)],
-        dtype=np.complex128,
+        [model.coefficient(l) for l in range(reach + 1)] + [0j], dtype=np.complex128
     )
     return table[dist]
 

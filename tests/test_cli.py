@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tosda import CouplingModel, build_to_sda, build_ula, save_array, simulator
+from tosda import CouplingModel, SensorArray, build_to_sda, build_ula, save_array, simulator
 from tosda.cli import main
 
 
@@ -24,6 +24,127 @@ def read_csv(path):
 
 def read_manifest(outdir):
     return json.loads((outdir / "manifest.json").read_text())
+
+
+MANIFEST_KEYS = {"tool", "version", "subcommand", "parameters", "master_seed",
+                 "outputs", "warnings"}
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """An input directory with an array file, a generator and a simulate config."""
+    folder = tmp_path / "in"
+    folder.mkdir()
+    save_array(build_ula(4), folder / "ula.json")
+    save_array(SensorArray("g", (0, 1, 3, 5, 6)), folder / "g.json")
+    (folder / "sim.json").write_text(json.dumps({**TINY_SIM_CONFIG, "dump_trials": True}))
+    return folder
+
+
+# One successful run of each route of each subcommand: its arguments ("{in}"
+# is the input directory), the manifest keys beyond MANIFEST_KEYS, and
+# whether it warns.
+RUNS = {
+    "design-variant": (["design", "--variant", "cna", "--sensors", "8"], set(), False),
+    "design-oracle": (["design", "--variant", "tna2", "--sensors", "8", "--oracle"],
+                      {"oracle"}, True),
+    "design-generator": (["design", "--generator", "{in}/g.json", "--delta1", "31",
+                          "--delta2", "25", "--n2", "3"], set(), False),
+    "coarray": (["coarray", "{in}/ula.json"], set(), False),
+    "metrics-array": (["metrics", "--array", "{in}/ula.json"], set(), False),
+    "metrics-variant": (["metrics", "--variant", "tna2", "--n-range", "2:30"], set(), True),
+    "leakage-array": (["leakage", "--array", "{in}/ula.json"], set(), False),
+    "leakage-variant": (["leakage", "--variant", "cna", "--sensors", "6"], set(), False),
+    "sweep": (["sweep", "--variants", "tna2", "--n-range", "8:8",
+               "--baseline", "{in}/ula.json"], set(), True),
+    "simulate": (["simulate", "--config", "{in}/sim.json"], set(), False),
+}
+
+
+def _argv(template, folder):
+    return [arg.replace("{in}", str(folder)) for arg in template]
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_every_run_writes_the_same_manifest(name, inputs, tmp_path, capsys):
+    template, extra_keys, warns = RUNS[name]
+    out = tmp_path / "out"
+    assert main([*_argv(template, inputs), "-o", str(out)]) == 0
+    manifest = read_manifest(out)
+    assert set(manifest) == MANIFEST_KEYS | extra_keys
+    assert manifest["subcommand"] == template[0]
+    assert bool(manifest["warnings"]) == warns
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["outputs"], "manifest.json"])
+    assert capsys.readouterr().err.count("warning: ") == len(manifest["warnings"])
+    strict = main([*_argv(template, inputs), "--strict", "-o", str(tmp_path / "strict")])
+    assert strict == (3 if warns else 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design"],
+        ["design", "--oracle"],
+        ["design", "--variant", "cna"],
+        ["design", "--sensors", "8", "--oracle"],
+        ["design", "--generator", "{in}/g.json", "--delta1", "31", "--delta2", "25"],
+        ["design", "--variant", "cna", "--sensors", "8", "--n2", "3"],
+        ["design", "--generator", "{in}/g.json", "--delta1", "31", "--delta2", "25",
+         "--n2", "3", "--oracle"],
+        ["metrics"],
+        ["metrics", "--variant", "cna"],
+        ["metrics", "--n-range", "2:30"],
+        ["metrics", "--array", "{in}/ula.json", "--variant", "cna", "--n-range", "2:30"],
+        ["metrics", "--array", "{in}/ula.json", "--n-range", "2:30"],
+        ["leakage"],
+        ["leakage", "--variant", "cna"],
+        ["leakage", "--sensors", "6"],
+        ["leakage", "--array", "{in}/ula.json", "--variant", "cna", "--sensors", "6"],
+        ["leakage", "--array", "{in}/ula.json", "--sensors", "6"],
+    ],
+    ids=["design-none", "design-oracle-only", "design-half-variant",
+         "design-half-variant-oracle", "design-half-generator", "design-both",
+         "design-generator-oracle", "metrics-none", "metrics-half-variant",
+         "metrics-half-range", "metrics-both", "metrics-array-range", "leakage-none",
+         "leakage-half-variant", "leakage-half-sensors", "leakage-both",
+         "leakage-array-sensors"],
+)
+def test_rejected_flags_write_nothing(argv, inputs, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*_argv(argv, inputs), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+class TestOutputDirectory:
+    def test_output_below_a_file_exits_1_before_the_run(self, tmp_path, capsys):
+        (tmp_path / "somefile").write_text("")
+        out = tmp_path / "somefile" / "out"
+        assert main(["design", "--variant", "cna", "--sensors", "8", "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.out == ""  # the design was never built
+
+    def test_unwritable_output_file_exits_1(self, tmp_path, capsys):
+        save_array(build_ula(3), tmp_path / "a.json")
+        (tmp_path / "out" / "coarray.json").mkdir(parents=True)
+        assert main(["coarray", str(tmp_path / "a.json"), "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {tmp_path / 'out' / 'coarray.json'}: "
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["coarray", "{in}/far.json"], ["metrics", "--array", "{in}/far.json"],
+     ["sweep", "--variants", "cna", "--n-range", "4:4", "--baseline", "{in}/far.json"]],
+    ids=["coarray", "metrics", "sweep"],
+)
+@pytest.mark.parametrize("top", [2**62, 2**70], ids=["2**62", "2**70"])
+def test_position_past_the_cap_exits_1(argv, top, inputs, tmp_path, capsys):
+    save_array(SensorArray("far", (0, 1, top)), inputs / "far.json")
+    assert main([*_argv(argv, inputs), "-o", str(tmp_path / "out")]) == 1
+    assert f"largest position {top} exceeds" in capsys.readouterr().err
 
 
 class TestDesign:
@@ -141,6 +262,15 @@ class TestMetrics:
 
 
 class TestLeakage:
+    def test_position_beyond_int64(self, tmp_path):
+        save_array(SensorArray("far", (0, 1, 2**70)), tmp_path / "far.json")
+        save_array(SensorArray("near", (0, 1, 200)), tmp_path / "near.json")
+        for name in ("far", "near"):
+            assert main(["leakage", "--array", str(tmp_path / f"{name}.json"),
+                         "-o", str(tmp_path / name)]) == 0
+        far, near = (read_csv(tmp_path / name / "leakage.csv") for name in ("far", "near"))
+        assert far[1][2] == near[1][2]
+
     def test_identity_band(self, tmp_path):
         save_array(build_ula(4), tmp_path / "a.json")
         assert main(["leakage", "--array", str(tmp_path / "a.json"),
@@ -354,6 +484,10 @@ class TestSimulate:
             {"array": {"variant": "cna", "sensors": None}},
             {"coupling": {"enabled": True, "c1_phase_rad": float("inf")}},
             {"music": {"grid_step_deg": 1e-9}},
+            {"sweep": None},
+            {"sweep": {"parameter": "snr"}},
+            {"sweep": {"values": [0.0, 10.0]}},
+            {"sweep": {"parameter": "angle", "values": [0.0, 10.0]}},
         ],
         ids=["trials", "master-seed", "sensors", "array-file", "sweep-value",
              "sweep-values-scalar", "music-scalar", "grid-step", "coupling-bool",
@@ -362,7 +496,9 @@ class TestSimulate:
              "fractional-snapshots", "fractional-sensors", "fractional-count",
              "fractional-scene-snapshots", "fractional-band-limit",
              "fractional-trials", "fractional-master-seed", "bool-trials",
-             "bool-master-seed", "null-sensors", "infinite-coupling-phase", "grid-step-tiny"],
+             "bool-master-seed", "null-sensors", "infinite-coupling-phase", "grid-step-tiny",
+             "no-sweep", "sweep-without-values", "sweep-without-parameter",
+             "unknown-sweep-parameter"],
     )
     def test_bad_config_field_exits_1(self, tmp_path, capsys, overrides):
         config = tmp_path / "config.json"
@@ -370,6 +506,25 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config),
                      "-o", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("route", [{"variant": "cna", "sensors": 9}, {"variant": "cna"},
+                                       {"sensors": 9}, {}],
+                             ids=["variant-and-sensors", "variant", "sensors", "file-only"])
+    def test_array_file_takes_no_variant_or_sensors(self, tmp_path, capsys, route):
+        save_array(build_ula(5), tmp_path / "u.json")
+        config = tmp_path / "config.json"
+        write_sim_config(config, mode="spectrum", music={"grid_step_deg": 0.5},
+                         array={"file": str(tmp_path / "u.json"), **route})
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(config), "-o", str(out)])
+        if route:
+            assert code == 1
+            assert "not a mix" in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
+        else:
+            assert code == 0
+            assert read_manifest(out)["parameters"]["config"]["array"] == {
+                "file": str(tmp_path / "u.json")}
 
     @pytest.mark.parametrize(
         "key, overrides",

@@ -18,7 +18,7 @@ from tosda import (
     to_eca,
     toca,
 )
-from tosda.coarray import brute_force_lag_multiset, report_from_multiset
+from tosda.coarray import MAX_POSITION, brute_force_lag_multiset, report_from_multiset
 
 
 SIGNS = {1: (1, 1, 1), 2: (1, 1, -1), 3: (-1, -1, 1), 4: (-1, -1, -1)}
@@ -268,6 +268,22 @@ class TestToEca:
         assert set(blob) == {"phi_u", "weights", "Z", "holes", "symmetric"}
         assert blob["Z"] == 3
         assert blob["weights"]["0"] == rep.weights[0]
+
+
+class TestPositionCap:
+    # a largest position past the cap is refused before anything is allocated
+    # or any lag wraps round int64
+    @pytest.mark.parametrize("top", [MAX_POSITION + 1, 2**62, 2**70],
+                             ids=["cap+1", "2**62", "2**70"])
+    @pytest.mark.parametrize(
+        "build",
+        [to_eca, lambda a: toca(a, 2), index_lag_map,
+         lambda a: second_order(a, "dca"), lambda a: second_order(a, "sca")],
+        ids=["to_eca", "toca", "index_lag_map", "dca", "sca"],
+    )
+    def test_beyond_cap_rejected(self, build, top):
+        with pytest.raises(InvalidParameterError, match=f"largest position {top} exceeds"):
+            build(SensorArray("far", (0, 1, top)))
 
 
 class TestIndexLagMap:

@@ -174,6 +174,19 @@ class TestCouplingMatrix:
         dist = np.abs(p[:, None] - p[None, :])
         assert np.all(c[dist > model.band_limit] == 0)
 
+    def test_coefficients_only_up_to_the_band(self, monkeypatch):
+        calls, real = [], CouplingModel.coefficient
+        monkeypatch.setattr(CouplingModel, "coefficient",
+                            lambda self, distance: calls.append(distance) or real(self, distance))
+        c = coupling_matrix(SensorArray("far", (0, 10**6)))
+        assert calls == list(range(101))
+        assert np.array_equal(c, np.eye(2))
+
+    def test_positions_beyond_int64(self):
+        near = coupling_matrix(SensorArray("a", (0, 1, 3, 104, 105)))
+        far = coupling_matrix(SensorArray("a", (0, 1, 3, 2**70, 2**70 + 1)))
+        assert np.array_equal(far, near)
+
 
 class TestCouplingLeakage:
     def test_identity_is_zero(self):
