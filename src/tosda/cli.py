@@ -42,11 +42,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.10g}"
+        return f"{value:.10g}" if math.isfinite(value) else str(value)  # inf, -inf, nan
     return str(value)
 
 
@@ -96,10 +92,7 @@ def cmd_design(args) -> tuple[dict, dict]:
         if args.oracle:
             result = designer.brute_force_split(args.variant, args.sensors)
             fields["oracle"] = {
-                "params": result.params.to_json_dict(),
-                "dof_closed_form": result.dof_closed_form,
-                "dof_brute_force": result.dof_brute_force,
-                "agreement": result.agreement,
+                **dataclasses.asdict(result), "params": result.params.to_json_dict()
             }
             verdict = "agrees with" if result.agreement else "DISAGREES with"
             print(
@@ -163,16 +156,12 @@ def cmd_coarray(args) -> tuple[dict, dict]:
 def cmd_metrics(args) -> tuple[dict, dict]:
     warnings: list[str] = []
     header = ["variant", "N", "Z", "k_tilde", "R_T", "L3", "within_bounds"]
-    rows = []
     if args.array:
-        array = geometry.load_array(args.array)
-        report = metrics.redundancy_toeca(array)
-        rows.append([
-            report.name, report.N, report.Z, report.k_tilde,
-            report.r_t, report.l3, report.within_bounds,
-        ])
+        report = metrics.redundancy_toeca(geometry.load_array(args.array))
+        rows = [dataclasses.astuple(report)]
         params = {"array": str(args.array)}
     else:
+        rows = []
         n_values = _parse_range(args.n_range)
         variant = geometry.normalize_variant(args.variant)
         low, high = metrics.corollary_bounds(variant)
@@ -392,12 +381,11 @@ def cmd_sweep(args) -> tuple[dict, dict]:
     warnings: list[str] = []
     variants = [geometry.normalize_variant(v) for v in args.variants.split(",")]
     n_values = _parse_range(args.n_range)
+    # the columns of dof.csv are the fields of SweepRow, in order
+    columns = [field.name for field in dataclasses.fields(designer.SweepRow)]
     rows = []
     for row in designer.dof_sweep(variants, n_values):
-        rows.append([
-            row.variant, row.N, row.N1, row.N2, row.M1, row.M2, row.J,
-            row.dof_closed, row.dof_brute, row.agreement,
-        ])
+        rows.append(dataclasses.astuple(row))
         if not row.agreement:
             warnings.append(
                 f"{row.variant} N={row.N}: closed form {row.dof_closed} != "
@@ -406,13 +394,10 @@ def cmd_sweep(args) -> tuple[dict, dict]:
     for path in args.baseline or []:
         array = geometry.load_array(path)
         z = coarray.to_eca(array).one_sided_z
-        rows.append([
-            array.name, array.size, None, None, None, None, None,
-            None, 2 * z + 1, None,
-        ])
-    header = ["variant", "N", "N1", "N2", "M1", "M2", "J",
-              "dof_closed", "dof_brute", "agreement"]
-    return {"dof.csv": _csv(header, rows)}, {
+        # a baseline row has its name, size and brute-force count only
+        baseline = {"variant": array.name, "N": array.size, "dof_brute": 2 * z + 1}
+        rows.append({**dict.fromkeys(columns), **baseline}.values())
+    return {"dof.csv": _csv(columns, rows)}, {
         "parameters": {
             "variants": variants,
             "n_range": args.n_range,

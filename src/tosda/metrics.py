@@ -205,6 +205,7 @@ class CouplingModel:
             raise InvalidParameterError("band limit must be >= 0")
 
     def coefficient(self, distance: int) -> complex:
+        distance = whole_number(distance, "distance")
         if distance < 0:
             raise InvalidParameterError("distance must be >= 0")
         if distance == 0:
@@ -247,6 +248,8 @@ def coupling_leakage(c: np.ndarray) -> float:
     c = np.asarray(c)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise InvalidParameterError(f"expected a square matrix, got {c.shape}")
+    if c.dtype.kind not in "iufc" or not np.isfinite(c).all():
+        raise InvalidParameterError(f"coupling matrix must be finite, got a {c.dtype} matrix")
     total = np.linalg.norm(c)
     if total == 0:
         raise InvalidParameterError("coupling matrix is identically zero")

@@ -25,11 +25,12 @@ integers; Monte-Carlo trials derive their generators from (master seed,
 sweep point, trial index) so results do not depend on the number of
 worker threads.
 
-The simulator runs on numpy alone and loads no scipy module: T is built
-by indexing, and every FFT and both subspace solvers are numpy's, so its
-one BLAS copy is numpy's OpenBLAS.  While a ``monte_carlo`` call runs a
-worker pool, that copy is pinned to one thread (see :func:`monte_carlo`);
-the pin leaves every result unchanged.
+The simulator runs on numpy alone and loads no scipy module.  Neither path
+forms T: the dense one gathers two n x n blocks of it from the lag vector,
+and Lanczos multiplies by its circulant embedding.  Every FFT and both
+subspace solvers are numpy's, so its one BLAS copy is numpy's OpenBLAS.
+While a ``monte_carlo`` call runs a worker pool, that copy is pinned to one
+thread (see :func:`monte_carlo`); the pin leaves every result unchanged.
 """
 
 from __future__ import annotations
@@ -156,7 +157,8 @@ class RunStats:
 
 def steering_matrix(array: SensorArray, angles_deg) -> np.ndarray:
     """N x D matrix of unit-modulus phase responses exp(j*2*pi*d*p*sin)."""
-    angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
+    angles = np.ravel(np.array(angles_deg, dtype=object))
+    angles = np.array([real_number(a, "angles_deg") for a in angles], dtype=float)
     if np.any(np.abs(angles) >= 90):
         raise InvalidParameterError("angles must lie inside (-90, 90) degrees")
     p = np.asarray(array.positions, dtype=float)
@@ -362,33 +364,29 @@ def _fft_length(m: int) -> int:
     return 1 << (2 * m - 2).bit_length()
 
 
-def _toeplitz(c: np.ndarray) -> np.ndarray:
-    """The Hermitian Toeplitz matrix with first column c and first row conj(c),
-    whose diagonal is c[0] as given (``scipy.linalg.toeplitz(c)``, bit for bit)."""
+def _real_transform(c: np.ndarray) -> np.ndarray:
+    """Q^H T Q, real symmetric, for the unitary Q of :func:`_signal_subspace`
+    and the Hermitian Toeplitz T with first column c and diagonal Re c[0],
+    read from its lags e = [conj(c[m-1:0:-1]), Re c[0], c[1:]], T[i, k] =
+    e[m-1+i-k].  With n = m//2, A = T[:n, :n] and B = T[:n, ::-1][:, :n],
+    A[i, k] = e[m-1+i-k] and B[i, k] = e[i+k]; the blocks are Re(A + B),
+    Im(B - A), Im(B - A)^T and Re(A - B), plus for odd m the middle row
+    sqrt(2) [Re t_n, -Im t_n] with t_n[k] = T[n, k] = e[m-1+n-k], k < n."""
     m = c.size
-    i = np.arange(m)
-    return np.concatenate([c[:0:-1].conj(), c])[m - 1 + i[:, None] - i]
-
-
-def _real_transform(t: np.ndarray) -> np.ndarray:
-    """Q^H T Q for a Hermitian Toeplitz T = ``t`` and the unitary Q of
-    :func:`_signal_subspace`, which is real symmetric.  With A the top-left
-    n x n block of T and B that of T with its columns reversed (n = m//2),
-    its blocks are Re(A + B), Im(B - A), Im(B - A)^T and Re(A - B), plus for
-    odd m the middle row sqrt(2) [Re t_n, -Im t_n] with t_n = T[n, :n]."""
-    m = t.shape[0]
     n = m // 2
-    a, b = t[:n, :n], t[:n, ::-1][:, :n]
+    e = np.concatenate([c[:0:-1].conj(), c[:1].real, c[1:]])
+    i = np.arange(n)
+    a, b = e[m - 1 + i[:, None] - i], e[i[:, None] + i]
     r = np.empty((m, m))
     r[:n, :n] = (a + b).real
     r[m - n :, m - n :] = (a - b).real
     r[:n, m - n :] = (b - a).imag
     r[m - n :, :n] = r[:n, m - n :].T
     if m % 2:
-        mid = math.sqrt(2) * t[n, :n]
+        mid = math.sqrt(2) * e[m - 1 + n - i]
         r[n, :n] = r[:n, n] = mid.real
         r[n, m - n :] = r[m - n :, n] = -mid.imag
-        r[n, n] = t[n, n].real
+        r[n, n] = c[0].real
     return r
 
 
@@ -423,9 +421,7 @@ def _signal_subspace(c: np.ndarray, n_sources: int) -> np.ndarray:
     """
     m = c.size
     if m <= _DENSE_EIGH_MAX_M:
-        # eigh reads only the real part of a Hermitian matrix's diagonal
-        t = _toeplitz(np.concatenate([c[:1].real, c[1:]]))
-        vals, vecs = np.linalg.eigh(_real_transform(t))
+        vals, vecs = np.linalg.eigh(_real_transform(c))
         wanted = np.argsort(np.abs(vals), kind="stable")[m - n_sources:]
         return _unfolded(vecs[:, wanted])
     # T is the leading m x m block of the circulant matrix with first column
@@ -600,6 +596,9 @@ def ss_music(
             f"{n_sources} sources exceed the {big_z} one-sided consecutive lags"
         )
     grid_step_deg = _checked_grid_step(grid_step_deg)
+    unit_spacing = real_number(unit_spacing, "unit_spacing")
+    if unit_spacing <= 0:
+        raise InvalidParameterError(f"unit_spacing must be positive, got {unit_spacing}")
     grid, steering = _grid_and_steering(
         grid_step_deg, unit_spacing, _block_length(big_z + 1) + 1
     )
@@ -609,17 +608,13 @@ def ss_music(
 
     peaks = _local_maxima(spectrum)
     order = peaks[np.argsort(spectrum[peaks], kind="stable")[::-1]]
-    chosen = list(order[:n_sources])
-    padded = len(chosen) < n_sources
-    if padded:
-        taken = set(chosen)
-        for idx in np.argsort(spectrum, kind="stable")[::-1]:
-            if idx not in taken:
-                chosen.append(int(idx))
-                taken.add(int(idx))
-            if len(chosen) == n_sources:
-                break
-    angles = np.sort(grid[np.asarray(chosen, dtype=np.intp)])
+    chosen = order[:n_sources]
+    padded = chosen.size < n_sources
+    if padded:  # the largest grid values that are not already chosen
+        rest = np.argsort(spectrum, kind="stable")[::-1]
+        rest = rest[np.isin(rest, chosen, invert=True)]
+        chosen = np.concatenate([chosen, rest[: n_sources - chosen.size]])
+    angles = np.sort(grid[chosen])
     return EstimationResult(
         angles_deg=angles,
         spectrum=(grid, spectrum),

@@ -1,6 +1,7 @@
-"""Every constructor checks its own numeric fields with the one rule in
-:mod:`tosda.errors`: a bad value raises InvalidParameterError naming the
-field, never a bare TypeError and never a silent conversion."""
+"""Every constructor, and every public function taking a number, checks its
+numeric fields with the one rule in :mod:`tosda.errors`: a bad value raises
+InvalidParameterError naming the field, never a bare TypeError and never a
+silent conversion."""
 
 import json
 import math
@@ -22,6 +23,7 @@ from tosda import (
     build_to_sda,
     build_ula,
     closed_form_redundancy,
+    coupling_leakage,
     dof_sweep,
     k_tilde,
     l3_bound,
@@ -31,6 +33,7 @@ from tosda import (
     size_bounds,
     split_closed_form,
     ss_music,
+    steering_matrix,
     z_closed_form,
 )
 from tosda.errors import real_number
@@ -65,6 +68,10 @@ CASES = [
     *[("CouplingModel", f, REAL, lambda v, f=f: CouplingModel(**{f: v}))
       for f in ("c1_magnitude", "c1_phase", "decay_phase_step")],
     ("CouplingModel", "band_limit", WHOLE, lambda v: CouplingModel(band_limit=v)),
+    ("CouplingModel.coefficient", "distance", (1.5, True, "3"),
+     lambda v: CouplingModel().coefficient(v)),
+    ("coupling_leakage", "coupling matrix", (math.nan, math.inf, -math.inf, "0.5", None),
+     lambda v: coupling_leakage(np.array([[1.0, v], [v, 1.0]]))),
     ("SourceScene", "angles_deg", REAL,
      lambda v: SourceScene((0.0, v), snr_db=0.0, snapshots=8)),
     ("SourceScene", "angles_deg", (5.0, None),
@@ -88,6 +95,9 @@ CASES = [
      lambda v: ss_music(np.ones(9), 1, grid_step_deg=v)),
     ("ss_music", "n_sources", (2.5, True, "2", None, math.inf),
      lambda v: ss_music(np.ones(9), v)),
+    ("ss_music", "unit_spacing", (*REAL, 0, -0.5),
+     lambda v: ss_music(np.ones(9), 1, unit_spacing=v)),
+    ("steering_matrix", "angles_deg", REAL, lambda v: steering_matrix(build_ula(2), [v])),
     *[(f.__name__, "n", WHOLE, lambda v, f=f: f("cna", v))
       for f in (split_closed_form, brute_force_split, build_to_sda, z_closed_form,
                 closed_form_redundancy)],
@@ -115,7 +125,10 @@ def test_bad_number_names_its_field(call, field, bad):
 def test_valid_inputs_of_the_table_build():
     assert _gtoa().positions == (0, 1, 3, 4, 9, 18)
     assert build_generator("tna2", 2, 2).size == 4
-    ss_music(np.ones(9), 1, grid_step_deg=1.0)
+    ss_music(np.ones(9), 1, grid_step_deg=1.0, unit_spacing=1)
+    assert np.array_equal(steering_matrix(build_ula(2), 5), steering_matrix(build_ula(2), [5.0]))
+    assert CouplingModel().coefficient(2.0) == CouplingModel().coefficient(np.int64(2))
+    assert coupling_leakage(np.eye(2)) == 0.0
     row = dof_sweep(["cna"], [8])[0]
     assert row.dof_brute == brute_force_split("cna", 8).dof_brute_force
     assert z_closed_form("cna", 8.0) == z_closed_form("cna", 8) == 93.0

@@ -361,13 +361,35 @@ class TestLocalMaxima:
         assert np.array_equal(simulator._local_maxima(x), find_peaks(x)[0])
 
 
-@pytest.mark.parametrize("m", [1, 2, 124, 256])
-def test_toeplitz_matches_scipy_bit_for_bit(m):
+def real_transform_of_dense_toeplitz(c):
+    """Q^H T Q from the blocks of T = scipy's toeplitz of c with its diagonal
+    made real: A = T[:n, :n], B = T[:n, ::-1][:, :n] and the middle row T[n, :n]."""
+    t = toeplitz(np.concatenate([c[:1].real, c[1:]]))
+    m = t.shape[0]
+    n = m // 2
+    a, b = t[:n, :n], t[:n, ::-1][:, :n]
+    r = np.empty((m, m))
+    r[:n, :n] = (a + b).real
+    r[m - n:, m - n:] = (a - b).real
+    r[:n, m - n:] = (b - a).imag
+    r[m - n:, :n] = r[:n, m - n:].T
+    if m % 2:
+        mid = math.sqrt(2) * t[n, :n]
+        r[n, :n] = r[:n, n] = mid.real
+        r[n, m - n:] = r[m - n:, n] = -mid.imag
+        r[n, n] = t[n, n].real
+    return r
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 124, 125, 223, 224])
+def test_real_transform_matches_dense_toeplitz_blocks_bit_for_bit(m):
     rng = np.random.default_rng(m)
     c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    t = simulator._toeplitz(c)
-    assert t.shape == (m, m) and t.dtype == np.complex128
-    assert np.array_equal(t.view(np.float64), toeplitz(c).view(np.float64))
+    r = simulator._real_transform(c)
+    assert r.shape == (m, m) and r.dtype == np.float64
+    # uint64 views, so signed zeros count too
+    want = real_transform_of_dense_toeplitz(c)
+    assert np.array_equal(r.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 124, 125])
@@ -705,6 +727,34 @@ class TestSsMusic:
             ss_music(z, 3, grid_step_deg=60.0)
         with pytest.raises(InvalidParameterError):
             ss_music(z, 1, grid_step_deg=500.0)  # no interior point at all
+
+    @pytest.mark.parametrize("d, want", [(3, [-30.0, 0.0, 30.0]),
+                                         (4, [-30.0, 0.0, 30.0, 60.0])])
+    def test_padded_estimates_fill_by_descending_spectrum(self, d, want):
+        # a 30-degree grid has five points and one peak, at the broadside
+        # source; the rest fill by decreasing value (at D = 4, 60 degrees
+        # tops -60 by one ulp)
+        est = ss_music(analytic_virtual_vector(20, [0.0]), d, grid_step_deg=30.0)
+        assert est.peaks_padded
+        assert est.angles_deg.tolist() == want
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_padded_pick_matches_loop_reference(self, seed, monkeypatch):
+        # small whole-number spectra on a 10-degree grid: plateaus, ties and
+        # too few local maxima are common
+        rng = np.random.default_rng([7, seed])
+        spectrum = rng.integers(0, 4, 17).astype(float)
+        d = int(rng.integers(1, 10))
+        monkeypatch.setattr(simulator, "_music_spectrum", lambda signal, steering: spectrum)
+        est = ss_music(analytic_virtual_vector(20, [0.0]), d, grid_step_deg=10.0)
+        # the pick as a loop: peaks by descending value, then the largest others
+        peaks = find_peaks(spectrum)[0]
+        chosen = list(peaks[np.argsort(spectrum[peaks], kind="stable")[::-1]][:d])
+        for idx in np.argsort(spectrum, kind="stable")[::-1]:
+            if len(chosen) < d and idx not in chosen:
+                chosen.append(idx)
+        assert est.peaks_padded == (peaks.size < d)
+        assert est.angles_deg.tolist() == sorted(est.spectrum[0][chosen].tolist())
 
     def test_spectrum_returned_on_request(self):
         z = analytic_virtual_vector(20, [5.0])
