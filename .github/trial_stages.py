@@ -5,13 +5,15 @@ N=24 without (12 sources over [-60, 60] degrees, K = 12000, 0 dB, 0.01 degree
 grid), over a few seeded trials on the calling thread.  Then a second
 ``monte_carlo`` call per case, on two workers for N=9 and one for N=24 as the
 benchmark's mc workloads run them, gives trials/s and the minor page faults
-per trial, and each case ends with the process's peak RSS so far.  Faults
+per trial, and each case ends with the process's peak RSS so far beside the
+tracemalloc peak of one cold trial: a ``run_trial`` that starts the case with
+an empty steering cache, so it includes the table's build.  Faults
 per trial that climb from a handful to hundreds mean the allocator hands
 the per-trial arrays back to the kernel and faults them in again.
 
 Run from any directory: ``python .github/trial_stages.py [trials]``.
 """
-import os, resource, sys, time
+import os, resource, sys, time, tracemalloc
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, 'src'))
 import numpy as np
 from tosda import coarray, geometry, metrics, simulator
@@ -36,6 +38,12 @@ for sensors, coupling, workers in ((9, metrics.CouplingModel(), 2), (24, None, 1
     array, _ = geometry.build_to_sda('cna', sensors)
     report = coarray.to_eca(array)
     z_max = report.one_sided_z
+    simulator._grid_and_steering.cache_clear()
+    tracemalloc.start()
+    simulator.run_trial(array, scene, report, np.random.default_rng([2015, 1, 0]),
+                        coupling=coupling, grid_step_deg=grid_step)
+    cold_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     _, steering = simulator._grid_and_steering(
         grid_step, array.unit_spacing, simulator._block_length(z_max + 1) + 1)
     times = {}
@@ -66,4 +74,5 @@ for sensors, coupling, workers in ((9, metrics.CouplingModel(), 2), (24, None, 1
     print(f"  minor faults per trial: {stage_faults:.0f} in the stage loop, "
           f"{(usage().ru_minflt - faults) / pool_trials:.0f} in a {workers}-worker "
           f"monte_carlo call of {pool_trials} trials ({rate:.1f} trials/s)")
-    print(f"  peak RSS so far: {usage().ru_maxrss / 1024:.1f} MB")
+    print(f"  peak RSS so far: {usage().ru_maxrss / 1024:.1f} MB; "
+          f"cold-trial tracemalloc peak: {cold_peak / 2**20:.1f} MiB")

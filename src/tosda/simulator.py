@@ -13,7 +13,7 @@ spectrum is transformed once per call, so the matrix is never formed.
 The grid projection evaluates ||Es^H a||^2 as one trigonometric
 polynomial whose coefficients are the superdiagonal sums of Es Es^H (the
 root-MUSIC identity, Barabell, ICASSP 1983), from a cached steering table
-holding only the b+1 rows (at most 65) that the array's block length b
+holding only the b+1 rows (at most 33) that the array's block length b
 reads, a fixed chunk of grid columns at a time.
 Third-order statistics vanish for Gaussian processes, so additive
 Gaussian noise is suppressed by the statistics themselves rather than
@@ -39,6 +39,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import reprlib
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -128,10 +129,11 @@ class EstimationResult:
     so the error is bounded by about eps*D*m**2/b.  Against the per-row form
     m - sum_k |Es[:, k]^H a|^2 in long double (same Es, float64 u and pi;
     CNA, D = 12, K = 12000, 0 dB) it was at most 7.3e-15*m at m = 124 (b = 16,
-    three seeds; 6.6e-15*m with b = 64) and 7.6e-14*m at m = 1514 (b = 64),
-    about 6e-17*m**2, far inside that bound.  Near a peak the subtraction
-    cancels, so a spectrum value is only good to that error over
-    m - ||Es^H a||^2, relative; compare 1/spectrum, not spectrum.
+    three seeds; 6.6e-15*m with b = 64) and 7.9e-14*m at m = 1514 (b = 32,
+    three seeds; 7.6e-14*m with b = 64), about 6e-17*m**2, far inside that
+    bound.  Near a peak the subtraction cancels, so a spectrum value is only
+    good to that error over m - ||Es^H a||^2, relative; compare 1/spectrum,
+    not spectrum.
     """
 
     angles_deg: np.ndarray
@@ -185,22 +187,54 @@ def synthesize_snapshots(
     d, k = scene.n_sources, scene.snapshots
     a = steering_matrix(array, scene.angles_deg)
     if coupling is not None:
-        a = metrics.coupling_matrix(array, coupling) @ a
+        a = _coupling_matrix(array, coupling) @ a
     s = rng.exponential(1.0, size=(d, k))
     s -= 1.0
     sigma = math.sqrt(10.0 ** (-scene.snr_db / 10.0))
-    # the real parts of the noise, then its imaginary parts
-    noise = rng.standard_normal((2, array.size, k))
-    noise *= sigma / math.sqrt(2.0)
     x = np.empty((array.size, k), dtype=np.complex128)
-    np.add(a.real @ s, noise[0], out=x.real)
-    np.add(a.imag @ s, noise[1], out=x.imag)
+    # the real parts of the noise, then its imaginary parts, drawn in turn into
+    # one buffer: the stream of one (2, N, K) draw
+    noise = np.empty((array.size, k))
+    for part, steering in ((x.real, a.real), (x.imag, a.imag)):
+        rng.standard_normal(out=noise)
+        noise *= sigma / math.sqrt(2.0)
+        np.add(steering @ s, noise, out=part)
     return x
 
 
-def _centred(x: np.ndarray, array: SensorArray) -> np.ndarray:
-    """The N x K snapshot matrix with each sensor's sample mean removed."""
-    x = np.asarray(x, dtype=np.complex128)
+@functools.lru_cache(maxsize=8)
+def _coupling_matrix(
+    array: SensorArray, coupling: metrics.CouplingModel
+) -> np.ndarray:
+    """``metrics.coupling_matrix(array, coupling)``, read-only and cached:
+    every trial of a run couples the same array by the same model."""
+    c = metrics.coupling_matrix(array, coupling)
+    c.setflags(write=False)  # shared across threads and trials
+    return c
+
+
+def _numeric_array(value, name: str) -> np.ndarray:
+    """``value`` as a complex128 array when its entries are numbers; strings,
+    bools, None and other objects raise :class:`InvalidParameterError` naming
+    the argument as ``name`` instead of converting."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nesting of sequences
+        a = None
+    if a is None or a.dtype.kind not in "iufc":
+        raise InvalidParameterError(
+            f"{name} must be an array of numbers, got {reprlib.repr(value)}"
+        )
+    return a.astype(np.complex128, copy=False)
+
+
+def _snapshots_and_means(x, array: SensorArray) -> tuple[np.ndarray, np.ndarray]:
+    """The N x K snapshot matrix x as complex128 and its N x 1 sensor means.
+
+    A NaN or infinite entry makes its row's mean non-finite, so the finite
+    means also check the entries, without another pass over x.
+    """
+    x = _numeric_array(x, "x")
     if x.ndim != 2:
         raise InvalidParameterError(f"expected an N x K matrix, got shape {x.shape}")
     n, k = x.shape
@@ -210,7 +244,15 @@ def _centred(x: np.ndarray, array: SensorArray) -> np.ndarray:
         )
     if k < 1:
         raise InvalidParameterError("need at least one snapshot")
-    return x - x.mean(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", over="ignore"):  # checked just below
+        mean = x.mean(axis=1, keepdims=True)
+    bad = np.flatnonzero(~np.isfinite(mean))
+    if bad.size:
+        raise InvalidParameterError(
+            f"x must be finite with finite sensor means, got a non-finite mean "
+            f"in rows {bad.tolist()}"
+        )
+    return x, mean
 
 
 def sample_third_cumulants(x: np.ndarray, array: SensorArray) -> np.ndarray:
@@ -222,7 +264,8 @@ def sample_third_cumulants(x: np.ndarray, array: SensorArray) -> np.ndarray:
     :func:`tosda.coarray.index_lag_map`.  The pipeline does not use this
     vector; it is the oracle :func:`virtual_array_vector` is tested against.
     """
-    xc = _centred(x, array)
+    x, mean = _snapshots_and_means(x, array)
+    xc = x - mean
     t1 = np.einsum("it,jt,kt->ijk", xc, xc, xc, optimize=True) / xc.shape[1]
     t2 = np.einsum("it,jt,kt->ijk", xc, xc, xc.conj(), optimize=True) / xc.shape[1]
     return np.concatenate(
@@ -246,12 +289,13 @@ def virtual_array_vector(
     here must equal the weights of ``report``, the TO-ECA of ``array``.
 
     The snapshots go through in blocks of ``_SNAPSHOT_BLOCK`` columns; each
-    block's pair products and its columns of [xc; conj(xc)] are written into
-    two reusable buffers, so besides the centred copy xc the working memory
+    block is centred by the sensor means into the first N rows of one
+    reusable buffer, its conjugate into the last N, and its pair products
+    into another, so no centred copy of x is made and the working memory
     does not grow with K.
     """
-    xc = _centred(x, array)
-    n, k = xc.shape
+    x, mean = _snapshots_and_means(x, array)
+    n, k = x.shape
     z = report.one_sided_z
     if z < 0:
         raise InternalConsistencyError("co-array has no lag 0; nothing to average")
@@ -265,8 +309,8 @@ def virtual_array_vector(
         return np.bincount(lags[keep] + z, values[keep], 2 * z + 1)
 
     # one GEMM per block of snapshot columns over all pairs, with the block's
-    # columns of [xc; conj(xc)] as its transposed right operand; the blocks keep
-    # peak memory at (N^2/2 + 2N) x _SNAPSHOT_BLOCK, not N^2/2 x K
+    # centred columns [xc; conj(xc)] as its transposed right operand; the blocks
+    # keep peak memory at (N^2/2 + 2N) x _SNAPSHOT_BLOCK, not N^2/2 x K
     first_row = np.r_[0, np.cumsum(np.arange(n, 1, -1))]
     width = min(k, _SNAPSHOT_BLOCK)
     pairs = np.empty((i.size, width), dtype=np.complex128)
@@ -274,13 +318,14 @@ def virtual_array_vector(
     moments = np.zeros((i.size, 2 * n), dtype=np.complex128)
     for lo in range(0, k, _SNAPSHOT_BLOCK):
         cols = slice(lo, lo + _SNAPSHOT_BLOCK)
-        block = pairs[:, : min(_SNAPSHOT_BLOCK, k - lo)]
+        rhs = both[:, : min(_SNAPSHOT_BLOCK, k - lo)]
+        xc = rhs[:n]
+        np.subtract(x[:, cols], mean, out=xc)
+        np.conjugate(xc, out=rhs[n:])
+        block = pairs[:, : rhs.shape[1]]
         for a in range(n):
             rows = slice(first_row[a], first_row[a] + n - a)
-            np.multiply(xc[a, cols], xc[a:, cols], out=block[rows])
-        rhs = both[:, : block.shape[1]]
-        rhs[:n] = xc[:, cols]
-        np.conjugate(xc[:, cols], out=rhs[n:])
+            np.multiply(xc[a], xc[a:], out=block[rows])
         moments += block @ rhs.T
     moments = moments.ravel()
     moments *= mult / k
@@ -293,12 +338,15 @@ def virtual_array_vector(
 
 
 # The most rows a block of the grid evaluation uses, and the grid columns one
-# GEMM and Horner pass of it cover.
-_BLOCK = 64
+# GEMM and Horner pass of it cover.  32 rather than 64 halves the cached table
+# of a long virtual array (m >= 1024) for about m/64 more Horner rows: at
+# m = 1514, 9.5 MB instead of 18.7 MB at 0.01 degrees, for about 1-2 ms more
+# per call on a 2-core x86 box.
+_BLOCK = 32
 _GRID_CHUNK = 4096
 
 # Smallest grid step: it leaves 2**20 interior points, a (b+1) x G steering
-# table of 1.02 GiB once b = _BLOCK (m >= 1024); its out-of-place build briefly
+# table of 0.52 GiB once b = _BLOCK (m >= 256); its out-of-place build briefly
 # needs about twice that.
 _MIN_GRID_STEP_DEG = 180.0 / (2**20 + 1)
 
@@ -354,7 +402,7 @@ def _block_length(m: int) -> int:
     array: the power of two with sqrt(m) < b <= 2 sqrt(m), at most ``_BLOCK``.
     The GEMM makes m*G multiplications whatever b is, but it reads b rows of
     the table and Horner's rule adds m/b rows, so b near sqrt(2m) keeps both
-    small; b doubles at m = 4, 16, 64, 256 and 1024."""
+    small; b doubles at m = 4, 16, 64 and 256."""
     return min(_BLOCK, 1 << ((2 * m).bit_length() // 2))
 
 
@@ -567,20 +615,20 @@ def ss_music(
     where r_l is the sum of the l-th superdiagonal of Es Es^H, i.e. the summed
     autocorrelations of the columns of conj(Es), taken by FFTs of length L;
     r_0 = D.  The coefficients r_0/2, r_1, ..., r_{m-1} are cut into rows of
-    b, the power of two with sqrt(m) < b <= 2 sqrt(m) up to 64 (16 at m = 124,
-    64 at m = 1514); one GEMM with the first b rows of a (b+1) x G table,
+    b, the power of two with sqrt(m) < b <= 2 sqrt(m) up to 32 (16 at m = 124,
+    32 at m = 1514); one GEMM with the first b rows of a (b+1) x G table,
     cached per grid, spacing and b, gives each row's partial sum, and Horner's
     rule in w**b, its last row, adds the rows.  Both run over chunks of
     ``_GRID_CHUNK`` grid columns, so no m x G table exists, the partial sums
     never span the whole grid, and the GEMM does not grow with D.
     """
-    z = np.asarray(z, dtype=np.complex128)
+    z = _numeric_array(z, "z")
     if z.ndim != 1 or z.size % 2 == 0:
         raise InvalidParameterError(
             f"virtual-array vector must have odd length 2Z+1, got {z.shape}"
         )
     if not np.all(np.isfinite(z)):
-        raise InvalidParameterError("virtual-array vector has non-finite entries")
+        raise InvalidParameterError("z must be finite, got non-finite entries")
     if not np.any(z):
         raise InvalidParameterError("virtual-array vector is all zero")
     if np.abs(z[::-1].conj() - z).max() > 1e-9 * np.abs(z).max():

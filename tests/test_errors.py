@@ -1,7 +1,7 @@
-"""Every constructor, and every public function taking a number, checks its
-numeric fields with the one rule in :mod:`tosda.errors`: a bad value raises
-InvalidParameterError naming the field, never a bare TypeError and never a
-silent conversion."""
+"""Every constructor, and every public function taking a number or an array
+of numbers, checks its numeric fields with the one rule in
+:mod:`tosda.errors`: a bad value raises InvalidParameterError naming the
+field, never a bare TypeError or ValueError and never a silent conversion."""
 
 import json
 import math
@@ -30,17 +30,22 @@ from tosda import (
     load_array,
     monte_carlo,
     redundancy_second_order,
+    sample_third_cumulants,
     size_bounds,
     split_closed_form,
     ss_music,
     steering_matrix,
+    to_eca,
+    virtual_array_vector,
     z_closed_form,
 )
 from tosda.errors import real_number
 
-# bad values for a whole-number field and for a finite-real field
+# bad values for a whole-number field and for a finite-real field, and for an
+# entry of an array of finite numbers
 WHOLE = (True, "3", 2.5)
 REAL = (True, "0.5", math.inf, -math.inf, math.nan)
+ENTRY = ("a", "0.5", None, math.inf, -math.inf, math.nan)
 
 CNA8 = split_closed_form("cna", 8)
 COUNTS = ("N", "M1", "M2", "lambda1", "lambda2")
@@ -48,6 +53,14 @@ COUNTS = ("N", "M1", "M2", "lambda1", "lambda2")
 
 def _gtoa(delta1=9, delta2=9, n2=2):
     return build_gtoa(build_generator("cna", 1, 2), delta1, delta2, n2)
+
+
+def _snapshots(v):
+    """A 2 x 3 snapshot matrix of a two-sensor ULA with ``v`` as one entry."""
+    return np.array([[1.0, v, -1.0], [0.5, 2.0, -2.5]])
+
+
+ULA2 = build_ula(2)
 
 
 def _monte_carlo(trials=1, threads=1):
@@ -97,6 +110,11 @@ CASES = [
      lambda v: ss_music(np.ones(9), v)),
     ("ss_music", "unit_spacing", (*REAL, 0, -0.5),
      lambda v: ss_music(np.ones(9), 1, unit_spacing=v)),
+    ("ss_music", "z", ENTRY, lambda v: ss_music([1.0, v, 1.0], 1)),
+    ("virtual_array_vector", "x", ENTRY,
+     lambda v: virtual_array_vector(_snapshots(v), ULA2, to_eca(ULA2))),
+    ("sample_third_cumulants", "x", ENTRY,
+     lambda v: sample_third_cumulants(_snapshots(v), ULA2)),
     ("steering_matrix", "angles_deg", REAL, lambda v: steering_matrix(build_ula(2), [v])),
     *[(f.__name__, "n", WHOLE, lambda v, f=f: f("cna", v))
       for f in (split_closed_form, brute_force_split, build_to_sda, z_closed_form,

@@ -141,6 +141,50 @@ class TestSynthesizeSnapshots:
         else:
             assert np.abs(x - want).max() <= 1e-15 * np.abs(want).max()
 
+    @pytest.mark.parametrize("coupling", [None, CouplingModel()])
+    def test_matches_one_draw_formula_bit_for_bit(self, coupling):
+        # the noise drawn as one (2, N, K) block, real parts first, and added
+        # to (C A) S: the noise buffer drawn one part at a time is the same stream
+        arr, _ = build_to_sda("cna", 9)
+        scene = SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), snr_db=-3.0, snapshots=700)
+        rng = np.random.default_rng(22)
+        a = steering_matrix(arr, scene.angles_deg)
+        if coupling is not None:
+            a = tosda.coupling_matrix(arr, coupling) @ a
+        s = rng.exponential(1.0, size=(12, 700))
+        s -= 1.0
+        noise = rng.standard_normal((2, 9, 700))
+        noise *= math.sqrt(10.0 ** (3.0 / 10.0)) / math.sqrt(2.0)
+        want = np.empty((9, 700), dtype=np.complex128)
+        np.add(a.real @ s, noise[0], out=want.real)
+        np.add(a.imag @ s, noise[1], out=want.imag)
+        got_rng = np.random.default_rng(22)
+        got = synthesize_snapshots(arr, scene, coupling, got_rng)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert got_rng.random() == rng.random()  # both streams end in one place
+
+    def test_coupling_matrix_built_once_per_array_and_model(self, array9, monkeypatch):
+        calls = []
+        coefficient = CouplingModel.coefficient
+        monkeypatch.setattr(CouplingModel, "coefficient",
+                            lambda model, d: calls.append(d) or coefficient(model, d))
+        simulator._coupling_matrix.cache_clear()
+        scene = SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), 0.0, 500)
+        report = to_eca(array9)
+
+        def trial(seed):
+            tosda.run_trial(array9, scene, report, np.random.default_rng(seed),
+                            coupling=CouplingModel())
+
+        trial(1)
+        first = len(calls)
+        trial(2)
+        assert first > 0 and len(calls) == first
+        assert not simulator._coupling_matrix(array9, CouplingModel()).flags.writeable
+        # the public function builds a fresh, writeable matrix on every call
+        assert tosda.coupling_matrix(array9, CouplingModel()).flags.writeable
+        assert len(calls) == 2 * first
+
     def test_noiseless_broadside_rows_equal(self):
         arr = build_ula(3)
         scene = SourceScene((0.0,), snr_db=300.0, snapshots=16, seed=0)
@@ -294,6 +338,20 @@ class TestVirtualArrayVector:
         x = synthesize_snapshots(arr, scene, CouplingModel())
         want = reference_virtual_vector(x, arr, rep)
         assert np.allclose(virtual_array_vector(x, arr, rep), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "k", [1, 700, simulator._SNAPSHOT_BLOCK, 2 * simulator._SNAPSHOT_BLOCK + 3])
+    def test_matches_reference_across_snapshot_blocks(self, k):
+        # one short block, one full block, and a ragged last block; the offset
+        # per sensor makes every block's centring by the sensor means count
+        arr, _ = build_to_sda("scna", 6)
+        rep = to_eca(arr)
+        rng = np.random.default_rng(k)
+        x = (rng.standard_normal((arr.size, k)) + 1j * rng.standard_normal((arr.size, k))
+             + (3.0 - 2.0j) * np.arange(arr.size)[:, None])
+        got = virtual_array_vector(x, arr, rep)
+        want = reference_virtual_vector(x, arr, rep)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(x).max() ** 3)
 
     @pytest.mark.parametrize(
         "other",
@@ -814,17 +872,27 @@ class TestSteeringTable:
     def test_cold_trial_traced_peak_below_16_mib(self, array9):
         # one CNA N=9 trial with an empty steering cache: the 17-row table, its
         # build and the trial's own arrays, as numpy reports them to tracemalloc
-        scene = SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), 0.0, 12000)
-        report = to_eca(array9)
-        simulator._grid_and_steering.cache_clear()
-        tracemalloc.start()
-        try:
-            tosda.run_trial(array9, scene, report, np.random.default_rng(1),
-                            coupling=CouplingModel())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert cold_trial_traced_peak(array9, CouplingModel()) < 16 * 2**20
+
+    def test_cold_n24_trial_traced_peak_below_24_mib(self):
+        # m = 1514: the 33-row table, its out-of-place build, the 24 x 12000
+        # snapshots and the blocks of virtual_array_vector
+        array24, _ = build_to_sda("cna", 24)
+        assert cold_trial_traced_peak(array24, None) < 24 * 2**20
+
+
+def cold_trial_traced_peak(array, coupling):
+    """tracemalloc's peak in bytes over one trial (12 sources, K = 12000,
+    0 dB, 0.01 degree grid) that starts with an empty steering cache."""
+    scene = SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), 0.0, 12000)
+    report = to_eca(array)
+    simulator._grid_and_steering.cache_clear()
+    tracemalloc.start()
+    try:
+        tosda.run_trial(array, scene, report, np.random.default_rng(1), coupling=coupling)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestRmse:
