@@ -213,19 +213,26 @@ def _coupling_matrix(
     return c
 
 
-def _numeric_array(value, name: str) -> np.ndarray:
-    """``value`` as a complex128 array when its entries are numbers; strings,
-    bools, None and other objects raise :class:`InvalidParameterError` naming
-    the argument as ``name`` instead of converting."""
+def _numeric_array(value, name: str, dtype=np.complex128) -> np.ndarray:
+    """``value`` as a ``dtype`` (complex128 or float) array when its entries
+    are numbers, real ones for float; strings, bools, None and other objects
+    raise :class:`InvalidParameterError` naming the argument as ``name``
+    instead of converting."""
+    kinds, what = ("iufc", "numbers") if dtype is np.complex128 else ("iuf", "real numbers")
     try:
         a = np.asarray(value)
     except ValueError:  # a ragged nesting of sequences
         a = None
-    if a is None or a.dtype.kind not in "iufc":
+    if not isinstance(value, np.ndarray) and a is not None and a.dtype.kind in kinds:
+        # numpy turns a bool among numbers into a number, so look at the
+        # entries of a sequence; an array's dtype already tells
+        if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
+            a = None
+    if a is None or a.dtype.kind not in kinds:
         raise InvalidParameterError(
-            f"{name} must be an array of numbers, got {reprlib.repr(value)}"
+            f"{name} must be an array of {what}, got {reprlib.repr(value)}"
         )
-    return a.astype(np.complex128, copy=False)
+    return a.astype(dtype, copy=False)
 
 
 def _snapshots_and_means(x, array: SensorArray) -> tuple[np.ndarray, np.ndarray]:
@@ -674,14 +681,18 @@ def rmse(estimates: np.ndarray, truth) -> float:
     """Root-mean-square DOA error over trials and sources, in degrees.
 
     Estimates are matched to the truth by sorted order, which is the
-    deterministic matching the aggregate error definition presumes.
+    deterministic matching the aggregate error definition presumes.  Both
+    must hold finite real numbers.
     """
-    est = np.asarray(estimates, dtype=float)
+    est = _numeric_array(estimates, "estimates", float)
+    truth = np.sort(_numeric_array(truth, "truth", float))
+    for name, a in (("estimates", est), ("truth", truth)):
+        if not np.all(np.isfinite(a)):
+            raise InvalidParameterError(f"{name} must be finite, got non-finite entries")
     if est.ndim == 1:
         est = est[None, :]
     if est.ndim != 2:
         raise InvalidParameterError(f"expected a trials x D matrix, got {est.shape}")
-    truth = np.sort(np.asarray(truth, dtype=float))
     if est.shape[1] != truth.size:
         raise InvalidParameterError(
             f"estimates have {est.shape[1]} sources, truth has {truth.size}"

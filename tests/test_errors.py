@@ -30,6 +30,7 @@ from tosda import (
     load_array,
     monte_carlo,
     redundancy_second_order,
+    rmse,
     sample_third_cumulants,
     size_bounds,
     split_closed_form,
@@ -45,7 +46,7 @@ from tosda.errors import real_number
 # entry of an array of finite numbers
 WHOLE = (True, "3", 2.5)
 REAL = (True, "0.5", math.inf, -math.inf, math.nan)
-ENTRY = ("a", "0.5", None, math.inf, -math.inf, math.nan)
+ENTRY = ("a", "0.5", None, True, math.inf, -math.inf, math.nan)
 
 CNA8 = split_closed_form("cna", 8)
 COUNTS = ("N", "M1", "M2", "lambda1", "lambda2")
@@ -56,8 +57,8 @@ def _gtoa(delta1=9, delta2=9, n2=2):
 
 
 def _snapshots(v):
-    """A 2 x 3 snapshot matrix of a two-sensor ULA with ``v`` as one entry."""
-    return np.array([[1.0, v, -1.0], [0.5, 2.0, -2.5]])
+    """A two-sensor ULA's 2 x 3 snapshots with ``v`` as one entry, as lists."""
+    return [[1.0, v, -1.0], [0.5, 2.0, -2.5]]
 
 
 ULA2 = build_ula(2)
@@ -115,6 +116,8 @@ CASES = [
      lambda v: virtual_array_vector(_snapshots(v), ULA2, to_eca(ULA2))),
     ("sample_third_cumulants", "x", ENTRY,
      lambda v: sample_third_cumulants(_snapshots(v), ULA2)),
+    ("rmse", "estimates", ENTRY, lambda v: rmse([[v, 1.0]], [0.0, 1.0])),
+    ("rmse", "truth", ENTRY, lambda v: rmse([[0.0, 1.0]], [v, 1.0])),
     ("steering_matrix", "angles_deg", REAL, lambda v: steering_matrix(build_ula(2), [v])),
     *[(f.__name__, "n", WHOLE, lambda v, f=f: f("cna", v))
       for f in (split_closed_form, brute_force_split, build_to_sda, z_closed_form,
