@@ -72,24 +72,18 @@ class TestSourceScene:
         assert (scene.snapshots, scene.seed) == (8, 2)
         assert type(scene.snapshots) is int and type(scene.seed) is int
         arr, _ = build_to_sda("cna", 6)
-        ran, want = (
-            monte_carlo(arr, s, trials=2, grid_step_deg=0.1)
-            for s in (scene, dataclasses.replace(scene, seed=2))
-        )
+        ran, want = (monte_carlo(arr, s, trials=2, grid_step_deg=0.1)
+                     for s in (scene, dataclasses.replace(scene, seed=2)))
         assert ran[0].rmse_deg == want[0].rmse_deg
         assert np.array_equal(ran[0].per_trial_estimates, want[0].per_trial_estimates)
 
 
 class TestSteeringMatrix:
     def test_broadside_is_all_ones(self):
-        arr, _ = build_to_sda("cna", 8)
-        a = steering_matrix(arr, [0.0])
-        assert np.allclose(a, 1.0)
+        assert np.allclose(steering_matrix(build_to_sda("cna", 8)[0], [0.0]), 1.0)
 
     def test_unit_modulus(self):
-        arr = build_ula(4)
-        a = steering_matrix(arr, [-33.0, 12.0, 71.0])
-        assert np.allclose(np.abs(a), 1.0)
+        assert np.allclose(np.abs(steering_matrix(build_ula(4), [-33.0, 12.0, 71.0])), 1.0)
 
     def test_phase_of_second_sensor(self):
         a = steering_matrix(build_ula(2), [30.0])
@@ -97,9 +91,7 @@ class TestSteeringMatrix:
 
     def test_conjugate_pairs_mirror_angle(self):
         arr = build_ula(5)
-        a_pos = steering_matrix(arr, [17.0])
-        a_neg = steering_matrix(arr, [-17.0])
-        assert np.allclose(a_pos.conj(), a_neg)
+        assert np.allclose(steering_matrix(arr, [17.0]).conj(), steering_matrix(arr, [-17.0]))
 
     def test_endfire_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -110,9 +102,7 @@ class TestSynthesizeSnapshots:
     def test_deterministic_from_seed(self):
         arr = build_ula(4)
         scene = SourceScene((0.0, 20.0), snr_db=5.0, snapshots=64, seed=11)
-        x1 = synthesize_snapshots(arr, scene)
-        x2 = synthesize_snapshots(arr, scene)
-        assert np.array_equal(x1, x2)
+        assert np.array_equal(synthesize_snapshots(arr, scene), synthesize_snapshots(arr, scene))
 
     def test_band_zero_coupling_is_identity(self):
         arr = build_ula(4)
@@ -145,8 +135,7 @@ class TestSynthesizeSnapshots:
         assert got_rng.random() == rng.random()  # both streams end in one place
 
     def test_coupling_matrix_built_once_per_array_and_model(self, array9, monkeypatch):
-        calls = []
-        coefficient = CouplingModel.coefficient
+        calls, coefficient = [], CouplingModel.coefficient
         monkeypatch.setattr(CouplingModel, "coefficient",
                             lambda model, d: calls.append(d) or coefficient(model, d))
         simulator._coupling_matrix.cache_clear()
@@ -167,23 +156,19 @@ class TestSynthesizeSnapshots:
         assert len(calls) == 2 * first
 
     def test_noiseless_broadside_rows_equal(self):
-        arr = build_ula(3)
         scene = SourceScene((0.0,), snr_db=300.0, snapshots=16, seed=0)
-        x = synthesize_snapshots(arr, scene)
-        assert np.allclose(x[0], x[1], atol=1e-12)
-        assert np.allclose(x[0], x[2], atol=1e-12)
+        x = synthesize_snapshots(build_ula(3), scene)
+        assert np.allclose(x[1:], x[0], atol=1e-12)
 
     def test_source_power_near_unity(self):
-        arr = build_ula(2)
         scene = SourceScene((0.0,), snr_db=300.0, snapshots=200_000, seed=3)
-        x = synthesize_snapshots(arr, scene)
+        x = synthesize_snapshots(build_ula(2), scene)
         assert np.mean(np.abs(x[0]) ** 2) == pytest.approx(1.0, rel=0.05)
 
 
 class TestSampleThirdCumulants:
     def test_zero_input(self):
-        arr = build_ula(2)
-        cum = sample_third_cumulants(np.zeros((2, 10), dtype=complex), arr)
+        cum = sample_third_cumulants(np.zeros((2, 10), dtype=complex), build_ula(2))
         assert np.all(cum == 0)
         assert cum.shape == (4 * 8,)
 
@@ -203,14 +188,11 @@ class TestSampleThirdCumulants:
         x = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
         cum = sample_third_cumulants(x, arr)
         xc = x - x.mean(axis=1, keepdims=True)
-        patterns = {
-            1: (lambda a, b, c: a * b * c),
-            2: (lambda a, b, c: a * b * c.conj()),
-            3: (lambda a, b, c: a.conj() * b.conj() * c),
-            4: (lambda a, b, c: a.conj() * b.conj() * c.conj()),
-        }
+        patterns = (lambda a, b, c: a * b * c, lambda a, b, c: a * b * c.conj(),
+                    lambda a, b, c: a.conj() * b.conj() * c,
+                    lambda a, b, c: a.conj() * b.conj() * c.conj())
         n = 3
-        for j, pat in patterns.items():
+        for j, pat in enumerate(patterns, start=1):
             for l1, l2, l3 in itertools.product(range(n), repeat=3):
                 idx = (j - 1) * n**3 + n * n * l1 + n * l2 + l3
                 want = np.mean(pat(xc[l1], xc[l2], xc[l3]))
@@ -221,9 +203,7 @@ class TestSampleThirdCumulants:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 30)) + 1j * rng.standard_normal((2, 30))
         cum = sample_third_cumulants(x, arr)
-        n3 = 8
-        case1, case2 = cum[:n3], cum[n3:2 * n3]
-        case3, case4 = cum[2 * n3:3 * n3], cum[3 * n3:]
+        case1, case2, case3, case4 = np.split(cum, 4)  # 8 entries each
         assert np.array_equal(case3, case2.conj())
         assert np.array_equal(case4, case1.conj())
 
@@ -267,8 +247,7 @@ class TestVirtualArrayVector:
         x = np.full((1, 50), 2.0, dtype=complex)
         x[0, ::2] = -1.0  # non-trivial signal
         cum = sample_third_cumulants(x, arr)
-        rep = to_eca(arr)
-        z = virtual_array_vector(x, arr, rep)
+        z = virtual_array_vector(x, arr, to_eca(arr))
         assert z.shape == (1,)
         assert z[0] == pytest.approx(np.mean(cum))
 
@@ -280,10 +259,15 @@ class TestVirtualArrayVector:
         omega = 0.37
         s = np.array([2.0, -1.0, -1.0]) / np.cbrt(2.0)  # mean 0, mean cube 1
         x = np.exp(1j * omega * np.asarray(arr.positions))[:, None] * s[None, :]
-        z = virtual_array_vector(x, arr, rep)
-        big_z = rep.one_sided_z
-        lags = np.arange(-big_z, big_z + 1)
-        assert np.allclose(z, np.exp(1j * omega * lags), atol=1e-12)
+        lags = np.arange(-rep.one_sided_z, rep.one_sided_z + 1)
+        assert np.allclose(virtual_array_vector(x, arr, rep), np.exp(1j * omega * lags),
+                           atol=1e-12)
+
+    def test_average_counts_equal_weights(self):
+        arr, _ = build_to_sda("scna", 8)
+        rep, lag_map = to_eca(arr), index_lag_map(arr)
+        for lag in (-rep.one_sided_z, -3, 0, 5, rep.one_sided_z):
+            assert np.sum(lag_map == lag) == rep.weights[lag]
 
     @settings(deadline=None)
     @given(
@@ -404,8 +388,7 @@ class TestLocalMaxima:
 def test_real_transform_subspace_matches_complex_eigh(m):
     # the dense path's real eigh of Q^H T Q spans the eigenvectors of largest
     # |eigenvalue| of T; a negative-cumulant source makes one of them negative
-    big_z = m - 1
-    d = min(3, big_z)
+    big_z, d = m - 1, min(3, m - 1)
     angles = [-41.0, 7.5, 33.0][:d]
     gammas = np.array([-1.5, 1.0, 0.8])[:d]
     z = analytic_virtual_vector(big_z, angles, gammas)
@@ -430,8 +413,7 @@ def test_lanczos_convergence_tests_spaced_geometrically(monkeypatch):
     c[0] = c[0].real
     vals, vecs = np.linalg.eigh(toeplitz(c))
     wanted = vecs[:, np.argsort(np.abs(vals), kind="stable")[m - d:]]
-    sizes = []
-    eigh = np.linalg.eigh
+    sizes, eigh = [], np.linalg.eigh
 
     def counting(a):
         sizes.append(a.shape[0])
@@ -535,13 +517,33 @@ def fresh_facts(tmp_path_factory):
     return facts
 
 
-def test_scipy_free_paths_load_no_scipy(fresh_facts):
-    # the dense ss_music call ran on 2Z+1 = 247 lags and loaded no scipy.sparse
-    assert fresh_facts("scipy-free paths") == {
-        "import tosda": [], "design": [0, True, []], "dense ss_music": [2 * 123 + 1, []],
-        "monte_carlo threads=1": [], "monte_carlo threads=2": [],
-        "simulate rmse": [0, True, []], "simulate spectrum": [0, True, []],
-    }
+def test_import_leaves_scipy_signal_unloaded(fresh_facts):
+    assert fresh_facts("scipy-free paths")["import tosda"] == []
+
+
+def test_design_paths_load_no_scipy(fresh_facts):
+    assert fresh_facts("scipy-free paths")["design"] == [0, True, []]
+
+
+def test_dense_ss_music_loads_no_scipy_sparse(fresh_facts):
+    # the dense ss_music call ran on 2Z+1 = 247 lags
+    assert fresh_facts("scipy-free paths")["dense ss_music"] == [2 * 123 + 1, []]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_dense_monte_carlo_loads_no_scipy(fresh_facts, threads):
+    assert fresh_facts("scipy-free paths")[f"monte_carlo threads={threads}"] == []
+
+
+@pytest.mark.parametrize("mode", ["rmse", "spectrum"])
+def test_dense_simulate_loads_no_scipy(fresh_facts, mode):
+    assert fresh_facts("scipy-free paths")[f"simulate {mode}"] == [0, True, []]
+
+
+def test_first_lanczos_call_runs_in_two_workers_at_once(fresh_facts):
+    facts = fresh_facts("threads=2")
+    assert facts["scipy"] == [] and facts["estimates equal"]
+    assert facts["count after"] == facts["count at start"] == 2
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -558,18 +560,14 @@ def test_first_lanczos_call_pins_blas_only_in_a_pool(fresh_facts, threads):
 
 class TestSsMusic:
     def test_population_single_source(self):
-        z = analytic_virtual_vector(40, [12.34])
-        est = ss_music(z, 1)
+        est = ss_music(analytic_virtual_vector(40, [12.34]), 1)
         assert abs(est.angles_deg[0] - 12.34) <= 0.01
 
     def test_population_broadside(self):
-        z = analytic_virtual_vector(30, [0.0])
-        est = ss_music(z, 1)
-        assert abs(est.angles_deg[0]) <= 0.01
+        assert abs(ss_music(analytic_virtual_vector(30, [0.0]), 1).angles_deg[0]) <= 0.01
 
     def test_population_pair(self):
-        z = analytic_virtual_vector(60, [-30.0, 30.0])
-        est = ss_music(z, 2)
+        est = ss_music(analytic_virtual_vector(60, [-30.0, 30.0]), 2)
         assert np.all(np.abs(est.angles_deg - [-30.0, 30.0]) <= 0.01)
 
     def test_capacity_rule(self):
@@ -586,9 +584,8 @@ class TestSsMusic:
             ss_music(np.zeros(2 * big_z + 1), 3)
 
     def test_lanczos_path_repeatable(self):
-        rng = np.random.default_rng(7)
         z = analytic_virtual_vector(300, [-20.0, 10.0, 40.0])
-        z += symmetric_noise(rng, 300, 0.1)
+        z += symmetric_noise(np.random.default_rng(7), 300, 0.1)
         first, second = (ss_music(z, 3) for _ in range(2))
         assert np.array_equal(first.spectrum[1], second.spectrum[1])
         assert np.array_equal(first.angles_deg, second.angles_deg)
@@ -611,8 +608,7 @@ class TestSsMusic:
             return real_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", recording_rng)
-        angles = [-41.0, 7.5, 52.0][:d]
-        z = analytic_virtual_vector(300, angles)
+        z = analytic_virtual_vector(300, [-41.0, 7.5, 52.0][:d])
         assert z.size // 2 + 1 > simulator._DENSE_EIGH_MAX_M
         assert_matches_smoothing_music(z, d)
         assert seeds == [simulator._LANCZOS_RESTART_SEED]
@@ -672,8 +668,7 @@ class TestSsMusic:
         z = analytic_virtual_vector(big_z, angles, gammas, spacing)
         z += symmetric_noise(rng, big_z, 0.01 * np.abs(z).max())
         grid = assert_matches_smoothing_music(z, d, step, spacing)
-        chunks = (0, 3599) if step == 0.05 else (4, 1615)
-        assert divmod(grid.size, simulator._GRID_CHUNK) == chunks
+        assert divmod(grid.size, simulator._GRID_CHUNK) == {0.05: (0, 3599), 0.01: (4, 1615)}[step]
 
     @pytest.mark.parametrize("defect", [1e-3, 1e-6])
     def test_non_conjugate_symmetric_vector_rejected(self, defect):
@@ -696,9 +691,8 @@ class TestSsMusic:
 
     @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.5, 1e-9])
     def test_bad_grid_step_rejected(self, step):
-        z = analytic_virtual_vector(20, [5.0])
         with pytest.raises(InvalidParameterError):
-            ss_music(z, 1, grid_step_deg=step)
+            ss_music(analytic_virtual_vector(20, [5.0]), 1, grid_step_deg=step)
 
     def test_grid_with_fewer_points_than_sources_rejected(self):
         # a 60-degree step leaves the interior points -30 and 30 only
@@ -738,12 +732,16 @@ class TestSsMusic:
         assert est.angles_deg.tolist() == sorted(grid[chosen].tolist())
         assert want is None or (est.peaks_padded and est.angles_deg.tolist() == want)
 
+    def test_spectrum_returned_on_request(self):
+        grid, spec = ss_music(analytic_virtual_vector(20, [5.0]), 1).spectrum
+        assert grid.shape == spec.shape
+        assert grid[0] > -90 and grid[-1] < 90
+
 
 class TestSteeringTable:
     def test_ss_music_caches_only_the_rows_of_its_block(self):
         simulator._grid_and_steering.cache_clear()
-        z = analytic_virtual_vector(123, [-20.0, 10.0, 40.0])  # m = 124, b = 16
-        ss_music(z, 3)
+        ss_music(analytic_virtual_vector(123, [-20.0, 10.0, 40.0]), 3)  # m = 124, b = 16
         assert simulator._grid_and_steering.cache_info().currsize == 1
         _, table = simulator._grid_and_steering(0.01, 0.5, 17)
         info = simulator._grid_and_steering.cache_info()
@@ -758,8 +756,7 @@ class TestSteeringTable:
     def test_cold_n24_trial_traced_peak_below_24_mib(self):
         # m = 1514: the 33-row table, its out-of-place build, the 24 x 12000
         # snapshots and the blocks of virtual_array_vector
-        array24, _ = build_to_sda("cna", 24)
-        assert cold_trial_traced_peak(array24, None) < 24 * 2**20
+        assert cold_trial_traced_peak(build_to_sda("cna", 24)[0], None) < 24 * 2**20
 
 
 def cold_trial_traced_peak(array, coupling):
@@ -784,8 +781,7 @@ class TestRmse:
         assert rmse(np.array([[1.0]]), [0.0]) == pytest.approx(1.0)
 
     def test_two_trials(self):
-        est = np.array([[0.0], [2.0]])
-        assert rmse(est, [0.0]) == pytest.approx(np.sqrt(2.0))
+        assert rmse(np.array([[0.0], [2.0]]), [0.0]) == pytest.approx(np.sqrt(2.0))
 
     def test_trial_order_invariant(self):
         rng = np.random.default_rng(0)
@@ -829,22 +825,23 @@ def test_run_trial_keeps_spectrum_on_request(array9):
 
 class TestMonteCarlo:
     def test_deterministic_across_threads(self, array9):
-        scene = SourceScene(
-            tuple(np.linspace(-50, 50, 4)), snr_db=0.0, snapshots=800, seed=21
-        )
-        runs = [
-            monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=3, threads=t)
-            for t in (1, 4)
-        ]
+        scene = SourceScene(tuple(np.linspace(-50, 50, 4)), snr_db=0.0, snapshots=800, seed=21)
+        runs = [monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=3, threads=t)
+                for t in (1, 4)]
         for a, b in zip(*runs):
             assert np.array_equal(a.per_trial_estimates, b.per_trial_estimates)
             assert a.rmse_deg == b.rmse_deg
 
+    def test_deterministic_across_threads_on_lanczos_path(self):
+        # CNA N=13 has m = 309 > 224, so every trial's subspace comes from Lanczos
+        arr, _ = build_to_sda("cna", 13)
+        scene = SourceScene(tuple(np.linspace(-60, 60, 12)), snr_db=0.0, snapshots=2000, seed=13)
+        runs = [monte_carlo(arr, scene, trials=4, threads=t) for t in (1, 2)]
+        assert np.array_equal(runs[0][0].per_trial_estimates, runs[1][0].per_trial_estimates)
+
     def test_more_sources_than_sensors(self, array9):
         # 12 sources against 9 physical sensors still estimates
-        scene = SourceScene(
-            tuple(np.linspace(-60, 60, 12)), snr_db=10.0, snapshots=3000, seed=5
-        )
+        scene = SourceScene(tuple(np.linspace(-60, 60, 12)), snr_db=10.0, snapshots=3000, seed=5)
         stats = monte_carlo(array9, scene, None, trials=1)
         assert stats[0].per_trial_estimates.shape == (1, 12)
         assert stats[0].rmse_deg < 2.0
@@ -857,10 +854,14 @@ class TestMonteCarlo:
 
     def test_num_sources_sweep_respans(self, array9):
         scene = SourceScene((-60.0, 60.0), snr_db=10.0, snapshots=500, seed=2)
-        # a whole float counts as its int
-        for point in monte_carlo(array9, scene, ("num_sources", [3, 3.0]), trials=1):
-            assert point.truth_deg.shape == (3,)
-            assert point.truth_deg[0] == -60.0 and point.truth_deg[-1] == 60.0
+        stats = monte_carlo(array9, scene, ("num_sources", [3]), trials=1)
+        assert stats[0].truth_deg.shape == (3,)
+        assert stats[0].truth_deg[0] == -60.0 and stats[0].truth_deg[-1] == 60.0
+
+    def test_whole_float_sweep_value_accepted(self, array9):
+        scene = SourceScene((-60.0, 60.0), snr_db=10.0, snapshots=500, seed=2)
+        stats = monte_carlo(array9, scene, ("num_sources", [3.0]), trials=1)
+        assert stats[0].truth_deg.shape == (3,)
 
     @pytest.mark.parametrize(
         "parameter, value",
@@ -878,10 +879,9 @@ class TestMonteCarlo:
         assert type(stats[0].trials) is int and stats[0].trials == 2
 
     def test_capacity_failure_aborts_point(self):
-        tiny = build_ula(2)  # Z = 3
         scene = SourceScene((0.0, 10.0, 20.0, 30.0), snr_db=0.0, snapshots=64, seed=0)
         with pytest.raises(CapacityExceededError):
-            monte_carlo(tiny, scene, None, trials=1)
+            monte_carlo(build_ula(2), scene, None, trials=1)  # Z = 3
 
     def test_bad_grid_step_rejected_before_any_snapshot(self, array9, monkeypatch):
         real, calls = simulator.synthesize_snapshots, []
@@ -921,8 +921,7 @@ class TestMonteCarlo:
         scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=400, seed=1)
         clean = monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=3)
         assert [s.padded_trials for s in clean] == [0, 0]
-        real = simulator.ss_music
-        calls = []
+        real, calls = simulator.ss_music, []
 
         def pad_every_other(*args, **kwargs):
             calls.append(None)
@@ -931,9 +930,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(simulator, "ss_music", pad_every_other)
         lines = []
-        padded = monte_carlo(
-            array9, scene, ("snr", [0.0, 6.0]), trials=3, progress=lines.append
-        )
+        padded = monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=3, progress=lines.append)
         # calls 1, 3 | 5 are padded: trials 0 and 2 of point 0, trial 1 of point 1
         assert [s.padded_trials for s in padded] == [2, 1]
         assert "2/3 trials padded" in lines[0] and "1/3 trials padded" in lines[1]
@@ -942,8 +939,7 @@ class TestMonteCarlo:
             assert a.rmse_deg == b.rmse_deg
 
     def test_workers_capped_at_trial_count(self, array9, monkeypatch):
-        sizes = []
-        real_pool = simulator.ThreadPoolExecutor
+        sizes, real_pool = [], simulator.ThreadPoolExecutor
 
         def recording_pool(max_workers):
             sizes.append(max_workers)
@@ -958,33 +954,41 @@ class TestMonteCarlo:
         monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=1, threads=64)
         assert sizes == [3]
 
-    def test_blas_pinned_while_pool_runs_and_restored(self, array9, monkeypatch,
-                                                      blas):
-        # a one-worker CNA N=24 trial took 76-105 ms with numpy's copy unpinned
-        # and 104-117 ms pinned; a pool pins once and restores once per call
+    def test_blas_pinned_while_pool_runs_and_restored(self, array9, monkeypatch, blas):
         get, set_ = blas
         set_(2)
-        real, inside, calls = simulator.ss_music, [], []
+        real, inside = simulator.ss_music, []
 
         def recording_music(*args, **kwargs):
             inside.append(get())
             return real(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "ss_music", recording_music)
-        monkeypatch.setattr(simulator, "_openblas_thread_controls",
-                            lambda: (get, lambda n: calls.append(n) or set_(n)))
         scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
         # a pool of two pins; one worker on the calling thread, in both ways, does not
         for threads, trials, count in [(2, 3, 1), (1, 3, 2), (4, 1, 2)]:
             inside.clear()
-            calls.clear()
             monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=trials, threads=threads)
             assert inside == [count] * (2 * trials), (threads, trials)
-            assert calls == ([1, 2] if count == 1 else []), (threads, trials)
             assert get() == 2, (threads, trials)
 
-    def test_blas_restored_when_a_trial_raises(self, array9, monkeypatch,
-                                               blas):
+    @pytest.mark.parametrize("threads, trials", [(1, 3), (4, 1)])
+    def test_one_worker_leaves_blas_count_untouched(self, array9, monkeypatch, blas,
+                                                    threads, trials):
+        # a one-worker CNA N=24 trial took 76-105 ms with numpy's copy unpinned
+        # and 104-117 ms pinned; a pool pins once and restores once per call
+        get, set_ = blas
+        set_(2)
+        calls = []
+        monkeypatch.setattr(simulator, "_openblas_thread_controls",
+                            lambda: (get, lambda n: calls.append(n) or set_(n)))
+        scene = SourceScene((0.0, 30.0), snr_db=0.0, snapshots=200, seed=1)
+        monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=trials, threads=threads)
+        assert calls == []
+        monte_carlo(array9, scene, trials=2, threads=2)
+        assert calls == [1, 2]
+
+    def test_blas_restored_when_a_trial_raises(self, array9, monkeypatch, blas):
         get, set_ = blas
         set_(3)
 
@@ -1031,8 +1035,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(simulator, "_openblas_thread_controls",
                             lambda: (lambda: time.sleep(0) or state[0], set_))
-        pin = simulator._BlasPin()
-        inside = []
+        pin, inside = simulator._BlasPin(), []
 
         def hold():
             for _ in range(300):
@@ -1053,8 +1056,7 @@ class TestMonteCarlo:
         assert len(inside) == 1200 and set(inside) == {1}
         assert state == [4]
 
-    def test_missing_blas_symbols_run_unpinned(self, array9, monkeypatch,
-                                               blas):
+    def test_missing_blas_symbols_run_unpinned(self, array9, monkeypatch, blas):
         get, set_ = blas
         set_(2)
         # CNA N=9 (m = 124) takes its subspace from eigh, N=13 (m = 309) from Lanczos
@@ -1079,10 +1081,8 @@ class TestMonteCarlo:
                 for (arr, threads), expected in zip(cases, pinned):
                     inside.clear()
                     lines = []
-                    unpinned = monte_carlo(
-                        arr, scene, ("snr", [0.0, 6.0]), trials=3, threads=threads,
-                        progress=lines.append,
-                    )
+                    unpinned = monte_carlo(arr, scene, ("snr", [0.0, 6.0]), trials=3,
+                                           threads=threads, progress=lines.append)
                     assert inside == [2] * 6, (arr.name, threads)
                     # with a pool, one note on BLAS; then one line per sweep point
                     if threads > 1:
