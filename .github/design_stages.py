@@ -1,0 +1,29 @@
+"""Print the median wall time of the two design-layer stages: ``to_eca`` and
+``consecutive_z`` in microseconds on CNA N=24 and TNA-II N=24, then one
+``brute_force_split("tna2", 24)`` in milliseconds.
+
+Run from any directory: ``python .github/design_stages.py``.
+"""
+import logging, os, statistics, sys, time
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, 'src'))
+from tosda import coarray, designer, geometry
+
+logging.disable(logging.WARNING)  # TNA-II's rounding-search notice
+
+
+def median_s(fn, *args, repeats=7, number=1):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(number):
+            fn(*args)
+        times.append((time.perf_counter() - start) / number)
+    return statistics.median(times)
+
+
+for variant in ('cna', 'tna2'):
+    array, _ = geometry.build_to_sda(variant, 24)
+    for fn in (coarray.to_eca, coarray.consecutive_z):
+        print(f'{variant} N=24 {fn.__name__}: {1e6 * median_s(fn, array, number=200):.1f} us')
+designer.brute_force_split('tna2', 24)  # warm-up
+print(f'brute_force_split tna2 N=24: {1e3 * median_s(designer.brute_force_split, "tna2", 24):.1f} ms')

@@ -12,6 +12,7 @@ The package splits into five layers:
 from .coarray import (
     CoarrayReport,
     LagMultiset,
+    consecutive_z,
     index_lag_map,
     second_order,
     to_eca,

@@ -393,7 +393,7 @@ def cmd_sweep(args) -> tuple[dict, dict]:
             )
     for path in args.baseline or []:
         array = geometry.load_array(path)
-        z = coarray.to_eca(array).one_sided_z
+        z = coarray.consecutive_z(array)
         # a baseline row has its name, size and brute-force count only
         baseline = {"variant": array.name, "N": array.size, "dof_brute": 2 * z + 1}
         rows.append({**dict.fromkeys(columns), **baseline}.values())

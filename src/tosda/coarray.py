@@ -8,7 +8,9 @@ four conjugation-pattern co-arrays
     case 1:  p[i] + p[j] + p[k]        case 2:  p[i] + p[j] - p[k]
     case 3: -p[i] - p[j] + p[k]        case 4: -p[i] - p[j] - p[k]
 
-over all ordered triples, 4*N^3 entries in total.
+over all ordered triples, 4*N^3 entries in total.  Where only the
+consecutive segment matters, :func:`consecutive_z` reads it from the lag
+set alone, kept as bits of Python integers.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ _CASE_SIGNS = {1: (1, 1, 1), 2: (1, 1, -1), 3: (-1, -1, 1), 4: (-1, -1, -1)}
 # Largest sensor position the lag builders accept.  to_eca's histograms
 # span [-3*top, 3*top], about 12 int64 counts (96 bytes) per unit of the
 # largest position ``top``: 1.5 GiB at this cap, which TO-SDAs pass beyond
-# N = 480 (TNA-II) and N = 600 (CNA, SCNA).  Every lag of a capped array
-# fits int64 with room to spare.
+# N = 480 (TNA-II) and N = 600 (CNA, SCNA); consecutive_z's bitsets take
+# a few bytes per unit.  Every lag of a capped array fits int64 with room
+# to spare.
 MAX_POSITION = 2**24
 
 
@@ -168,7 +171,7 @@ def _positions(array: SensorArray) -> np.ndarray:
     if top > MAX_POSITION:
         raise InvalidParameterError(
             f"{array.name}: largest position {top} exceeds {MAX_POSITION}, "
-            "the most the lag histograms take"
+            "the most the co-array functions take"
         )
     return np.asarray(array.positions, dtype=np.int64)
 
@@ -251,6 +254,34 @@ def to_eca(array: SensorArray) -> CoarrayReport:
     if not report.symmetric:
         raise InternalConsistencyError("TO-ECA must be symmetric about lag 0")
     return report
+
+
+def consecutive_z(array: SensorArray) -> int:
+    """``to_eca(array).one_sided_z``, from the lag set alone.
+
+    Bit l of a Python int stands for lag l, so a shift adds a position to
+    every lag at once and no histogram is built.  The TO-ECA is symmetric,
+    so Z is the run of non-negative lags from 0, less one (-1 when lag 0
+    is missing).  Non-negative lags come from pattern 1, from pattern 2,
+    and from pattern 3 as the mirror of pattern 2's lags in [-top, 0];
+    pattern 4 adds only lag 0, which pattern 1 already holds.
+    """
+    p = _positions(array).tolist()
+    top = p[-1]
+    sensors = sum(1 << v for v in p)  # the positions are distinct
+    pairs = case1 = case2 = 0
+    for v in p:
+        pairs |= sensors << v
+    # bit l of case1 is lag l; bit l of case2 is lag l - top
+    for v in p:
+        case1 |= pairs << v
+        case2 |= pairs << (top - v)
+    # reversing bits 0..top of case2 puts lag -w of pattern 2 at bit w
+    below = case2 & ((2 << top) - 1)
+    case3 = int(f"{below:0{top + 1}b}"[::-1], 2)
+    covered = case1 | (case2 >> top) | case3
+    # (covered + 1) & ~covered is the lowest clear bit, one past the run
+    return ((covered + 1) & ~covered).bit_length() - 2
 
 
 def index_lag_map(array: SensorArray) -> np.ndarray:

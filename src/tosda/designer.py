@@ -102,7 +102,7 @@ def _realized(
         design = _design(variant, n, m1, m2)
         if design is not None:
             params, arr = design
-            yield 2 * coarray.to_eca(arr).one_sided_z + 1, params
+            yield 2 * coarray.consecutive_z(arr) + 1, params
 
 
 def _best(
@@ -199,10 +199,12 @@ class SplitResult:
 def brute_force_split(variant: str, n: int) -> SplitResult:
     """Exhaustive search over all feasible integer splits.
 
-    Every candidate geometry is actually realized and its exhaustive
-    co-array enumerated, so the returned consecutive-lag count is ground
-    truth regardless of what the closed forms claim.  Ties break as in
-    :func:`_best`.
+    Every candidate geometry is actually realized and the lag set of its
+    exhaustive co-array computed exactly (by :func:`coarray.consecutive_z`,
+    which reads Z from that set without counting multiplicities), so the
+    returned consecutive-lag count is ground truth regardless of what the
+    closed forms claim, and the search stays an independent oracle for
+    them.  Ties break as in :func:`_best`.
     """
     n = whole_number(n, "n")
     variant = normalize_variant(variant)

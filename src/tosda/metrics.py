@@ -84,9 +84,12 @@ class RedundancyReport:
 
 
 def redundancy_toeca(array: SensorArray) -> RedundancyReport:
-    """Redundancy of the array's TO-ECA, with the universal lower bound."""
+    """Redundancy of the array's TO-ECA, with the universal lower bound.
+
+    Z is ``to_eca(array).one_sided_z``, read by :func:`coarray.consecutive_z`.
+    """
     n = array.size
-    z = coarray.to_eca(array).one_sided_z
+    z = coarray.consecutive_z(array)
     kt = k_tilde(n)
     r_t = kt / z if z >= 1 else math.inf
     l3 = l3_bound(n) if n >= 2 else math.nan

@@ -682,17 +682,25 @@ def rmse(estimates: np.ndarray, truth) -> float:
 
     Estimates are matched to the truth by sorted order, which is the
     deterministic matching the aggregate error definition presumes.  Both
-    must hold finite real numbers.
+    must hold finite real numbers, for at least one trial and one source.
     """
     est = _numeric_array(estimates, "estimates", float)
-    truth = np.sort(_numeric_array(truth, "truth", float))
+    angles = _numeric_array(truth, "truth", float)
+    if angles.ndim != 1 or angles.size == 0:
+        raise InvalidParameterError(
+            f"truth must be a list of at least one angle, got {reprlib.repr(truth)}"
+        )
+    truth = np.sort(angles)
     for name, a in (("estimates", est), ("truth", truth)):
         if not np.all(np.isfinite(a)):
             raise InvalidParameterError(f"{name} must be finite, got non-finite entries")
     if est.ndim == 1:
         est = est[None, :]
-    if est.ndim != 2:
-        raise InvalidParameterError(f"expected a trials x D matrix, got {est.shape}")
+    if est.ndim != 2 or len(est) == 0:
+        raise InvalidParameterError(
+            "estimates must be a trials x D matrix of at least one trial, "
+            f"got shape {est.shape}"
+        )
     if est.shape[1] != truth.size:
         raise InvalidParameterError(
             f"estimates have {est.shape[1]} sources, truth has {truth.size}"

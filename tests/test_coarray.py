@@ -13,12 +13,14 @@ from tosda import (
     SensorArray,
     build_to_sda,
     build_ula,
+    consecutive_z,
     index_lag_map,
     second_order,
     to_eca,
     toca,
 )
 from tosda.coarray import MAX_POSITION, brute_force_lag_multiset, report_from_multiset
+from tosda.designer import minimum_sensors
 
 
 SIGNS = {1: (1, 1, 1), 2: (1, 1, -1), 3: (-1, -1, 1), 4: (-1, -1, -1)}
@@ -270,6 +272,26 @@ class TestToEca:
         assert blob["weights"]["0"] == rep.weights[0]
 
 
+class TestConsecutiveZ:
+    # to_eca's report is the oracle: the bitsets must read the same Z
+    @given(st.sets(st.integers(0, 80), min_size=1, max_size=9))
+    @example({0})
+    @example({5})
+    @example({2, 4, 9})
+    @example({4, 6, 10, 19})
+    @example({0, 3, 5, 6})
+    def test_matches_to_eca(self, positions):
+        arr = SensorArray("h", tuple(sorted(positions)))
+        z = consecutive_z(arr)
+        assert type(z) is int and z == to_eca(arr).one_sided_z
+
+    @pytest.mark.parametrize("variant", ["cna", "scna", "tna2"])
+    def test_matches_to_eca_on_every_to_sda(self, variant):
+        for n in range(minimum_sensors(variant), 25):
+            arr, _ = build_to_sda(variant, n)
+            assert consecutive_z(arr) == to_eca(arr).one_sided_z, n
+
+
 class TestPositionCap:
     # a largest position past the cap is refused before anything is allocated
     # or any lag wraps round int64
@@ -278,8 +300,9 @@ class TestPositionCap:
     @pytest.mark.parametrize(
         "build",
         [to_eca, lambda a: toca(a, 2), index_lag_map,
-         lambda a: second_order(a, "dca"), lambda a: second_order(a, "sca")],
-        ids=["to_eca", "toca", "index_lag_map", "dca", "sca"],
+         lambda a: second_order(a, "dca"), lambda a: second_order(a, "sca"),
+         consecutive_z],
+        ids=["to_eca", "toca", "index_lag_map", "dca", "sca", "consecutive_z"],
     )
     def test_beyond_cap_rejected(self, build, top):
         with pytest.raises(InvalidParameterError, match=f"largest position {top} exceeds"):

@@ -151,7 +151,7 @@ class TestBruteForceSplit:
 
         # the closed-form split of CNA N=8 builds its tail but counts no co-array
         for module, name, error, calls in [
-            (coarray, "to_eca", InternalConsistencyError("corrupted co-array"),
+            (coarray, "consecutive_z", InternalConsistencyError("corrupted co-array"),
              [brute_force_split]),
             (geometry, "build_gtoa", InvalidParameterError("broken tail"),
              [brute_force_split, split_closed_form]),

@@ -118,6 +118,10 @@ CASES = [
      lambda v: sample_third_cumulants(_snapshots(v), ULA2)),
     ("rmse", "estimates", ENTRY, lambda v: rmse([[v, 1.0]], [0.0, 1.0])),
     ("rmse", "truth", ENTRY, lambda v: rmse([[0.0, 1.0]], [v, 1.0])),
+    # a scalar truth, or zero sources or trials, has no error to average
+    ("rmse", "truth", (0.0, [[0.0]]), lambda v: rmse([[1.0]], v)),
+    ("rmse", "truth", ([],), lambda v: rmse([], v)),
+    ("rmse", "estimates", (np.zeros((0, 1)), [[[1.0]]]), lambda v: rmse(v, [0.0])),
     ("steering_matrix", "angles_deg", REAL, lambda v: steering_matrix(build_ula(2), [v])),
     *[(f.__name__, "n", WHOLE, lambda v, f=f: f("cna", v))
       for f in (split_closed_form, brute_force_split, build_to_sda, z_closed_form,
