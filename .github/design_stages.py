@@ -1,6 +1,8 @@
 """Print the median wall time of the two design-layer stages: ``to_eca`` and
 ``consecutive_z`` in microseconds on CNA N=24 and TNA-II N=24, then one
-``brute_force_split("tna2", 24)`` in milliseconds.
+``brute_force_split("tna2", 24)`` and one whole
+``dof_sweep(("cna", "scna", "tna2"), range(4, 25))``, the design-sweep
+benchmark pass, in milliseconds.
 
 Run from any directory: ``python .github/design_stages.py``.
 """
@@ -27,3 +29,6 @@ for variant in ('cna', 'tna2'):
         print(f'{variant} N=24 {fn.__name__}: {1e6 * median_s(fn, array, number=200):.1f} us')
 designer.brute_force_split('tna2', 24)  # warm-up
 print(f'brute_force_split tna2 N=24: {1e3 * median_s(designer.brute_force_split, "tna2", 24):.1f} ms')
+sweep = (('cna', 'scna', 'tna2'), range(4, 25))
+designer.dof_sweep(*sweep)  # warm-up
+print(f'dof_sweep cna,scna,tna2 N=4..24: {1e3 * median_s(designer.dof_sweep, *sweep):.1f} ms')

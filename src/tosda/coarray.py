@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -165,14 +165,19 @@ def report_from_multiset(weights: LagMultiset) -> CoarrayReport:
     )
 
 
-def _positions(array: SensorArray) -> np.ndarray:
-    """``array``'s positions as int64, once the largest is within MAX_POSITION."""
-    top = array.positions[-1]
+def _check_cap(positions: Sequence[int], name: str) -> None:
+    """Raise unless the largest of the sorted ``positions`` is within MAX_POSITION."""
+    top = positions[-1]
     if top > MAX_POSITION:
         raise InvalidParameterError(
-            f"{array.name}: largest position {top} exceeds {MAX_POSITION}, "
+            f"{name}: largest position {top} exceeds {MAX_POSITION}, "
             "the most the co-array functions take"
         )
+
+
+def _positions(array: SensorArray) -> np.ndarray:
+    """``array``'s positions as int64, once the largest is within MAX_POSITION."""
+    _check_cap(array.positions, array.name)
     return np.asarray(array.positions, dtype=np.int64)
 
 
@@ -257,7 +262,14 @@ def to_eca(array: SensorArray) -> CoarrayReport:
 
 
 def consecutive_z(array: SensorArray) -> int:
-    """``to_eca(array).one_sided_z``, from the lag set alone.
+    """``to_eca(array).one_sided_z``, read by :func:`consecutive_z_of`."""
+    return consecutive_z_of(array.positions, array.name)
+
+
+def consecutive_z_of(positions: Sequence[int], name: str = "array") -> int:
+    """``to_eca(...).one_sided_z`` of the array at the strictly increasing,
+    non-negative integer ``positions``, from the lag set alone; ``name``
+    labels the error when the largest position exceeds MAX_POSITION.
 
     Bit l of a Python int stands for lag l, so a shift adds a position to
     every lag at once and no histogram is built.  The TO-ECA is symmetric,
@@ -266,14 +278,14 @@ def consecutive_z(array: SensorArray) -> int:
     and from pattern 3 as the mirror of pattern 2's lags in [-top, 0];
     pattern 4 adds only lag 0, which pattern 1 already holds.
     """
-    p = _positions(array).tolist()
-    top = p[-1]
-    sensors = sum(1 << v for v in p)  # the positions are distinct
+    _check_cap(positions, name)
+    top = positions[-1]
+    sensors = sum(1 << v for v in positions)  # the positions are distinct
     pairs = case1 = case2 = 0
-    for v in p:
+    for v in positions:
         pairs |= sensors << v
     # bit l of case1 is lag l; bit l of case2 is lag l - top
-    for v in p:
+    for v in positions:
         case1 |= pairs << v
         case2 |= pairs << (top - v)
     # reversing bits 0..top of case2 puts lag -w of pattern 2 at bit w

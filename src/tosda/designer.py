@@ -21,9 +21,10 @@ from .errors import (
     GeometryInconsistencyError,
     InvalidParameterError,
     UnsupportedSizeError,
+    float_range,
     whole_number,
 )
-from .geometry import DesignParams, SensorArray, normalize_variant
+from .geometry import DesignParams, normalize_variant
 
 log = logging.getLogger(__name__)
 
@@ -38,11 +39,12 @@ def round_half_up(x: float) -> int:
 def continuous_optimum_n1(variant: str, n: int) -> float:
     """Stationary point of the relaxed DOF objective in the generator size."""
     variant = normalize_variant(variant)
-    if variant == "cna":
-        return (4 * n + math.sqrt((4 * n + 15) ** 2 + 672) - 21) / 12
-    if variant == "scna":
-        return (4 * n + math.sqrt((4 * n + 15) ** 2 + 288) - 21) / 12
-    return (3 + 4 * n + math.sqrt((4 * n - 9) ** 2 + 36)) / 12
+    with float_range(n, "n"):
+        if variant == "cna":
+            return (4 * n + math.sqrt((4 * n + 15) ** 2 + 672) - 21) / 12
+        if variant == "scna":
+            return (4 * n + math.sqrt((4 * n + 15) ** 2 + 288) - 21) / 12
+        return (3 + 4 * n + math.sqrt((4 * n - 9) ** 2 + 36)) / 12
 
 
 def _lambda_values(variant: str, m1: int, m2: int, j: Optional[int], n: int):
@@ -62,12 +64,13 @@ def dof_closed_form(params: DesignParams) -> int:
     """Consecutive-lag count predicted by the variant's closed form.
 
     CNA and SCNA use the gap-free GTOA count 2*(lambda2 + N2*delta2) + 1
-    with delta2 = 2*lambda1 + 1; TNA-II keeps its printed expressions.
+    with delta2 from :func:`geometry.tail_offsets`; TNA-II keeps its printed
+    expressions.
     """
     m1, m2, n2 = params.M1, params.M2, params.N2
     if params.variant != "tna2":
         lam1, lam2 = _lambda_values(params.variant, m1, m2, None, params.N)
-        return 2 * (lam2 + n2 * (2 * lam1 + 1)) + 1
+        return 2 * (lam2 + n2 * geometry.tail_offsets(lam1, lam2)[1]) + 1
     core = m1 * (m2 + 1) + params.J
     if 9 <= params.N <= 14:
         return 2 * (5 + 4 * n2) * core - 6 * n2 - 5
@@ -76,45 +79,43 @@ def dof_closed_form(params: DesignParams) -> int:
 
 def _design(
     variant: str, n: int, m1: int, m2: int
-) -> Optional[tuple[DesignParams, SensorArray]]:
-    """(params, array) of the split (M1, M2) at N sensors, or None when it is
-    infeasible: a sub-array comes out empty, or the generator's segments are
-    inconsistent.  Any other error is a bug and propagates."""
+) -> Optional[tuple[int, int, tuple[int, ...]]]:
+    """(lambda1, lambda2, positions) of the split (M1, M2) at N sensors, or
+    None when it is infeasible: a sub-array comes out empty, or the
+    generator's segments are inconsistent.  Any other error, a tail overlap
+    included, is a bug and propagates."""
     n1, j = geometry.split_sizes(variant, m1, m2)
     if m1 < 1 or m2 < 1 or n1 >= n:
         return None
     try:
-        generator = geometry.build_generator(variant, m1, m2)
+        generator = geometry.generator_positions(variant, m1, m2)
     except GeometryInconsistencyError:
         return None
     lam1, lam2 = _lambda_values(variant, m1, m2, j, n)
-    params = DesignParams(
-        variant=variant, N=n, M1=m1, M2=m2, lambda1=lam1, lambda2=lam2
-    )
-    return params, geometry.build_gtoa(generator, params.delta1, params.delta2, params.N2)
+    delta1, delta2 = geometry.tail_offsets(lam1, lam2)
+    return lam1, lam2, geometry.gtoa_positions(generator, delta1, delta2, n - n1)
+
+
+# a realized split: (consecutive lags, N1, M1, M2, lambda1, lambda2)
+_Realized = tuple[int, int, int, int, int, int]
 
 
 def _realized(
     variant: str, n: int, splits: Iterable[tuple[int, int]]
-) -> Iterator[tuple[int, DesignParams]]:
-    """(consecutive lags, params) of every (M1, M2) split that builds."""
+) -> Iterator[_Realized]:
+    """Every (M1, M2) split of ``splits`` that builds, realized."""
     for m1, m2 in splits:
         design = _design(variant, n, m1, m2)
         if design is not None:
-            params, arr = design
-            yield 2 * coarray.consecutive_z(arr) + 1, params
+            lam1, lam2, positions = design
+            n1 = geometry.split_sizes(variant, m1, m2)[0]
+            yield 2 * coarray.consecutive_z_of(positions) + 1, n1, m1, m2, lam1, lam2
 
 
-def _best(
-    realized: Iterable[tuple[int, DesignParams]]
-) -> Optional[tuple[int, DesignParams]]:
+def _best(realized: Iterable[_Realized]) -> Optional[_Realized]:
     """The most consecutive lags; ties go to the smaller generator, then
     to the lexicographically smaller (M1, M2).  None when nothing built."""
-    return min(
-        realized,
-        key=lambda item: (-item[0], item[1].N1, item[1].M1, item[1].M2),
-        default=None,
-    )
+    return min(realized, key=lambda r: (-r[0], r[1], r[2], r[3]), default=None)
 
 
 def _attempt_closed_form(variant: str, n: int) -> Optional[tuple[DesignParams, bool]]:
@@ -140,9 +141,9 @@ def _attempt_closed_form(variant: str, n: int) -> Optional[tuple[DesignParams, b
         ]
     design = _design(variant, n, *direct)
     if design is not None:
-        return design[0], False
+        return DesignParams(variant, n, *direct, *design[:2]), False
     best = _best(_realized(variant, n, others))
-    return None if best is None else (best[1], True)
+    return None if best is None else (DesignParams(variant, n, *best[2:]), True)
 
 
 @functools.cache
@@ -199,12 +200,15 @@ class SplitResult:
 def brute_force_split(variant: str, n: int) -> SplitResult:
     """Exhaustive search over all feasible integer splits.
 
-    Every candidate geometry is actually realized and the lag set of its
-    exhaustive co-array computed exactly (by :func:`coarray.consecutive_z`,
-    which reads Z from that set without counting multiplicities), so the
-    returned consecutive-lag count is ground truth regardless of what the
-    closed forms claim, and the search stays an independent oracle for
-    them.  Ties break as in :func:`_best`.
+    Every candidate geometry is actually realized, as the exact integer
+    positions the public builders would hold (by the rules of
+    :func:`geometry.generator_positions` and :func:`geometry.gtoa_positions`),
+    and the lag set of its exhaustive co-array computed exactly (by
+    :func:`coarray.consecutive_z_of`, which reads Z from that set without
+    counting multiplicities), so the returned consecutive-lag count is
+    ground truth regardless of what the closed forms claim, and the search
+    stays an independent oracle for them.  Ties break as in :func:`_best`;
+    only the split returned gets its :class:`DesignParams`.
     """
     n = whole_number(n, "n")
     variant = normalize_variant(variant)
@@ -213,7 +217,7 @@ def brute_force_split(variant: str, n: int) -> SplitResult:
         raise UnsupportedSizeError(
             f"no feasible {variant} split exists at N={n}", minimum=None
         )
-    dof_bf, params = best
+    dof_bf, params = best[0], DesignParams(variant, n, *best[2:])
     # below minimum_sensors the closed form is infeasible by definition, so
     # this matches split_closed_form without repeating its fallback warning
     closed = _attempt_closed_form(variant, n)

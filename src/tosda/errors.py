@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the one check every
-layer applies to a whole or finite real number it is given."""
+"""Exception types shared across the package, the one check every layer
+applies to a whole or finite real number it is given, and the one guard
+for float formulas that overflow on a huge one."""
 
+import contextlib
 import math
 import numbers
 
@@ -84,3 +86,15 @@ def real_number(value, name: str = "value") -> float:
         except OverflowError:  # an int beyond float range
             pass
     raise InvalidParameterError(f"{name} must be a finite real number, got {value!r}")
+
+
+@contextlib.contextmanager
+def float_range(value, name: str):
+    """Raise InvalidParameterError naming ``name`` where the float arithmetic
+    in the block overflows on ``value``, not the bare OverflowError."""
+    try:
+        yield
+    except OverflowError:
+        raise InvalidParameterError(
+            f"{name} must be small enough for float arithmetic, got {value!r}"
+        ) from None

@@ -114,6 +114,13 @@ def split_sizes(variant: str, m1: int, m2: int) -> tuple[int, Optional[int]]:
     return 2 * m1 + m2, None
 
 
+def tail_offsets(lambda1: int, lambda2: int) -> tuple[int, int]:
+    """Start ``delta1`` = lambda1 + lambda2 + 1 and pitch ``delta2`` =
+    2*lambda1 + 1 of the tail that follows a generator whose second- and
+    third-order sum co-arrays reach lambda1 and lambda2."""
+    return lambda1 + lambda2 + 1, 2 * lambda1 + 1
+
+
 # the DesignParams fields that are whole numbers: M1 and M2 at least 1, as
 # build_generator needs, the others at least 0
 _COUNT_FIELDS = ("N", "M1", "M2", "lambda1", "lambda2")
@@ -129,8 +136,8 @@ class DesignParams:
     printed value can exceed the measured one (N = 8: lambda1 = 20 printed,
     4 measured).  The rest is derived: the generator size ``N1`` and
     TNA-II's ``J`` from the split (M1, M2) by :func:`split_sizes`, and the
-    tail of ``N2`` = N - N1 sensors from ``delta1`` = lambda1 + lambda2 + 1
-    at pitch ``delta2`` = 2*lambda1 + 1.
+    tail of ``N2`` = N - N1 sensors from ``delta1`` at pitch ``delta2`` by
+    :func:`tail_offsets`.
     """
 
     variant: str
@@ -167,11 +174,11 @@ class DesignParams:
 
     @property
     def delta1(self) -> int:
-        return self.lambda1 + self.lambda2 + 1
+        return tail_offsets(self.lambda1, self.lambda2)[0]
 
     @property
     def delta2(self) -> int:
-        return 2 * self.lambda1 + 1
+        return tail_offsets(self.lambda1, self.lambda2)[1]
 
     def to_json_dict(self) -> dict:
         keys = ("variant", "N", "N1", "N2", "M1", "M2", "J",
@@ -211,21 +218,15 @@ def _generator_segments(variant: str, m1: int, m2: int, j: Optional[int]):
     ]
 
 
-def build_generator(variant: str, m1: int, m2: int) -> SensorArray:
-    """Build a generator sub-array from its defining segments.
+def generator_positions(variant: str, m1: int, m2: int) -> tuple[int, ...]:
+    """Sorted positions of the generator of a canonical ``variant`` for the
+    split M1 >= 1, M2 >= 1.
 
-    The generator is the dense block whose second-/third-order sum
-    co-arrays seed the consecutive virtual segment.  Its size N1 and
-    TNA-II's J come from :func:`split_sizes`; segments that do not hold
-    N1 distinct positions raise :class:`GeometryInconsistencyError`
-    carrying the offending segments.
+    Its size N1 and TNA-II's J come from :func:`split_sizes`; segments that
+    do not hold N1 distinct positions raise
+    :class:`GeometryInconsistencyError` carrying the offending segments.
     """
-    variant = normalize_variant(variant)
-    m1, m2 = whole_number(m1, "m1"), whole_number(m2, "m2")
-    if m1 < 1 or m2 < 1:
-        raise InvalidParameterError(f"need M1 >= 1 and M2 >= 1, got ({m1}, {m2})")
     expected, j = split_sizes(variant, m1, m2)
-
     segments = _generator_segments(variant, m1, m2, j)
     flat = [p for seg in segments for p in seg]
     if len(set(flat)) != len(flat):
@@ -241,9 +242,47 @@ def build_generator(variant: str, m1: int, m2: int) -> SensorArray:
             f"{len(flat)} sensors, expected {expected}; segments {segments}",
             segments=segments,
         )
+    return tuple(sorted(flat))
+
+
+def build_generator(variant: str, m1: int, m2: int) -> SensorArray:
+    """Build a generator sub-array from its defining segments.
+
+    The generator is the dense block whose second-/third-order sum
+    co-arrays seed the consecutive virtual segment; its positions and their
+    consistency rule are :func:`generator_positions`'.
+    """
+    variant = normalize_variant(variant)
+    m1, m2 = whole_number(m1, "m1"), whole_number(m2, "m2")
+    if m1 < 1 or m2 < 1:
+        raise InvalidParameterError(f"need M1 >= 1 and M2 >= 1, got ({m1}, {m2})")
+    positions = generator_positions(variant, m1, m2)
     label = VARIANT_LABELS[variant]
-    jtag = f",J={j}" if variant == "tna2" else ""
-    return SensorArray(f"{label}(M1={m1},M2={m2}{jtag})", tuple(sorted(flat)))
+    jtag = f",J={split_sizes(variant, m1, m2)[1]}" if variant == "tna2" else ""
+    return SensorArray(f"{label}(M1={m1},M2={m2}{jtag})", positions)
+
+
+def gtoa_positions(
+    generator: Sequence[int], delta1: int, delta2: int, n2: int
+) -> tuple[int, ...]:
+    """Sorted union of the sorted ``generator`` positions with the tail
+    {delta1 + delta2*k, k < n2}, for whole delta1, delta2 >= 0 and n2 >= 1.
+
+    Every physical position may host exactly one sensor, so a tail that
+    collapses onto itself or overlaps the generator raises
+    :class:`GeometryInconsistencyError`.
+    """
+    tail = [delta1 + delta2 * k for k in range(n2)]
+    if len(set(tail)) != n2:
+        raise GeometryInconsistencyError(
+            f"tail with delta2={delta2} collapses onto itself for n2={n2}"
+        )
+    overlap = sorted(set(generator).intersection(tail))
+    if overlap:
+        raise GeometryInconsistencyError(
+            f"generator and tail overlap at positions {overlap}"
+        )
+    return tuple(sorted([*generator, *tail]))
 
 
 def build_gtoa(
@@ -253,30 +292,17 @@ def build_gtoa(
     n2: int,
     name: Optional[str] = None,
 ) -> SensorArray:
-    """Union of a generator with the coarse tail {delta1 + delta2*k, k < n2}.
-
-    Every physical position may host exactly one sensor, so any overlap
-    between the generator and the tail is rejected.
-    """
+    """Union of a generator with the coarse tail {delta1 + delta2*k, k < n2},
+    by the rule of :func:`gtoa_positions`."""
     delta1, delta2 = whole_number(delta1, "delta1"), whole_number(delta2, "delta2")
     n2 = whole_number(n2, "n2")
     if n2 < 1:
         raise InvalidParameterError(f"tail needs at least one sensor, got n2={n2}")
     if delta1 < 0 or delta2 < 0:
         raise InvalidParameterError("delta1 and delta2 must be non-negative")
-    tail = [delta1 + delta2 * k for k in range(n2)]
-    if len(set(tail)) != n2:
-        raise GeometryInconsistencyError(
-            f"tail with delta2={delta2} collapses onto itself for n2={n2}"
-        )
-    overlap = sorted(set(generator.positions) & set(tail))
-    if overlap:
-        raise GeometryInconsistencyError(
-            f"generator and tail overlap at positions {overlap}"
-        )
     return SensorArray(
         name or f"{generator.name}+tail({n2})",
-        tuple(sorted(set(generator.positions) | set(tail))),
+        gtoa_positions(generator.positions, delta1, delta2, n2),
         generator.unit_spacing,
     )
 

@@ -19,6 +19,7 @@ from .designer import continuous_optimum_n1, round_half_up
 from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
+    float_range,
     real_number,
     whole_number,
 )
@@ -56,9 +57,10 @@ def l3_bound(n: int) -> float:
     n = whole_number(n, "n")
     if n < 2:
         raise InvalidParameterError(f"redundancy bound needs n >= 2, got {n}")
-    return (1 + 2 / (3 * math.pi)) * (4 * n**3 + 3 * n**2 - n) / (
-        n**3 + 3 * n**2 + 2 * n
-    )
+    with float_range(n, "n"):
+        return (1 + 2 / (3 * math.pi)) * (4 * n**3 + 3 * n**2 - n) / (
+            n**3 + 3 * n**2 + 2 * n
+        )
 
 
 @dataclass(frozen=True)
@@ -145,31 +147,33 @@ def z_closed_form(variant: str, n: int) -> float:
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")
     n1_star = continuous_optimum_n1(variant, n)
-    if variant == "cna":
-        n1 = float(math.floor(n1_star))
-        f = (
-            -(n1**3) + (n - 21 / 4) * n1**2 + (6 * n + 19 / 2) * n1
-            - 17 / 4 - 5 * n
-        )
-    elif variant == "scna":
-        n1 = float(math.floor(n1_star))
-        f = (
-            -(n1**3) + (n - 21 / 4) * n1**2 + (6 * n + 3 / 2) * n1
-            + 7 / 4 + 3 * n
-        )
-    else:
-        n1 = float(round_half_up(n1_star))
-        f = (
-            -2 * n1**3 + (2 * n + 3 / 2) * n1**2 + (9 / 2 - 4 * n) * n1
-            + 4 * n**2 - 3 * n / 2 - 47 / 8
-        )
+    with float_range(n, "n"):
+        if variant == "cna":
+            n1 = float(math.floor(n1_star))
+            f = (
+                -(n1**3) + (n - 21 / 4) * n1**2 + (6 * n + 19 / 2) * n1
+                - 17 / 4 - 5 * n
+            )
+        elif variant == "scna":
+            n1 = float(math.floor(n1_star))
+            f = (
+                -(n1**3) + (n - 21 / 4) * n1**2 + (6 * n + 3 / 2) * n1
+                + 7 / 4 + 3 * n
+            )
+        else:
+            n1 = float(round_half_up(n1_star))
+            f = (
+                -2 * n1**3 + (2 * n + 3 / 2) * n1**2 + (9 / 2 - 4 * n) * n1
+                + 4 * n**2 - 3 * n / 2 - 47 / 8
+            )
     return (f - 1) / 2
 
 
 def closed_form_redundancy(variant: str, n: int) -> float:
     """k_tilde(N) over the variant's closed-form one-sided lag count."""
     z = z_closed_form(variant, n)
-    return math.inf if z <= 0 else k_tilde(n) / z
+    with float_range(n, "n"):
+        return math.inf if z <= 0 else k_tilde(n) / z
 
 
 def corollary_bounds(variant: str) -> tuple[float, float]:

@@ -154,6 +154,17 @@ def test_position_past_the_cap_exits_1(argv, top, inputs, tmp_path, capsys):
     assert f"largest position {top} exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["design", "--variant", "cna", "--sensors", str(10**200)],
+     ["metrics", "--variant", "cna", "--n-range", f"{10**200}:{10**200}"]],
+    ids=["design", "metrics"],
+)
+def test_n_past_float_range_exits_1(argv, tmp_path, capsys):
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: n must be small enough")
+
+
 class TestDesign:
     def test_variant_route(self, tmp_path, capsys):
         assert main(["design", "--variant", "cna", "--sensors", "8",

@@ -1,9 +1,11 @@
+import itertools
 import logging
 import math
 
 import pytest
 
 from tosda import (
+    DesignParams,
     GeometryInconsistencyError,
     InternalConsistencyError,
     InvalidParameterError,
@@ -17,7 +19,8 @@ from tosda import (
     split_closed_form,
     to_eca,
 )
-from tosda.designer import continuous_optimum_n1, round_half_up
+from tosda.designer import _lambda_values, continuous_optimum_n1, round_half_up
+from tosda.geometry import split_sizes
 
 
 class TestRounding:
@@ -151,11 +154,11 @@ class TestBruteForceSplit:
 
         # the closed-form split of CNA N=8 builds its tail but counts no co-array
         for module, name, error, calls in [
-            (coarray, "consecutive_z", InternalConsistencyError("corrupted co-array"),
+            (coarray, "consecutive_z_of", InternalConsistencyError("corrupted co-array"),
              [brute_force_split]),
-            (geometry, "build_gtoa", InvalidParameterError("broken tail"),
+            (geometry, "gtoa_positions", InvalidParameterError("broken tail"),
              [brute_force_split, split_closed_form]),
-            (geometry, "build_gtoa", GeometryInconsistencyError("broken tail"),
+            (geometry, "gtoa_positions", GeometryInconsistencyError("broken tail"),
              [brute_force_split, split_closed_form]),
         ]:
             def broken(*args, error=error):
@@ -168,6 +171,30 @@ class TestBruteForceSplit:
                     with pytest.raises(type(error)) as raised:
                         call("cna", 8)
                     assert raised.value is error, (name, call.__name__)
+
+    @pytest.mark.parametrize("variant", ["cna", "scna", "tna2"])
+    def test_search_matches_the_public_builders(self, variant):
+        # every split built by build_generator and build_gtoa and read by
+        # to_eca, where only the generator's inconsistency makes a split
+        # infeasible, picked by _best's rule: the most consecutive lags, then
+        # the smaller N1, then the smaller (M1, M2)
+        for n in range(minimum_sensors(variant), 13):
+            realized = []
+            for m1, m2 in itertools.product(range(1, n), repeat=2):
+                n1, j = split_sizes(variant, m1, m2)
+                if n1 >= n:
+                    continue
+                try:
+                    generator = build_generator(variant, m1, m2)
+                except GeometryInconsistencyError:
+                    continue
+                p = DesignParams(variant, n, m1, m2, *_lambda_values(variant, m1, m2, j, n))
+                arr = build_gtoa(generator, p.delta1, p.delta2, p.N2)
+                realized.append((-(2 * to_eca(arr).one_sided_z + 1), n1, m1, m2))
+            lags, n1, m1, m2 = min(realized)
+            res = brute_force_split(variant, n)
+            assert (res.dof_brute_force, res.params.N1, res.params.M1, res.params.M2) == (
+                -lags, n1, m1, m2), (variant, n)
 
     def test_closed_form_never_beats_brute_force(self):
         for variant in ("cna", "scna", "tna2"):
@@ -214,11 +241,12 @@ class TestInvariants:
         from tosda.designer import _design
 
         n1 = 2 * m1 + m2
-        params, built = _design("cna", n1 + n2, m1, m2)
+        lam1, lam2, built = _design("cna", n1 + n2, m1, m2)
+        params = DesignParams("cna", n1 + n2, m1, m2, lam1, lam2)
         assert (params.N1, params.J) == (n1, None)
         gen = build_generator("cna", m1, m2)
         arr = build_gtoa(gen, params.delta1, params.delta2, n2)
-        assert built == arr
+        assert built == arr.positions
         assert dof_closed_form(params) == 2 * to_eca(arr).one_sided_z + 1
 
     @pytest.mark.parametrize("variant", ["cna", "scna", "tna2"])

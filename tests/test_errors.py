@@ -40,6 +40,7 @@ from tosda import (
     virtual_array_vector,
     z_closed_form,
 )
+from tosda.designer import continuous_optimum_n1
 from tosda.errors import real_number
 
 # bad values for a whole-number field and for a finite-real field, and for an
@@ -128,16 +129,29 @@ CASES = [
                 closed_form_redundancy)],
     ("dof_sweep", "n", WHOLE, lambda v: dof_sweep(["cna"], [v])),
     *[(f.__name__, "n", WHOLE, f) for f in (size_bounds, k_tilde, l3_bound)],
+    # an N past the float range of the closed forms, as `tosda design` and
+    # `tosda metrics --variant` take it
+    ("continuous_optimum_n1", "n", (10**200,), lambda v: continuous_optimum_n1("cna", v)),
+    ("split_closed_form", "n", (10**200,), lambda v: split_closed_form("cna", v)),
+    ("z_closed_form", "n", (10**200,), lambda v: z_closed_form("cna", v)),
+    ("closed_form_redundancy", "n", (10**200,), lambda v: closed_form_redundancy("cna", v)),
+    ("l3_bound", "n", (10**400,), l3_bound),
     ("redundancy_second_order", "n", WHOLE, lambda v: redundancy_second_order(v, "sca")),
     ("redundancy_second_order", "e", WHOLE,
      lambda v: redundancy_second_order(5, "dca", v)),
 ]
 
 
+def _label(value) -> str:
+    """``value``'s repr for a test id, or its length where that is long."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{type(value).__name__}-of-{len(text)}-chars"
+
+
 @pytest.mark.parametrize(
     "call, field, bad",
     [
-        pytest.param(call, field, bad, id=f"{name}-{field}-{bad!r}")
+        pytest.param(call, field, bad, id=f"{name}-{field}-{_label(bad)}")
         for name, field, bads, call in CASES
         for bad in bads
     ],
