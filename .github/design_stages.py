@@ -2,7 +2,9 @@
 ``consecutive_z`` in microseconds on CNA N=24 and TNA-II N=24, then one
 ``brute_force_split("tna2", 24)`` and one whole
 ``dof_sweep(("cna", "scna", "tna2"), range(4, 25))``, the design-sweep
-benchmark pass, in milliseconds.
+benchmark pass, in milliseconds: warm, and cold with the split search's
+generator memo cleared before each timed sweep.  Last, the memo's hits and
+misses over one sweep from an empty memo.
 
 Run from any directory: ``python .github/design_stages.py``.
 """
@@ -32,3 +34,14 @@ print(f'brute_force_split tna2 N=24: {1e3 * median_s(designer.brute_force_split,
 sweep = (('cna', 'scna', 'tna2'), range(4, 25))
 designer.dof_sweep(*sweep)  # warm-up
 print(f'dof_sweep cna,scna,tna2 N=4..24: {1e3 * median_s(designer.dof_sweep, *sweep):.1f} ms')
+
+
+def cold_sweep():
+    designer._generator.cache_clear()
+    designer.dof_sweep(*sweep)
+
+
+print(f'dof_sweep cna,scna,tna2 N=4..24, cold generator memo: {1e3 * median_s(cold_sweep):.1f} ms')
+cold_sweep()
+memo = designer._generator.cache_info()
+print(f'generator memo over one sweep: {memo.hits} hits, {memo.misses} misses')

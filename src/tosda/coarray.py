@@ -23,17 +23,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidParameterError
-from .geometry import SensorArray
+from .geometry import MAX_POSITION, SensorArray
 
 _CASE_SIGNS = {1: (1, 1, 1), 2: (1, 1, -1), 3: (-1, -1, 1), 4: (-1, -1, -1)}
-
-# Largest sensor position the lag builders accept.  to_eca's histograms
-# span [-3*top, 3*top], about 12 int64 counts (96 bytes) per unit of the
-# largest position ``top``: 1.5 GiB at this cap, which TO-SDAs pass beyond
-# N = 480 (TNA-II) and N = 600 (CNA, SCNA); consecutive_z's bitsets take
-# a few bytes per unit.  Every lag of a capped array fits int64 with room
-# to spare.
-MAX_POSITION = 2**24
 
 
 class LagMultiset:
@@ -280,7 +272,7 @@ def consecutive_z_of(positions: Sequence[int], name: str = "array") -> int:
     """
     _check_cap(positions, name)
     top = positions[-1]
-    sensors = sum(1 << v for v in positions)  # the positions are distinct
+    sensors = sum(map((1).__lshift__, positions))  # the positions are distinct
     pairs = case1 = case2 = 0
     for v in positions:
         pairs |= sensors << v

@@ -10,7 +10,6 @@ rounding conventions they were printed with.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -77,23 +76,47 @@ def dof_closed_form(params: DesignParams) -> int:
     return 2 * ((4 * n2 + 1) * core + (n2 - 1) + 4 * m1 * (m2 + 1) + 4 * params.J) + 1
 
 
+# a sweep asks for the same generator at every N; this holds all of one
+# variant's generators with N1 < 92 (TNA-II has the most), so a sweep up to
+# N = 92 builds each once
+@functools.lru_cache(maxsize=4096)
+def _generator(variant: str, m1: int, m2: int) -> Optional[tuple[int, ...]]:
+    """Positions of the generator (M1, M2) of a canonical ``variant``, or None
+    when its segments are inconsistent.  Any other error propagates and,
+    being raised, is not cached."""
+    try:
+        return geometry.generator_positions(variant, m1, m2)
+    except GeometryInconsistencyError:
+        return None
+
+
 def _design(
     variant: str, n: int, m1: int, m2: int
-) -> Optional[tuple[int, int, tuple[int, ...]]]:
-    """(lambda1, lambda2, positions) of the split (M1, M2) at N sensors, or
-    None when it is infeasible: a sub-array comes out empty, or the
+) -> Optional[tuple[int, int, int, tuple[int, ...]]]:
+    """(N1, lambda1, lambda2, positions) of the split (M1, M2) at N sensors,
+    or None when it is infeasible: a sub-array comes out empty, or the
     generator's segments are inconsistent.  Any other error, a tail overlap
     included, is a bug and propagates."""
     n1, j = geometry.split_sizes(variant, m1, m2)
     if m1 < 1 or m2 < 1 or n1 >= n:
         return None
-    try:
-        generator = geometry.generator_positions(variant, m1, m2)
-    except GeometryInconsistencyError:
+    generator = _generator(variant, m1, m2)
+    if generator is None:
         return None
     lam1, lam2 = _lambda_values(variant, m1, m2, j, n)
     delta1, delta2 = geometry.tail_offsets(lam1, lam2)
-    return lam1, lam2, geometry.gtoa_positions(generator, delta1, delta2, n - n1)
+    return n1, lam1, lam2, geometry.gtoa_positions(generator, delta1, delta2, n - n1)
+
+
+def _splits(variant: str, n: int) -> Iterator[tuple[int, int]]:
+    """Every split (M1, M2) in [1, N)^2 with N1 < N, by M1 then M2.  N1
+    grows with M2 in every variant, so each M2 run ends at the first split
+    whose N1 reaches N."""
+    for m1 in range(1, n):
+        for m2 in range(1, n):
+            if geometry.split_sizes(variant, m1, m2)[0] >= n:
+                break
+            yield m1, m2
 
 
 # a realized split: (consecutive lags, N1, M1, M2, lambda1, lambda2)
@@ -107,8 +130,7 @@ def _realized(
     for m1, m2 in splits:
         design = _design(variant, n, m1, m2)
         if design is not None:
-            lam1, lam2, positions = design
-            n1 = geometry.split_sizes(variant, m1, m2)[0]
+            n1, lam1, lam2, positions = design
             yield 2 * coarray.consecutive_z_of(positions) + 1, n1, m1, m2, lam1, lam2
 
 
@@ -141,7 +163,7 @@ def _attempt_closed_form(variant: str, n: int) -> Optional[tuple[DesignParams, b
         ]
     design = _design(variant, n, *direct)
     if design is not None:
-        return DesignParams(variant, n, *direct, *design[:2]), False
+        return DesignParams(variant, n, *direct, *design[1:3]), False
     best = _best(_realized(variant, n, others))
     return None if best is None else (DesignParams(variant, n, *best[2:]), True)
 
@@ -200,19 +222,24 @@ class SplitResult:
 def brute_force_split(variant: str, n: int) -> SplitResult:
     """Exhaustive search over all feasible integer splits.
 
-    Every candidate geometry is actually realized, as the exact integer
-    positions the public builders would hold (by the rules of
-    :func:`geometry.generator_positions` and :func:`geometry.gtoa_positions`),
-    and the lag set of its exhaustive co-array computed exactly (by
-    :func:`coarray.consecutive_z_of`, which reads Z from that set without
-    counting multiplicities), so the returned consecutive-lag count is
-    ground truth regardless of what the closed forms claim, and the search
-    stays an independent oracle for them.  Ties break as in :func:`_best`;
-    only the split returned gets its :class:`DesignParams`.
+    The candidates are every (M1, M2) in [1, N)^2 whose generator size N1
+    stays below N; the search ends each M2 run at the first split reaching
+    N, because no larger M2 leaves a tail.  Every candidate geometry is
+    actually realized, as the exact integer positions the public builders
+    would hold (by the rules of :func:`geometry.generator_positions` and
+    :func:`geometry.gtoa_positions`), and the lag set of its exhaustive
+    co-array computed exactly (by :func:`coarray.consecutive_z_of`, which
+    reads Z from that set without counting multiplicities), so the returned
+    consecutive-lag count is ground truth regardless of what the closed
+    forms claim, and the search stays an independent oracle for them.  Each
+    generator's positions, or its infeasibility, are built once per process
+    and reused at every N; the tail and the lag set of each split are not.
+    Ties break as in :func:`_best`; only the split returned gets its
+    :class:`DesignParams`.
     """
     n = whole_number(n, "n")
     variant = normalize_variant(variant)
-    best = _best(_realized(variant, n, itertools.product(range(1, n), repeat=2)))
+    best = _best(_realized(variant, n, _splits(variant, n)))
     if best is None:
         raise UnsupportedSizeError(
             f"no feasible {variant} split exists at N={n}", minimum=None

@@ -47,15 +47,26 @@ def normalize_variant(variant: str) -> str:
     return _VARIANT_ALIASES[key]
 
 
-def irange(start: int, stop: int, step: int = 1) -> list[int]:
-    """Inclusive integer progression start, start+step, ... <= stop.
+# Largest sensor position the co-array functions of tosda.coarray accept.
+# to_eca's histograms span [-3*top, 3*top], about 12 int64 counts (96 bytes)
+# per unit of the largest position ``top``: 1.5 GiB at this cap, which
+# TO-SDAs pass beyond N = 480 (TNA-II) and N = 600 (CNA, SCNA);
+# consecutive_z's bitsets take a few bytes per unit.  Every lag of a capped
+# array fits int64 with room to spare.  A generator reaching past it is
+# refused before any of its segments is listed.
+MAX_POSITION = 2**24
+
+
+def irange(start: int, stop: int, step: int = 1) -> range:
+    """Inclusive integer progression start, start+step, ... <= stop, as a
+    lazy range, so its last element can be read before it is listed.
 
     Empty when start > stop, which makes degenerate geometry segments
     detectable instead of silently wrapping.
     """
     if step < 1:
         raise InvalidParameterError(f"step must be >= 1, got {step}")
-    return list(range(start, stop + 1, step))
+    return range(start, stop + 1, step)
 
 
 @dataclass(frozen=True)
@@ -224,10 +235,20 @@ def generator_positions(variant: str, m1: int, m2: int) -> tuple[int, ...]:
 
     Its size N1 and TNA-II's J come from :func:`split_sizes`; segments that
     do not hold N1 distinct positions raise
-    :class:`GeometryInconsistencyError` carrying the offending segments.
+    :class:`GeometryInconsistencyError` carrying the offending segments.  A
+    generator reaching past :data:`MAX_POSITION` raises
+    :class:`InvalidParameterError` before any segment is listed.
     """
     expected, j = split_sizes(variant, m1, m2)
-    segments = _generator_segments(variant, m1, m2, j)
+    spans = _generator_segments(variant, m1, m2, j)
+    top = max(span[-1] for span in spans if span)
+    if top > MAX_POSITION:
+        raise InvalidParameterError(
+            f"{variant.upper()} generator must be within position {MAX_POSITION}, "
+            f"the most the co-array functions take, got (M1={m1}, M2={m2}, J={j}) "
+            f"reaching {top}"
+        )
+    segments = [list(span) for span in spans]
     flat = [p for seg in segments for p in seg]
     if len(set(flat)) != len(flat):
         dupes = sorted({p for p in flat if flat.count(p) > 1})
@@ -272,11 +293,11 @@ def gtoa_positions(
     collapses onto itself or overlaps the generator raises
     :class:`GeometryInconsistencyError`.
     """
-    tail = [delta1 + delta2 * k for k in range(n2)]
-    if len(set(tail)) != n2:
+    if delta2 == 0 and n2 > 1:
         raise GeometryInconsistencyError(
             f"tail with delta2={delta2} collapses onto itself for n2={n2}"
         )
+    tail = [delta1 + delta2 * k for k in range(n2)]
     overlap = sorted(set(generator).intersection(tail))
     if overlap:
         raise GeometryInconsistencyError(

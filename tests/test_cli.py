@@ -155,14 +155,18 @@ def test_position_past_the_cap_exits_1(argv, top, inputs, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["design", "--variant", "cna", "--sensors", str(10**200)],
-     ["metrics", "--variant", "cna", "--n-range", f"{10**200}:{10**200}"]],
-    ids=["design", "metrics"],
+    "argv, message",
+    [(["design", "--variant", "cna", "--sensors", str(10**200)], "n must be small enough"),
+     (["metrics", "--variant", "cna", "--n-range", f"{10**200}:{10**200}"],
+      "n must be small enough"),
+     # within float range, but its closed-form generator reaches past the cap
+     (["design", "--variant", "cna", "--sensors", str(10**100)],
+      "CNA generator must be within position")],
+    ids=["design", "metrics", "design-generator-past-cap"],
 )
-def test_n_past_float_range_exits_1(argv, tmp_path, capsys):
+def test_n_past_float_range_exits_1(argv, message, tmp_path, capsys):
     assert main([*argv, "-o", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("error: n must be small enough")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestDesign:

@@ -19,7 +19,13 @@ from tosda import (
     split_closed_form,
     to_eca,
 )
-from tosda.designer import _lambda_values, continuous_optimum_n1, round_half_up
+from tosda.designer import (
+    _generator,
+    _lambda_values,
+    _splits,
+    continuous_optimum_n1,
+    round_half_up,
+)
 from tosda.geometry import split_sizes
 
 
@@ -152,6 +158,7 @@ class TestBruteForceSplit:
     def test_internal_error_is_not_an_infeasible_split(self, monkeypatch):
         from tosda import coarray, geometry
 
+        expected = {call: call("cna", 8) for call in (brute_force_split, split_closed_form)}
         # the closed-form split of CNA N=8 builds its tail but counts no co-array
         for module, name, error, calls in [
             (coarray, "consecutive_z_of", InternalConsistencyError("corrupted co-array"),
@@ -159,6 +166,8 @@ class TestBruteForceSplit:
             (geometry, "gtoa_positions", InvalidParameterError("broken tail"),
              [brute_force_split, split_closed_form]),
             (geometry, "gtoa_positions", GeometryInconsistencyError("broken tail"),
+             [brute_force_split, split_closed_form]),
+            (geometry, "generator_positions", InvalidParameterError("broken generator"),
              [brute_force_split, split_closed_form]),
         ]:
             def broken(*args, error=error):
@@ -168,9 +177,21 @@ class TestBruteForceSplit:
                 patch.setattr(module, name, broken)
                 for call in calls:
                     minimum_sensors.cache_clear()
+                    _generator.cache_clear()
                     with pytest.raises(type(error)) as raised:
                         call("cna", 8)
                     assert raised.value is error, (name, call.__name__)
+            # nothing was cached from the error
+            for call in calls:
+                assert call("cna", 8) == expected[call], (name, call.__name__)
+
+    @pytest.mark.parametrize("variant", ["cna", "scna", "tna2"])
+    def test_search_visits_every_split_with_a_tail(self, variant):
+        for n in range(2, 41):
+            assert list(_splits(variant, n)) == [
+                (m1, m2) for m1, m2 in itertools.product(range(1, n), repeat=2)
+                if split_sizes(variant, m1, m2)[0] < n
+            ], (variant, n)
 
     @pytest.mark.parametrize("variant", ["cna", "scna", "tna2"])
     def test_search_matches_the_public_builders(self, variant):
@@ -241,9 +262,9 @@ class TestInvariants:
         from tosda.designer import _design
 
         n1 = 2 * m1 + m2
-        lam1, lam2, built = _design("cna", n1 + n2, m1, m2)
+        design_n1, lam1, lam2, built = _design("cna", n1 + n2, m1, m2)
         params = DesignParams("cna", n1 + n2, m1, m2, lam1, lam2)
-        assert (params.N1, params.J) == (n1, None)
+        assert (params.N1, params.J) == (design_n1, None) == (n1, None)
         gen = build_generator("cna", m1, m2)
         arr = build_gtoa(gen, params.delta1, params.delta2, n2)
         assert built == arr.positions

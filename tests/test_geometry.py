@@ -56,10 +56,12 @@ class TestSensorArray:
 
 class TestIrange:
     def test_inclusive(self):
-        assert irange(1, 5, 2) == [1, 3, 5]
+        assert list(irange(1, 5, 2)) == [1, 3, 5]
+        # lazy: the last element of a progression too long to list
+        assert irange(0, 10**100, 3)[-1] == 10**100 - 1
 
     def test_empty_when_start_exceeds_stop(self):
-        assert irange(9, 8) == []
+        assert list(irange(9, 8)) == []
 
 
 class TestGenerators:
