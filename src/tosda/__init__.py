@@ -19,6 +19,7 @@ from .coarray import (
     toca,
 )
 from .designer import (
+    DesignParams,
     SplitResult,
     SweepRow,
     brute_force_split,
@@ -40,7 +41,6 @@ from .errors import (
 )
 from .geometry import (
     VARIANTS,
-    DesignParams,
     SensorArray,
     build_generator,
     build_gtoa,

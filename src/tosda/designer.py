@@ -23,7 +23,7 @@ from .errors import (
     float_range,
     whole_number,
 )
-from .geometry import DesignParams, normalize_variant
+from .geometry import normalize_variant
 
 log = logging.getLogger(__name__)
 
@@ -46,17 +46,88 @@ def continuous_optimum_n1(variant: str, n: int) -> float:
         return (3 + 4 * n + math.sqrt((4 * n - 9) ** 2 + 36)) / 12
 
 
-def _lambda_values(variant: str, m1: int, m2: int, j: Optional[int], n: int):
+def _lambda_values(variant: str, n: int, m1: int, m2: int) -> tuple[int, int]:
+    """The printed closed-form reaches (lambda1, lambda2) of the generator
+    (M1, M2)'s co-arrays at N sensors.  :func:`dof_closed_form` reads them
+    here, not through :class:`DesignParams`, so the claim under test stays
+    the printed one whatever the construction uses."""
     if variant == "cna":
         unit = (m1 - 1) + m2 * (m1 + 1)
         return 2 * unit, 3 * unit
     if variant == "scna":
         unit = (2 * m1 + m2) + m1 * (m2 - 1)
         return 2 * unit, 3 * unit
-    core = m1 * (m2 + 1) + j
+    core = m1 * (m2 + 1) + geometry.split_sizes(variant, m1, m2)[1]
     if 9 <= n <= 14:
         return 2 * core - 2, 3 * core - 2
     return 2 * core, 3 * core
+
+
+@dataclass(frozen=True)
+class DesignParams:
+    """One TO-SDA instance: its variant, its N sensors and its split
+    (M1, M2).  Every other number is derived from these four.
+
+    The generator size ``N1`` and TNA-II's ``J`` come from the split by
+    :func:`geometry.split_sizes`, and the tail holds ``N2`` = N - N1
+    sensors.  ``lambda1``/``lambda2`` are the variant's printed closed-form
+    reaches of the generator's second-/third-order co-arrays (by
+    :func:`_lambda_values`), not runs measured on the built generator.  For
+    CNA and SCNA the two agree; for TNA-II the printed value can exceed the
+    measured one (N = 8: lambda1 = 20 printed, 4 measured).  The tail starts
+    at ``delta1`` with pitch ``delta2``, by :func:`geometry.tail_offsets`.
+    """
+
+    variant: str
+    N: int
+    M1: int
+    M2: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "variant", normalize_variant(self.variant))
+        # a split needs M1, M2 >= 1 for its generator to exist
+        for key, least in (("N", 0), ("M1", 1), ("M2", 1)):
+            given = getattr(self, key)
+            value = whole_number(given, key)
+            if value < least:
+                raise InvalidParameterError(f"{key} must be >= {least}, got {value}")
+            if value is not given:  # frozen-field writes are slow; most are ints
+                object.__setattr__(self, key, value)
+        if self.N2 < 1:
+            raise InvalidParameterError("N2 must be >= 1")
+
+    @property
+    def N1(self) -> int:
+        return geometry.split_sizes(self.variant, self.M1, self.M2)[0]
+
+    @property
+    def J(self) -> Optional[int]:
+        return geometry.split_sizes(self.variant, self.M1, self.M2)[1]
+
+    @property
+    def N2(self) -> int:
+        return self.N - self.N1
+
+    @property
+    def lambda1(self) -> int:
+        return _lambda_values(self.variant, self.N, self.M1, self.M2)[0]
+
+    @property
+    def lambda2(self) -> int:
+        return _lambda_values(self.variant, self.N, self.M1, self.M2)[1]
+
+    @property
+    def delta1(self) -> int:
+        return geometry.tail_offsets(self.lambda1, self.lambda2)[0]
+
+    @property
+    def delta2(self) -> int:
+        return geometry.tail_offsets(self.lambda1, self.lambda2)[1]
+
+    def to_json_dict(self) -> dict:
+        keys = ("variant", "N", "N1", "N2", "M1", "M2", "J",
+                "delta1", "delta2", "lambda1", "lambda2")
+        return {key: getattr(self, key) for key in keys}
 
 
 def dof_closed_form(params: DesignParams) -> int:
@@ -68,7 +139,7 @@ def dof_closed_form(params: DesignParams) -> int:
     """
     m1, m2, n2 = params.M1, params.M2, params.N2
     if params.variant != "tna2":
-        lam1, lam2 = _lambda_values(params.variant, m1, m2, None, params.N)
+        lam1, lam2 = _lambda_values(params.variant, params.N, m1, m2)
         return 2 * (lam2 + n2 * geometry.tail_offsets(lam1, lam2)[1]) + 1
     core = m1 * (m2 + 1) + params.J
     if 9 <= params.N <= 14:
@@ -92,20 +163,19 @@ def _generator(variant: str, m1: int, m2: int) -> Optional[tuple[int, ...]]:
 
 def _design(
     variant: str, n: int, m1: int, m2: int
-) -> Optional[tuple[int, int, int, tuple[int, ...]]]:
-    """(N1, lambda1, lambda2, positions) of the split (M1, M2) at N sensors,
-    or None when it is infeasible: a sub-array comes out empty, or the
-    generator's segments are inconsistent.  Any other error, a tail overlap
-    included, is a bug and propagates."""
-    n1, j = geometry.split_sizes(variant, m1, m2)
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(N1, positions) of the split (M1, M2) at N sensors, or None when it
+    is infeasible: a sub-array comes out empty, or the generator's segments
+    are inconsistent.  Any other error, a tail overlap included, is a bug
+    and propagates."""
+    n1 = geometry.split_sizes(variant, m1, m2)[0]
     if m1 < 1 or m2 < 1 or n1 >= n:
         return None
     generator = _generator(variant, m1, m2)
     if generator is None:
         return None
-    lam1, lam2 = _lambda_values(variant, m1, m2, j, n)
-    delta1, delta2 = geometry.tail_offsets(lam1, lam2)
-    return n1, lam1, lam2, geometry.gtoa_positions(generator, delta1, delta2, n - n1)
+    delta1, delta2 = geometry.tail_offsets(*_lambda_values(variant, n, m1, m2))
+    return n1, geometry.gtoa_positions(generator, delta1, delta2, n - n1)
 
 
 def _splits(variant: str, n: int) -> Iterator[tuple[int, int]]:
@@ -119,8 +189,8 @@ def _splits(variant: str, n: int) -> Iterator[tuple[int, int]]:
             yield m1, m2
 
 
-# a realized split: (consecutive lags, N1, M1, M2, lambda1, lambda2)
-_Realized = tuple[int, int, int, int, int, int]
+# a realized split: (consecutive lags, N1, M1, M2)
+_Realized = tuple[int, int, int, int]
 
 
 def _realized(
@@ -130,8 +200,8 @@ def _realized(
     for m1, m2 in splits:
         design = _design(variant, n, m1, m2)
         if design is not None:
-            n1, lam1, lam2, positions = design
-            yield 2 * coarray.consecutive_z_of(positions) + 1, n1, m1, m2, lam1, lam2
+            n1, positions = design
+            yield 2 * coarray.consecutive_z_of(positions) + 1, n1, m1, m2
 
 
 def _best(realized: Iterable[_Realized]) -> Optional[_Realized]:
@@ -161,9 +231,8 @@ def _attempt_closed_form(variant: str, n: int) -> Optional[tuple[DesignParams, b
             for n1 in roundings(n1_star)
             for m2 in roundings((2 * n1 - 1) / 4)
         ]
-    design = _design(variant, n, *direct)
-    if design is not None:
-        return DesignParams(variant, n, *direct, *design[1:3]), False
+    if _design(variant, n, *direct) is not None:
+        return DesignParams(variant, n, *direct), False
     best = _best(_realized(variant, n, others))
     return None if best is None else (DesignParams(variant, n, *best[2:]), True)
 

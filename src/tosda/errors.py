@@ -16,15 +16,9 @@ class InvalidParameterError(TosdaError, ValueError):
 
 
 class GeometryInconsistencyError(TosdaError, ValueError):
-    """A requested geometry is self-contradictory (duplicate positions,
-    cardinality mismatch, overlapping sub-arrays).
-
-    ``segments`` optionally carries the offending segment description.
-    """
-
-    def __init__(self, message, segments=None):
-        super().__init__(message)
-        self.segments = segments
+    """A requested geometry is self-contradictory (a generator without the
+    sensors its split counts, a tail collapsing onto itself or overlapping
+    its generator)."""
 
 
 class UnsupportedSizeError(TosdaError, ValueError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     ArrayParseError,
@@ -22,6 +22,9 @@ from .errors import (
     real_number,
     whole_number,
 )
+
+if TYPE_CHECKING:
+    from .designer import DesignParams
 
 VARIANTS = ("cna", "scna", "tna2")
 
@@ -52,8 +55,8 @@ def normalize_variant(variant: str) -> str:
 # per unit of the largest position ``top``: 1.5 GiB at this cap, which
 # TO-SDAs pass beyond N = 480 (TNA-II) and N = 600 (CNA, SCNA);
 # consecutive_z's bitsets take a few bytes per unit.  Every lag of a capped
-# array fits int64 with room to spare.  A generator reaching past it is
-# refused before any of its segments is listed.
+# array fits int64 with room to spare.  A generator or a tail reaching past
+# it is refused before it is listed.
 MAX_POSITION = 2**24
 
 
@@ -132,71 +135,6 @@ def tail_offsets(lambda1: int, lambda2: int) -> tuple[int, int]:
     return lambda1 + lambda2 + 1, 2 * lambda1 + 1
 
 
-# the DesignParams fields that are whole numbers: M1 and M2 at least 1, as
-# build_generator needs, the others at least 0
-_COUNT_FIELDS = ("N", "M1", "M2", "lambda1", "lambda2")
-
-
-@dataclass(frozen=True)
-class DesignParams:
-    """Complete parameter tuple of one TO-SDA instance.
-
-    ``lambda1``/``lambda2`` are the variant's printed closed-form reaches
-    of the generator's second-/third-order co-arrays, not runs measured on
-    the built generator.  For CNA and SCNA the two agree; for TNA-II the
-    printed value can exceed the measured one (N = 8: lambda1 = 20 printed,
-    4 measured).  The rest is derived: the generator size ``N1`` and
-    TNA-II's ``J`` from the split (M1, M2) by :func:`split_sizes`, and the
-    tail of ``N2`` = N - N1 sensors from ``delta1`` at pitch ``delta2`` by
-    :func:`tail_offsets`.
-    """
-
-    variant: str
-    N: int
-    M1: int
-    M2: int
-    lambda1: int
-    lambda2: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "variant", normalize_variant(self.variant))
-        for key in _COUNT_FIELDS:
-            given = getattr(self, key)
-            value = whole_number(given, key)
-            least = 1 if key in ("M1", "M2") else 0
-            if value < least:
-                raise InvalidParameterError(f"{key} must be >= {least}, got {value}")
-            if value is not given:  # frozen-field writes are slow; most are ints
-                object.__setattr__(self, key, value)
-        if self.N2 < 1:
-            raise InvalidParameterError("N2 must be >= 1")
-
-    @property
-    def N1(self) -> int:
-        return split_sizes(self.variant, self.M1, self.M2)[0]
-
-    @property
-    def J(self) -> Optional[int]:
-        return split_sizes(self.variant, self.M1, self.M2)[1]
-
-    @property
-    def N2(self) -> int:
-        return self.N - self.N1
-
-    @property
-    def delta1(self) -> int:
-        return tail_offsets(self.lambda1, self.lambda2)[0]
-
-    @property
-    def delta2(self) -> int:
-        return tail_offsets(self.lambda1, self.lambda2)[1]
-
-    def to_json_dict(self) -> dict:
-        keys = ("variant", "N", "N1", "N2", "M1", "M2", "J",
-                "delta1", "delta2", "lambda1", "lambda2")
-        return {key: getattr(self, key) for key in keys}
-
-
 def build_ula(n: int) -> SensorArray:
     """Uniform linear array at positions 0..n-1."""
     n = whole_number(n, "n")
@@ -235,9 +173,11 @@ def generator_positions(variant: str, m1: int, m2: int) -> tuple[int, ...]:
 
     Its size N1 and TNA-II's J come from :func:`split_sizes`; segments that
     do not hold N1 distinct positions raise
-    :class:`GeometryInconsistencyError` carrying the offending segments.  A
-    generator reaching past :data:`MAX_POSITION` raises
-    :class:`InvalidParameterError` before any segment is listed.
+    :class:`GeometryInconsistencyError` naming the segments.  Every family's
+    segments are disjoint by construction, so only a segment that comes out
+    empty (TNA-II's middle one) can do that.  A generator reaching past
+    :data:`MAX_POSITION` raises :class:`InvalidParameterError` before any
+    segment is listed.
     """
     expected, j = split_sizes(variant, m1, m2)
     spans = _generator_segments(variant, m1, m2, j)
@@ -248,22 +188,14 @@ def generator_positions(variant: str, m1: int, m2: int) -> tuple[int, ...]:
             f"the most the co-array functions take, got (M1={m1}, M2={m2}, J={j}) "
             f"reaching {top}"
         )
-    segments = [list(span) for span in spans]
-    flat = [p for seg in segments for p in seg]
-    if len(set(flat)) != len(flat):
-        dupes = sorted({p for p in flat if flat.count(p) > 1})
-        raise GeometryInconsistencyError(
-            f"{variant.upper()} generator (M1={m1}, M2={m2}, J={j}) repeats "
-            f"positions {dupes} across segments {segments}",
-            segments=segments,
-        )
-    if len(flat) != expected:
+    positions = sorted({p for span in spans for p in span})
+    if len(positions) != expected:
         raise GeometryInconsistencyError(
             f"{variant.upper()} generator (M1={m1}, M2={m2}, J={j}) has "
-            f"{len(flat)} sensors, expected {expected}; segments {segments}",
-            segments=segments,
+            f"{len(positions)} sensors, expected {expected}; "
+            f"segments {[list(span) for span in spans]}"
         )
-    return tuple(sorted(flat))
+    return tuple(positions)
 
 
 def build_generator(variant: str, m1: int, m2: int) -> SensorArray:
@@ -291,8 +223,17 @@ def gtoa_positions(
 
     Every physical position may host exactly one sensor, so a tail that
     collapses onto itself or overlaps the generator raises
-    :class:`GeometryInconsistencyError`.
+    :class:`GeometryInconsistencyError`.  A tail reaching past
+    :data:`MAX_POSITION` raises :class:`InvalidParameterError` before it is
+    listed.
     """
+    last = delta1 + delta2 * (n2 - 1)
+    if last > MAX_POSITION:
+        raise InvalidParameterError(
+            f"tail must be within position {MAX_POSITION}, the most the co-array "
+            f"functions take, got (delta1={delta1}, delta2={delta2}, n2={n2}) "
+            f"reaching {last}"
+        )
     if delta2 == 0 and n2 > 1:
         raise GeometryInconsistencyError(
             f"tail with delta2={delta2} collapses onto itself for n2={n2}"
@@ -306,13 +247,7 @@ def gtoa_positions(
     return tuple(sorted([*generator, *tail]))
 
 
-def build_gtoa(
-    generator: SensorArray,
-    delta1: int,
-    delta2: int,
-    n2: int,
-    name: Optional[str] = None,
-) -> SensorArray:
+def build_gtoa(generator: SensorArray, delta1: int, delta2: int, n2: int) -> SensorArray:
     """Union of a generator with the coarse tail {delta1 + delta2*k, k < n2},
     by the rule of :func:`gtoa_positions`."""
     delta1, delta2 = whole_number(delta1, "delta1"), whole_number(delta2, "delta2")
@@ -322,7 +257,7 @@ def build_gtoa(
     if delta1 < 0 or delta2 < 0:
         raise InvalidParameterError("delta1 and delta2 must be non-negative")
     return SensorArray(
-        name or f"{generator.name}+tail({n2})",
+        f"{generator.name}+tail({n2})",
         gtoa_positions(generator.positions, delta1, delta2, n2),
         generator.unit_spacing,
     )
@@ -331,27 +266,24 @@ def build_gtoa(
 def build_to_sda(variant: str, n: int) -> tuple[SensorArray, DesignParams]:
     """Compose the DOF-maximizing TO-SDA with ``n`` physical sensors.
 
-    The sensor split comes from the closed-form optimizer in
-    :mod:`tosda.designer`; the params derive the tail from their lambdas,
-    delta1 = lambda1+lambda2+1 and delta2 = 2*lambda1+1.  For CNA and SCNA
-    that makes the co-array gap-free, so the realized DOF is the closed
+    The split (M1, M2) comes from the closed-form optimizer in
+    :mod:`tosda.designer`, and the positions from the integer rules the split
+    search builds every candidate by, :func:`generator_positions` and
+    :func:`gtoa_positions`, with the tail the params derive from their printed
+    lambdas: delta1 = lambda1+lambda2+1, delta2 = 2*lambda1+1.  For CNA and
+    SCNA that makes the co-array gap-free, so the realized DOF is the closed
     form's (187 and 217 at N = 8).  TNA-II's printed lambda1 exceeds its
     generator's measured one, so its tail leaves gaps: at N = 8 the closed
-    form says 345 and the array realizes 71.  Other offsets remain
-    reachable through :func:`build_gtoa`.
+    form says 345 and the array realizes 71.  Other offsets remain reachable
+    through :func:`build_gtoa`.
     """
     from . import designer  # deferred: designer builds on this module
 
     variant = normalize_variant(variant)
     params = designer.split_closed_form(variant, n)
-    generator = build_generator(variant, params.M1, params.M2)
-    array = build_gtoa(
-        generator,
-        params.delta1,
-        params.delta2,
-        params.N2,
-        name=f"TO-SDA({VARIANT_LABELS[variant]}) N={n}",
-    )
+    generator = generator_positions(variant, params.M1, params.M2)
+    positions = gtoa_positions(generator, params.delta1, params.delta2, params.N2)
+    array = SensorArray(f"TO-SDA({VARIANT_LABELS[variant]}) N={n}", positions)
     if array.size != n or array.positions[0] != 0:
         raise GeometryInconsistencyError(
             f"composed array has {array.size} sensors starting at "

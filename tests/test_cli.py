@@ -161,12 +161,32 @@ def test_position_past_the_cap_exits_1(argv, top, inputs, tmp_path, capsys):
       "n must be small enough"),
      # within float range, but its closed-form generator reaches past the cap
      (["design", "--variant", "cna", "--sensors", str(10**100)],
-      "CNA generator must be within position")],
-    ids=["design", "metrics", "design-generator-past-cap"],
+      "CNA generator must be within position"),
+     # the first split of the search has a tail of about 10**12 sensors,
+     # refused before it is listed
+     (["sweep", "--variants", "cna", "--n-range", f"{10**12}:{10**12}"],
+      "tail must be within position")],
+    ids=["design", "metrics", "design-generator-past-cap", "sweep-tail-past-cap"],
 )
 def test_n_past_float_range_exits_1(argv, message, tmp_path, capsys):
     assert main([*argv, "-o", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["metrics", "--variant", "cna", "--n-range", "abc"],
+      "expected a range like 4:16, got 'abc'"),
+     (["sweep", "--variants", "cna", "--n-range", "9:4"], "empty range '9:4'"),
+     (["simulate", "--config", "{in}/sim.json", "--threads", "0"], "--threads must be >= 1"),
+     (["simulate", "--config", "{in}/missing.json"], "cannot read config")],
+    ids=["range-not-numbers", "range-reversed", "no-thread", "config-unreadable"],
+)
+def test_bad_flag_value_exits_1(argv, message, inputs, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*_argv(argv, inputs), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (out / "manifest.json").exists()
 
 
 class TestDesign:

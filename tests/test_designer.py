@@ -21,7 +21,6 @@ from tosda import (
 )
 from tosda.designer import (
     _generator,
-    _lambda_values,
     _splits,
     continuous_optimum_n1,
     round_half_up,
@@ -202,14 +201,14 @@ class TestBruteForceSplit:
         for n in range(minimum_sensors(variant), 13):
             realized = []
             for m1, m2 in itertools.product(range(1, n), repeat=2):
-                n1, j = split_sizes(variant, m1, m2)
+                n1 = split_sizes(variant, m1, m2)[0]
                 if n1 >= n:
                     continue
                 try:
                     generator = build_generator(variant, m1, m2)
                 except GeometryInconsistencyError:
                     continue
-                p = DesignParams(variant, n, m1, m2, *_lambda_values(variant, m1, m2, j, n))
+                p = DesignParams(variant, n, m1, m2)
                 arr = build_gtoa(generator, p.delta1, p.delta2, p.N2)
                 realized.append((-(2 * to_eca(arr).one_sided_z + 1), n1, m1, m2))
             lags, n1, m1, m2 = min(realized)
@@ -262,8 +261,8 @@ class TestInvariants:
         from tosda.designer import _design
 
         n1 = 2 * m1 + m2
-        design_n1, lam1, lam2, built = _design("cna", n1 + n2, m1, m2)
-        params = DesignParams("cna", n1 + n2, m1, m2, lam1, lam2)
+        design_n1, built = _design("cna", n1 + n2, m1, m2)
+        params = DesignParams("cna", n1 + n2, m1, m2)
         assert (params.N1, params.J) == (design_n1, None) == (n1, None)
         gen = build_generator("cna", m1, m2)
         arr = build_gtoa(gen, params.delta1, params.delta2, n2)

@@ -50,7 +50,6 @@ REAL = (True, "0.5", math.inf, -math.inf, math.nan)
 ENTRY = ("a", "0.5", None, True, math.inf, -math.inf, math.nan)
 
 CNA8 = split_closed_form("cna", 8)
-COUNTS = ("N", "M1", "M2", "lambda1", "lambda2")
 
 
 def _gtoa(delta1=9, delta2=9, n2=2):
@@ -75,11 +74,10 @@ CASES = [
     ("SensorArray", "positions", WHOLE, lambda v: SensorArray("x", (0, v))),
     ("SensorArray", "unit_spacing", REAL, lambda v: SensorArray("x", (0, 1), v)),
     *[("DesignParams", f, WHOLE, lambda v, f=f: replace(CNA8, **{f: v}))
-      for f in COUNTS],
+      for f in ("N", "M1", "M2")],
     # a split with M1 or M2 below 1 has no generator
     *[("DesignParams", f, (0, -1), lambda v, f=f: replace(CNA8, **{f: v}))
       for f in ("M1", "M2")],
-    ("DesignParams", "lambda1", (-1,), lambda v: replace(CNA8, lambda1=v)),
     *[("CouplingModel", f, REAL, lambda v, f=f: CouplingModel(**{f: v}))
       for f in ("c1_magnitude", "c1_phase", "decay_phase_step")],
     ("CouplingModel", "band_limit", WHOLE, lambda v: CouplingModel(band_limit=v)),
@@ -137,6 +135,12 @@ CASES = [
     # co-array cap, refused before any of its segments is listed
     *[(f.__name__, "CNA generator", (10**100,), lambda v, f=f: f("cna", v))
       for f in (split_closed_form, build_to_sda)],
+    # a tail reaching past the cap, refused before it is listed: the first
+    # split the search builds at N = 10**12 has a tail of about 10**12 sensors
+    ("build_gtoa", "tail", (10**12,), lambda v: _gtoa(n2=v)),
+    ("build_gtoa", "tail", (2**24,), lambda v: _gtoa(delta1=v)),
+    ("brute_force_split", "tail", (10**12,), lambda v: brute_force_split("cna", v)),
+    ("dof_sweep", "tail", (10**12,), lambda v: dof_sweep(["cna"], [v])),
     ("z_closed_form", "n", (10**200,), lambda v: z_closed_form("cna", v)),
     ("closed_form_redundancy", "n", (10**200,), lambda v: closed_form_redundancy("cna", v)),
     ("l3_bound", "n", (10**400,), l3_bound),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -93,9 +94,9 @@ class TestGenerators:
 
     def test_tna2_inconsistent_split_rejected(self):
         # the middle segment collapses to empty and cardinality drops to 4
-        with pytest.raises(GeometryInconsistencyError) as err:
+        with pytest.raises(GeometryInconsistencyError, match=re.escape(
+                "has 4 sensors, expected 5; segments [[0, 4], [], [10, 11]]")):
             build_generator("tna2", 3, 2)
-        assert err.value.segments is not None
 
     @pytest.mark.parametrize("variant", ["cna", "scna"])
     @pytest.mark.parametrize("m1", [1, 2, 3, 4])
@@ -171,7 +172,7 @@ class TestToSda:
 class TestDesignParams:
     def test_rejects_mismatched_total(self):
         with pytest.raises(InvalidParameterError, match="N2 must be >= 1"):
-            DesignParams("cna", 5, 1, 3, 12, 18)
+            DesignParams("cna", 5, 1, 3)
 
 
 class TestArrayFiles:
@@ -205,6 +206,13 @@ class TestArrayFiles:
         path = tmp_path / "a.json"
         path.write_text("{not json")
         with pytest.raises(ArrayParseError):
+            load_array(path)
+
+    @pytest.mark.parametrize("blob", [{"name": "x"}, [0, 1]], ids=["no-positions", "list"])
+    def test_object_without_positions_rejected(self, tmp_path, blob):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ArrayParseError, match="expected an object with a 'positions' key"):
             load_array(path)
 
     def test_empty_positions_rejected(self, tmp_path):

@@ -67,6 +67,19 @@ class TestSourceScene:
         with pytest.raises(InvalidParameterError, match="noise power"):
             SourceScene((0.0,), snr_db=-3100.0, snapshots=8)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [({"angles_deg": (10.0, 10.0)}, "source angles must be distinct"),
+         ({"angles_deg": (0.0, 90.0)}, "angles must lie inside"),
+         ({"angles_deg": (-90.0,)}, "angles must lie inside"),
+         ({"snapshots": 0}, "need at least one snapshot"),
+         ({"seed": -1}, "seed must be a non-negative integer")],
+        ids=["duplicate-angle", "angle-90", "angle-minus-90", "no-snapshot", "negative-seed"],
+    )
+    def test_rejects_values_outside_the_domain(self, field, message):
+        with pytest.raises(InvalidParameterError, match=f"^{message}"):
+            SourceScene(**{"angles_deg": (0.0,), "snr_db": 0.0, "snapshots": 8, **field})
+
     def test_whole_float_seed_runs_as_int(self):
         scene = SourceScene((0.0,), snr_db=0.0, snapshots=8.0, seed=2.0)
         assert (scene.snapshots, scene.seed) == (8, 2)
@@ -424,6 +437,29 @@ def test_lanczos_convergence_tests_spaced_geometrically(monkeypatch):
     assert sizes[-1] > 256 and len(sizes) <= 36
     np.testing.assert_allclose(signal @ signal.conj().T, wanted @ wanted.conj().T,
                                rtol=0, atol=1e-10)
+
+
+def test_lanczos_basis_grows_past_its_first_rows(monkeypatch):
+    # the basis starts with 4 D + 32 = 36 rows; a random Hermitian Toeplitz T
+    # at m = 225 needs 52 Lanczos vectors for its largest |eigenvalue|, so the
+    # rows double once
+    m, d = 225, 1
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    c[0] = c[0].real
+    vals, vecs = np.linalg.eigh(toeplitz(c))
+    wanted = vecs[:, np.argsort(np.abs(vals), kind="stable")[m - d:]]
+    sizes, eigh = [], np.linalg.eigh
+
+    def counting(a):
+        sizes.append(a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    signal = simulator._signal_subspace(c, d)
+    assert m > simulator._DENSE_EIGH_MAX_M and sizes[-1] > 4 * d + 32
+    np.testing.assert_allclose(signal @ signal.conj().T, wanted @ wanted.conj().T,
+                               rtol=0, atol=1e-12)
 
 
 # Fresh interpreters, for what holds only from a process's start: the scipy
@@ -824,6 +860,18 @@ def test_run_trial_keeps_spectrum_on_request(array9):
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize(
+        "run, message",
+        [({"trials": 0}, "need at least one trial"),
+         ({"trials": 1, "threads": 0}, "need at least one thread"),
+         ({"trials": 1, "sweep": ("snr", [])}, "sweep needs at least one value")],
+        ids=["no-trial", "no-thread", "empty-sweep"],
+    )
+    def test_rejects_an_empty_run(self, array9, run, message):
+        scene = SourceScene((0.0,), snr_db=0.0, snapshots=64, seed=0)
+        with pytest.raises(InvalidParameterError, match=f"^{message}"):
+            monte_carlo(array9, scene, **run)
+
     def test_deterministic_across_threads(self, array9):
         scene = SourceScene(tuple(np.linspace(-50, 50, 4)), snr_db=0.0, snapshots=800, seed=21)
         runs = [monte_carlo(array9, scene, ("snr", [0.0, 6.0]), trials=3, threads=t)
