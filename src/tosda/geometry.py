@@ -55,8 +55,9 @@ def normalize_variant(variant: str) -> str:
 # per unit of the largest position ``top``: 1.5 GiB at this cap, which
 # TO-SDAs pass beyond N = 480 (TNA-II) and N = 600 (CNA, SCNA);
 # consecutive_z's bitsets take a few bytes per unit.  Every lag of a capped
-# array fits int64 with room to spare.  A generator or a tail reaching past
-# it is refused before it is listed.
+# array fits int64 with room to spare.  A generator reaching past it is
+# refused before it is listed, and so is a tail of more sensors than it (a
+# tail's list grows with its count, not its reach).
 MAX_POSITION = 2**24
 
 
@@ -223,20 +224,20 @@ def gtoa_positions(
 
     Every physical position may host exactly one sensor, so a tail that
     collapses onto itself or overlaps the generator raises
-    :class:`GeometryInconsistencyError`.  A tail reaching past
-    :data:`MAX_POSITION` raises :class:`InvalidParameterError` before it is
-    listed.
+    :class:`GeometryInconsistencyError`.  A tail of more than
+    :data:`MAX_POSITION` sensors, which no co-array function could take,
+    raises :class:`InvalidParameterError` before it is listed; positions
+    past the cap are listed, since listing costs one entry per sensor.
     """
-    last = delta1 + delta2 * (n2 - 1)
-    if last > MAX_POSITION:
-        raise InvalidParameterError(
-            f"tail must be within position {MAX_POSITION}, the most the co-array "
-            f"functions take, got (delta1={delta1}, delta2={delta2}, n2={n2}) "
-            f"reaching {last}"
-        )
     if delta2 == 0 and n2 > 1:
         raise GeometryInconsistencyError(
             f"tail with delta2={delta2} collapses onto itself for n2={n2}"
+        )
+    if n2 > MAX_POSITION:
+        raise InvalidParameterError(
+            f"tail must be at most {MAX_POSITION} sensors long, as a longer one "
+            f"reaches past the largest position the co-array functions take, "
+            f"got n2={n2}"
         )
     tail = [delta1 + delta2 * k for k in range(n2)]
     overlap = sorted(set(generator).intersection(tail))

@@ -165,7 +165,7 @@ def test_position_past_the_cap_exits_1(argv, top, inputs, tmp_path, capsys):
      # the first split of the search has a tail of about 10**12 sensors,
      # refused before it is listed
      (["sweep", "--variants", "cna", "--n-range", f"{10**12}:{10**12}"],
-      "tail must be within position")],
+      "tail must be at most")],
     ids=["design", "metrics", "design-generator-past-cap", "sweep-tail-past-cap"],
 )
 def test_n_past_float_range_exits_1(argv, message, tmp_path, capsys):
@@ -187,6 +187,21 @@ def test_bad_flag_value_exits_1(argv, message, inputs, tmp_path, capsys):
     assert main([*_argv(argv, inputs), "-o", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, top",
+    [(["design", "--variant", "cna", "--sensors", "1000"], 74796125),
+     (["design", "--generator", "{in}/g.json", "--delta1", str(2**24 + 1),
+       "--delta2", "25", "--n2", "3"], 2**24 + 51),
+     (["leakage", "--variant", "cna", "--sensors", "1000"], None)],
+    ids=["design-variant", "design-generator", "leakage-variant"],
+)
+def test_array_past_the_cap_needs_no_coarray(argv, top, inputs, tmp_path):
+    # the co-array cap binds the co-array commands only: these list the array
+    assert main([*_argv(argv, inputs), "-o", str(tmp_path)]) == 0
+    if top is not None:
+        assert json.loads((tmp_path / "array.json").read_text())["positions"][-1] == top
 
 
 class TestDesign:

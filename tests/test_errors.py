@@ -135,10 +135,9 @@ CASES = [
     # co-array cap, refused before any of its segments is listed
     *[(f.__name__, "CNA generator", (10**100,), lambda v, f=f: f("cna", v))
       for f in (split_closed_form, build_to_sda)],
-    # a tail reaching past the cap, refused before it is listed: the first
-    # split the search builds at N = 10**12 has a tail of about 10**12 sensors
-    ("build_gtoa", "tail", (10**12,), lambda v: _gtoa(n2=v)),
-    ("build_gtoa", "tail", (2**24,), lambda v: _gtoa(delta1=v)),
+    # a tail of more sensors than the cap, refused before it is listed: the
+    # first split the search builds at N = 10**12 has about 10**12
+    ("build_gtoa", "tail", (2**24 + 1, 10**12), lambda v: _gtoa(n2=v)),
     ("brute_force_split", "tail", (10**12,), lambda v: brute_force_split("cna", v)),
     ("dof_sweep", "tail", (10**12,), lambda v: dof_sweep(["cna"], [v])),
     ("z_closed_form", "n", (10**200,), lambda v: z_closed_form("cna", v)),

@@ -19,7 +19,7 @@ from tosda import (
     normalize_variant,
     save_array,
 )
-from tosda.geometry import irange, split_sizes
+from tosda.geometry import MAX_POSITION, irange, split_sizes
 
 
 class TestUla:
@@ -155,6 +155,19 @@ class TestToSda:
         assert arr.size == n
         assert arr.positions[0] == 0
         assert params.N == params.N1 + params.N2 == n
+
+    @pytest.mark.parametrize("variant, m1, m2, top", [
+        ("cna", 166, 334, 74796125), ("scna", 166, 334, 74797462),
+        ("tna2", 333, 333, 149148032)])
+    def test_builds_past_the_coarray_cap(self, variant, m1, m2, top):
+        # listing positions beyond MAX_POSITION costs one entry per sensor;
+        # only the co-array functions refuse such an array
+        arr, params = build_to_sda(variant, 1000)
+        assert (params.M1, params.M2) == (m1, m2)
+        assert arr.size == len(set(arr.positions)) == 1000
+        assert arr.positions[-1] == top > MAX_POSITION
+        tail = build_gtoa(build_generator("cna", 1, 3), MAX_POSITION + 1, 25, 3)
+        assert tail.positions[-3:] == (MAX_POSITION + 1, MAX_POSITION + 26, MAX_POSITION + 51)
 
     def test_below_minimum(self):
         with pytest.raises(UnsupportedSizeError) as err:
