@@ -36,11 +36,10 @@ def timed(times, stage, fn, *args):
 
 for sensors, coupling, workers in ((9, metrics.CouplingModel(), 2), (24, None, 1)):
     array, _ = geometry.build_to_sda('cna', sensors)
-    report = coarray.to_eca(array)
-    z_max = report.one_sided_z
+    z_max = coarray.consecutive_z(array)
     simulator._grid_and_steering.cache_clear()
     tracemalloc.start()
-    simulator.run_trial(array, scene, report, np.random.default_rng([2015, 1, 0]),
+    simulator.run_trial(array, scene, np.random.default_rng([2015, 1, 0]),
                         coupling=coupling, grid_step_deg=grid_step)
     cold_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
@@ -54,7 +53,7 @@ for sensors, coupling, workers in ((9, metrics.CouplingModel(), 2), (24, None, 1
         x = timed(times, 'synthesize_snapshots', simulator.synthesize_snapshots,
                   array, scene, coupling, rng)
         z = timed(times, 'virtual_array_vector', simulator.virtual_array_vector,
-                  x, array, report)
+                  x, array)
         del x  # each array lives as long as it does in run_trial
         es = timed(times, '_signal_subspace', simulator._signal_subspace,
                    z[z_max:], scene.n_sources)

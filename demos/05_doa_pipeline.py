@@ -12,14 +12,12 @@ covariance T T^H / (Z+1) without forming it (Liu & Vaidyanathan, IEEE SPL
 
 import numpy as np
 
-from tosda import SourceScene, build_to_sda, run_trial, to_eca
+from tosda import SourceScene, build_to_sda, consecutive_z, run_trial
 
 arr, params = build_to_sda("cna", 9)
-report = to_eca(arr)
+z = consecutive_z(arr)
 print(f"array: {arr.name}, positions {list(arr.positions)}")
-print(f"virtual array: Z={report.one_sided_z} -> "
-      f"{2 * report.one_sided_z + 1} consecutive lags "
-      f"(9 physical sensors)")
+print(f"virtual array: Z={z} -> {2 * z + 1} consecutive lags (9 physical sensors)")
 
 truth = np.linspace(-60.0, 60.0, 12)
 scene = SourceScene(
@@ -28,7 +26,7 @@ scene = SourceScene(
 print(f"\nscene: {scene.n_sources} sources, {scene.snapshots} snapshots, "
       f"{scene.snr_db:+.0f} dB SNR")
 
-est = run_trial(arr, scene, report, np.random.default_rng(2024))
+est = run_trial(arr, scene, np.random.default_rng(2024))
 
 print(f"\n{'truth':>10s} {'estimate':>10s} {'error':>9s}")
 for t, e in zip(truth, est.angles_deg):

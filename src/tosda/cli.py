@@ -26,6 +26,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -70,6 +71,14 @@ def _save(outdir: Path, files: dict[str, str]) -> None:
                 fh.write(text)
     except OSError as exc:
         raise TosdaError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _check_output(outdir: Path) -> None:
+    """Raise, creating nothing, unless ``outdir`` or its nearest existing
+    ancestor is a directory this process can write into."""
+    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        raise TosdaError(f"cannot write {outdir}: {existing} is not a writable directory")
 
 
 def _parse_range(text: str) -> list[int]:
@@ -353,7 +362,7 @@ def cmd_simulate(args) -> tuple[dict, dict]:
             )
     elif mode == "spectrum":
         est = simulator.run_trial(
-            array, scene, coarray.to_eca(array), np.random.default_rng([master_seed, 0, 0]),
+            array, scene, np.random.default_rng([master_seed, 0, 0]),
             coupling=coupling, grid_step_deg=grid_step,
         )
         grid, spectrum = est.spectrum
@@ -509,7 +518,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _validate_args(args)
         outdir = Path(args.output)
-        _save(outdir, {})  # an unusable --output fails before the run
+        _check_output(outdir)  # an unusable --output fails before the run
         files, fields = args.func(args)
         manifest = {
             "tool": "tosda",

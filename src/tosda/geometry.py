@@ -282,6 +282,7 @@ def build_to_sda(variant: str, n: int) -> tuple[SensorArray, DesignParams]:
 
     variant = normalize_variant(variant)
     params = designer.split_closed_form(variant, n)
+    n = params.N  # a whole int, whatever number type n came as
     generator = generator_positions(variant, params.M1, params.M2)
     positions = gtoa_positions(generator, params.delta1, params.delta2, params.N2)
     array = SensorArray(f"TO-SDA({VARIANT_LABELS[variant]}) N={n}", positions)

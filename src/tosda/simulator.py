@@ -49,10 +49,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import coarray, metrics
-from .coarray import CoarrayReport
 from .errors import (
     CapacityExceededError,
-    InternalConsistencyError,
     InvalidParameterError,
     real_number,
     whole_number,
@@ -284,16 +282,15 @@ def sample_third_cumulants(x: np.ndarray, array: SensorArray) -> np.ndarray:
 _SNAPSHOT_BLOCK = 1024
 
 
-def virtual_array_vector(
-    x: np.ndarray, array: SensorArray, report: CoarrayReport
-) -> np.ndarray:
-    """Redundancy-averaged third-order cumulants on the lags [-Z, Z].
+def virtual_array_vector(x: np.ndarray, array: SensorArray) -> np.ndarray:
+    """Redundancy-averaged third-order cumulants on the lags [-Z, Z], Z the
+    one-sided consecutive span of ``array``'s TO-ECA.
 
     Entries sharing a lag enter the unweighted arithmetic mean; the output
     has length 2Z+1, ordered by lag.  Patterns 1 and 2 are symmetric in
     (i, j), so only the pairs i <= j are formed, weighted by multiplicity;
-    patterns 3 and 4 are their conjugate mirror.  The lag counts found
-    here must equal the weights of ``report``, the TO-ECA of ``array``.
+    patterns 3 and 4 are their conjugate mirror.  An array whose TO-ECA
+    lacks lag 0 has nothing to average and raises InvalidParameterError.
 
     The snapshots go through in blocks of ``_SNAPSHOT_BLOCK`` columns; each
     block is centred by the sensor means into the first N rows of one
@@ -303,9 +300,9 @@ def virtual_array_vector(
     """
     x, mean = _snapshots_and_means(x, array)
     n, k = x.shape
-    z = report.one_sided_z
+    z = coarray.consecutive_z(array)
     if z < 0:
-        raise InternalConsistencyError("co-array has no lag 0; nothing to average")
+        raise InvalidParameterError(f"{array.name}: co-array has no lag 0; nothing to average")
     p = np.asarray(array.positions, dtype=np.int64)
     i, j = np.triu_indices(n)
     mult = np.repeat(np.where(i == j, 1.0, 2.0), 2 * n)
@@ -338,9 +335,6 @@ def virtual_array_vector(
     moments *= mult / k
     sums = binned(moments.real) + 1j * binned(moments.imag)
     counts = binned(mult) + binned(mult)[::-1]
-    w = report.weights
-    if w.lo > -z or not np.array_equal(counts, w.counts[-z - w.lo : z - w.lo + 1]):
-        raise InternalConsistencyError(f"report is not the TO-ECA of {array.name}")
     return (sums + sums[::-1].conj()) / counts
 
 
@@ -780,15 +774,14 @@ class _BlasPin:
 _BLAS_PIN = _BlasPin()
 
 
-def _check_capacity(
-    array: SensorArray, report: CoarrayReport, scene: SourceScene, where: str = ""
-) -> None:
+def _check_capacity(array: SensorArray, scene: SourceScene, where: str = "") -> None:
     """Raise :class:`CapacityExceededError`, its message prefixed by ``where``,
-    when ``scene`` has more sources than ``array``'s co-array ``report`` has
-    one-sided consecutive lags."""
-    if scene.n_sources > report.one_sided_z:
+    when ``scene`` has more sources than ``array``'s TO-ECA has one-sided
+    consecutive lags."""
+    z = coarray.consecutive_z(array)
+    if scene.n_sources > z:
         raise CapacityExceededError(
-            f"{where}{scene.n_sources} sources exceed the {report.one_sided_z} "
+            f"{where}{scene.n_sources} sources exceed the {z} "
             f"one-sided consecutive lags of {array.name}"
         )
 
@@ -796,25 +789,22 @@ def _check_capacity(
 def run_trial(
     array: SensorArray,
     scene: SourceScene,
-    report: CoarrayReport,
     rng: np.random.Generator,
     *,
     coupling: Optional[metrics.CouplingModel] = None,
     grid_step_deg: float = 0.01,
 ) -> EstimationResult:
     """One seeded trial of the pipeline: snapshots drawn from ``rng``, the
-    virtual-array vector over ``report`` (``coarray.to_eca(array)``), and
-    co-array MUSIC for ``scene``'s sources on a ``grid_step_deg`` grid; the
-    result carries the grid and its pseudo-spectrum.  More sources than
-    ``report``'s Z raise :class:`CapacityExceededError`, and a bad grid step
+    virtual-array vector, and co-array MUSIC for ``scene``'s sources on a
+    ``grid_step_deg`` grid; the result carries the grid and its
+    pseudo-spectrum.  More sources than the TO-ECA's Z raise
+    :class:`CapacityExceededError`, and a bad grid step
     :class:`InvalidParameterError`, before any snapshot is drawn.
     """
-    _check_capacity(array, report, scene)
+    _check_capacity(array, scene)
     _checked_grid_step(grid_step_deg)
     # the snapshots are not kept while ss_music runs
-    zvec = virtual_array_vector(
-        synthesize_snapshots(array, scene, coupling, rng), array, report
-    )
+    zvec = virtual_array_vector(synthesize_snapshots(array, scene, coupling, rng), array)
     return ss_music(
         zvec, scene.n_sources, grid_step_deg=grid_step_deg,
         unit_spacing=array.unit_spacing,
@@ -873,7 +863,6 @@ def monte_carlo(
             (value, _scene_for_point(scene, parameter, value)) for value in values
         ]
 
-    report = coarray.to_eca(array)
     results = []
     workers = min(threads, trials)
     with contextlib.ExitStack() as stack:
@@ -883,12 +872,12 @@ def monte_carlo(
             stack.enter_context(_BLAS_PIN.held(progress))
             trial_map = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
         for point_idx, (value, point_scene) in enumerate(points):
-            _check_capacity(array, report, point_scene, f"sweep point {value!r}: ")
+            _check_capacity(array, point_scene, f"sweep point {value!r}: ")
 
             def trial(t: int) -> tuple[np.ndarray, bool]:
                 rng = np.random.default_rng([point_scene.seed, point_idx, t])
                 est = run_trial(
-                    array, point_scene, report, rng,
+                    array, point_scene, rng,
                     coupling=coupling, grid_step_deg=grid_step_deg,
                 )
                 return est.angles_deg, est.peaks_padded

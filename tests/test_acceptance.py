@@ -331,7 +331,6 @@ def test_criterion_10_half_degree_resolution():
     10000 snapshots: the two dominant spectrum peaks are distinct and
     under one degree apart in at least 7 of 10 seeded runs."""
     arr, _ = build_to_sda("scna", 9)
-    rep = to_eca(arr)
     successes = 0
     outcomes = []
     for seed in range(10):
@@ -339,7 +338,7 @@ def test_criterion_10_half_degree_resolution():
             angles_deg=(0.0, 0.5), snr_db=0.0, snapshots=10000, seed=seed
         )
         x = synthesize_snapshots(arr, scene)
-        zvec = virtual_array_vector(x, arr, rep)
+        zvec = virtual_array_vector(x, arr)
         est = ss_music(zvec, 2, grid_step_deg=GRID_STEP)
         sep = float(est.angles_deg[1] - est.angles_deg[0])
         good = (not est.peaks_padded) and 0.0 < sep < 1.0

@@ -186,7 +186,7 @@ def test_bad_flag_value_exits_1(argv, message, inputs, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([*_argv(argv, inputs), "-o", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,6 @@ from tosda import (
     split_closed_form,
     ss_music,
     steering_matrix,
-    to_eca,
     virtual_array_vector,
     z_closed_form,
 )
@@ -112,7 +111,7 @@ CASES = [
      lambda v: ss_music(np.ones(9), 1, unit_spacing=v)),
     ("ss_music", "z", ENTRY, lambda v: ss_music([1.0, v, 1.0], 1)),
     ("virtual_array_vector", "x", ENTRY,
-     lambda v: virtual_array_vector(_snapshots(v), ULA2, to_eca(ULA2))),
+     lambda v: virtual_array_vector(_snapshots(v), ULA2)),
     ("sample_third_cumulants", "x", ENTRY,
      lambda v: sample_third_cumulants(_snapshots(v), ULA2)),
     ("rmse", "estimates", ENTRY, lambda v: rmse([[v, 1.0]], [0.0, 1.0])),

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from tosda import (
@@ -138,6 +139,9 @@ class TestGtoa:
 class TestToSda:
     def test_cna8_golden(self):
         arr, params = build_to_sda("cna", 8)
+        assert arr.name == "TO-SDA(CNA) N=8"
+        # a whole float or numpy int builds and names the array as the int does
+        assert build_to_sda("cna", 8.0) == build_to_sda("cna", np.int64(8)) == (arr, params)
         assert arr.positions == (0, 1, 3, 5, 6, 31, 56, 81)
         assert (params.N1, params.N2, params.M1, params.M2) == (5, 3, 1, 3)
         assert (params.lambda1, params.lambda2) == (12, 18)

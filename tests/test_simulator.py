@@ -20,7 +20,6 @@ from scipy.signal import find_peaks
 from tosda import (
     CapacityExceededError,
     CouplingModel,
-    InternalConsistencyError,
     InvalidParameterError,
     SensorArray,
     SourceScene,
@@ -38,6 +37,7 @@ from tosda import (
 )
 import tosda
 from tosda import simulator
+from tosda.designer import minimum_sensors
 
 
 def analytic_virtual_vector(big_z, angles_deg, gammas=None, spacing=0.5):
@@ -153,10 +153,9 @@ class TestSynthesizeSnapshots:
                             lambda model, d: calls.append(d) or coefficient(model, d))
         simulator._coupling_matrix.cache_clear()
         scene = SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), 0.0, 500)
-        report = to_eca(array9)
 
         def trial(seed):
-            tosda.run_trial(array9, scene, report, np.random.default_rng(seed),
+            tosda.run_trial(array9, scene, np.random.default_rng(seed),
                             coupling=CouplingModel())
 
         trial(1)
@@ -244,10 +243,11 @@ class TestSampleThirdCumulants:
             sample_third_cumulants(np.zeros((3, 10), dtype=complex), build_ula(2))
 
 
-def reference_virtual_vector(x, arr, rep):
-    """Bincount average of the full 4N^3 cumulant vector over [-Z, Z]."""
+def reference_virtual_vector(x, arr):
+    """Bincount average of the full 4N^3 cumulant vector over [-Z, Z], Z read
+    from the TO-ECA histogram."""
     cum, lags = sample_third_cumulants(x, arr), index_lag_map(arr)
-    big_z = rep.one_sided_z
+    big_z = to_eca(arr).one_sided_z
     inside = np.abs(lags) <= big_z
     idx, vals = lags[inside] + big_z, cum[inside]
     sums = np.bincount(idx, vals.real) + 1j * np.bincount(idx, vals.imag)
@@ -260,7 +260,7 @@ class TestVirtualArrayVector:
         x = np.full((1, 50), 2.0, dtype=complex)
         x[0, ::2] = -1.0  # non-trivial signal
         cum = sample_third_cumulants(x, arr)
-        z = virtual_array_vector(x, arr, to_eca(arr))
+        z = virtual_array_vector(x, arr)
         assert z.shape == (1,)
         assert z[0] == pytest.approx(np.mean(cum))
 
@@ -273,7 +273,7 @@ class TestVirtualArrayVector:
         s = np.array([2.0, -1.0, -1.0]) / np.cbrt(2.0)  # mean 0, mean cube 1
         x = np.exp(1j * omega * np.asarray(arr.positions))[:, None] * s[None, :]
         lags = np.arange(-rep.one_sided_z, rep.one_sided_z + 1)
-        assert np.allclose(virtual_array_vector(x, arr, rep), np.exp(1j * omega * lags),
+        assert np.allclose(virtual_array_vector(x, arr), np.exp(1j * omega * lags),
                            atol=1e-12)
 
     def test_average_counts_equal_weights(self):
@@ -291,55 +291,51 @@ class TestVirtualArrayVector:
     def test_property_matches_reference(self, positions, k, seed):
         # a sensor at 0 puts lag 0 = 0 + 0 - 0 into the TO-ECA, so Z >= 0
         arr = SensorArray("h", (0, *sorted(positions)))
-        rep = to_eca(arr)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((arr.size, k)) + 1j * rng.standard_normal((arr.size, k))
-        got = virtual_array_vector(x, arr, rep)
-        want = reference_virtual_vector(x, arr, rep)
-        assert got.shape == want.shape == (2 * rep.one_sided_z + 1,)
+        got = virtual_array_vector(x, arr)
+        want = reference_virtual_vector(x, arr)
+        assert got.shape == want.shape == (2 * to_eca(arr).one_sided_z + 1,)
         # entries are means of cubes, so rounding scales with max |x|^3
         scale = np.abs(x).max() ** 3
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
     def test_matches_reference_with_coupling(self):
         arr, _ = build_to_sda("cna", 9)
-        rep = to_eca(arr)
         scene = SourceScene((-30.0, 10.0, 45.0), snr_db=0.0, snapshots=2000, seed=4)
         x = synthesize_snapshots(arr, scene, CouplingModel())
-        want = reference_virtual_vector(x, arr, rep)
-        assert np.allclose(virtual_array_vector(x, arr, rep), want, rtol=1e-12, atol=0)
+        want = reference_virtual_vector(x, arr)
+        assert np.allclose(virtual_array_vector(x, arr), want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
-        "k", [1, 700, simulator._SNAPSHOT_BLOCK, 2 * simulator._SNAPSHOT_BLOCK + 3])
+        "k", [1, 7, 700, simulator._SNAPSHOT_BLOCK, 2 * simulator._SNAPSHOT_BLOCK + 3])
     def test_matches_reference_across_snapshot_blocks(self, k):
-        # one short block, one full block, and a ragged last block; the offset
-        # per sensor makes every block's centring by the sensor means count
-        arr, _ = build_to_sda("scna", 6)
-        rep = to_eca(arr)
+        # short blocks, one full block, and a ragged last block; the offset
+        # per sensor makes every block's centring by the sensor means count.
+        # At k = 7, every TO-SDA with N <= 24 ties the bitset Z and the pair
+        # bins to the TO-ECA histogram and the full lag map
+        arrays = [build_to_sda("scna", 6)[0]]
+        if k == 7:
+            arrays = [build_to_sda(variant, n)[0] for variant in ("cna", "scna", "tna2")
+                      for n in range(minimum_sensors(variant), 25)]
         rng = np.random.default_rng(k)
-        x = (rng.standard_normal((arr.size, k)) + 1j * rng.standard_normal((arr.size, k))
-             + (3.0 - 2.0j) * np.arange(arr.size)[:, None])
-        got = virtual_array_vector(x, arr, rep)
-        want = reference_virtual_vector(x, arr, rep)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(x).max() ** 3)
-
-    @pytest.mark.parametrize(
-        "other",
-        [(0, 1, 3), (0, 1, 2, 7), (0, 1, 2, 10), (0, 1, 2, 4, 6)],
-        ids=["smaller-z", "larger-z", "same-z-same-n", "same-z-more-sensors"],
-    )
-    def test_report_of_another_array_rejected(self, other):
-        arr = SensorArray("a", (0, 1, 2, 6))
-        x = np.ones((arr.size, 5), dtype=complex)
-        with pytest.raises(InternalConsistencyError):
-            virtual_array_vector(x, arr, to_eca(SensorArray("b", other)))
+        for arr in arrays:
+            x = (rng.standard_normal((arr.size, k)) + 1j * rng.standard_normal((arr.size, k))
+                 + (3.0 - 2.0j) * np.arange(arr.size)[:, None])
+            got = virtual_array_vector(x, arr)
+            want = reference_virtual_vector(x, arr)
+            assert got.shape == want.shape, arr.name
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(x).max() ** 3), \
+                arr.name
 
     def test_input_checks(self):
         arr = build_ula(2)
-        rep = to_eca(arr)
         for bad in (np.zeros(4), np.zeros((3, 10)), np.zeros((2, 0))):
             with pytest.raises(InvalidParameterError):
-                virtual_array_vector(bad, arr, rep)
+                virtual_array_vector(bad, arr)
+        # a TO-ECA without lag 0 (Z = -1) leaves nothing to average
+        with pytest.raises(InvalidParameterError, match="^x: co-array has no lag 0"):
+            virtual_array_vector(np.ones((2, 5), dtype=complex), SensorArray("x", (1, 3)))
 
 
 def symmetric_noise(rng, big_z, scale):
@@ -486,7 +482,7 @@ facts['design'] = [exit_code, os.path.exists(os.path.join(tmp, 'manifest.json'))
 # (m = 309) from Lanczos: numpy's FFTs and numpy's copy alone on both paths
 arr, _ = build_to_sda('cna', 9)
 scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 400, seed=3)
-z = virtual_array_vector(synthesize_snapshots(arr, scene), arr, to_eca(arr))
+z = virtual_array_vector(synthesize_snapshots(arr, scene), arr)
 ss_music(z, 12)
 facts['dense ss_music'] = [z.size, scipy_loaded('scipy.sparse')]
 for threads in (1, 2):
@@ -512,7 +508,7 @@ for mode in ('rmse', 'spectrum'):
 # has warmed up.  Every FFT of it is recorded: the Lanczos products and the
 # grid projection.  A second call with the other worker count must agree.
 FIRST_LANCZOS_CALL = """\
-from tosda import SourceScene, build_to_sda, monte_carlo, simulator, to_eca
+from tosda import SourceScene, build_to_sda, consecutive_z, monte_carlo, simulator
 get, _ = simulator._openblas_thread_controls()
 facts['count at start'] = get()
 inside, fft, ifft = [], np.fft.fft, np.fft.ifft
@@ -520,7 +516,7 @@ def recording(transform):
     return lambda *args, **kwargs: (inside.append(get()), transform(*args, **kwargs))[1]
 np.fft.fft, np.fft.ifft = recording(fft), recording(ifft)
 arr, _ = build_to_sda('cna', 13)
-facts['m above the eigh limit'] = to_eca(arr).one_sided_z + 1 > simulator._DENSE_EIGH_MAX_M
+facts['m above the eigh limit'] = consecutive_z(arr) + 1 > simulator._DENSE_EIGH_MAX_M
 scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 2000, seed=13)
 first = monte_carlo(arr, scene, trials=4, threads=threads)[0].per_trial_estimates
 np.fft.fft, np.fft.ifft = fft, ifft
@@ -799,11 +795,10 @@ def cold_trial_traced_peak(array, coupling):
     """tracemalloc's peak in bytes over one trial (12 sources, K = 12000,
     0 dB, 0.01 degree grid) that starts with an empty steering cache."""
     scene = SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), 0.0, 12000)
-    report = to_eca(array)
     simulator._grid_and_steering.cache_clear()
     tracemalloc.start()
     try:
-        tosda.run_trial(array, scene, report, np.random.default_rng(1), coupling=coupling)
+        tosda.run_trial(array, scene, np.random.default_rng(1), coupling=coupling)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -852,8 +847,7 @@ def blas():
 
 def test_run_trial_keeps_spectrum_on_request(array9):
     scene = SourceScene((-20.0, 20.0), snr_db=10.0, snapshots=600, seed=4)
-    kept = tosda.run_trial(array9, scene, to_eca(array9), np.random.default_rng(4),
-                           grid_step_deg=0.05)
+    kept = tosda.run_trial(array9, scene, np.random.default_rng(4), grid_step_deg=0.05)
     grid, spectrum = kept.spectrum
     assert grid.shape == spectrum.shape == (3599,)  # open interval at 0.05 degrees
     assert grid[0] == pytest.approx(-89.95) and grid[-1] == pytest.approx(89.95)
