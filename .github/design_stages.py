@@ -1,10 +1,13 @@
-"""Print the median wall time of the two design-layer stages: ``to_eca`` and
-``consecutive_z`` in microseconds on CNA N=24 and TNA-II N=24, then one
-``brute_force_split("tna2", 24)`` and one whole
-``dof_sweep(("cna", "scna", "tna2"), range(4, 25))``, the design-sweep
-benchmark pass, in milliseconds: warm, and cold with the split search's
-generator memo cleared before each timed sweep.  Last, the memo's hits and
-misses over one sweep from an empty memo.
+"""Print the median wall time of the design-layer stages: ``to_eca`` and
+``consecutive_z`` in microseconds on CNA N=24 and TNA-II N=24, then in
+milliseconds one single-N ``brute_force_split("tna2", n)`` at N = 8, 24 and
+40, and one whole ``dof_sweep(("cna", "scna", "tna2"), range(4, 25))``, the
+design-sweep benchmark pass: warm, and cold with the split search's
+generator memo cleared before each timed sweep; then one warm sweep to
+N = 44, where walking each split's tail once gains most.  Last, the memo's
+hits and misses over one sweep from an empty memo: the search asks for each
+generator once per call, so within one sweep only the closed-form split's
+own lookups hit; the search's hits come from later calls.
 
 Run from any directory: ``python .github/design_stages.py``.
 """
@@ -29,8 +32,9 @@ for variant in ('cna', 'tna2'):
     array, _ = geometry.build_to_sda(variant, 24)
     for fn in (coarray.to_eca, coarray.consecutive_z):
         print(f'{variant} N=24 {fn.__name__}: {1e6 * median_s(fn, array, number=200):.1f} us')
-designer.brute_force_split('tna2', 24)  # warm-up
-print(f'brute_force_split tna2 N=24: {1e3 * median_s(designer.brute_force_split, "tna2", 24):.1f} ms')
+for n in (8, 24, 40):
+    designer.brute_force_split('tna2', n)  # warm-up
+    print(f'brute_force_split tna2 N={n}: {1e3 * median_s(designer.brute_force_split, "tna2", n):.2f} ms')
 sweep = (('cna', 'scna', 'tna2'), range(4, 25))
 designer.dof_sweep(*sweep)  # warm-up
 print(f'dof_sweep cna,scna,tna2 N=4..24: {1e3 * median_s(designer.dof_sweep, *sweep):.1f} ms')
@@ -42,6 +46,9 @@ def cold_sweep():
 
 
 print(f'dof_sweep cna,scna,tna2 N=4..24, cold generator memo: {1e3 * median_s(cold_sweep):.1f} ms')
+long_sweep = (('cna', 'scna', 'tna2'), range(4, 45))
+designer.dof_sweep(*long_sweep)  # warm-up
+print(f'dof_sweep cna,scna,tna2 N=4..44: {1e3 * median_s(designer.dof_sweep, *long_sweep, repeats=3):.1f} ms')
 cold_sweep()
 memo = designer._generator.cache_info()
 print(f'generator memo over one sweep: {memo.hits} hits, {memo.misses} misses')

@@ -95,9 +95,29 @@ def _parse_range(text: str) -> list[int]:
 
 def cmd_design(args) -> tuple[dict, dict]:
     fields: dict = {"warnings": []}
+    realized = ""
     if args.variant:
         array, params = geometry.build_to_sda(args.variant, args.sensors)
-        params_info = params.to_json_dict()
+        # the closed form is a claim; the consecutive lags the built array
+        # reaches are measured, and a shortfall, or no measurement, is a warning
+        dof_closed = designer.dof_closed_form(params)
+        dof_realized = None
+        if array.positions[-1] > coarray.MAX_POSITION:
+            fields["warnings"].append(
+                f"the array reaches past position {coarray.MAX_POSITION}, so the "
+                "consecutive lags it realizes were not measured"
+            )
+        else:
+            dof_realized = 2 * coarray.consecutive_z(array) + 1
+            if dof_realized < dof_closed:
+                fields["warnings"].append(
+                    f"the array realizes {dof_realized} consecutive lags, fewer than "
+                    f"the closed form's {dof_closed}"
+                )
+        params_info = {
+            **params.to_json_dict(), "dof_closed": dof_closed, "dof_realized": dof_realized,
+        }
+        realized = f"; dof_realized {json.dumps(dof_realized)}, dof_closed {dof_closed}"
         if args.oracle:
             result = designer.brute_force_split(args.variant, args.sensors)
             fields["oracle"] = {
@@ -126,7 +146,7 @@ def cmd_design(args) -> tuple[dict, dict]:
             "delta2": args.delta2,
             "N2": args.n2,
         }
-    print(f"{array.name}: positions {list(array.positions)}")
+    print(f"{array.name}: positions {list(array.positions)}{realized}")
     files = {
         "array.json": _json(array.to_json_dict(), sort_keys=False),
         "params.json": _json(params_info),

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tosda import CouplingModel, SensorArray, build_to_sda, build_ula, save_array, simulator
+from tosda import (
+    CouplingModel, SensorArray, build_to_sda, build_ula, save_array, simulator, to_eca,
+)
 from tosda.cli import _fmt, main
 
 
@@ -202,6 +204,13 @@ def test_array_past_the_cap_needs_no_coarray(argv, top, inputs, tmp_path):
     assert main([*_argv(argv, inputs), "-o", str(tmp_path)]) == 0
     if top is not None:
         assert json.loads((tmp_path / "array.json").read_text())["positions"][-1] == top
+    if argv[1] == "--variant" and argv[0] == "design":
+        # its realized consecutive lags cannot be read, and it says so
+        assert json.loads((tmp_path / "params.json").read_text())["dof_realized"] is None
+        assert read_manifest(tmp_path)["warnings"] == [
+            "the array reaches past position 16777216, so the consecutive lags "
+            "it realizes were not measured"
+        ]
 
 
 class TestDesign:
@@ -209,22 +218,45 @@ class TestDesign:
         assert main(["design", "--variant", "cna", "--sensors", "8",
                      "-o", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "[0, 1, 3, 5, 6, 31, 56, 81]" in out
+        assert out == ("TO-SDA(CNA) N=8: positions [0, 1, 3, 5, 6, 31, 56, 81]; "
+                       "dof_realized 187, dof_closed 187\n")
         array = json.loads((tmp_path / "array.json").read_text())
         assert array["positions"] == [0, 1, 3, 5, 6, 31, 56, 81]
         params = json.loads((tmp_path / "params.json").read_text())
         assert params == {"variant": "cna", "N": 8, "N1": 5, "N2": 3, "M1": 1, "M2": 3,
-                          "J": None, "delta1": 31, "delta2": 25, "lambda1": 12, "lambda2": 18}
+                          "J": None, "delta1": 31, "delta2": 25, "lambda1": 12, "lambda2": 18,
+                          "dof_closed": 187, "dof_realized": 187}
         manifest = read_manifest(tmp_path)
         assert manifest["subcommand"] == "design"
         assert manifest["warnings"] == []
 
-    def test_tna2_params(self, tmp_path):
-        assert main(["design", "--variant", "tna2", "--sensors", "8",
-                     "-o", str(tmp_path)]) == 0
-        params = json.loads((tmp_path / "params.json").read_text())
-        assert params == {"variant": "tna2", "N": 8, "N1": 5, "N2": 3, "M1": 2, "M2": 3,
-                          "J": 2, "delta1": 51, "delta2": 41, "lambda1": 20, "lambda2": 30}
+    def test_tna2_params(self, tmp_path, capsys):
+        # TNA-II's printed lambdas overstate its generator's, so its tail
+        # leaves gaps: the array falls short of the closed form, and says so
+        for n, realized, closed in [(8, 71, 345), (9, 87, 453), (12, 145, 937),
+                                    (24, 505, 5861)]:
+            out = tmp_path / str(n)
+            assert main(["design", "--variant", "tna2", "--sensors", str(n),
+                         "-o", str(out)]) == 0
+            params = json.loads((out / "params.json").read_text())
+            assert (params["dof_realized"], params["dof_closed"]) == (realized, closed)
+            array = json.loads((out / "array.json").read_text())
+            z = to_eca(SensorArray("a", array["positions"])).one_sided_z
+            assert realized == 2 * z + 1
+            captured = capsys.readouterr()
+            assert captured.out.endswith(f"; dof_realized {realized}, dof_closed {closed}\n")
+            assert read_manifest(out)["warnings"] == [
+                f"the array realizes {realized} consecutive lags, fewer than "
+                f"the closed form's {closed}"
+            ]
+            assert captured.err.count("warning: ") == 1
+        assert json.loads((tmp_path / "8" / "params.json").read_text()) == {
+            "variant": "tna2", "N": 8, "N1": 5, "N2": 3, "M1": 2, "M2": 3, "J": 2,
+            "delta1": 51, "delta2": 41, "lambda1": 20, "lambda2": 30,
+            "dof_closed": 345, "dof_realized": 71,
+        }
+        assert main(["design", "--variant", "tna2", "--sensors", "8", "--strict",
+                     "-o", str(tmp_path / "strict")]) == 3
 
     def test_below_minimum_fails(self, tmp_path, capsys):
         assert main(["design", "--variant", "cna", "--sensors", "2",

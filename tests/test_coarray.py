@@ -19,7 +19,12 @@ from tosda import (
     to_eca,
     toca,
 )
-from tosda.coarray import MAX_POSITION, brute_force_lag_multiset, report_from_multiset
+from tosda.coarray import (
+    MAX_POSITION,
+    LagSet,
+    brute_force_lag_multiset,
+    report_from_multiset,
+)
 from tosda.designer import minimum_sensors
 
 
@@ -290,6 +295,38 @@ class TestConsecutiveZ:
         for n in range(minimum_sensors(variant), 25):
             arr, _ = build_to_sda(variant, n)
             assert consecutive_z(arr) == to_eca(arr).one_sided_z, n
+
+
+class TestLagSet:
+    # to_eca's report is the oracle for every prefix, read as it is added
+    @given(st.sets(st.integers(0, 80), min_size=1, max_size=9))
+    @example({0})
+    @example({3, 7})
+    @example({0, 3, 5, 6})
+    def test_every_prefix_matches_to_eca(self, positions):
+        positions = sorted(positions)
+        lags = LagSet()
+        assert (lags.top, lags.z) == (-1, -1)
+        for i, v in enumerate(positions, 1):
+            lags = lags.add(v)
+            prefix = SensorArray("h", tuple(positions[:i]))
+            assert (lags.top, lags.z) == (v, to_eca(prefix).one_sided_z), positions[:i]
+
+    @pytest.mark.parametrize("v", [5, 2, -1])
+    def test_add_at_or_below_the_top_raises(self, v):
+        lags = LagSet().add(0).add(2).add(5)
+        with pytest.raises(InternalConsistencyError, match=f"sensor {v} added at or below"):
+            lags.add(v)
+        with pytest.raises(InternalConsistencyError):
+            LagSet().add(v).add(0)
+
+    def test_add_leaves_the_set_as_it_was(self):
+        # the split search grows every tail from one shared generator set
+        pair = LagSet().add(0).add(1)
+        for v in (3, 4):
+            grown = pair.add(v)
+            assert (grown.top, grown.z) == (v, consecutive_z(SensorArray("h", (0, 1, v))))
+            assert (pair.top, pair.z) == (1, 3)
 
 
 class TestPositionCap:

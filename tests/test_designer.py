@@ -158,10 +158,10 @@ class TestBruteForceSplit:
         from tosda import coarray, geometry
 
         expected = {call: call("cna", 8) for call in (brute_force_split, split_closed_form)}
-        # the closed-form split of CNA N=8 builds its tail but counts no co-array
+        # both build their generators, and so each generator's lag set
         for module, name, error, calls in [
-            (coarray, "consecutive_z_of", InternalConsistencyError("corrupted co-array"),
-             [brute_force_split]),
+            (coarray.LagSet, "add", InternalConsistencyError("corrupted co-array"),
+             [brute_force_split, split_closed_form]),
             (geometry, "gtoa_positions", InvalidParameterError("broken tail"),
              [brute_force_split, split_closed_form]),
             (geometry, "gtoa_positions", GeometryInconsistencyError("broken tail"),
@@ -234,6 +234,20 @@ class TestBruteForceSplit:
         for r in rows:
             if not r.agreement:
                 assert r.dof_closed < r.dof_brute
+
+    @pytest.mark.parametrize("variant", ["cna", "scna", "tna2"])
+    def test_sweep_walk_matches_the_single_n_search(self, variant):
+        # the sweep reads every N off one walk of each split's tail; the
+        # single-N search walks the tail to that N alone
+        rows = dof_sweep([variant], range(4, 41))
+        assert [(r.N, r.N1, r.N2, r.M1, r.M2, r.J, r.dof_closed, r.dof_brute, r.agreement)
+                for r in rows] == [
+            (n, p.N1, p.N2, p.M1, p.M2, p.J, res.dof_closed_form, res.dof_brute_force,
+             res.agreement)
+            for n in range(4, 41)
+            for res in [brute_force_split(variant, n)]
+            for p in [res.params]
+        ]
 
     def test_sweep_stores_whole_float_n_as_int(self):
         row = dof_sweep(["cna"], [8.0])[0]

@@ -39,6 +39,7 @@ from tosda import (
     virtual_array_vector,
     z_closed_form,
 )
+from tosda.coarray import consecutive_z_of
 from tosda.designer import continuous_optimum_n1
 from tosda.errors import real_number
 
@@ -142,6 +143,11 @@ CASES = [
     ("z_closed_form", "n", (10**200,), lambda v: z_closed_form("cna", v)),
     ("closed_form_redundancy", "n", (10**200,), lambda v: closed_form_redundancy("cna", v)),
     ("l3_bound", "n", (10**400,), l3_bound),
+    # a position list is checked once, at entry: a repeated position, a bool,
+    # an empty, unsorted or negative list and a fraction are all refused
+    ("consecutive_z_of", "array", ([0, 0, 2], [True, 3], [], [3, 1], [-1, 2], [0, 2.5]),
+     consecutive_z_of),
+    ("consecutive_z_of", "gen", ([0, 0, 2], [2.5]), lambda v: consecutive_z_of(v, "gen")),
     ("redundancy_second_order", "n", WHOLE, lambda v: redundancy_second_order(v, "sca")),
     ("redundancy_second_order", "e", WHOLE,
      lambda v: redundancy_second_order(5, "dca", v)),
