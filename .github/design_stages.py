@@ -1,4 +1,7 @@
-"""Print the median wall time of the design-layer stages: ``to_eca`` and
+"""Print the cold start of the design layer: the median wall time, over 5
+fresh processes, of ``import tosda`` plus one ``dof_sweep(("cna", "scna",
+"tna2"), range(4, 25))``, and whether numpy got loaded.  Then the median
+wall time of the design-layer stages: ``to_eca`` and
 ``consecutive_z`` in microseconds on CNA N=24 and TNA-II N=24, then in
 milliseconds one single-N ``brute_force_split("tna2", n)`` at N = 8, 24 and
 40, and one whole ``dof_sweep(("cna", "scna", "tna2"), range(4, 25))``, the
@@ -11,9 +14,18 @@ own lookups hit; the search's hits come from later calls.
 
 Run from any directory: ``python .github/design_stages.py``.
 """
-import logging, os, statistics, sys, time
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, 'src'))
+import json, logging, os, statistics, subprocess, sys, time
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, 'src')
+sys.path.insert(0, SRC)
 from tosda import coarray, designer, geometry
+
+COLD_START = """\
+import json, sys, time
+start = time.perf_counter()
+import tosda
+tosda.dof_sweep(('cna', 'scna', 'tna2'), range(4, 25))
+print(json.dumps([time.perf_counter() - start, 'numpy' in sys.modules]))
+"""
 
 logging.disable(logging.WARNING)  # TNA-II's rounding-search notice
 
@@ -28,6 +40,12 @@ def median_s(fn, *args, repeats=7, number=1):
     return statistics.median(times)
 
 
+cold = [json.loads(subprocess.run([sys.executable, '-c', COLD_START], check=True,
+                                   capture_output=True, text=True,
+                                   env={**os.environ, 'PYTHONPATH': SRC}).stdout)
+        for _ in range(5)]
+print(f'cold start, import tosda + dof_sweep N=4..24: {1e3 * statistics.median(t for t, _ in cold):.1f} ms, '
+      f'numpy loaded: {any(numpy for _, numpy in cold)}')
 for variant in ('cna', 'tna2'):
     array, _ = geometry.build_to_sda(variant, 24)
     for fn in (coarray.to_eca, coarray.consecutive_z):

@@ -7,75 +7,57 @@ The package splits into five layers:
 - :mod:`tosda.designer`  — closed-form and exhaustive sensor splits
 - :mod:`tosda.metrics`   — size/redundancy bounds and mutual coupling
 - :mod:`tosda.simulator` — snapshots, cumulants, Toeplitz co-array MUSIC
+
+The public names below load with their submodule, the first time one of
+them is used.  Only the float layers (``coarray``'s multisets, ``metrics``
+and ``simulator``) import numpy; ``geometry``, ``designer``, ``errors`` and
+``lagset`` (the bitset engine behind ``consecutive_z`` and the split
+search) need the standard library alone, so ``import tosda`` and the
+design layer start without numpy.
 """
 
-from .coarray import (
-    CoarrayReport,
-    LagMultiset,
-    consecutive_z,
-    index_lag_map,
-    second_order,
-    to_eca,
-    toca,
-)
-from .designer import (
-    DesignParams,
-    SplitResult,
-    SweepRow,
-    brute_force_split,
-    dof_closed_form,
-    dof_sweep,
-    minimum_sensors,
-    split_closed_form,
-)
-from .errors import (
-    ArrayFileError,
-    ArrayParseError,
-    ArrayValidationError,
-    CapacityExceededError,
-    GeometryInconsistencyError,
-    InternalConsistencyError,
-    InvalidParameterError,
-    TosdaError,
-    UnsupportedSizeError,
-)
-from .geometry import (
-    VARIANTS,
-    SensorArray,
-    build_generator,
-    build_gtoa,
-    build_to_sda,
-    build_ula,
-    load_array,
-    normalize_variant,
-    save_array,
-)
-from .metrics import (
-    CouplingModel,
-    RedundancyReport,
-    closed_form_redundancy,
-    corollary_bounds,
-    coupling_leakage,
-    coupling_matrix,
-    k_tilde,
-    l3_bound,
-    redundancy_second_order,
-    redundancy_toeca,
-    size_bounds,
-    z_closed_form,
-)
-from .simulator import (
-    EstimationResult,
-    RunStats,
-    SourceScene,
-    monte_carlo,
-    rmse,
-    run_trial,
-    sample_third_cumulants,
-    ss_music,
-    steering_matrix,
-    synthesize_snapshots,
-    virtual_array_vector,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# the public names, by the submodule that defines them
+_EXPORTS = {
+    "coarray": ("CoarrayReport", "LagMultiset", "index_lag_map", "second_order",
+                "to_eca", "toca"),
+    "lagset": ("consecutive_z",),
+    "designer": ("DesignParams", "SplitResult", "SweepRow", "brute_force_split",
+                 "dof_closed_form", "dof_sweep", "minimum_sensors", "split_closed_form"),
+    "errors": ("ArrayFileError", "ArrayParseError", "ArrayValidationError",
+               "CapacityExceededError", "GeometryInconsistencyError",
+               "InternalConsistencyError", "InvalidParameterError", "TosdaError",
+               "UnsupportedSizeError"),
+    "geometry": ("VARIANTS", "SensorArray", "build_generator", "build_gtoa",
+                 "build_to_sda", "build_ula", "load_array", "normalize_variant",
+                 "save_array"),
+    "metrics": ("CouplingModel", "RedundancyReport", "closed_form_redundancy",
+                "corollary_bounds", "coupling_leakage", "coupling_matrix", "k_tilde",
+                "l3_bound", "redundancy_second_order", "redundancy_toeca", "size_bounds",
+                "z_closed_form"),
+    "simulator": ("EstimationResult", "RunStats", "SourceScene", "monte_carlo", "rmse",
+                  "run_trial", "sample_third_cumulants", "ss_music", "steering_matrix",
+                  "synthesize_snapshots", "virtual_array_vector"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name``, or is ``name``, on first use."""
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -16,6 +16,9 @@ exit code, so every subcommand keeps one contract:
   under ``--strict``.
 
 Human-readable progress goes to stderr only; stdout stays clean for piping.
+numpy, ``metrics`` and ``simulator`` load inside the subcommands that use
+them (``coarray``, ``metrics``, ``leakage``, ``simulate``), so ``design``,
+``sweep`` and ``--version`` run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -30,9 +33,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, coarray, designer, geometry, metrics, simulator
+from . import __version__, designer, geometry, lagset
 from .errors import TosdaError, real_number, whole_number
 
 
@@ -102,13 +103,13 @@ def cmd_design(args) -> tuple[dict, dict]:
         # reaches are measured, and a shortfall, or no measurement, is a warning
         dof_closed = designer.dof_closed_form(params)
         dof_realized = None
-        if array.positions[-1] > coarray.MAX_POSITION:
+        if array.positions[-1] > geometry.MAX_POSITION:
             fields["warnings"].append(
-                f"the array reaches past position {coarray.MAX_POSITION}, so the "
+                f"the array reaches past position {geometry.MAX_POSITION}, so the "
                 "consecutive lags it realizes were not measured"
             )
         else:
-            dof_realized = 2 * coarray.consecutive_z(array) + 1
+            dof_realized = 2 * lagset.consecutive_z(array) + 1
             if dof_realized < dof_closed:
                 fields["warnings"].append(
                     f"the array realizes {dof_realized} consecutive lags, fewer than "
@@ -167,6 +168,8 @@ def cmd_design(args) -> tuple[dict, dict]:
 # --------------------------------------------------------------- coarray
 
 def cmd_coarray(args) -> tuple[dict, dict]:
+    from . import coarray
+
     array = geometry.load_array(args.array)
     report = coarray.to_eca(array)
     print(
@@ -183,6 +186,8 @@ def cmd_coarray(args) -> tuple[dict, dict]:
 # --------------------------------------------------------------- metrics
 
 def cmd_metrics(args) -> tuple[dict, dict]:
+    from . import metrics
+
     warnings: list[str] = []
     header = ["variant", "N", "Z", "k_tilde", "R_T", "L3", "within_bounds"]
     if args.array:
@@ -212,9 +217,12 @@ def cmd_metrics(args) -> tuple[dict, dict]:
 # --------------------------------------------------------------- leakage
 
 def cmd_leakage(args) -> tuple[dict, dict]:
-    model = metrics.CouplingModel(
-        c1_magnitude=args.c1_mag, c1_phase=args.c1_phase,
-        band_limit=args.band, decay_phase_step=args.decay_step,
+    from . import metrics
+
+    given = {"c1_magnitude": args.c1_mag, "c1_phase": args.c1_phase,
+             "band_limit": args.band, "decay_phase_step": args.decay_step}
+    model = dataclasses.replace(
+        metrics.CouplingModel(), **{k: v for k, v in given.items() if v is not None}
     )
     if args.array:
         array = geometry.load_array(args.array)
@@ -284,6 +292,8 @@ def _numbers(value) -> list:
 def _angles(value) -> tuple[float, ...]:
     """An explicit angle list, or ``{'count', 'span_deg'}`` spread evenly."""
     if isinstance(value, dict):
+        import numpy as np
+
         lo, hi = value.get("span_deg", (-60.0, 60.0))
         count = whole_number(value["count"], "count")
         value = np.linspace(real_number(lo), real_number(hi), count).tolist()
@@ -305,7 +315,9 @@ def _array_from_config(spec: dict) -> geometry.SensorArray:
     )
 
 
-def _scene_from_config(config: dict, master_seed: int) -> simulator.SourceScene:
+def _scene_from_config(config: dict, master_seed: int):
+    from . import simulator
+
     scene = _read(config, "scene", _object)
     if scene is None:
         raise TosdaError("config needs a 'scene' object")
@@ -321,6 +333,8 @@ def _scene_from_config(config: dict, master_seed: int) -> simulator.SourceScene:
 
 
 def _coupling_from_config(config: dict):
+    from . import metrics
+
     spec = _read(config, "coupling", _object, {})
     if not _read(spec, "enabled", _boolean, False):
         return None
@@ -336,6 +350,10 @@ def _coupling_from_config(config: dict):
 
 
 def cmd_simulate(args) -> tuple[dict, dict]:
+    import numpy as np
+
+    from . import simulator
+
     config = _load_sim_config(Path(args.config))
     mode = config.get("mode", "rmse")
     master_seed = _read(config, "master_seed", whole_number, 0)
@@ -422,7 +440,7 @@ def cmd_sweep(args) -> tuple[dict, dict]:
             )
     for path in args.baseline or []:
         array = geometry.load_array(path)
-        z = coarray.consecutive_z(array)
+        z = lagset.consecutive_z(array)
         # a baseline row has its name, size and brute-force count only
         baseline = {"variant": array.name, "N": array.size, "dof_brute": 2 * z + 1}
         rows.append({**dict.fromkeys(columns), **baseline}.values())
@@ -479,11 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--array", help="array JSON file")
     p.add_argument("--variant", choices=list(geometry.VARIANTS))
     p.add_argument("--sensors", type=int)
-    coupling = metrics.CouplingModel()
-    p.add_argument("--c1-mag", type=float, default=coupling.c1_magnitude)
-    p.add_argument("--c1-phase", type=float, default=coupling.c1_phase)
-    p.add_argument("--band", type=int, default=coupling.band_limit)
-    p.add_argument("--decay-step", type=float, default=coupling.decay_phase_step)
+    # unset, each takes metrics.CouplingModel's default
+    p.add_argument("--c1-mag", type=float)
+    p.add_argument("--c1-phase", type=float)
+    p.add_argument("--band", type=int)
+    p.add_argument("--decay-step", type=float)
     p.set_defaults(func=cmd_leakage)
 
     p = sub.add_parser("simulate", help="Monte-Carlo RMSE sweep or spectrum dump")

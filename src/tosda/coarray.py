@@ -8,24 +8,27 @@ four conjugation-pattern co-arrays
     case 1:  p[i] + p[j] + p[k]        case 2:  p[i] + p[j] - p[k]
     case 3: -p[i] - p[j] + p[k]        case 4: -p[i] - p[j] - p[k]
 
-over all ordered triples, 4*N^3 entries in total.  Where only the
-consecutive segment matters, :class:`LagSet` holds the lag set alone, as
+over all ordered triples, 4*N^3 entries in total.  The multisets here
+are numpy count vectors, so importing this module loads numpy.  Where only
+the consecutive segment matters, :class:`LagSet` holds the lag set alone, as
 bits of Python integers, and grows it one sensor at a time;
-:func:`consecutive_z` reads Z from it.
+:func:`consecutive_z` reads Z from it.  Those two, with :func:`check_cap`
+and :func:`consecutive_z_of`, live in :mod:`tosda.lagset`, which loads no
+numpy, and are re-exported here.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvalidParameterError, whole_number
+from .errors import InternalConsistencyError, InvalidParameterError
 from .geometry import MAX_POSITION, SensorArray
+from .lagset import LagSet, check_cap, consecutive_z, consecutive_z_of
 
 _CASE_SIGNS = {1: (1, 1, 1), 2: (1, 1, -1), 3: (-1, -1, 1), 4: (-1, -1, -1)}
 
@@ -159,16 +162,6 @@ def report_from_multiset(weights: LagMultiset) -> CoarrayReport:
     )
 
 
-def check_cap(positions: Sequence[int], name: str) -> None:
-    """Raise unless the largest of the sorted ``positions`` is within MAX_POSITION."""
-    top = positions[-1]
-    if top > MAX_POSITION:
-        raise InvalidParameterError(
-            f"{name}: largest position {top} exceeds {MAX_POSITION}, "
-            "the most the co-array functions take"
-        )
-
-
 def _positions(array: SensorArray) -> np.ndarray:
     """``array``'s positions as int64, once the largest is within MAX_POSITION."""
     check_cap(array.positions, array.name)
@@ -253,94 +246,6 @@ def to_eca(array: SensorArray) -> CoarrayReport:
     if not report.symmetric:
         raise InternalConsistencyError("TO-ECA must be symmetric about lag 0")
     return report
-
-
-class LagSet:
-    """The non-negative lags of the TO-ECA of a set of sensors, grown one
-    sensor at a time, each above all earlier ones; :meth:`add` returns the
-    grown set and leaves this one as it was, so one set can be shared.
-
-    Bit l of a Python int stands for lag l, so a shift adds a position to a
-    whole set at once and no histogram is built.  Besides the lags the state
-    keeps the sets a new top sensor v combines with, anchored at the top
-    sensor ``top`` so that moving it up is one shift:
-
-    - the sensors s at bit s, and reversed, at bit top - s;
-    - the pair sums p = a + b at bit p, and reversed, at bit 2*top - p;
-    - the signed differences b - c at bit top + b - c.
-
-    The TO-ECA is symmetric, so its non-negative lags are the triple sums
-    a + b + c (pattern 1) and the |a + b - c| (pattern 2 and its mirror,
-    pattern 3); pattern 4 adds only lag 0, which pattern 1 already holds.
-    Adding v contributes v + p, |p - v| (p - v from p above v, v - p from
-    2*v - p reversed, in one shift) and v + b - c, in about a dozen shifts
-    and ORs.
-    ``LagSet()`` holds no sensor; ``functools.reduce(LagSet.add, positions,
-    LagSet())`` is the set of the strictly increasing, non-negative
-    ``positions``.
-    """
-
-    __slots__ = ("top", "_sensors", "_sensors_rev", "_pairs", "_pairs_rev",
-                 "_diffs", "_lags")
-
-    def __init__(self):
-        self.top = -1
-        self._sensors = self._sensors_rev = self._pairs = self._pairs_rev = 0
-        self._diffs = self._lags = 0
-
-    def add(self, v: int) -> "LagSet":
-        """This set with one more sensor, at ``v`` above every sensor held.
-
-        A sensor at or below ``top`` raises
-        :class:`InternalConsistencyError`: its lags would be misplaced, and
-        only a caller that broke the ordering can ask for it.
-        """
-        up = v - self.top
-        if up < 1:
-            raise InternalConsistencyError(
-                f"lag set: sensor {v} added at or below the top sensor {self.top}"
-            )
-        grown = LagSet.__new__(LagSet)
-        grown.top = v
-        grown._sensors = sensors = self._sensors | 1 << v
-        grown._sensors_rev = sensors_rev = self._sensors_rev << up | 1
-        grown._pairs = pairs = self._pairs | sensors << v
-        grown._pairs_rev = pairs_rev = self._pairs_rev << 2 * up | sensors_rev
-        grown._diffs = diffs = self._diffs << up | sensors_rev << v | sensors
-        grown._lags = self._lags | pairs << v | (pairs | pairs_rev) >> v | diffs
-        return grown
-
-    @property
-    def z(self) -> int:
-        """``to_eca(...).one_sided_z`` of the sensors held: the run of
-        non-negative lags from 0, less one (-1 when none is held)."""
-        lags = self._lags
-        # (lags + 1) & ~lags is the lowest clear bit, one past the run
-        return ((lags + 1) & ~lags).bit_length() - 2
-
-
-def consecutive_z(array: SensorArray) -> int:
-    """``to_eca(array).one_sided_z``, read by :func:`consecutive_z_of`."""
-    return consecutive_z_of(array.positions, array.name)
-
-
-def consecutive_z_of(positions: Sequence[int], name: str = "array") -> int:
-    """``to_eca(...).one_sided_z`` of the array at the non-empty, strictly
-    increasing, non-negative whole ``positions``, read from the lag set alone
-    as a :class:`LagSet` built one sensor at a time.
-
-    ``positions`` is checked once, here: a bad entry, an empty, unsorted or
-    repeated list, a negative position or one past MAX_POSITION raises
-    :class:`InvalidParameterError` naming ``name``.
-    """
-    checked = [whole_number(v, name) for v in positions]
-    if not checked or checked[0] < 0 or any(b <= a for a, b in zip(checked, checked[1:])):
-        raise InvalidParameterError(
-            f"{name} must be non-empty, non-negative and strictly increasing, "
-            f"got {list(positions)!r}"
-        )
-    check_cap(checked, name)
-    return functools.reduce(LagSet.add, checked, LagSet()).z
 
 
 def index_lag_map(array: SensorArray) -> np.ndarray:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from . import coarray, geometry
+from . import geometry, lagset
 from .errors import (
     GeometryInconsistencyError,
     InvalidParameterError,
@@ -155,7 +155,7 @@ def dof_closed_form(params: DesignParams) -> int:
 @functools.lru_cache(maxsize=4096)
 def _generator(
     variant: str, m1: int, m2: int
-) -> Optional[tuple[tuple[int, ...], coarray.LagSet]]:
+) -> Optional[tuple[tuple[int, ...], lagset.LagSet]]:
     """Positions of the generator (M1, M2) of a canonical ``variant`` and the
     lag set of its TO-ECA, or None when its segments are inconsistent.  Any
     other error propagates and, being raised, is not cached.  Every later
@@ -164,7 +164,7 @@ def _generator(
         positions = geometry.generator_positions(variant, m1, m2)
     except GeometryInconsistencyError:
         return None
-    return positions, functools.reduce(coarray.LagSet.add, positions, coarray.LagSet())
+    return positions, functools.reduce(lagset.LagSet.add, positions, lagset.LagSet())
 
 
 def _design(
@@ -232,7 +232,7 @@ def _search(
                 tails.setdefault(offsets, []).append(n)
         for (delta1, delta2), sizes in tails.items():
             positions = geometry.gtoa_positions(generator, delta1, delta2, sizes[-1] - n1)
-            coarray.check_cap(positions, "array")
+            lagset.check_cap(positions, "array")
             lags, read = generator_lags, set(sizes)
             for n, v in enumerate(positions[n1:], n1 + 1):
                 lags = lags.add(v)
@@ -334,7 +334,7 @@ def brute_force_split(variant: str, n: int) -> SplitResult:
     actually realized, as the exact integer positions the public builders
     would hold (by the rules of :func:`geometry.generator_positions` and
     :func:`geometry.gtoa_positions`), and the lag set of its exhaustive
-    co-array computed exactly (by :class:`coarray.LagSet`, which reads Z
+    co-array computed exactly (by :class:`lagset.LagSet`, which reads Z
     from that set without counting multiplicities), so the returned
     consecutive-lag count is ground truth regardless of what the closed
     forms claim, and the search stays an independent oracle for them.  Each

@@ -359,6 +359,21 @@ class TestLeakage:
         assert rows[1][1] == "(6,3)"
         assert 0 < float(rows[1][2]) < 1
 
+    @pytest.mark.parametrize("flags, field, value", [
+        ([], None, None),
+        (["--c1-mag", "0.5"], "c1_magnitude", 0.5),
+        (["--c1-phase", "0.25"], "c1_phase", 0.25),
+        (["--band", "7"], "band_limit", 7),
+        (["--decay-step", "-1.5"], "decay_phase_step", -1.5),
+    ], ids=["none", "c1-mag", "c1-phase", "band", "decay-step"])
+    def test_unset_coupling_flags_keep_the_model_defaults(self, flags, field, value, tmp_path):
+        assert main(["leakage", "--variant", "cna", "--sensors", "8", *flags,
+                     "-o", str(tmp_path)]) == 0
+        expected = dataclasses.asdict(CouplingModel())
+        if field:
+            expected[field] = value
+        assert read_manifest(tmp_path)["parameters"]["model"] == expected
+
 
 class TestSweep:
     def test_table(self, tmp_path):
