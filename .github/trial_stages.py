@@ -44,7 +44,7 @@ for sensors, coupling, workers in ((9, metrics.CouplingModel(), 2), (24, None, 1
     cold_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     _, steering = simulator._grid_and_steering(
-        grid_step, array.unit_spacing, simulator._block_length(z_max + 1) + 1)
+        grid_step, simulator._block_length(z_max + 1) + 1)
     times = {}
     for t in range(trials + 1):  # trial 0 warms up and is not counted
         if t == 1:

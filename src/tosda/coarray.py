@@ -12,9 +12,9 @@ over all ordered triples, 4*N^3 entries in total.  The multisets here
 are numpy count vectors, so importing this module loads numpy.  Where only
 the consecutive segment matters, :class:`LagSet` holds the lag set alone, as
 bits of Python integers, and grows it one sensor at a time;
-:func:`consecutive_z` reads Z from it.  Those two, with :func:`check_cap`
-and :func:`consecutive_z_of`, live in :mod:`tosda.lagset`, which loads no
-numpy, and are re-exported here.
+:func:`consecutive_z` reads Z from it.  Those two, with :func:`check_cap`,
+live in :mod:`tosda.lagset`, which loads no numpy, and are re-exported
+here.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, InvalidParameterError
 from .geometry import MAX_POSITION, SensorArray
-from .lagset import LagSet, check_cap, consecutive_z, consecutive_z_of
+from .lagset import LagSet, check_cap, consecutive_z
 
 _CASE_SIGNS = {1: (1, 1, 1), 2: (1, 1, -1), 3: (-1, -1, 1), 4: (-1, -1, -1)}
 
@@ -112,7 +112,9 @@ class CoarrayReport:
     """Distinct lags of a virtual co-array plus derived gap analysis.
 
     ``one_sided_z`` is the largest Z with [-Z, Z] fully contained in the
-    lag set (-1 when lag 0 itself is missing); ``holes`` lists the lags
+    lag set.  Every co-array of a :class:`SensorArray` holds lag 0, from its
+    sensor at 0, so its Z is at least 0; -1 is left for a bare multiset
+    without lag 0 (:func:`report_from_multiset`).  ``holes`` lists the lags
     missing inside [min, max].  A co-array may have a long consecutive
     central segment and still show holes further out, so the usable
     virtual ULA is [-Z, Z], not [min, max].
@@ -200,10 +202,10 @@ def _pattern_histograms(array: SensorArray) -> tuple[int, np.ndarray, np.ndarray
     p = _positions(array)
     top = int(p[-1])
     pairs = (p[:, None] + p).ravel()
-    # case 1 reaches 3*top with all three sensors at top; case 2 only does
-    # when the first sensor is at 0
+    # both reach 3*top: case 1 with all three sensors at top, case 2 with two
+    # at top less the sensor at 0
     case1 = np.bincount((pairs[:, None] + p).ravel())
-    case2 = np.bincount((pairs[:, None] - p + top).ravel(), minlength=3 * top + 1)
+    case2 = np.bincount((pairs[:, None] - p + top).ravel())
     return top, case1, case2
 
 

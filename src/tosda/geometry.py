@@ -1,8 +1,8 @@
 """Sparse linear array geometries on the integer half-wavelength grid.
 
-Positions are exact non-negative integers in units of the grid spacing
-``d`` (a fraction of the carrier wavelength, 0.5 by default); physical
-scale only enters in :mod:`tosda.simulator`.  Three generator families
+Positions are exact integers from 0 in units of the grid spacing
+:data:`UNIT_SPACING`, half the carrier wavelength; physical scale only
+enters in :mod:`tosda.simulator`.  Three generator families
 are supported (CNA, SCNA, TNA-II), each of which can be extended with a
 coarse uniform tail into a third-order sum-difference array (TO-SDA).
 """
@@ -19,7 +19,6 @@ from .errors import (
     ArrayValidationError,
     GeometryInconsistencyError,
     InvalidParameterError,
-    real_number,
     whole_number,
 )
 
@@ -27,6 +26,9 @@ if TYPE_CHECKING:
     from .designer import DesignParams
 
 VARIANTS = ("cna", "scna", "tna2")
+
+# Grid spacing of every array, in carrier wavelengths.
+UNIT_SPACING = 0.5
 
 VARIANT_LABELS = {"cna": "CNA", "scna": "SCNA", "tna2": "TNA-II"}
 
@@ -77,31 +79,26 @@ def irange(start: int, stop: int, step: int = 1) -> range:
 class SensorArray:
     """A named set of physical sensor positions.
 
-    positions are strictly increasing non-negative integers in units of
-    the grid spacing; ``unit_spacing`` is that spacing as a fraction of
-    the wavelength.  Instances are immutable and safe to share across
-    threads.
+    positions are strictly increasing whole numbers in units of
+    :data:`UNIT_SPACING` (half a wavelength), and the first is 0: the
+    third-order lags p_i + p_j - p_k are measured from a phase origin at a
+    sensor, so the co-array of a layout depends on where it starts, and
+    every array of the paper starts at 0.  Instances are immutable and safe
+    to share across threads.
     """
 
     name: str
     positions: tuple[int, ...]
-    unit_spacing: float = 0.5
 
     def __post_init__(self):
         pos = tuple([whole_number(p, "positions") for p in self.positions])
-        if not pos:
-            raise InvalidParameterError("array must contain at least one sensor")
-        if min(pos) < 0:
-            raise InvalidParameterError(f"negative positions not allowed: {pos}")
+        if not pos or pos[0] != 0:
+            raise InvalidParameterError(f"positions must start with a sensor at 0, got {pos}")
         if any(b <= a for a, b in zip(pos, pos[1:])):
             raise InvalidParameterError(
                 f"positions must be strictly increasing, got {pos}"
             )
-        spacing = real_number(self.unit_spacing, "unit_spacing")
-        if not spacing > 0:
-            raise InvalidParameterError(f"unit_spacing must be positive, got {spacing}")
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "unit_spacing", spacing)
 
     @property
     def size(self) -> int:
@@ -109,12 +106,12 @@ class SensorArray:
 
     @property
     def aperture(self) -> int:
-        return self.positions[-1] - self.positions[0]
+        return self.positions[-1]
 
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
-            "unit_spacing_wavelengths": self.unit_spacing,
+            "unit_spacing_wavelengths": UNIT_SPACING,
             "positions": list(self.positions),
         }
 
@@ -260,7 +257,6 @@ def build_gtoa(generator: SensorArray, delta1: int, delta2: int, n2: int) -> Sen
     return SensorArray(
         f"{generator.name}+tail({n2})",
         gtoa_positions(generator.positions, delta1, delta2, n2),
-        generator.unit_spacing,
     )
 
 
@@ -286,23 +282,21 @@ def build_to_sda(variant: str, n: int) -> tuple[SensorArray, DesignParams]:
     generator = generator_positions(variant, params.M1, params.M2)
     positions = gtoa_positions(generator, params.delta1, params.delta2, params.N2)
     array = SensorArray(f"TO-SDA({VARIANT_LABELS[variant]}) N={n}", positions)
-    if array.size != n or array.positions[0] != 0:
-        raise GeometryInconsistencyError(
-            f"composed array has {array.size} sensors starting at "
-            f"{array.positions[0]}, expected {n} starting at 0"
-        )
+    if array.size != n:
+        raise GeometryInconsistencyError(f"composed array has {array.size} sensors, expected {n}")
     return array, params
 
 
 def load_array(path) -> SensorArray:
     """Read a sensor array from its JSON file format.
 
-    Schema: ``{"name": str, "unit_spacing_wavelengths": number,
-    "positions": [int, ...]}``.  Positions are sorted on load, and the
-    array is checked as :class:`SensorArray` checks it: whole, non-negative
-    and distinct positions and a finite positive spacing.  A file that is
-    not such an object raises :class:`ArrayParseError`, one whose values
-    break these rules :class:`ArrayValidationError`.
+    Schema: ``{"name": str, "unit_spacing_wavelengths": 0.5,
+    "positions": [int, ...]}``; the spacing key may be left out.  Positions
+    are sorted on load, and the array is checked as :class:`SensorArray`
+    checks it: whole and distinct positions, the first of them 0.  A file
+    that is not such an object raises :class:`ArrayParseError`, one whose
+    values break these rules, or whose spacing is not :data:`UNIT_SPACING`,
+    :class:`ArrayValidationError`.
     """
     path = Path(path)
     try:
@@ -314,12 +308,17 @@ def load_array(path) -> SensorArray:
     positions = raw["positions"]
     if not isinstance(positions, list) or not positions:
         raise ArrayParseError(f"{path}: 'positions' must be a non-empty list")
+    # a bool or a string never equals 0.5
+    if raw.get("unit_spacing_wavelengths", UNIT_SPACING) != UNIT_SPACING:
+        raise ArrayValidationError(
+            f"{path}: unit_spacing_wavelengths must be {UNIT_SPACING}, the grid "
+            f"of every array, got {raw['unit_spacing_wavelengths']!r}"
+        )
     try:
         return SensorArray(
             str(raw.get("name") or path.stem),
             # checked before sorting, so a bad entry is reported, not compared
             tuple(sorted(whole_number(p, "positions") for p in positions)),
-            raw.get("unit_spacing_wavelengths", 0.5),
         )
     except InvalidParameterError as exc:
         raise ArrayValidationError(f"{path}: {exc}") from exc

@@ -6,7 +6,7 @@ search, ``sweep --baseline``, ``design --variant`` and the simulator's Z),
 integers, and grows it one sensor at a time; :func:`consecutive_z` reads Z
 from it.  This module needs the standard library only, so the design layer
 (:mod:`tosda.designer` and the ``design`` and ``sweep`` commands) runs
-without numpy; :mod:`tosda.coarray` re-exports its four names and holds
+without numpy; :mod:`tosda.coarray` re-exports its three names and holds
 the dense multisets that are the oracle of its results.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from .errors import InternalConsistencyError, InvalidParameterError, whole_number
+from .errors import InternalConsistencyError, InvalidParameterError
 from .geometry import MAX_POSITION, SensorArray
 
 
@@ -94,24 +94,8 @@ class LagSet:
 
 
 def consecutive_z(array: SensorArray) -> int:
-    """``to_eca(array).one_sided_z``, read by :func:`consecutive_z_of`."""
-    return consecutive_z_of(array.positions, array.name)
-
-
-def consecutive_z_of(positions: Sequence[int], name: str = "array") -> int:
-    """``to_eca(...).one_sided_z`` of the array at the non-empty, strictly
-    increasing, non-negative whole ``positions``, read from the lag set alone
-    as a :class:`LagSet` built one sensor at a time.
-
-    ``positions`` is checked once, here: a bad entry, an empty, unsorted or
-    repeated list, a negative position or one past MAX_POSITION raises
-    :class:`InvalidParameterError` naming ``name``.
-    """
-    checked = [whole_number(v, name) for v in positions]
-    if not checked or checked[0] < 0 or any(b <= a for a, b in zip(checked, checked[1:])):
-        raise InvalidParameterError(
-            f"{name} must be non-empty, non-negative and strictly increasing, "
-            f"got {list(positions)!r}"
-        )
-    check_cap(checked, name)
-    return functools.reduce(LagSet.add, checked, LagSet()).z
+    """``to_eca(array).one_sided_z``, read from the lag set alone as a
+    :class:`LagSet` built one sensor at a time; an array past MAX_POSITION
+    raises :class:`InvalidParameterError` naming it."""
+    check_cap(array.positions, array.name)
+    return functools.reduce(LagSet.add, array.positions, LagSet()).z

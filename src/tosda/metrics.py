@@ -68,7 +68,7 @@ class RedundancyReport:
     """Achieved vs maximal one-sided co-array size for one array.
 
     ``r_t`` is ``k_tilde / Z`` and comes out infinite when the
-    consecutive segment degenerates to lag 0 alone (Z <= 0); infinity is
+    consecutive segment degenerates to lag 0 alone (Z = 0); infinity is
     a legitimate value here, not an error.
     """
 
@@ -97,7 +97,7 @@ def redundancy_toeca(array: SensorArray) -> RedundancyReport:
     l3 = l3_bound(n) if n >= 2 else math.nan
     within = bool(r_t > l3) if n >= 2 else True
     return RedundancyReport(
-        name=array.name, N=n, Z=max(z, 0), k_tilde=kt, r_t=r_t, l3=l3,
+        name=array.name, N=n, Z=z, k_tilde=kt, r_t=r_t, l3=l3,
         within_bounds=within,
     )
 

@@ -55,7 +55,7 @@ from .errors import (
     real_number,
     whole_number,
 )
-from .geometry import SensorArray
+from .geometry import UNIT_SPACING, SensorArray
 
 SWEEP_PARAMETERS = ("snr", "snapshots", "num_sources")
 
@@ -156,14 +156,15 @@ class RunStats:
 
 
 def steering_matrix(array: SensorArray, angles_deg) -> np.ndarray:
-    """N x D matrix of unit-modulus phase responses exp(j*2*pi*d*p*sin)."""
+    """N x D matrix of unit-modulus phase responses exp(j*2*pi*d*p*sin), d
+    the grid spacing :data:`~tosda.geometry.UNIT_SPACING`."""
     angles = np.ravel(np.array(angles_deg, dtype=object))
     angles = np.array([real_number(a, "angles_deg") for a in angles], dtype=float)
     if np.any(np.abs(angles) >= 90):
         raise InvalidParameterError("angles must lie inside (-90, 90) degrees")
     p = np.asarray(array.positions, dtype=float)
     u = np.sin(np.deg2rad(angles))
-    return np.exp(1j * 2 * np.pi * array.unit_spacing * np.outer(p, u))
+    return np.exp(1j * 2 * np.pi * UNIT_SPACING * np.outer(p, u))
 
 
 def synthesize_snapshots(
@@ -289,8 +290,8 @@ def virtual_array_vector(x: np.ndarray, array: SensorArray) -> np.ndarray:
     Entries sharing a lag enter the unweighted arithmetic mean; the output
     has length 2Z+1, ordered by lag.  Patterns 1 and 2 are symmetric in
     (i, j), so only the pairs i <= j are formed, weighted by multiplicity;
-    patterns 3 and 4 are their conjugate mirror.  An array whose TO-ECA
-    lacks lag 0 has nothing to average and raises InvalidParameterError.
+    patterns 3 and 4 are their conjugate mirror.  The sensor at 0 gives
+    every array lag 0, so Z >= 0 and the output is never empty.
 
     The snapshots go through in blocks of ``_SNAPSHOT_BLOCK`` columns; each
     block is centred by the sensor means into the first N rows of one
@@ -301,8 +302,6 @@ def virtual_array_vector(x: np.ndarray, array: SensorArray) -> np.ndarray:
     x, mean = _snapshots_and_means(x, array)
     n, k = x.shape
     z = coarray.consecutive_z(array)
-    if z < 0:
-        raise InvalidParameterError(f"{array.name}: co-array has no lag 0; nothing to average")
     p = np.asarray(array.positions, dtype=np.int64)
     i, j = np.triu_indices(n)
     mult = np.repeat(np.where(i == j, 1.0, 2.0), 2 * n)
@@ -379,19 +378,19 @@ _LANCZOS_RESTART_SEED = 2015
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_and_steering(step_deg: float, unit_spacing: float, rows: int):
+def _grid_and_steering(step_deg: float, rows: int):
     """Search grid over (-90, 90) plus the block factors of the ULA responses.
 
-    Row r of the ``rows`` x G table is exp(j*2*pi*d*r*u) at u = sin(angle), for
-    r = 0..b with b = rows - 1.  Element qb + r of the steering vector is
-    table[b]**q * table[r], so a virtual array whose block length
-    (:func:`_block_length`) is b needs just these b+1 rows.  Every row is bit
-    for bit the same row of a taller table.
+    Row r of the ``rows`` x G table is exp(j*2*pi*d*r*u) at u = sin(angle),
+    d = UNIT_SPACING, for r = 0..b with b = rows - 1.  Element qb + r of the
+    steering vector is table[b]**q * table[r], so a virtual array whose block
+    length (:func:`_block_length`) is b needs just these b+1 rows.  Every row
+    is bit for bit the same row of a taller table.
     """
     npts = int(round(180.0 / step_deg)) + 1
     grid = np.linspace(-90.0, 90.0, npts)[1:-1]
     u = np.sin(np.deg2rad(grid))
-    phase = 1j * 2 * np.pi * unit_spacing
+    phase = 1j * 2 * np.pi * UNIT_SPACING
     steering = np.exp(phase * np.outer(np.arange(rows, dtype=float), u))
     for table in (grid, steering):
         table.setflags(write=False)  # shared across threads and callers
@@ -581,9 +580,9 @@ def ss_music(
     n_sources: int,
     *,
     grid_step_deg: float = 0.01,
-    unit_spacing: float = 0.5,
 ) -> EstimationResult:
-    """Co-array MUSIC on a virtual-array vector over [-Z, Z].
+    """Co-array MUSIC on a virtual-array vector over [-Z, Z], its lags
+    d = :data:`~tosda.geometry.UNIT_SPACING` (half a wavelength) apart.
 
     The Z+1 lags 0..Z of the conjugate-symmetric vector z define the
     Hermitian Toeplitz matrix T with T[i, k] = z(i - k).  The spatially
@@ -618,7 +617,7 @@ def ss_music(
     r_0 = D.  The coefficients r_0/2, r_1, ..., r_{m-1} are cut into rows of
     b, the power of two with sqrt(m) < b <= 2 sqrt(m) up to 32 (16 at m = 124,
     32 at m = 1514); one GEMM with the first b rows of a (b+1) x G table,
-    cached per grid, spacing and b, gives each row's partial sum, and Horner's
+    cached per grid and b, gives each row's partial sum, and Horner's
     rule in w**b, its last row, adds the rows.  Both run over chunks of
     ``_GRID_CHUNK`` grid columns, so no m x G table exists, the partial sums
     never span the whole grid, and the GEMM does not grow with D.
@@ -645,12 +644,7 @@ def ss_music(
             f"{n_sources} sources exceed the {big_z} one-sided consecutive lags"
         )
     grid_step_deg = _checked_grid_step(grid_step_deg)
-    unit_spacing = real_number(unit_spacing, "unit_spacing")
-    if unit_spacing <= 0:
-        raise InvalidParameterError(f"unit_spacing must be positive, got {unit_spacing}")
-    grid, steering = _grid_and_steering(
-        grid_step_deg, unit_spacing, _block_length(big_z + 1) + 1
-    )
+    grid, steering = _grid_and_steering(grid_step_deg, _block_length(big_z + 1) + 1)
     if grid.size < n_sources:
         raise InvalidParameterError(f"{grid.size} grid points for {n_sources} sources")
     spectrum = _music_spectrum(_signal_subspace(z[big_z:], n_sources), steering)
@@ -805,10 +799,7 @@ def run_trial(
     _checked_grid_step(grid_step_deg)
     # the snapshots are not kept while ss_music runs
     zvec = virtual_array_vector(synthesize_snapshots(array, scene, coupling, rng), array)
-    return ss_music(
-        zvec, scene.n_sources, grid_step_deg=grid_step_deg,
-        unit_spacing=array.unit_spacing,
-    )
+    return ss_music(zvec, scene.n_sources, grid_step_deg=grid_step_deg)
 
 
 def monte_carlo(

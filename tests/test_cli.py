@@ -157,6 +157,33 @@ def test_position_past_the_cap_exits_1(argv, top, inputs, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["coarray", "{in}/bad.json"], ["metrics", "--array", "{in}/bad.json"],
+     ["sweep", "--variants", "cna", "--n-range", "4:4", "--baseline", "{in}/bad.json"],
+     ["simulate", "--config", "{in}/bad-sim.json"]],
+    ids=["coarray", "metrics", "sweep", "simulate"],
+)
+@pytest.mark.parametrize(
+    "blob, message",
+    [({"positions": [2, 4, 9]}, "positions must start with a sensor at 0"),
+     ({"positions": [4, 6, 10, 19]}, "positions must start with a sensor at 0"),
+     ({"positions": [0, 2, 7], "unit_spacing_wavelengths": 0.25},
+      "unit_spacing_wavelengths must be 0.5")],
+    ids=["offset-3", "offset-4", "quarter-wavelength"],
+)
+def test_array_file_off_the_origin_or_grid_exits_1(argv, blob, message, inputs, tmp_path,
+                                                   capsys):
+    (inputs / "bad.json").write_text(json.dumps(blob))
+    write_sim_config(inputs / "bad-sim.json", mode="spectrum",
+                     array={"file": str(inputs / "bad.json")})
+    out = tmp_path / "out"
+    assert main([*_argv(argv, inputs), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {inputs / 'bad.json'}: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [(["design", "--variant", "cna", "--sensors", str(10**200)], "n must be small enough"),
      (["metrics", "--variant", "cna", "--n-range", f"{10**200}:{10**200}"],

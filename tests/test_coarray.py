@@ -51,12 +51,15 @@ def assert_matches_brute_report(rep):
     assert all(type(h) is int for h in rep.holes)
 
 
-def random_array(rng, max_sensors=6, span=40, zero_based=True):
+def random_array(rng, max_sensors=6, span=40):
     n = int(rng.integers(1, max_sensors + 1))
     pos = sorted(rng.choice(np.arange(span), size=n, replace=False).tolist())
-    if zero_based:
-        pos = [v - pos[0] for v in pos]
-    return SensorArray("r", tuple(pos))
+    return SensorArray("r", tuple(v - pos[0] for v in pos))
+
+
+def positions_from_zero(top, max_size):
+    """Sorted array positions: 0 and fewer than ``max_size`` more in 1..top."""
+    return st.sets(st.integers(1, top), max_size=max_size - 1).map(lambda s: (0, *sorted(s)))
 
 
 class TestLagMultiset:
@@ -126,7 +129,9 @@ class TestSecondOrder:
             second_order(build_ula(2), "tca")
 
     def test_sca_without_lag_zero(self):
-        rep = second_order(SensorArray("a", (1, 2)), "sca")
+        # the SCA multiset of sensors at 1 and 2; an array always holds a
+        # sensor at 0, so only a bare multiset can lack lag 0
+        rep = report_from_multiset(LagMultiset({2: 1, 3: 2, 4: 1}))
         assert rep.phi_u == (2, 3, 4)
         assert rep.one_sided_z == -1
         assert_matches_brute_report(rep)
@@ -171,7 +176,7 @@ class TestReportFromMultiset:
     @pytest.mark.parametrize("seed", range(20))
     def test_random_arrays(self, seed):
         rng = np.random.default_rng(300 + seed)
-        arr = random_array(rng, zero_based=bool(seed % 2))
+        arr = random_array(rng)
         for kind in ("dca", "sca"):
             assert_matches_brute_report(second_order(arr, kind))
         assert_matches_brute_report(to_eca(arr))
@@ -256,10 +261,9 @@ class TestToEca:
         arr = SensorArray("r", positions)
         assert to_eca(arr).weights == brute_force_lag_multiset(positions)
 
-    @given(st.sets(st.integers(0, 60), min_size=1, max_size=7))
+    @given(positions_from_zero(60, 7))
     def test_property_matches_oracle(self, positions):
-        positions = sorted(positions)
-        rep = to_eca(SensorArray("h", tuple(positions)))
+        rep = to_eca(SensorArray("h", positions))
         assert rep.weights == brute_force_lag_multiset(positions)
         assert rep.weights.total == 4 * len(positions) ** 3
         assert rep.symmetric
@@ -279,14 +283,13 @@ class TestToEca:
 
 class TestConsecutiveZ:
     # to_eca's report is the oracle: the bitsets must read the same Z
-    @given(st.sets(st.integers(0, 80), min_size=1, max_size=9))
-    @example({0})
-    @example({5})
-    @example({2, 4, 9})
-    @example({4, 6, 10, 19})
-    @example({0, 3, 5, 6})
+    @given(positions_from_zero(80, 9))
+    @example((0,))
+    @example((0, 2, 7))
+    @example((0, 2, 6, 15))
+    @example((0, 3, 5, 6))
     def test_matches_to_eca(self, positions):
-        arr = SensorArray("h", tuple(sorted(positions)))
+        arr = SensorArray("h", positions)
         z = consecutive_z(arr)
         assert type(z) is int and z == to_eca(arr).one_sided_z
 
@@ -299,17 +302,16 @@ class TestConsecutiveZ:
 
 class TestLagSet:
     # to_eca's report is the oracle for every prefix, read as it is added
-    @given(st.sets(st.integers(0, 80), min_size=1, max_size=9))
-    @example({0})
-    @example({3, 7})
-    @example({0, 3, 5, 6})
+    @given(positions_from_zero(80, 9))
+    @example((0,))
+    @example((0, 4))
+    @example((0, 3, 5, 6))
     def test_every_prefix_matches_to_eca(self, positions):
-        positions = sorted(positions)
         lags = LagSet()
         assert (lags.top, lags.z) == (-1, -1)
         for i, v in enumerate(positions, 1):
             lags = lags.add(v)
-            prefix = SensorArray("h", tuple(positions[:i]))
+            prefix = SensorArray("h", positions[:i])
             assert (lags.top, lags.z) == (v, to_eca(prefix).one_sided_z), positions[:i]
 
     @pytest.mark.parametrize("v", [5, 2, -1])
@@ -364,13 +366,12 @@ class TestIndexLagMap:
         values, counts = np.unique(lags, return_counts=True)
         assert LagMultiset(dict(zip(values.tolist(), counts.tolist()))) == to_eca(arr).weights
 
-    @given(st.sets(st.integers(0, 60), min_size=1, max_size=7))
-    @example({0})
-    @example({7})
-    @example({3, 4, 20})
+    @given(positions_from_zero(60, 7))
+    @example((0,))
+    @example((0, 1, 17))
     def test_histogram_reproduces_to_eca_and_toca(self, positions):
         # to_eca and toca count lags without forming the map, so tie them to it
-        arr = SensorArray("h", tuple(sorted(positions)))
+        arr = SensorArray("h", positions)
         lags = index_lag_map(arr)
         assert to_eca(arr).weights == LagMultiset.from_lags(lags)
         n3 = arr.size**3

@@ -39,7 +39,6 @@ from tosda import (
     virtual_array_vector,
     z_closed_form,
 )
-from tosda.coarray import consecutive_z_of
 from tosda.designer import continuous_optimum_n1
 from tosda.errors import real_number
 
@@ -72,7 +71,6 @@ def _monte_carlo(trials=1, threads=1):
 # (constructor, field, bad values, call taking the bad value)
 CASES = [
     ("SensorArray", "positions", WHOLE, lambda v: SensorArray("x", (0, v))),
-    ("SensorArray", "unit_spacing", REAL, lambda v: SensorArray("x", (0, 1), v)),
     *[("DesignParams", f, WHOLE, lambda v, f=f: replace(CNA8, **{f: v}))
       for f in ("N", "M1", "M2")],
     # a split with M1 or M2 below 1 has no generator
@@ -108,8 +106,6 @@ CASES = [
      lambda v: ss_music(np.ones(9), 1, grid_step_deg=v)),
     ("ss_music", "n_sources", (2.5, True, "2", None, math.inf),
      lambda v: ss_music(np.ones(9), v)),
-    ("ss_music", "unit_spacing", (*REAL, 0, -0.5),
-     lambda v: ss_music(np.ones(9), 1, unit_spacing=v)),
     ("ss_music", "z", ENTRY, lambda v: ss_music([1.0, v, 1.0], 1)),
     ("virtual_array_vector", "x", ENTRY,
      lambda v: virtual_array_vector(_snapshots(v), ULA2)),
@@ -143,11 +139,6 @@ CASES = [
     ("z_closed_form", "n", (10**200,), lambda v: z_closed_form("cna", v)),
     ("closed_form_redundancy", "n", (10**200,), lambda v: closed_form_redundancy("cna", v)),
     ("l3_bound", "n", (10**400,), l3_bound),
-    # a position list is checked once, at entry: a repeated position, a bool,
-    # an empty, unsorted or negative list and a fraction are all refused
-    ("consecutive_z_of", "array", ([0, 0, 2], [True, 3], [], [3, 1], [-1, 2], [0, 2.5]),
-     consecutive_z_of),
-    ("consecutive_z_of", "gen", ([0, 0, 2], [2.5]), lambda v: consecutive_z_of(v, "gen")),
     ("redundancy_second_order", "n", WHOLE, lambda v: redundancy_second_order(v, "sca")),
     ("redundancy_second_order", "e", WHOLE,
      lambda v: redundancy_second_order(5, "dca", v)),
@@ -176,7 +167,7 @@ def test_bad_number_names_its_field(call, field, bad):
 def test_valid_inputs_of_the_table_build():
     assert _gtoa().positions == (0, 1, 3, 4, 9, 18)
     assert build_generator("tna2", 2, 2).size == 4
-    ss_music(np.ones(9), 1, grid_step_deg=1.0, unit_spacing=1)
+    ss_music(np.ones(9), 1, grid_step_deg=1.0)
     assert np.array_equal(steering_matrix(build_ula(2), 5), steering_matrix(build_ula(2), [5.0]))
     assert CouplingModel().coefficient(2.0) == CouplingModel().coefficient(np.int64(2))
     assert coupling_leakage(np.eye(2)) == 0.0
@@ -190,9 +181,8 @@ def test_valid_inputs_of_the_table_build():
 
 
 def test_fields_store_the_checked_value():
-    arr = SensorArray("x", (0.0, np.int64(2)), 1)
+    arr = SensorArray("x", (0.0, np.int64(2)))
     assert arr.positions == (0, 2) and all(type(p) is int for p in arr.positions)
-    assert type(arr.unit_spacing) is float
     model = CouplingModel(c1_magnitude=0, band_limit=4.0)
     assert type(model.c1_magnitude) is float and type(model.band_limit) is int
     scene = SourceScene((np.float32(10), 20), snr_db=np.int64(3), snapshots=8)
@@ -211,14 +201,15 @@ def test_real_number_rejects_int_beyond_float_range():
 @pytest.mark.parametrize(
     "field, blob",
     [
-        ("unit_spacing", {"positions": [0, 1], "unit_spacing_wavelengths": math.inf}),
-        ("unit_spacing", {"positions": [0, 1], "unit_spacing_wavelengths": True}),
+        # the grid is fixed at half a wavelength: any other spacing is refused
+        *[("unit_spacing_wavelengths", {"positions": [0, 1], "unit_spacing_wavelengths": v})
+          for v in (math.inf, True, 0.25, "0.5")],
         ("positions", {"positions": [0, True]}),
         ("positions", {"positions": [0, "2"]}),
         ("positions", {"positions": [0, None]}),
     ],
-    ids=["infinite-spacing", "bool-spacing", "bool-position", "string-position",
-         "null-position"],
+    ids=["infinite-spacing", "bool-spacing", "quarter-spacing", "string-spacing",
+         "bool-position", "string-position", "null-position"],
 )
 def test_array_file_with_bad_number_rejected(tmp_path, field, blob):
     path = tmp_path / "a.json"

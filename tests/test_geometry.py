@@ -23,6 +23,9 @@ from tosda import (
 from tosda.geometry import MAX_POSITION, irange, split_sizes
 
 
+OFFSET_LAYOUTS = [(2, 4, 9), (4, 6, 10, 19)]
+
+
 class TestUla:
     def test_basic(self):
         assert build_ula(3).positions == (0, 1, 2)
@@ -51,6 +54,13 @@ class TestSensorArray:
     def test_rejects_empty(self):
         with pytest.raises(InvalidParameterError):
             SensorArray("bad", ())
+
+    # layouts whose shift to 0 reads Z = 0 (see tests/test_metrics.py): off the
+    # origin, lags measured from a point with no sensor would read Z = 17 and 35
+    @pytest.mark.parametrize("positions", OFFSET_LAYOUTS)
+    def test_rejects_first_sensor_off_zero(self, positions):
+        with pytest.raises(InvalidParameterError, match="must start with a sensor at 0"):
+            SensorArray("bad", positions)
 
     def test_aperture(self):
         assert SensorArray("a", (0, 2, 9)).aperture == 9
@@ -200,7 +210,7 @@ class TestArrayFiles:
         back = load_array(path)
         assert back.positions == arr.positions
         assert back.name == arr.name
-        assert back.unit_spacing == arr.unit_spacing
+        assert json.loads(path.read_text())["unit_spacing_wavelengths"] == 0.5
 
     def test_sorts_positions(self, tmp_path):
         path = tmp_path / "a.json"
@@ -217,6 +227,13 @@ class TestArrayFiles:
         path = tmp_path / "a.json"
         path.write_text(json.dumps({"name": "x", "positions": [-2, 0, 1]}))
         with pytest.raises(ArrayValidationError):
+            load_array(path)
+
+    @pytest.mark.parametrize("positions", OFFSET_LAYOUTS)
+    def test_first_sensor_off_zero_rejected(self, tmp_path, positions):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"name": "x", "positions": list(positions)}))
+        with pytest.raises(ArrayValidationError, match="must start with a sensor at 0"):
             load_array(path)
 
     def test_malformed_rejected(self, tmp_path):

@@ -77,6 +77,15 @@ class TestRedundancyToeca:
         assert rep.Z == 0
         assert rep.within_bounds  # vacuous at N=1
 
+    # (2, 4, 9) and (4, 6, 10, 19) moved to the origin: measured from a point
+    # with no sensor, the shifted forms would read Z = 17 and 35, below the
+    # paper's bound, which is why SensorArray refuses them (tests/test_geometry.py)
+    @pytest.mark.parametrize("positions", [(0, 2, 7), (0, 2, 6, 15)])
+    def test_sensor_at_zero_layouts_have_z_zero(self, positions):
+        rep = redundancy_toeca(SensorArray("a", positions))
+        assert rep.Z == 0
+        assert rep.r_t == math.inf and rep.infinite
+
 
 class TestRedundancySecondOrder:
     def test_sca_n4(self):

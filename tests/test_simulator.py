@@ -40,15 +40,15 @@ from tosda import simulator
 from tosda.designer import minimum_sensors
 
 
-def analytic_virtual_vector(big_z, angles_deg, gammas=None, spacing=0.5):
+def analytic_virtual_vector(big_z, angles_deg, gammas=None):
     """Population-limit virtual-array vector: sum of unit-lag exponentials,
-    for lags ``spacing`` wavelengths apart."""
+    for lags half a wavelength apart."""
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
     if gammas is None:
         gammas = np.ones_like(angles)
     lags = np.arange(-big_z, big_z + 1)
     u = np.sin(np.deg2rad(angles))
-    return (gammas[None, :] * np.exp(2j * np.pi * spacing * np.outer(lags, u))).sum(axis=1)
+    return (gammas[None, :] * np.exp(1j * np.pi * np.outer(lags, u))).sum(axis=1)
 
 
 class TestSourceScene:
@@ -333,9 +333,6 @@ class TestVirtualArrayVector:
         for bad in (np.zeros(4), np.zeros((3, 10)), np.zeros((2, 0))):
             with pytest.raises(InvalidParameterError):
                 virtual_array_vector(bad, arr)
-        # a TO-ECA without lag 0 (Z = -1) leaves nothing to average
-        with pytest.raises(InvalidParameterError, match="^x: co-array has no lag 0"):
-            virtual_array_vector(np.ones((2, 5), dtype=complex), SensorArray("x", (1, 3)))
 
 
 def symmetric_noise(rng, big_z, scale):
@@ -351,16 +348,16 @@ def smoothed_covariance(z):
     return windows.T @ windows.conj() / m
 
 
-def assert_matches_smoothing_music(z, d, grid_step_deg=0.05, spacing=0.5):
+def assert_matches_smoothing_music(z, d, grid_step_deg=0.05):
     """Check ``ss_music(z, d)`` against spatial-smoothing MUSIC: its spectrum
     on the grid, from one steering vector per point, and its d highest peaks
     by ``find_peaks``.  Returns the grid."""
-    est = ss_music(z, d, grid_step_deg=grid_step_deg, unit_spacing=spacing)
+    est = ss_music(z, d, grid_step_deg=grid_step_deg)
     grid, spectrum = est.spectrum
     r = smoothed_covariance(z)
     m = r.shape[0]
     _, vecs = np.linalg.eigh((r + r.conj().T) / 2)
-    a = np.exp(2j * np.pi * spacing * np.outer(np.arange(m), np.sin(np.deg2rad(grid))))
+    a = np.exp(1j * np.pi * np.outer(np.arange(m), np.sin(np.deg2rad(grid))))
     signal = vecs[:, m - d :]
     # |En^H a|^2 = m - |Es^H a|^2, the form ss_music evaluates
     want = 1.0 / np.maximum(m - np.sum(np.abs(signal.conj().T @ a) ** 2, axis=0), 1e-12)
@@ -685,21 +682,21 @@ class TestSsMusic:
     # The 0.05 degree grid is 3599 points, one _GRID_CHUNK; at 0.01 degrees,
     # 17999 points are four full chunks and a ragged 1615, read with b = 16
     # (m = 124) and b = 32 (m = 256)
-    @pytest.mark.parametrize("big_z, step, spacing", [
-        *(pytest.param(big_z, 0.05, 0.5, id=str(big_z))
-          for big_z in (2, 3, 14, 15, 62, 63, 64, 223, 224, 254, 255, 256, 512, 1022, 1023)),
-        pytest.param(123, 0.01, 0.5, id="123-0.01deg"),
-        pytest.param(40, 0.05, 0.37, id="40-spacing0.37"),
-        pytest.param(255, 0.01, 0.37, id="255-0.01deg-spacing0.37"),
+    @pytest.mark.parametrize("big_z, step", [
+        *(pytest.param(big_z, 0.05, id=str(big_z))
+          for big_z in (2, 3, 14, 15, 40, 62, 63, 64, 223, 224, 254, 255, 256, 512, 1022,
+                        1023)),
+        pytest.param(123, 0.01, id="123-0.01deg"),
+        pytest.param(255, 0.01, id="255-0.01deg"),
     ])
-    def test_matches_spatial_smoothing_reference_at_edge_lengths(self, big_z, step, spacing):
+    def test_matches_spatial_smoothing_reference_at_edge_lengths(self, big_z, step):
         rng = np.random.default_rng([2015, big_z])
         d = min(4, big_z)
         angles = [-47.5, -3.2, 21.0, 58.4][:d]
         gammas = np.array([1.0, -0.7, 1.6, 0.9])[:d]
-        z = analytic_virtual_vector(big_z, angles, gammas, spacing)
+        z = analytic_virtual_vector(big_z, angles, gammas)
         z += symmetric_noise(rng, big_z, 0.01 * np.abs(z).max())
-        grid = assert_matches_smoothing_music(z, d, step, spacing)
+        grid = assert_matches_smoothing_music(z, d, step)
         assert divmod(grid.size, simulator._GRID_CHUNK) == {0.05: (0, 3599), 0.01: (4, 1615)}[step]
 
     @pytest.mark.parametrize("defect", [1e-3, 1e-6])
@@ -775,7 +772,7 @@ class TestSteeringTable:
         simulator._grid_and_steering.cache_clear()
         ss_music(analytic_virtual_vector(123, [-20.0, 10.0, 40.0]), 3)  # m = 124, b = 16
         assert simulator._grid_and_steering.cache_info().currsize == 1
-        _, table = simulator._grid_and_steering(0.01, 0.5, 17)
+        _, table = simulator._grid_and_steering(0.01, 17)
         info = simulator._grid_and_steering.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         assert table.shape == (17, 17999)
