@@ -46,21 +46,32 @@ def continuous_optimum_n1(variant: str, n: int) -> float:
         return (3 + 4 * n + math.sqrt((4 * n - 9) ** 2 + 36)) / 12
 
 
+# the N at which TNA-II prints its generator's reaches two lower
+_TNA2_SHORT_N = range(9, 15)
+
+
+def _printed_reaches(
+    variant: str, m1: int, m2: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The printed closed-form reaches (lambda1, lambda2) of the generator
+    (M1, M2)'s co-arrays at N outside :data:`_TNA2_SHORT_N` and at N in it;
+    only TNA-II's two differ."""
+    if variant == "cna":
+        unit = (m1 - 1) + m2 * (m1 + 1)
+    elif variant == "scna":
+        unit = (2 * m1 + m2) + m1 * (m2 - 1)
+    else:
+        core = m1 * (m2 + 1) + geometry.split_sizes(variant, m1, m2)[1]
+        return (2 * core, 3 * core), (2 * core - 2, 3 * core - 2)
+    return (2 * unit, 3 * unit), (2 * unit, 3 * unit)
+
+
 def _lambda_values(variant: str, n: int, m1: int, m2: int) -> tuple[int, int]:
     """The printed closed-form reaches (lambda1, lambda2) of the generator
     (M1, M2)'s co-arrays at N sensors.  :func:`dof_closed_form` reads them
     here, not through :class:`DesignParams`, so the claim under test stays
     the printed one whatever the construction uses."""
-    if variant == "cna":
-        unit = (m1 - 1) + m2 * (m1 + 1)
-        return 2 * unit, 3 * unit
-    if variant == "scna":
-        unit = (2 * m1 + m2) + m1 * (m2 - 1)
-        return 2 * unit, 3 * unit
-    core = m1 * (m2 + 1) + geometry.split_sizes(variant, m1, m2)[1]
-    if 9 <= n <= 14:
-        return 2 * core - 2, 3 * core - 2
-    return 2 * core, 3 * core
+    return _printed_reaches(variant, m1, m2)[n in _TNA2_SHORT_N]
 
 
 @dataclass(frozen=True)
@@ -159,12 +170,12 @@ def _generator(
     """Positions of the generator (M1, M2) of a canonical ``variant`` and the
     lag set of its TO-ECA, or None when its segments are inconsistent.  Any
     other error propagates and, being raised, is not cached.  Every later
-    call shares the lag set, which adding a sensor leaves as it was."""
+    call shares the lag set, which a walk leaves as it was."""
     try:
         positions = geometry.generator_positions(variant, m1, m2)
     except GeometryInconsistencyError:
         return None
-    return positions, functools.reduce(lagset.LagSet.add, positions, lagset.LagSet())
+    return positions, lagset.LagSet().add(*positions)
 
 
 def _design(
@@ -203,20 +214,29 @@ def _search(
     variant: str, n_values: Iterable[int], splits: Iterable[tuple[int, int]]
 ) -> dict[int, _Realized]:
     """The best realized split of ``splits`` at each N of ``n_values`` that
-    any of them builds at, picked by :func:`_best`.
+    any of them builds at.
 
-    A split serves every N above its N1.  The N values whose lambdas give it
-    the same tail offsets (all of them but TNA-II's 9 <= N <= 14 band) share
-    one tail, whose first N2 sensors make the array at N = N1 + N2.  Each
-    such tail is built once, at its longest, by
+    A split serves every N above its N1.  The N values at which it has the
+    same printed (lambda1, lambda2) (all of them but TNA-II's
+    9 <= N <= 14) share one tail, whose first N2 sensors make the array at
+    N = N1 + N2.  Each such tail is built once, at its longest, by
     :func:`geometry.gtoa_positions`, which checks it as it checks any tail,
     and its top is checked against MAX_POSITION as any co-array input's.
-    Its sensors are then added one at a time to the generator's lag set,
-    and Z is read at each N asked for.
+    The generator's lag set then walks its sensors, added one at a time
+    (:meth:`lagset.LagSet.zs`), and Z is read at each N asked for.  Each N
+    keeps its best split so far: the most consecutive lags, ties going to
+    the smaller generator, then to the lexicographically smaller (M1, M2).
     """
     wanted = sorted(set(n_values))
     largest = wanted[-1] if wanted else 0
-    realized: dict[int, list[_Realized]] = {}
+    # the N that read a split's tail, in increasing order and as a set: all
+    # of them, or apart, those outside and those inside TNA-II's short band
+    everyone = [(wanted, set(wanted))]
+    bands = [(part, set(part)) for part in (
+        [n for n in wanted if n not in _TNA2_SHORT_N],
+        [n for n in wanted if n in _TNA2_SHORT_N],
+    )]
+    ranks: dict[int, tuple[int, int, int, int]] = {}  # N -> least (-Z, N1, M1, M2)
     for m1, m2 in splits:
         n1 = geometry.split_sizes(variant, m1, m2)[0]
         if m1 < 1 or m2 < 1 or n1 >= largest:
@@ -225,26 +245,20 @@ def _search(
         if built is None:
             continue
         generator, generator_lags = built
-        tails: dict[tuple[int, int], list[int]] = {}  # sizes in increasing order
-        for n in wanted:
-            if n > n1:
-                offsets = geometry.tail_offsets(*_lambda_values(variant, n, m1, m2))
-                tails.setdefault(offsets, []).append(n)
-        for (delta1, delta2), sizes in tails.items():
+        reaches = _printed_reaches(variant, m1, m2)
+        tails = zip(reaches, everyone if reaches[0] == reaches[1] else bands)
+        for lambdas, (sizes, read) in tails:
+            if not sizes or sizes[-1] <= n1:
+                continue
+            delta1, delta2 = geometry.tail_offsets(*lambdas)
             positions = geometry.gtoa_positions(generator, delta1, delta2, sizes[-1] - n1)
             lagset.check_cap(positions, "array")
-            lags, read = generator_lags, set(sizes)
-            for n, v in enumerate(positions[n1:], n1 + 1):
-                lags = lags.add(v)
+            for n, z in enumerate(generator_lags.zs(positions[n1:]), n1 + 1):
                 if n in read:
-                    realized.setdefault(n, []).append((2 * lags.z + 1, n1, m1, m2))
-    return {n: _best(candidates) for n, candidates in realized.items()}
-
-
-def _best(realized: Iterable[_Realized]) -> Optional[_Realized]:
-    """The most consecutive lags; ties go to the smaller generator, then
-    to the lexicographically smaller (M1, M2).  None when nothing built."""
-    return min(realized, key=lambda r: (-r[0], r[1], r[2], r[3]), default=None)
+                    rank = (-z, n1, m1, m2)
+                    if n not in ranks or rank < ranks[n]:
+                        ranks[n] = rank
+    return {n: (2 * -rank[0] + 1, *rank[1:]) for n, rank in ranks.items()}
 
 
 def _attempt_closed_form(variant: str, n: int) -> Optional[tuple[DesignParams, bool]]:
@@ -339,9 +353,10 @@ def brute_force_split(variant: str, n: int) -> SplitResult:
     consecutive-lag count is ground truth regardless of what the closed
     forms claim, and the search stays an independent oracle for them.  Each
     generator's positions and lag set, or its infeasibility, are built once
-    per process and reused at every N; each split's tail sensors are added
-    to that lag set one at a time.  This is :func:`dof_sweep`'s search at one N.
-    Ties break as in :func:`_best`; only the split returned gets its
+    per process and reused at every N; that lag set walks each split's tail,
+    whose sensors it adds one at a time, in local ints with no set built per
+    sensor.  This is :func:`dof_sweep`'s search at one N.
+    Ties break as in :func:`_search`; only the split returned gets its
     :class:`DesignParams`.
     """
     n = whole_number(n, "n")

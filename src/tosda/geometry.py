@@ -237,6 +237,8 @@ def gtoa_positions(
             f"got n2={n2}"
         )
     tail = [delta1 + delta2 * k for k in range(n2)]
+    if not generator or generator[-1] < delta1:  # every TO-SDA's tail
+        return (*generator, *tail)
     overlap = sorted(set(generator).intersection(tail))
     if overlap:
         raise GeometryInconsistencyError(

@@ -3,17 +3,16 @@
 Where only the consecutive segment of the TO-ECA matters (the split
 search, ``sweep --baseline``, ``design --variant`` and the simulator's Z),
 :class:`LagSet` holds its non-negative lags alone, as bits of Python
-integers, and grows it one sensor at a time; :func:`consecutive_z` reads Z
-from it.  This module needs the standard library only, so the design layer
-(:mod:`tosda.designer` and the ``design`` and ``sweep`` commands) runs
-without numpy; :mod:`tosda.coarray` re-exports its three names and holds
+integers, grown by sensors added one at a time in a few local ints;
+:func:`consecutive_z` reads Z from it.  This module needs the standard
+library only, so the design layer (:mod:`tosda.designer` and the
+``design`` and ``sweep`` commands) runs without numpy; :mod:`tosda.coarray` re-exports its three names and holds
 the dense multisets that are the oracle of its results.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InternalConsistencyError, InvalidParameterError
 from .geometry import MAX_POSITION, SensorArray
@@ -30,9 +29,11 @@ def check_cap(positions: Sequence[int], name: str) -> None:
 
 
 class LagSet:
-    """The non-negative lags of the TO-ECA of a set of sensors, grown one
-    sensor at a time, each above all earlier ones; :meth:`add` returns the
-    grown set and leaves this one as it was, so one set can be shared.
+    """The non-negative lags of the TO-ECA of a set of sensors, grown by
+    sensors added one at a time, each above all earlier ones: :meth:`add`
+    returns the grown set and :meth:`zs` yields Z after each sensor of a run,
+    both by one update rule on local ints, and both leave this set as it
+    was, so one set can be shared.
 
     Bit l of a Python int stands for lag l, so a shift adds a position to a
     whole set at once and no histogram is built.  Besides the lags the state
@@ -49,9 +50,8 @@ class LagSet:
     Adding v contributes v + p, |p - v| (p - v from p above v, v - p from
     2*v - p reversed, in one shift) and v + b - c, in about a dozen shifts
     and ORs.
-    ``LagSet()`` holds no sensor; ``functools.reduce(LagSet.add, positions,
-    LagSet())`` is the set of the strictly increasing, non-negative
-    ``positions``.
+    ``LagSet()`` holds no sensor; ``LagSet().add(*positions)`` is the set of
+    the strictly increasing, non-negative ``positions``.
     """
 
     __slots__ = ("top", "_sensors", "_sensors_rev", "_pairs", "_pairs_rev",
@@ -62,40 +62,68 @@ class LagSet:
         self._sensors = self._sensors_rev = self._pairs = self._pairs_rev = 0
         self._diffs = self._lags = 0
 
-    def add(self, v: int) -> "LagSet":
-        """This set with one more sensor, at ``v`` above every sensor held.
-
-        A sensor at or below ``top`` raises
-        :class:`InternalConsistencyError`: its lags would be misplaced, and
-        only a caller that broke the ordering can ask for it.
-        """
-        up = v - self.top
-        if up < 1:
-            raise InternalConsistencyError(
-                f"lag set: sensor {v} added at or below the top sensor {self.top}"
-            )
+    def add(self, *positions: int) -> "LagSet":
+        """This set with the increasing ``positions`` added, each above every
+        sensor held; a sensor at or below the one before it raises as in
+        :meth:`zs`."""
         grown = LagSet.__new__(LagSet)
-        grown.top = v
-        grown._sensors = sensors = self._sensors | 1 << v
-        grown._sensors_rev = sensors_rev = self._sensors_rev << up | 1
-        grown._pairs = pairs = self._pairs | sensors << v
-        grown._pairs_rev = pairs_rev = self._pairs_rev << 2 * up | sensors_rev
-        grown._diffs = diffs = self._diffs << up | sensors_rev << v | sensors
-        grown._lags = self._lags | pairs << v | (pairs | pairs_rev) >> v | diffs
+        for _ in self._walk(positions, grown):
+            pass
         return grown
+
+    def zs(self, positions: Iterable[int]) -> Iterator[int]:
+        """Z of this set with the increasing ``positions`` added one at a
+        time, yielded after each of them, with no set built on the way.
+
+        A sensor at or below the one before it (the first: at or below
+        ``top``) raises :class:`InternalConsistencyError` when the walk
+        reaches it: its lags would be misplaced, and only a caller that
+        broke the ordering can ask for it.
+        """
+        return self._walk(positions, None)
+
+    def _walk(self, positions: Iterable[int], grown: Optional["LagSet"]) -> Iterator[int]:
+        """The one update rule, on the state in local ints: without
+        ``grown`` it yields Z after each sensor; with it, it yields nothing
+        and writes the final state there."""
+        top, sensors, sensors_rev = self.top, self._sensors, self._sensors_rev
+        pairs, pairs_rev, diffs, lags = self._pairs, self._pairs_rev, self._diffs, self._lags
+        for v in positions:
+            up = v - top
+            if up < 1:
+                raise InternalConsistencyError(
+                    f"lag set: sensor {v} added at or below the top sensor {top}"
+                )
+            top = v
+            sensors |= 1 << v
+            sensors_rev = sensors_rev << up | 1
+            pairs |= sensors << v
+            pairs_rev = pairs_rev << 2 * up | sensors_rev
+            diffs = diffs << up | sensors_rev << v | sensors
+            lags |= pairs << v | (pairs | pairs_rev) >> v | diffs
+            if grown is None:
+                yield _run_below(lags)
+        if grown is not None:
+            grown.top, grown._sensors, grown._sensors_rev = top, sensors, sensors_rev
+            grown._pairs, grown._pairs_rev, grown._diffs, grown._lags = (
+                pairs, pairs_rev, diffs, lags)
 
     @property
     def z(self) -> int:
         """``to_eca(...).one_sided_z`` of the sensors held: the run of
         non-negative lags from 0, less one (-1 when none is held)."""
-        lags = self._lags
-        # (lags + 1) & ~lags is the lowest clear bit, one past the run
-        return ((lags + 1) & ~lags).bit_length() - 2
+        return _run_below(self._lags)
+
+
+def _run_below(lags: int) -> int:
+    """The run of set bits of ``lags`` from bit 0, less one: the lowest clear
+    bit is the top bit of lags ^ (lags + 1), and no negative int is made."""
+    return (lags ^ (lags + 1)).bit_length() - 2
 
 
 def consecutive_z(array: SensorArray) -> int:
     """``to_eca(array).one_sided_z``, read from the lag set alone as a
-    :class:`LagSet` built one sensor at a time; an array past MAX_POSITION
+    :class:`LagSet` of the array's positions; an array past MAX_POSITION
     raises :class:`InvalidParameterError` naming it."""
     check_cap(array.positions, array.name)
-    return functools.reduce(LagSet.add, array.positions, LagSet()).z
+    return LagSet().add(*array.positions).z

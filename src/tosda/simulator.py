@@ -187,7 +187,7 @@ def synthesize_snapshots(
     a = steering_matrix(array, scene.angles_deg)
     if coupling is not None:
         a = _coupling_matrix(array, coupling) @ a
-    s = rng.exponential(1.0, size=(d, k))
+    s = rng.standard_exponential(size=(d, k))
     s -= 1.0
     sigma = math.sqrt(10.0 ** (-scene.snr_db / 10.0))
     x = np.empty((array.size, k), dtype=np.complex128)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from collections import Counter
 
@@ -55,6 +56,11 @@ def random_array(rng, max_sensors=6, span=40):
     n = int(rng.integers(1, max_sensors + 1))
     pos = sorted(rng.choice(np.arange(span), size=n, replace=False).tolist())
     return SensorArray("r", tuple(v - pos[0] for v in pos))
+
+
+def lag_set_state(lags):
+    """Every field of a :class:`LagSet`, to tell that it did not change."""
+    return tuple(getattr(lags, field) for field in LagSet.__slots__)
 
 
 def positions_from_zero(top, max_size):
@@ -329,6 +335,38 @@ class TestLagSet:
             grown = pair.add(v)
             assert (grown.top, grown.z) == (v, consecutive_z(SensorArray("h", (0, 1, v))))
             assert (pair.top, pair.z) == (1, 3)
+
+    # the walk the split search reads Z from, started from any shared prefix
+    @given(positions_from_zero(80, 9), st.integers(0, 8))
+    @example((0,), 0)
+    @example((0, 3, 5, 6), 2)
+    def test_walk_matches_to_eca_and_the_add_fold(self, positions, start):
+        start = min(start, len(positions))
+        shared = functools.reduce(LagSet.add, positions[:start], LagSet())
+        before = lag_set_state(shared)
+        folded, zs = shared, list(shared.zs(positions[start:]))
+        assert len(zs) == len(positions) - start
+        for i, z in enumerate(zs, start + 1):
+            folded = folded.add(positions[i - 1])
+            prefix = SensorArray("h", positions[:i])
+            assert z == folded.z == to_eca(prefix).one_sided_z, positions[:i]
+        assert lag_set_state(shared) == before
+
+    # the last sensor of each run is the bad one
+    @pytest.mark.parametrize("run,top", [
+        ((5,), 5), ((2,), 5), ((-1,), 5), ((7, 6), 7), ((8, 9, 9), 9),
+    ])
+    def test_walk_at_or_below_the_top_raises(self, run, top):
+        lags = LagSet().add(0).add(2).add(5)
+        before = lag_set_state(lags)
+        walked = []
+        with pytest.raises(InternalConsistencyError,
+                           match=f"sensor {run[-1]} added at or below the top sensor {top}$"):
+            walked.extend(lags.zs(run))
+        # the Z before the bad sensor came out, and the set is as it was
+        assert walked == [consecutive_z(SensorArray("h", (0, 2, 5, *run[:i])))
+                          for i in range(1, len(run))]
+        assert lag_set_state(lags) == before
 
 
 class TestPositionCap:

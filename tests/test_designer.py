@@ -158,20 +158,35 @@ class TestBruteForceSplit:
         from tosda import coarray, geometry
 
         expected = {call: call("cna", 8) for call in (brute_force_split, split_closed_form)}
-        # both build their generators, and so each generator's lag set
-        for module, name, error, calls in [
-            (coarray.LagSet, "add", InternalConsistencyError("corrupted co-array"),
+
+        def raising(error):
+            def broken(*args):
+                raise error
+            return broken
+
+        def raising_in_the_walk(error):  # a first Z, then the error
+            def broken(lags, positions):
+                yield -1
+                raise error
+            return broken
+
+        # both build their generators, and so each generator's lag set; only
+        # the exhaustive search walks tails
+        for module, name, replace, error, calls in [
+            (coarray.LagSet, "add", raising, InternalConsistencyError("corrupted co-array"),
              [brute_force_split, split_closed_form]),
-            (geometry, "gtoa_positions", InvalidParameterError("broken tail"),
+            (coarray.LagSet, "zs", raising_in_the_walk,
+             InternalConsistencyError("corrupted walk"), [brute_force_split]),
+            (geometry, "gtoa_positions", raising, InvalidParameterError("broken tail"),
              [brute_force_split, split_closed_form]),
-            (geometry, "gtoa_positions", GeometryInconsistencyError("broken tail"),
+            (geometry, "gtoa_positions", raising,
+             GeometryInconsistencyError("broken tail"),
              [brute_force_split, split_closed_form]),
-            (geometry, "generator_positions", InvalidParameterError("broken generator"),
+            (geometry, "generator_positions", raising,
+             InvalidParameterError("broken generator"),
              [brute_force_split, split_closed_form]),
         ]:
-            def broken(*args, error=error):
-                raise error
-
+            broken = replace(error)
             with monkeypatch.context() as patch:
                 patch.setattr(module, name, broken)
                 for call in calls:
@@ -196,7 +211,7 @@ class TestBruteForceSplit:
     def test_search_matches_the_public_builders(self, variant):
         # every split built by build_generator and build_gtoa and read by
         # to_eca, where only the generator's inconsistency makes a split
-        # infeasible, picked by _best's rule: the most consecutive lags, then
+        # infeasible, picked by the search's rule: the most consecutive lags, then
         # the smaller N1, then the smaller (M1, M2)
         for n in range(minimum_sensors(variant), 13):
             realized = []

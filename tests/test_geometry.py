@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tosda import (
     ArrayParseError,
@@ -20,7 +22,7 @@ from tosda import (
     normalize_variant,
     save_array,
 )
-from tosda.geometry import MAX_POSITION, irange, split_sizes
+from tosda.geometry import MAX_POSITION, gtoa_positions, irange, split_sizes
 
 
 OFFSET_LAYOUTS = [(2, 4, 9), (4, 6, 10, 19)]
@@ -134,6 +136,32 @@ class TestGtoa:
         gen = SensorArray("g", (0, 1))
         with pytest.raises(GeometryInconsistencyError):
             build_gtoa(gen, 1, 1, 1)
+
+    # every TO-SDA's tail starts above its generator
+    @given(st.sets(st.integers(0, 60), min_size=1, max_size=8), st.integers(1, 40),
+           st.integers(1, 30), st.integers(1, 6))
+    def test_tail_above_the_generator_is_the_sorted_union(self, generator, gap, delta2, n2):
+        generator = tuple(sorted(generator))
+        delta1 = generator[-1] + gap
+        tail = {delta1 + delta2 * k for k in range(n2)}
+        assert gtoa_positions(generator, delta1, delta2, n2) == tuple(sorted({*generator, *tail}))
+
+    @given(st.sets(st.integers(0, 60), min_size=1, max_size=8), st.integers(0, 60),
+           st.integers(1, 30), st.integers(1, 6))
+    @example({0, 2, 4}, 1, 2, 2)  # interleaves: (0, 1, 2, 3, 4)
+    @example({0, 1, 3}, 1, 2, 2)  # overlaps at 1 and 3
+    def test_tail_from_within_the_generator(self, generator, delta1, delta2, n2):
+        generator = tuple(sorted(generator))
+        delta1 = min(delta1, generator[-1])
+        tail = {delta1 + delta2 * k for k in range(n2)}
+        overlap = sorted(tail.intersection(generator))
+        if overlap:
+            with pytest.raises(GeometryInconsistencyError,
+                               match=re.escape(f"overlap at positions {overlap}")):
+                gtoa_positions(generator, delta1, delta2, n2)
+        else:
+            assert gtoa_positions(generator, delta1, delta2, n2) == tuple(
+                sorted({*generator, *tail}))
 
     def test_self_collapsing_tail_rejected(self):
         gen = SensorArray("g", (0,))

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -146,6 +147,17 @@ class TestSynthesizeSnapshots:
         else:
             assert np.abs(x - want).max() <= 1e-15 * np.abs(want).max()
         assert got_rng.random() == rng.random()  # both streams end in one place
+
+    def test_pinned_at_one_seed(self):
+        # one broadside source: its steering vector is exactly 1, so every
+        # product and sum is exact and x is the random stream's alone, on any
+        # BLAS; a change of the draws (their law, order or count) moves it
+        scene = SourceScene((0.0,), snr_db=10.0, snapshots=8, seed=5)
+        x = synthesize_snapshots(build_ula(3), scene)
+        assert (x[0, 0].real.hex(), x[2, 7].imag.hex()) == (
+            "0x1.2772beb9f86ddp+0", "-0x1.80e455abbb33ap-3")
+        assert hashlib.sha256(x.tobytes()).hexdigest() == (
+            "70c20fcaba5fbfac53572eb598a36141c0d595127acfcafb9b915711ad8cb1b4")
 
     def test_coupling_matrix_built_once_per_array_and_model(self, array9, monkeypatch):
         calls, coefficient = [], CouplingModel.coefficient
