@@ -25,7 +25,7 @@ _EXPORTS = {
     "coarray": ("CoarrayReport", "LagMultiset", "index_lag_map", "second_order",
                 "to_eca", "toca"),
     "lagset": ("consecutive_z",),
-    "designer": ("DesignParams", "SplitResult", "SweepRow", "brute_force_split",
+    "designer": ("DesignParams", "SweepRow", "brute_force_split",
                  "dof_closed_form", "dof_sweep", "minimum_sensors", "split_closed_form"),
     "errors": ("ArrayFileError", "ArrayParseError", "ArrayValidationError",
                "CapacityExceededError", "GeometryInconsistencyError",
@@ -36,7 +36,7 @@ _EXPORTS = {
                  "save_array"),
     "metrics": ("CouplingModel", "RedundancyReport", "closed_form_redundancy",
                 "corollary_bounds", "coupling_leakage", "coupling_matrix", "k_tilde",
-                "l3_bound", "redundancy_second_order", "redundancy_toeca", "size_bounds",
+                "l3_bound", "redundancy_toeca", "size_bounds",
                 "z_closed_form"),
     "simulator": ("EstimationResult", "RunStats", "SourceScene", "monte_carlo", "rmse",
                   "run_trial", "sample_third_cumulants", "ss_music", "steering_matrix",

@@ -120,21 +120,22 @@ def cmd_design(args) -> tuple[dict, dict]:
         }
         realized = f"; dof_realized {json.dumps(dof_realized)}, dof_closed {dof_closed}"
         if args.oracle:
-            result = designer.brute_force_split(args.variant, args.sensors)
+            row = designer.brute_force_split(args.variant, args.sensors)
+            best = designer.DesignParams(row.variant, row.N, row.M1, row.M2).to_json_dict()
             fields["oracle"] = {
-                **dataclasses.asdict(result), "params": result.params.to_json_dict()
+                "params": best, "dof_closed_form": row.dof_closed,
+                "dof_brute_force": row.dof_brute, "agreement": row.agreement,
             }
-            verdict = "agrees with" if result.agreement else "DISAGREES with"
+            verdict = "agrees with" if row.agreement else "DISAGREES with"
             print(
-                f"oracle: brute-force consecutive lags {result.dof_brute_force} "
-                f"{verdict} closed form {result.dof_closed_form}",
+                f"oracle: brute-force consecutive lags {row.dof_brute} "
+                f"{verdict} closed form {row.dof_closed}",
                 file=sys.stderr,
             )
-            if not result.agreement:
+            if not row.agreement:
                 fields["warnings"].append(
-                    f"closed-form consecutive-lag count {result.dof_closed_form} "
-                    f"!= brute-force optimum {result.dof_brute_force} "
-                    f"(best split {result.params.to_json_dict()})"
+                    f"closed-form consecutive-lag count {row.dof_closed} "
+                    f"!= brute-force optimum {row.dof_brute} (best split {best})"
                 )
     else:
         generator = geometry.load_array(args.generator)

@@ -160,7 +160,9 @@ def dof_closed_form(params: DesignParams) -> int:
 
 # each split search asks once for every generator with N1 below its largest
 # N; this holds all of one variant's generators with N1 < 92 (TNA-II has the
-# most), so a later search up to N = 92 builds none again.  Full, with each
+# most, 4095), so a later search of that variant up to N = 92 builds none
+# again.  A sweep of all three variants to N = 92 asks for 8145, so there
+# each variant rebuilds its own on every pass.  Full, with each
 # generator's lag set, it takes a sweep over N = 4..92 to a 46 MB peak,
 # against 35 MB for the positions alone (Python 3.11, x86-64)
 @functools.lru_cache(maxsize=4096)
@@ -176,23 +178,6 @@ def _generator(
     except GeometryInconsistencyError:
         return None
     return positions, lagset.LagSet().add(*positions)
-
-
-def _design(
-    variant: str, n: int, m1: int, m2: int
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """(N1, positions) of the split (M1, M2) at N sensors, or None when it
-    is infeasible: a sub-array comes out empty, or the generator's segments
-    are inconsistent.  Any other error, a tail overlap included, is a bug
-    and propagates."""
-    n1 = geometry.split_sizes(variant, m1, m2)[0]
-    if m1 < 1 or m2 < 1 or n1 >= n:
-        return None
-    built = _generator(variant, m1, m2)
-    if built is None:
-        return None
-    delta1, delta2 = geometry.tail_offsets(*_lambda_values(variant, n, m1, m2))
-    return n1, geometry.gtoa_positions(built[0], delta1, delta2, n - n1)
 
 
 def _splits(variant: str, n: int) -> Iterator[tuple[int, int]]:
@@ -282,8 +267,13 @@ def _attempt_closed_form(variant: str, n: int) -> Optional[tuple[DesignParams, b
             for n1 in roundings(n1_star)
             for m2 in roundings((2 * n1 - 1) / 4)
         ]
-    if _design(variant, n, *direct) is not None:
-        return DesignParams(variant, n, *direct), False
+    # the printed tail starts at delta1 = lambda1 + lambda2 + 1, past the
+    # generator's top (the printed unit, or TNA-II's core), so a split whose
+    # generator builds builds whole
+    m1, m2 = direct
+    if (m1 >= 1 and m2 >= 1 and geometry.split_sizes(variant, m1, m2)[0] < n
+            and _generator(variant, m1, m2) is not None):
+        return DesignParams(variant, n, m1, m2), False
     best = _search(variant, [n], others).get(n)
     return None if best is None else (DesignParams(variant, n, *best[2:]), True)
 
@@ -328,63 +318,14 @@ def split_closed_form(variant: str, n: int) -> DesignParams:
 
 
 @dataclass(frozen=True)
-class SplitResult:
-    """Outcome of the exhaustive split search, cross-checked against the
-    closed form.  ``agreement`` compares achieved consecutive-lag counts,
-    not parameter tuples: distinct splits may tie."""
-
-    params: DesignParams
-    dof_closed_form: Optional[int]
-    dof_brute_force: int
-    agreement: bool
-
-
-def brute_force_split(variant: str, n: int) -> SplitResult:
-    """Exhaustive search over all feasible integer splits.
-
-    The candidates are every (M1, M2) in [1, N)^2 whose generator size N1
-    stays below N; the search ends each M2 run at the first split reaching
-    N, because no larger M2 leaves a tail.  Every candidate geometry is
-    actually realized, as the exact integer positions the public builders
-    would hold (by the rules of :func:`geometry.generator_positions` and
-    :func:`geometry.gtoa_positions`), and the lag set of its exhaustive
-    co-array computed exactly (by :class:`lagset.LagSet`, which reads Z
-    from that set without counting multiplicities), so the returned
-    consecutive-lag count is ground truth regardless of what the closed
-    forms claim, and the search stays an independent oracle for them.  Each
-    generator's positions and lag set, or its infeasibility, are built once
-    per process and reused at every N; that lag set walks each split's tail,
-    whose sensors it adds one at a time, in local ints with no set built per
-    sensor.  This is :func:`dof_sweep`'s search at one N.
-    Ties break as in :func:`_search`; only the split returned gets its
-    :class:`DesignParams`.
-    """
-    n = whole_number(n, "n")
-    variant = normalize_variant(variant)
-    return _split_result(variant, n, _search(variant, [n], _splits(variant, n)).get(n))
-
-
-def _split_result(variant: str, n: int, best: Optional[_Realized]) -> SplitResult:
-    """The search's ``best`` split at N, checked against the closed form."""
-    if best is None:
-        raise UnsupportedSizeError(
-            f"no feasible {variant} split exists at N={n}", minimum=None
-        )
-    dof_bf, params = best[0], DesignParams(variant, n, *best[2:])
-    # below minimum_sensors the closed form is infeasible by definition, so
-    # this matches split_closed_form without repeating its fallback warning
-    closed = _attempt_closed_form(variant, n)
-    dof_cf = None if closed is None else dof_closed_form(closed[0])
-    return SplitResult(
-        params=params,
-        dof_closed_form=dof_cf,
-        dof_brute_force=dof_bf,
-        agreement=dof_cf == dof_bf,
-    )
-
-
-@dataclass(frozen=True)
 class SweepRow:
+    """The one record of a searched split: the exhaustive search's best
+    split (N1, N2, M1, M2 and TNA-II's J) of a variant at N sensors, its
+    consecutive-lag count ``dof_brute``, and the closed-form split's claimed
+    count ``dof_closed`` (None below :func:`minimum_sensors`).
+    ``agreement`` compares the two counts, not the splits: distinct splits
+    may tie."""
+
     variant: str
     N: int
     N1: int
@@ -403,8 +344,10 @@ def dof_sweep(variants: Iterable[str], n_values: Iterable[int]) -> list[SweepRow
     ``n_values`` is read once, so an iterator serves every variant, and each
     N is stored as the int it converts to.  Each variant's rows come from one
     split search over all of ``n_values``, which walks each split's tail
-    once, to its largest N, and reads the row of every smaller N on the way;
-    each row equals :func:`brute_force_split` at its N.
+    once, to its largest N, and reads the row of every smaller N on the way.
+    It realizes every split of :func:`_splits` as exact integer positions
+    and reads Z from their lag set, so ``dof_brute`` is ground truth whatever
+    the closed forms claim.
     """
     n_values = [whole_number(n, "n") for n in n_values]
     rows = []
@@ -412,20 +355,25 @@ def dof_sweep(variants: Iterable[str], n_values: Iterable[int]) -> list[SweepRow
         variant = normalize_variant(variant)
         found = _search(variant, n_values, _splits(variant, max(n_values, default=0)))
         for n in n_values:
-            result = _split_result(variant, n, found.get(n))
-            p = result.params
-            rows.append(
-                SweepRow(
-                    variant=variant,
-                    N=n,
-                    N1=p.N1,
-                    N2=p.N2,
-                    M1=p.M1,
-                    M2=p.M2,
-                    J=p.J,
-                    dof_closed=result.dof_closed_form,
-                    dof_brute=result.dof_brute_force,
-                    agreement=result.agreement,
+            if n not in found:
+                raise UnsupportedSizeError(
+                    f"no feasible {variant} split exists at N={n}", minimum=None
                 )
-            )
+            dof_brute, n1, m1, m2 = found[n]
+            # below minimum_sensors the closed form is infeasible by definition,
+            # so this matches split_closed_form without repeating its warning
+            closed = _attempt_closed_form(variant, n)
+            dof_closed = None if closed is None else dof_closed_form(closed[0])
+            rows.append(SweepRow(
+                variant=variant, N=n, N1=n1, N2=n - n1, M1=m1, M2=m2,
+                J=geometry.split_sizes(variant, m1, m2)[1],
+                dof_closed=dof_closed, dof_brute=dof_brute,
+                agreement=dof_closed == dof_brute,
+            ))
     return rows
+
+
+def brute_force_split(variant: str, n: int) -> SweepRow:
+    """The row of :func:`dof_sweep` at the one size ``n``: the best split
+    the exhaustive search finds, against the closed form."""
+    return dof_sweep([variant], [n])[0]

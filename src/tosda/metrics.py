@@ -8,7 +8,6 @@ where floating point error could flip a bound check.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,37 +99,6 @@ def redundancy_toeca(array: SensorArray) -> RedundancyReport:
         name=array.name, N=n, Z=z, k_tilde=kt, r_t=r_t, l3=l3,
         within_bounds=within,
     )
-
-
-def redundancy_second_order(n: int, kind: str, e: Optional[int] = None) -> float:
-    """Classical second-order redundancy of an N-sensor array.
-
-    SCA: (N(N+1)/2) / (2N+1).  DCA: (N(N-1)/2) / E with E the aperture
-    of the consecutive difference co-array.  The textbook ">= 1" claim
-    fails for tiny N; such values are returned as-is with a warning.
-    """
-    n = whole_number(n, "n")
-    kind = str(kind).strip().lower()
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
-    if kind == "sca":
-        value = (n * (n + 1) / 2) / (2 * n + 1)
-    elif kind == "dca":
-        if e is None:
-            raise InvalidParameterError("DCA redundancy requires the aperture E")
-        e = whole_number(e, "e")
-        if e < 1:
-            raise InvalidParameterError(f"aperture E must be >= 1, got {e}")
-        value = (n * (n - 1) / 2) / e
-    else:
-        raise InvalidParameterError(f"kind must be 'SCA' or 'DCA', got {kind!r}")
-    if value < 1:
-        warnings.warn(
-            f"second-order {kind.upper()} redundancy {value:.4f} < 1 at N={n}; "
-            "the >= 1 property assumes a large enough realizable array",
-            stacklevel=2,
-        )
-    return value
 
 
 def z_closed_form(variant: str, n: int) -> float:

@@ -19,6 +19,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from tosda import (
+    DesignParams,
     SensorArray,
     SourceScene,
     build_generator,
@@ -93,7 +94,7 @@ def test_criterion_2_tna2_discrepancy_reporting(tmp_path):
     the published 247 figure must come with brute-force confirmation."""
     published_claim = 247
     result = brute_force_split("tna2", 8)
-    p = result.params
+    p = DesignParams("tna2", 8, result.M1, result.M2)
 
     # independent confirmation through the pure-python enumeration oracle
     gen = build_generator("tna2", p.M1, p.M2)
@@ -103,21 +104,21 @@ def test_criterion_2_tna2_discrepancy_reporting(tmp_path):
     while (z + 1) in weights.entries and -(z + 1) in weights.entries:
         z += 1
     confirmed = 2 * z + 1
-    assert confirmed == result.dof_brute_force
+    assert confirmed == result.dof_brute
 
     # the CLI manifest must carry the same numbers and the agreement flag
     assert cli_main(["design", "--variant", "tna2", "--sensors", "8",
                      "--oracle", "-o", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     oracle = manifest["oracle"]
-    assert oracle["dof_brute_force"] == result.dof_brute_force
+    assert oracle["dof_brute_force"] == result.dof_brute
     assert oracle["agreement"] == (oracle["dof_closed_form"] == oracle["dof_brute_force"])
     if oracle["dof_brute_force"] != oracle["dof_closed_form"]:
         assert manifest["warnings"], "disagreement must surface in the manifest"
 
-    matches_claim = result.dof_brute_force == published_claim
+    matches_claim = result.dof_brute == published_claim
     report(2, True, (
-        f"brute-force optimum {result.dof_brute_force} "
+        f"brute-force optimum {result.dof_brute} "
         f"(split N1={p.N1}, M1={p.M1}, M2={p.M2}, J={p.J}); "
         f"published claim {published_claim} "
         f"{'confirmed' if matches_claim else 'NOT reproduced — recorded as disagreement'}"

@@ -25,7 +25,7 @@ from tosda.designer import (
     continuous_optimum_n1,
     round_half_up,
 )
-from tosda.geometry import split_sizes
+from tosda.geometry import generator_positions, gtoa_positions, split_sizes
 
 
 class TestRounding:
@@ -133,22 +133,26 @@ class TestDofClosedForm:
 
 class TestBruteForceSplit:
     def test_cna8_agrees(self):
-        res = brute_force_split("cna", 8)
-        assert res.dof_brute_force == 187
-        assert res.agreement
-        assert (res.params.N1, res.params.M1, res.params.M2) == (5, 1, 3)
+        row = brute_force_split("cna", 8)
+        assert row.dof_brute == 187
+        assert row.agreement
+        assert (row.N1, row.M1, row.M2) == (5, 1, 3)
 
     def test_scna8_agrees(self):
-        res = brute_force_split("scna", 8)
-        assert res.dof_brute_force == 217
-        assert res.agreement
+        row = brute_force_split("scna", 8)
+        assert row.dof_brute == 217
+        assert row.agreement
 
     def test_dof_is_realized_consecutive_count(self):
-        res = brute_force_split("cna", 7)
-        p = res.params
+        row = brute_force_split("cna", 7)
+        p = DesignParams("cna", 7, row.M1, row.M2)
         gen = build_generator("cna", p.M1, p.M2)
         arr = build_gtoa(gen, p.delta1, p.delta2, p.N2)
-        assert res.dof_brute_force == 2 * to_eca(arr).one_sided_z + 1
+        assert row.dof_brute == 2 * to_eca(arr).one_sided_z + 1
+
+    def test_is_the_sweep_at_one_n(self):
+        for variant in ("cna", "scna", "tna2"):
+            assert brute_force_split(variant, 8.0) == dof_sweep([variant], [8])[0]
 
     def test_no_split_possible(self):
         with pytest.raises(UnsupportedSizeError):
@@ -171,17 +175,17 @@ class TestBruteForceSplit:
             return broken
 
         # both build their generators, and so each generator's lag set; only
-        # the exhaustive search walks tails
+        # the exhaustive search builds and walks tails, as the closed-form
+        # split's printed tail always starts past its generator
         for module, name, replace, error, calls in [
             (coarray.LagSet, "add", raising, InternalConsistencyError("corrupted co-array"),
              [brute_force_split, split_closed_form]),
             (coarray.LagSet, "zs", raising_in_the_walk,
              InternalConsistencyError("corrupted walk"), [brute_force_split]),
             (geometry, "gtoa_positions", raising, InvalidParameterError("broken tail"),
-             [brute_force_split, split_closed_form]),
+             [brute_force_split]),
             (geometry, "gtoa_positions", raising,
-             GeometryInconsistencyError("broken tail"),
-             [brute_force_split, split_closed_form]),
+             GeometryInconsistencyError("broken tail"), [brute_force_split]),
             (geometry, "generator_positions", raising,
              InvalidParameterError("broken generator"),
              [brute_force_split, split_closed_form]),
@@ -227,16 +231,15 @@ class TestBruteForceSplit:
                 arr = build_gtoa(generator, p.delta1, p.delta2, p.N2)
                 realized.append((-(2 * to_eca(arr).one_sided_z + 1), n1, m1, m2))
             lags, n1, m1, m2 = min(realized)
-            res = brute_force_split(variant, n)
-            assert (res.dof_brute_force, res.params.N1, res.params.M1, res.params.M2) == (
-                -lags, n1, m1, m2), (variant, n)
+            row = brute_force_split(variant, n)
+            assert (row.dof_brute, row.N1, row.M1, row.M2) == (-lags, n1, m1, m2), (variant, n)
 
     def test_closed_form_never_beats_brute_force(self):
         for variant in ("cna", "scna", "tna2"):
             for n in range(minimum_sensors(variant), 13):
-                res = brute_force_split(variant, n)
-                if res.dof_closed_form is not None and variant != "tna2":
-                    assert res.dof_closed_form <= res.dof_brute_force
+                row = brute_force_split(variant, n)
+                if row.dof_closed is not None and variant != "tna2":
+                    assert row.dof_closed <= row.dof_brute
 
     def test_known_closed_form_suboptimality(self):
         # the printed split formulas miss the integer optimum at these
@@ -255,14 +258,7 @@ class TestBruteForceSplit:
         # the sweep reads every N off one walk of each split's tail; the
         # single-N search walks the tail to that N alone
         rows = dof_sweep([variant], range(4, 41))
-        assert [(r.N, r.N1, r.N2, r.M1, r.M2, r.J, r.dof_closed, r.dof_brute, r.agreement)
-                for r in rows] == [
-            (n, p.N1, p.N2, p.M1, p.M2, p.J, res.dof_closed_form, res.dof_brute_force,
-             res.agreement)
-            for n in range(4, 41)
-            for res in [brute_force_split(variant, n)]
-            for p in [res.params]
-        ]
+        assert rows == [brute_force_split(variant, n) for n in range(4, 41)]
 
     def test_sweep_stores_whole_float_n_as_int(self):
         row = dof_sweep(["cna"], [8.0])[0]
@@ -277,9 +273,9 @@ class TestBruteForceSplit:
         assert rows == dof_sweep(["cna", "scna"], [8, 9])
 
     def test_tna2_8_reports_disagreement(self):
-        res = brute_force_split("tna2", 8)
-        assert res.dof_brute_force == 2 * 90 + 1  # realized optimum
-        assert not res.agreement
+        row = brute_force_split("tna2", 8)
+        assert row.dof_brute == 2 * 90 + 1  # realized optimum
+        assert not row.agreement
 
 
 class TestInvariants:
@@ -287,21 +283,39 @@ class TestInvariants:
     @pytest.mark.parametrize("m2", [1, 2, 3, 4])
     @pytest.mark.parametrize("n2", [1, 2, 3, 4])
     def test_cna_closed_form_equals_realized_everywhere(self, m1, m2, n2):
-        from tosda.designer import _design
-
+        # positions by the integer rules build_to_sda and the search use
         n1 = 2 * m1 + m2
-        design_n1, built = _design("cna", n1 + n2, m1, m2)
         params = DesignParams("cna", n1 + n2, m1, m2)
-        assert (params.N1, params.J) == (design_n1, None) == (n1, None)
+        assert (params.N1, params.J) == (n1, None)
+        built = gtoa_positions(
+            generator_positions("cna", m1, m2), params.delta1, params.delta2, n2
+        )
         gen = build_generator("cna", m1, m2)
         arr = build_gtoa(gen, params.delta1, params.delta2, n2)
         assert built == arr.positions
         assert dof_closed_form(params) == 2 * to_eca(arr).one_sided_z + 1
 
     @pytest.mark.parametrize("variant", ["cna", "scna", "tna2"])
+    def test_printed_tail_starts_past_the_generator(self, variant):
+        # the closed-form split's feasibility check builds no tail: its
+        # delta1 = lambda1 + lambda2 + 1 lies above the generator's top at
+        # every N, inside TNA-II's short band (9 <= N <= 14) and outside it
+        checked = 0
+        for m1, m2 in itertools.product(range(1, 40), repeat=2):
+            try:
+                top = generator_positions(variant, m1, m2)[-1]
+            except GeometryInconsistencyError:
+                continue
+            n1 = split_sizes(variant, m1, m2)[0]
+            for n in {max(n1 + 1, 9), max(n1 + 1, 15)}:
+                assert DesignParams(variant, n, m1, m2).delta1 > top, (m1, m2, n)
+            checked += 1
+        assert checked, variant
+
+    @pytest.mark.parametrize("variant", ["cna", "scna", "tna2"])
     def test_monotone_in_n(self, variant):
         lo = minimum_sensors(variant)
-        dofs = [brute_force_split(variant, n).dof_brute_force for n in range(lo, 17)]
+        dofs = [brute_force_split(variant, n).dof_brute for n in range(lo, 17)]
         assert all(b >= a for a, b in zip(dofs, dofs[1:]))
 
     @pytest.mark.parametrize("n", range(4, 31))

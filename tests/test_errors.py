@@ -29,7 +29,6 @@ from tosda import (
     l3_bound,
     load_array,
     monte_carlo,
-    redundancy_second_order,
     rmse,
     sample_third_cumulants,
     size_bounds,
@@ -139,9 +138,6 @@ CASES = [
     ("z_closed_form", "n", (10**200,), lambda v: z_closed_form("cna", v)),
     ("closed_form_redundancy", "n", (10**200,), lambda v: closed_form_redundancy("cna", v)),
     ("l3_bound", "n", (10**400,), l3_bound),
-    ("redundancy_second_order", "n", WHOLE, lambda v: redundancy_second_order(v, "sca")),
-    ("redundancy_second_order", "e", WHOLE,
-     lambda v: redundancy_second_order(5, "dca", v)),
 ]
 
 
@@ -172,11 +168,10 @@ def test_valid_inputs_of_the_table_build():
     assert CouplingModel().coefficient(2.0) == CouplingModel().coefficient(np.int64(2))
     assert coupling_leakage(np.eye(2)) == 0.0
     row = dof_sweep(["cna"], [8])[0]
-    assert row.dof_brute == brute_force_split("cna", 8).dof_brute_force
+    assert row == brute_force_split("cna", 8)
     assert z_closed_form("cna", 8.0) == z_closed_form("cna", 8) == 93.0
     assert size_bounds(np.int64(3)) == (13, 45, 22) and k_tilde(3.0) == 22
     assert l3_bound(4.0) == l3_bound(4)
-    assert redundancy_second_order(5, "dca", 10.0) == 1.0
     assert SourceScene(np.array([5.0]), snr_db=0.0, snapshots=3).angles_deg == (5.0,)
 
 

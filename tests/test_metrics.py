@@ -14,7 +14,6 @@ from tosda import (
     coupling_leakage,
     coupling_matrix,
     l3_bound,
-    redundancy_second_order,
     redundancy_toeca,
     size_bounds,
     z_closed_form,
@@ -85,24 +84,6 @@ class TestRedundancyToeca:
         rep = redundancy_toeca(SensorArray("a", positions))
         assert rep.Z == 0
         assert rep.r_t == math.inf and rep.infinite
-
-
-class TestRedundancySecondOrder:
-    def test_sca_n4(self):
-        assert redundancy_second_order(4, "SCA") == pytest.approx(10 / 9)
-
-    def test_dca_perfect_basis(self):
-        # {0, 1, 3}: every difference in 1..3 is hit once
-        assert redundancy_second_order(3, "DCA", e=3) == pytest.approx(1.0)
-
-    def test_degenerate_sca_warns(self):
-        with pytest.warns(UserWarning):
-            value = redundancy_second_order(1, "SCA")
-        assert value < 1
-
-    def test_dca_needs_aperture(self):
-        with pytest.raises(InvalidParameterError):
-            redundancy_second_order(3, "DCA")
 
 
 class TestClosedFormRedundancy:
