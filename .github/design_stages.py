@@ -33,7 +33,7 @@ tosda.dof_sweep(('cna', 'scna', 'tna2'), range(4, 25))
 print(json.dumps([time.perf_counter() - start, 'numpy' in sys.modules]))
 """
 
-logging.disable(logging.WARNING)  # TNA-II's rounding-search notice
+logging.disable(logging.WARNING)  # TNA-II's notice of the rounding candidate it took
 
 
 def median_s(fn, *args, repeats=7, number=1):

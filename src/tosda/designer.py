@@ -153,7 +153,7 @@ def dof_closed_form(params: DesignParams) -> int:
         lam1, lam2 = _lambda_values(params.variant, params.N, m1, m2)
         return 2 * (lam2 + n2 * geometry.tail_offsets(lam1, lam2)[1]) + 1
     core = m1 * (m2 + 1) + params.J
-    if 9 <= params.N <= 14:
+    if params.N in _TNA2_SHORT_N:
         return 2 * (5 + 4 * n2) * core - 6 * n2 - 5
     return 2 * ((4 * n2 + 1) * core + (n2 - 1) + 4 * m1 * (m2 + 1) + 4 * params.J) + 1
 
@@ -195,11 +195,9 @@ def _splits(variant: str, n: int) -> Iterator[tuple[int, int]]:
 _Realized = tuple[int, int, int, int]
 
 
-def _search(
-    variant: str, n_values: Iterable[int], splits: Iterable[tuple[int, int]]
-) -> dict[int, _Realized]:
-    """The best realized split of ``splits`` at each N of ``n_values`` that
-    any of them builds at.
+def _search(variant: str, n_values: Iterable[int]) -> dict[int, _Realized]:
+    """The best realized split of :func:`_splits` at each N of ``n_values``
+    that any split builds at: the closed-form split's oracle, not its helper.
 
     A split serves every N above its N1.  The N values at which it has the
     same printed (lambda1, lambda2) (all of them but TNA-II's
@@ -222,10 +220,8 @@ def _search(
         [n for n in wanted if n in _TNA2_SHORT_N],
     )]
     ranks: dict[int, tuple[int, int, int, int]] = {}  # N -> least (-Z, N1, M1, M2)
-    for m1, m2 in splits:
+    for m1, m2 in _splits(variant, largest):
         n1 = geometry.split_sizes(variant, m1, m2)[0]
-        if m1 < 1 or m2 < 1 or n1 >= largest:
-            continue
         built = _generator(variant, m1, m2)
         if built is None:
             continue
@@ -246,36 +242,36 @@ def _search(
     return {n: (2 * -rank[0] + 1, *rank[1:]) for n, rank in ranks.items()}
 
 
-def _attempt_closed_form(variant: str, n: int) -> Optional[tuple[DesignParams, bool]]:
-    """The closed-form split, and whether the TNA-II rounding search chose it;
-    None when no candidate split builds."""
+def _attempt_closed_form(variant: str, n: int) -> Optional[tuple[DesignParams, int]]:
+    """The first feasible printed rounding candidate and its rank, or None.
+
+    CNA and SCNA print one candidate; TNA-II's printed rounding, which can
+    give an inconsistent generator, comes before its ceil and floor variants.
+    A candidate is feasible when M1, M2 >= 1, N1 < N and its generator builds
+    and reaches lag 1 (Z >= 1; TNA-II (1, 2) builds (0, 2, 4), even lags
+    only).  The printed tail starts at delta1 = lambda1 + lambda2 + 1, past
+    the generator's top, so no tail is built and no search runs."""
     n1_star = continuous_optimum_n1(variant, n)
     if variant in ("cna", "scna"):
         n1 = round_half_up(n1_star)
         m1 = round_half_up((n1 - 1) / 4)
-        direct, others = (m1, n1 - 2 * m1), []
+        candidates = [(m1, n1 - 2 * m1)]
     else:
-        # TNA-II: the printed rounding can produce an inconsistent generator
-        # (a segment can come out empty), so when the direct split fails
-        # its cardinality check the brute-force rule picks among the
-        # ceil/floor rounding variants.
         def roundings(x):  # the printed rounding first, then ceil and floor
             return dict.fromkeys((round_half_up(x), math.ceil(x), math.floor(x)))
 
-        direct, *others = [
+        candidates = [
             (n1 - m2, m2)
             for n1 in roundings(n1_star)
             for m2 in roundings((2 * n1 - 1) / 4)
         ]
-    # the printed tail starts at delta1 = lambda1 + lambda2 + 1, past the
-    # generator's top (the printed unit, or TNA-II's core), so a split whose
-    # generator builds builds whole
-    m1, m2 = direct
-    if (m1 >= 1 and m2 >= 1 and geometry.split_sizes(variant, m1, m2)[0] < n
-            and _generator(variant, m1, m2) is not None):
-        return DesignParams(variant, n, m1, m2), False
-    best = _search(variant, [n], others).get(n)
-    return None if best is None else (DesignParams(variant, n, *best[2:]), True)
+    for rank, (m1, m2) in enumerate(candidates):
+        if m1 < 1 or m2 < 1 or geometry.split_sizes(variant, m1, m2)[0] >= n:
+            continue
+        built = _generator(variant, m1, m2)
+        if built is not None and built[1].z >= 1:
+            return DesignParams(variant, n, m1, m2), rank
+    return None
 
 
 @functools.cache
@@ -307,12 +303,12 @@ def split_closed_form(variant: str, n: int) -> DesignParams:
         raise UnsupportedSizeError(
             f"no feasible {variant} split at N={n}", minimum=minimum
         )
-    params, fell_back = closed
-    if fell_back:
+    params, rank = closed
+    if rank > 0:
         log.warning(
-            "TNA-II split for N=%d: the printed rounding fails its cardinality "
-            "check; the rounding search chose (N1=%d, M1=%d, M2=%d, J=%d)",
-            n, params.N1, params.M1, params.M2, params.J,
+            "TNA-II split for N=%d: the printed rounding gives no generator that "
+            "reaches lag 1; took rounding candidate %d (N1=%d, M1=%d, M2=%d, J=%d)",
+            n, rank, params.N1, params.M1, params.M2, params.J,
         )
     return params
 
@@ -353,7 +349,7 @@ def dof_sweep(variants: Iterable[str], n_values: Iterable[int]) -> list[SweepRow
     rows = []
     for variant in variants:
         variant = normalize_variant(variant)
-        found = _search(variant, n_values, _splits(variant, max(n_values, default=0)))
+        found = _search(variant, n_values)
         for n in n_values:
             if n not in found:
                 raise UnsupportedSizeError(

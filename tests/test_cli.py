@@ -285,6 +285,19 @@ class TestDesign:
         assert main(["design", "--variant", "tna2", "--sensors", "8", "--strict",
                      "-o", str(tmp_path / "strict")]) == 3
 
+    @pytest.mark.parametrize("n", [482, 485])
+    def test_tna2_builds_past_the_position_cap(self, tmp_path, n):
+        # the printed rounding is inconsistent at these N, and the closed-form
+        # split takes another candidate without building its tail, so the
+        # array past MAX_POSITION is written with its lags not measured
+        assert main(["design", "--variant", "tna2", "--sensors", str(n),
+                     "-o", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "params.json").read_text())["dof_realized"] is None
+        assert read_manifest(tmp_path)["warnings"] == [
+            "the array reaches past position 16777216, so the consecutive lags "
+            "it realizes were not measured"
+        ]
+
     def test_below_minimum_fails(self, tmp_path, capsys):
         assert main(["design", "--variant", "cna", "--sensors", "2",
                      "-o", str(tmp_path)]) == 1

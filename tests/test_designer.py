@@ -13,6 +13,7 @@ from tosda import (
     brute_force_split,
     build_generator,
     build_gtoa,
+    consecutive_z,
     dof_closed_form,
     dof_sweep,
     minimum_sensors,
@@ -66,16 +67,75 @@ class TestClosedFormSplit:
         ],
     )
     def test_tna2_fallback_choices(self, n, want):
-        # the rounding search picks by the brute-force rule; at N=5 the
-        # first feasible rounding variant would be a different split
+        # the printed rounding's generator is inconsistent at these N, so the
+        # first ceil/floor candidate whose generator builds and reaches lag 1
+        # is taken; at N=5 that passes over (1, 2), whose generator misses it
         p = split_closed_form("tna2", n)
         assert (p.N1, p.M1, p.M2, p.J) == want
+
+    def test_tna2_12_generator_misses_lag_1(self):
+        assert generator_positions("tna2", 1, 2) == (0, 2, 4)
+        assert consecutive_z(build_generator("tna2", 1, 2)) == 0
+
+    def test_tna2_first_feasible_candidate_is_the_best_realized_one(self):
+        # where the printed candidate is inconsistent, the first feasible one
+        # must be the best realized one: build every other consistent one at
+        # N and rank by (-Z, N1, M1, M2), the exhaustive search's rule
+        def roundings(x):
+            return dict.fromkeys((round_half_up(x), math.ceil(x), math.floor(x)))
+
+        fell_back = 0
+        for n in range(3, 101):
+            printed, *others = [
+                (n1 - m2, m2) for n1 in roundings(continuous_optimum_n1("tna2", n))
+                for m2 in roundings((2 * n1 - 1) / 4)
+            ]
+            p = split_closed_form("tna2", n)
+            try:
+                build_generator("tna2", *printed)
+            except GeometryInconsistencyError:
+                pass
+            else:
+                assert (p.M1, p.M2) == printed, n
+                continue
+            realized = []
+            for m1, m2 in others:
+                if m1 < 1 or m2 < 1 or split_sizes("tna2", m1, m2)[0] >= n:
+                    continue
+                try:
+                    generator = build_generator("tna2", m1, m2)
+                except GeometryInconsistencyError:
+                    continue
+                q = DesignParams("tna2", n, m1, m2)
+                z = consecutive_z(build_gtoa(generator, q.delta1, q.delta2, q.N2))
+                realized.append((-z, q.N1, m1, m2))
+            assert (p.M1, p.M2) == min(realized)[2:], n
+            fell_back += 1
+        assert fell_back == 32  # every N = 2 (mod 3) from 5 to 98
+
+    def test_closed_form_calls_no_search(self, monkeypatch):
+        from tosda import designer, lagset
+
+        expected = {(v, n): split_closed_form(v, n)
+                    for v in ("cna", "scna", "tna2") for n in range(4, 41)}
+
+        def refused(*args):
+            raise AssertionError("the closed-form split ran a search")
+
+        monkeypatch.setattr(designer, "_search", refused)
+        monkeypatch.setattr(lagset, "check_cap", refused)
+        minimum_sensors.cache_clear()
+        _generator.cache_clear()
+        for (variant, n), params in expected.items():
+            assert split_closed_form(variant, n) == params
 
     def test_fallback_logged_once_and_only_by_split_closed_form(self, caplog):
         caplog.set_level(logging.WARNING, logger="tosda.designer")
         split_closed_form("tna2", 8)
         assert len(caplog.records) == 1
-        assert "N=8" in caplog.records[0].getMessage()
+        assert caplog.records[0].getMessage().endswith(
+            "N=8: the printed rounding gives no generator that reaches lag 1; "
+            "took rounding candidate 1 (N1=5, M1=2, M2=3, J=2)")
         caplog.clear()
         minimum_sensors.cache_clear()
         assert minimum_sensors("tna2") == 3
