@@ -3,8 +3,9 @@
 Subcommands: ``design``, ``coarray``, ``metrics``, ``leakage``,
 ``simulate``, ``sweep``.  Each ``cmd_*`` returns its output files as text
 and its manifest fields; :func:`main` alone creates the output directory,
-writes the files and ``manifest.json``, prints the warnings and picks the
-exit code, so every subcommand keeps one contract:
+writes the files and ``manifest.json``, prints the warnings (the
+subcommand's and those the ``tosda`` loggers emit during the run) and picks
+the exit code, so every subcommand keeps one contract:
 
 - every successful run writes its outputs plus a ``manifest.json`` with the
   same keys (``tool``, ``version``, ``subcommand``, ``parameters``,
@@ -28,6 +29,7 @@ import csv
 import dataclasses
 import io
 import json
+import logging
 import math
 import os
 import sys
@@ -96,59 +98,56 @@ def _parse_range(text: str) -> list[int]:
 
 def cmd_design(args) -> tuple[dict, dict]:
     fields: dict = {"warnings": []}
-    realized = ""
     if args.variant:
         array, params = geometry.build_to_sda(args.variant, args.sensors)
-        # the closed form is a claim; the consecutive lags the built array
-        # reaches are measured, and a shortfall, or no measurement, is a warning
         dof_closed = designer.dof_closed_form(params)
-        dof_realized = None
-        if array.positions[-1] > geometry.MAX_POSITION:
-            fields["warnings"].append(
-                f"the array reaches past position {geometry.MAX_POSITION}, so the "
-                "consecutive lags it realizes were not measured"
-            )
-        else:
-            dof_realized = 2 * lagset.consecutive_z(array) + 1
-            if dof_realized < dof_closed:
-                fields["warnings"].append(
-                    f"the array realizes {dof_realized} consecutive lags, fewer than "
-                    f"the closed form's {dof_closed}"
-                )
-        params_info = {
-            **params.to_json_dict(), "dof_closed": dof_closed, "dof_realized": dof_realized,
-        }
-        realized = f"; dof_realized {json.dumps(dof_realized)}, dof_closed {dof_closed}"
-        if args.oracle:
-            row = designer.brute_force_split(args.variant, args.sensors)
-            best = designer.DesignParams(row.variant, row.N, row.M1, row.M2).to_json_dict()
-            fields["oracle"] = {
-                "params": best, "dof_closed_form": row.dof_closed,
-                "dof_brute_force": row.dof_brute, "agreement": row.agreement,
-            }
-            verdict = "agrees with" if row.agreement else "DISAGREES with"
-            print(
-                f"oracle: brute-force consecutive lags {row.dof_brute} "
-                f"{verdict} closed form {row.dof_closed}",
-                file=sys.stderr,
-            )
-            if not row.agreement:
-                fields["warnings"].append(
-                    f"closed-form consecutive-lag count {row.dof_closed} "
-                    f"!= brute-force optimum {row.dof_brute} (best split {best})"
-                )
+        params_info = params.to_json_dict()
     else:
         generator = geometry.load_array(args.generator)
-        array = geometry.build_gtoa(
-            generator, args.delta1, args.delta2, args.n2
-        )
+        array, (lambda1, lambda2) = designer.gtoa(generator, args.sensors)
+        delta1, delta2 = geometry.tail_offsets(lambda1, lambda2)
+        n2 = array.size - generator.size
+        dof_closed = designer.gtoa_dof(lambda1, lambda2, n2)
         params_info = {
-            "generator": generator.name,
-            "delta1": args.delta1,
-            "delta2": args.delta2,
-            "N2": args.n2,
+            "generator": generator.name, "N": array.size, "N2": n2,
+            "lambda1": lambda1, "lambda2": lambda2, "delta1": delta1, "delta2": delta2,
         }
-    print(f"{array.name}: positions {list(array.positions)}{realized}")
+    # the closed form is a claim; the consecutive lags the built array
+    # reaches are measured, and a shortfall, or no measurement, is a warning
+    dof_realized = None
+    if array.positions[-1] > geometry.MAX_POSITION:
+        fields["warnings"].append(
+            f"the array reaches past position {geometry.MAX_POSITION}, so the "
+            "consecutive lags it realizes were not measured"
+        )
+    else:
+        dof_realized = 2 * lagset.consecutive_z(array) + 1
+        if dof_realized < dof_closed:
+            fields["warnings"].append(
+                f"the array realizes {dof_realized} consecutive lags, fewer than "
+                f"the closed form's {dof_closed}"
+            )
+    params_info.update(dof_closed=dof_closed, dof_realized=dof_realized)
+    if args.oracle:
+        row = designer.brute_force_split(args.variant, args.sensors)
+        best = designer.DesignParams(row.variant, row.N, row.M1, row.M2).to_json_dict()
+        fields["oracle"] = {
+            "params": best, "dof_closed_form": row.dof_closed,
+            "dof_brute_force": row.dof_brute, "agreement": row.agreement,
+        }
+        verdict = "agrees with" if row.agreement else "DISAGREES with"
+        print(
+            f"oracle: brute-force consecutive lags {row.dof_brute} "
+            f"{verdict} closed form {row.dof_closed}",
+            file=sys.stderr,
+        )
+        if not row.agreement:
+            fields["warnings"].append(
+                f"closed-form consecutive-lag count {row.dof_closed} "
+                f"!= brute-force optimum {row.dof_brute} (best split {best})"
+            )
+    print(f"{array.name}: positions {list(array.positions)}; "
+          f"dof_realized {json.dumps(dof_realized)}, dof_closed {dof_closed}")
     files = {
         "array.json": _json(array.to_json_dict(), sort_keys=False),
         "params.json": _json(params_info),
@@ -157,9 +156,6 @@ def cmd_design(args) -> tuple[dict, dict]:
         "variant": args.variant,
         "sensors": args.sensors,
         "generator": args.generator,
-        "delta1": args.delta1,
-        "delta2": args.delta2,
-        "n2": args.n2,
         "oracle": args.oracle,
         "params": params_info,
     }
@@ -471,15 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "design",
-        help="build an array from a variant split or an explicit generator",
+        help="build an array from a variant split or from a generator",
         description=f"Feasible sensor counts: {minimums}.",
     )
     p.add_argument("--variant", choices=list(geometry.VARIANTS))
     p.add_argument("--sensors", type=int, help="total sensor count N")
-    p.add_argument("--generator", help="generator array JSON file")
-    p.add_argument("--delta1", type=int, help="tail offset")
-    p.add_argument("--delta2", type=int, help="tail pitch")
-    p.add_argument("--n2", type=int, help="tail sensor count")
+    p.add_argument("--generator",
+                   help="generator array JSON file; its measured reaches set the tail")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the split against exhaustive search")
     p.set_defaults(func=cmd_design)
@@ -527,10 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The two flag routes of a subcommand that has two: a run gives every flag
-# of one route and none of the other's.
+# The two flag routes of a subcommand that has two: a run gives the flags of
+# one route exactly, none more and none fewer.
 _ROUTES = {
-    "design": (("variant", "sensors"), ("generator", "delta1", "delta2", "n2")),
+    "design": (("variant", "sensors"), ("generator", "sensors")),
     "metrics": (("array",), ("variant", "n_range")),
     "leakage": (("array",), ("variant", "sensors")),
 }
@@ -539,20 +533,33 @@ _ROUTES = {
 def _validate_args(args) -> None:
     routes = _ROUTES.get(args.subcommand)
     if routes:
-        given = [[getattr(args, flag) is not None for flag in route] for route in routes]
-        started = [any(flags) for flags in given]
-        if started.count(True) != 1 or not all(given[started.index(True)]):
+        given = {flag for route in routes for flag in route if getattr(args, flag) is not None}
+        if given not in [set(route) for route in routes]:
             options = " or ".join(
                 " ".join("--" + flag.replace("_", "-") for flag in route) for route in routes
             )
-            raise TosdaError(f"{args.subcommand} takes all the flags of one route: {options}")
+            raise TosdaError(f"{args.subcommand} takes the flags of one route: {options}")
     if getattr(args, "oracle", False) and args.variant is None:
         raise TosdaError("design --oracle goes with --variant and --sensors")
     if getattr(args, "threads", 1) < 1:
         raise TosdaError("--threads must be >= 1")
 
 
+class _Recorder(logging.Handler):
+    """The messages of the warnings logged while it is attached."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
 def main(argv=None) -> int:
+    # the tosda loggers' warnings of a run are manifest warnings, printed once
+    logger, recorder = logging.getLogger("tosda"), _Recorder()
+    logger.addHandler(recorder)
     try:
         args = build_parser().parse_args(argv)
         _validate_args(args)
@@ -565,13 +572,15 @@ def main(argv=None) -> int:
             "subcommand": args.subcommand,
             "master_seed": None,
             "outputs": list(files),
-            "warnings": [],
             **fields,
+            "warnings": [*recorder.messages, *fields.get("warnings", [])],
         }
         _save(outdir, {**files, "manifest.json": _json(manifest)})
     except TosdaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(recorder)
     for w in manifest["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
     if manifest["warnings"] and args.strict:

@@ -141,21 +141,42 @@ class DesignParams:
         return {key: getattr(self, key) for key in keys}
 
 
-def dof_closed_form(params: DesignParams) -> int:
-    """Consecutive-lag count predicted by the variant's closed form.
+def gtoa_dof(lambda1: int, lambda2: int, n2: int) -> int:
+    """The consecutive lags 2*(lambda2 + N2*delta2) + 1 a GTOA of ``n2`` tail
+    sensors holds at least, when its generator's co-arrays reach ``lambda1``
+    and ``lambda2`` and its tail pitch is delta2 = 2*lambda1 + 1."""
+    return 2 * (lambda2 + n2 * geometry.tail_offsets(lambda1, lambda2)[1]) + 1
 
-    CNA and SCNA use the gap-free GTOA count 2*(lambda2 + N2*delta2) + 1
-    with delta2 from :func:`geometry.tail_offsets`; TNA-II keeps its printed
-    expressions.
+
+def dof_closed_form(params: DesignParams) -> int:
+    """Consecutive-lag count predicted by the variant's closed form: the GTOA
+    count (:func:`gtoa_dof`) of its printed lambdas.  TNA-II's printed count
+    exceeds that by 2*(2*core - 1), twice its printed lambda1 outside
+    :data:`_TNA2_SHORT_N` less one, at every N.
     """
-    m1, m2, n2 = params.M1, params.M2, params.N2
-    if params.variant != "tna2":
-        lam1, lam2 = _lambda_values(params.variant, params.N, m1, m2)
-        return 2 * (lam2 + n2 * geometry.tail_offsets(lam1, lam2)[1]) + 1
-    core = m1 * (m2 + 1) + params.J
-    if params.N in _TNA2_SHORT_N:
-        return 2 * (5 + 4 * n2) * core - 6 * n2 - 5
-    return 2 * ((4 * n2 + 1) * core + (n2 - 1) + 4 * m1 * (m2 + 1) + 4 * params.J) + 1
+    m1, m2 = params.M1, params.M2
+    dof = gtoa_dof(*_lambda_values(params.variant, params.N, m1, m2), params.N2)
+    if params.variant == "tna2":
+        dof += 2 * (_printed_reaches("tna2", m1, m2)[0][0] - 1)
+    return dof
+
+
+def gtoa(generator: geometry.SensorArray, n: int) -> tuple[geometry.SensorArray, tuple[int, int]]:
+    """The GTOA of ``n`` sensors on ``generator``, with the tail its measured
+    reaches give (:attr:`lagset.LagSet.reaches`, :func:`geometry.tail_offsets`),
+    and those reaches (lambda1, lambda2).  A generator past MAX_POSITION, or
+    an ``n`` that leaves no tail sensor, raises
+    :class:`InvalidParameterError`; a tail that lands on the generator raises
+    :class:`GeometryInconsistencyError`, as in :func:`geometry.build_gtoa`."""
+    n = whole_number(n, "n")
+    if n <= generator.size:
+        raise InvalidParameterError(
+            f"n must exceed the generator's {generator.size} sensors, got {n}"
+        )
+    lagset.check_cap(generator.positions, generator.name)
+    reaches = lagset.LagSet().add(*generator.positions).reaches
+    tail = geometry.tail_offsets(*reaches)
+    return geometry.build_gtoa(generator, *tail, n - generator.size), reaches
 
 
 # each split search asks once for every generator with N1 below its largest

@@ -273,8 +273,10 @@ def build_to_sda(variant: str, n: int) -> tuple[SensorArray, DesignParams]:
     SCNA that makes the co-array gap-free, so the realized DOF is the closed
     form's (187 and 217 at N = 8).  TNA-II's printed lambda1 exceeds its
     generator's measured one, so its tail leaves gaps: at N = 8 the closed
-    form says 345 and the array realizes 71.  Other offsets remain reachable
-    through :func:`build_gtoa`.
+    form says 345 and the array realizes 71.  :func:`designer.gtoa`, behind
+    ``tosda design --generator``, builds the tail of the measured lambdas
+    instead, which on the same N = 8 generator realizes 135.  Other offsets
+    remain reachable through :func:`build_gtoa`.
     """
     from . import designer  # deferred: designer builds on this module
 

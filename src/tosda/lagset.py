@@ -1,7 +1,7 @@
 """The lag set of a third-order exhaustive co-array, as bits of integers.
 
 Where only the consecutive segment of the TO-ECA matters (the split
-search, ``sweep --baseline``, ``design --variant`` and the simulator's Z),
+search, ``sweep --baseline``, ``design`` and the simulator's Z),
 :class:`LagSet` holds its non-negative lags alone, as bits of Python
 integers, grown by sensors added one at a time in a few local ints;
 :func:`consecutive_z` reads Z from it.  This module needs the standard
@@ -49,7 +49,9 @@ class LagSet:
     pattern 3); pattern 4 adds only lag 0, which pattern 1 already holds.
     Adding v contributes v + p, |p - v| (p - v from p above v, v - p from
     2*v - p reversed, in one shift) and v + b - c, in about a dozen shifts
-    and ORs.
+    and ORs.  The pair sums and the non-negative differences also give the
+    second-order reach lambda1 of the sensors held (:attr:`reaches`), so a
+    generator's whole tail rule is read from its set.
     ``LagSet()`` holds no sensor; ``LagSet().add(*positions)`` is the set of
     the strictly increasing, non-negative ``positions``.
     """
@@ -113,6 +115,15 @@ class LagSet:
         """``to_eca(...).one_sided_z`` of the sensors held: the run of
         non-negative lags from 0, less one (-1 when none is held)."""
         return _run_below(self._lags)
+
+    @property
+    def reaches(self) -> tuple[int, int]:
+        """(lambda1, lambda2) of the sensors held: lambda1 is the last lag of
+        the run from 0 of their pair sums a + b together with their
+        differences |a - b| (the second-order co-arrays SCA and DCA), and
+        lambda2 is :attr:`z`; both are -1 when no sensor is held.  A GTOA's
+        tail follows from these two alone (:func:`geometry.tail_offsets`)."""
+        return _run_below(self._pairs | self._diffs >> max(self.top, 0)), self.z
 
 
 def _run_below(lags: int) -> int:

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tosda import (
-    CouplingModel, SensorArray, build_to_sda, build_ula, save_array, simulator, to_eca,
+    CouplingModel, SensorArray, build_generator, build_to_sda, build_ula, save_array,
+    simulator, split_closed_form, to_eca,
 )
 from tosda.cli import _fmt, main
 
@@ -50,8 +51,8 @@ RUNS = {
     "design-variant": (["design", "--variant", "cna", "--sensors", "8"], set(), False),
     "design-oracle": (["design", "--variant", "tna2", "--sensors", "8", "--oracle"],
                       {"oracle"}, True),
-    "design-generator": (["design", "--generator", "{in}/g.json", "--delta1", "31",
-                          "--delta2", "25", "--n2", "3"], set(), False),
+    "design-generator": (["design", "--generator", "{in}/g.json", "--sensors", "8"],
+                         set(), False),
     "coarray": (["coarray", "{in}/ula.json"], set(), False),
     "metrics-array": (["metrics", "--array", "{in}/ula.json"], set(), False),
     "metrics-variant": (["metrics", "--variant", "tna2", "--n-range", "2:30"], set(), True),
@@ -89,11 +90,11 @@ def test_every_run_writes_the_same_manifest(name, inputs, tmp_path, capsys):
         ["design", "--oracle"],
         ["design", "--variant", "cna"],
         ["design", "--sensors", "8", "--oracle"],
-        ["design", "--generator", "{in}/g.json", "--delta1", "31", "--delta2", "25"],
-        ["design", "--variant", "cna", "--sensors", "8", "--n2", "3"],
+        ["design", "--generator", "{in}/g.json"],
+        ["design", "--variant", "cna", "--generator", "{in}/g.json"],
         ["design", "--variant", "cna", "--sensors", "8", "--generator", "{in}/g.json"],
-        ["design", "--generator", "{in}/g.json", "--delta1", "31", "--delta2", "25",
-         "--n2", "3", "--oracle"],
+        ["design", "--generator", "{in}/g.json", "--sensors", "8", "--oracle"],
+        ["design", "--generator", "{in}/g.json", "--sensors", "5"],
         ["metrics"],
         ["metrics", "--variant", "cna"],
         ["metrics", "--n-range", "2:30"],
@@ -107,7 +108,8 @@ def test_every_run_writes_the_same_manifest(name, inputs, tmp_path, capsys):
     ],
     ids=["design-none", "design-oracle-only", "design-half-variant",
          "design-half-variant-oracle", "design-half-generator", "design-both",
-         "design-variant-generator", "design-generator-oracle", "metrics-none",
+         "design-variant-generator", "design-generator-oracle",
+         "design-generator-no-tail", "metrics-none",
          "metrics-half-variant", "metrics-half-range", "metrics-both",
          "metrics-array-range", "leakage-none", "leakage-half-variant",
          "leakage-half-sensors", "leakage-both", "leakage-array-sensors"],
@@ -146,8 +148,9 @@ class TestOutputDirectory:
 @pytest.mark.parametrize(
     "argv",
     [["coarray", "{in}/far.json"], ["metrics", "--array", "{in}/far.json"],
-     ["sweep", "--variants", "cna", "--n-range", "4:4", "--baseline", "{in}/far.json"]],
-    ids=["coarray", "metrics", "sweep"],
+     ["sweep", "--variants", "cna", "--n-range", "4:4", "--baseline", "{in}/far.json"],
+     ["design", "--generator", "{in}/far.json", "--sensors", "8"]],
+    ids=["coarray", "metrics", "sweep", "design-generator"],
 )
 @pytest.mark.parametrize("top", [2**62, 2**70], ids=["2**62", "2**70"])
 def test_position_past_the_cap_exits_1(argv, top, inputs, tmp_path, capsys):
@@ -221,17 +224,15 @@ def test_bad_flag_value_exits_1(argv, message, inputs, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, top",
     [(["design", "--variant", "cna", "--sensors", "1000"], 74796125),
-     (["design", "--generator", "{in}/g.json", "--delta1", str(2**24 + 1),
-       "--delta2", "25", "--n2", "3"], 2**24 + 51),
      (["leakage", "--variant", "cna", "--sensors", "1000"], None)],
-    ids=["design-variant", "design-generator", "leakage-variant"],
+    ids=["design-variant", "leakage-variant"],
 )
 def test_array_past_the_cap_needs_no_coarray(argv, top, inputs, tmp_path):
     # the co-array cap binds the co-array commands only: these list the array
     assert main([*_argv(argv, inputs), "-o", str(tmp_path)]) == 0
     if top is not None:
         assert json.loads((tmp_path / "array.json").read_text())["positions"][-1] == top
-    if argv[1] == "--variant" and argv[0] == "design":
+    if argv[0] == "design":
         # its realized consecutive lags cannot be read, and it says so
         assert json.loads((tmp_path / "params.json").read_text())["dof_realized"] is None
         assert read_manifest(tmp_path)["warnings"] == [
@@ -259,7 +260,10 @@ class TestDesign:
 
     def test_tna2_params(self, tmp_path, capsys):
         # TNA-II's printed lambdas overstate its generator's, so its tail
-        # leaves gaps: the array falls short of the closed form, and says so
+        # leaves gaps: the array falls short of the closed form, and says so;
+        # at N = 8 the closed-form split's rounding notice is a warning too
+        rounding = ("TNA-II split for N=8: the printed rounding gives no generator "
+                    "that reaches lag 1; took rounding candidate 1 (N1=5, M1=2, M2=3, J=2)")
         for n, realized, closed in [(8, 71, 345), (9, 87, 453), (12, 145, 937),
                                     (24, 505, 5861)]:
             out = tmp_path / str(n)
@@ -272,11 +276,13 @@ class TestDesign:
             assert realized == 2 * z + 1
             captured = capsys.readouterr()
             assert captured.out.endswith(f"; dof_realized {realized}, dof_closed {closed}\n")
+            warnings = [rounding] if n == 8 else []
             assert read_manifest(out)["warnings"] == [
+                *warnings,
                 f"the array realizes {realized} consecutive lags, fewer than "
-                f"the closed form's {closed}"
+                f"the closed form's {closed}",
             ]
-            assert captured.err.count("warning: ") == 1
+            assert captured.err.count("warning: ") == len(warnings) + 1
         assert json.loads((tmp_path / "8" / "params.json").read_text()) == {
             "variant": "tna2", "N": 8, "N1": 5, "N2": 3, "M1": 2, "M2": 3, "J": 2,
             "delta1": 51, "delta2": 41, "lambda1": 20, "lambda2": 30,
@@ -289,30 +295,57 @@ class TestDesign:
     def test_tna2_builds_past_the_position_cap(self, tmp_path, n):
         # the printed rounding is inconsistent at these N, and the closed-form
         # split takes another candidate without building its tail, so the
-        # array past MAX_POSITION is written with its lags not measured
+        # array past MAX_POSITION is written with its lags not measured; both
+        # notices are manifest warnings
         assert main(["design", "--variant", "tna2", "--sensors", str(n),
                      "-o", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "params.json").read_text())["dof_realized"] is None
-        assert read_manifest(tmp_path)["warnings"] == [
+        rounding, unmeasured = read_manifest(tmp_path)["warnings"]
+        assert rounding.startswith(f"TNA-II split for N={n}: the printed rounding gives no ")
+        assert unmeasured == (
             "the array reaches past position 16777216, so the consecutive lags "
             "it realizes were not measured"
-        ]
+        )
 
     def test_below_minimum_fails(self, tmp_path, capsys):
         assert main(["design", "--variant", "cna", "--sensors", "2",
                      "-o", str(tmp_path)]) == 1
         assert "at least" in capsys.readouterr().err
 
-    def test_generator_route(self, tmp_path):
+    def test_generator_route(self, tmp_path, capsys):
+        # the CNA (1, 3) generator's measured reaches give the tail the
+        # variant route builds at N = 8
         gen_file = tmp_path / "g.json"
         gen_file.write_text(json.dumps(
             {"name": "g", "positions": [0, 1, 3, 5, 6]}
         ))
-        assert main(["design", "--generator", str(gen_file),
-                     "--delta1", "31", "--delta2", "25", "--n2", "3",
+        assert main(["design", "--generator", str(gen_file), "--sensors", "8",
                      "-o", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "g+tail(3): positions [0, 1, 3, 5, 6, 31, 56, 81]; "
+            "dof_realized 187, dof_closed 187\n")
         array = json.loads((tmp_path / "array.json").read_text())
         assert array["positions"] == [0, 1, 3, 5, 6, 31, 56, 81]
+        assert json.loads((tmp_path / "params.json").read_text()) == {
+            "generator": "g", "N": 8, "N2": 3, "lambda1": 12, "lambda2": 18,
+            "delta1": 31, "delta2": 25, "dof_closed": 187, "dof_realized": 187,
+        }
+        assert read_manifest(tmp_path)["warnings"] == []
+
+    @pytest.mark.parametrize("n, realized, closed", [
+        (8, 135, 115), (9, 319, 319), (12, 699, 691), (16, 1489, 1489), (24, 4779, 4779),
+    ])
+    def test_generator_route_on_tna2_generators(self, n, realized, closed, tmp_path):
+        # the closed-form TNA-II generator with its measured reaches realizes
+        # what the printed-lambda tail of --variant tna2 (71 at N = 8) does not
+        params = split_closed_form("tna2", n)
+        save_array(build_generator("tna2", params.M1, params.M2), tmp_path / "g.json")
+        assert main(["design", "--generator", str(tmp_path / "g.json"), "--sensors", str(n),
+                     "-o", str(tmp_path / "out")]) == 0
+        written = json.loads((tmp_path / "out" / "params.json").read_text())
+        assert (written["dof_realized"], written["dof_closed"]) == (realized, closed)
+        assert realized >= closed
+        assert read_manifest(tmp_path / "out")["warnings"] == []
 
     def test_oracle_records_tna2_disagreement(self, tmp_path):
         assert main(["design", "--variant", "tna2", "--sensors", "8",
@@ -398,6 +431,16 @@ class TestLeakage:
         rows = read_csv(tmp_path / "leakage.csv")
         assert rows[1][1] == "(6,3)"
         assert 0 < float(rows[1][2]) < 1
+
+    def test_tna2_rounding_notice_is_a_warning(self, tmp_path, capsys):
+        # the closed-form split logs it; the run records it and prints it once
+        assert main(["leakage", "--variant", "tna2", "--sensors", "8",
+                     "-o", str(tmp_path)]) == 0
+        (warning,) = read_manifest(tmp_path)["warnings"]
+        assert warning.startswith("TNA-II split for N=8: the printed rounding gives no ")
+        assert capsys.readouterr().err.count("TNA-II split for N=8") == 1
+        assert main(["leakage", "--variant", "tna2", "--sensors", "8", "--strict",
+                     "-o", str(tmp_path / "strict")]) == 3
 
     @pytest.mark.parametrize("flags, field, value", [
         ([], None, None),

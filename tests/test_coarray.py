@@ -352,6 +352,19 @@ class TestLagSet:
             assert z == folded.z == to_eca(prefix).one_sided_z, positions[:i]
         assert lag_set_state(shared) == before
 
+    # lambda1 is the run from 0 of SCA, -SCA and DCA together, lambda2 the
+    # TO-ECA's Z
+    @given(positions_from_zero(80, 9))
+    @example((0,))
+    @example((0, 2, 4))
+    @example((0, 3, 7, 9, 10))
+    def test_reaches_match_the_second_order_co_arrays(self, positions):
+        arr = SensorArray("h", positions)
+        lags = {*second_order(arr, "sca").phi_u, *second_order(arr, "dca").phi_u}
+        lambda1 = brute_report(lags | {-lag for lag in lags})[1]
+        assert LagSet().add(*positions).reaches == (lambda1, to_eca(arr).one_sided_z)
+        assert LagSet().reaches == (-1, -1)
+
     # the last sensor of each run is the bad one
     @pytest.mark.parametrize("run,top", [
         ((5,), 5), ((2,), 5), ((-1,), 5), ((7, 6), 7), ((8, 9, 9), 9),

@@ -3,16 +3,20 @@ import logging
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tosda import (
     DesignParams,
     GeometryInconsistencyError,
     InternalConsistencyError,
     InvalidParameterError,
+    SensorArray,
     UnsupportedSizeError,
     brute_force_split,
     build_generator,
     build_gtoa,
+    build_to_sda,
     consecutive_z,
     dof_closed_form,
     dof_sweep,
@@ -22,8 +26,11 @@ from tosda import (
 )
 from tosda.designer import (
     _generator,
+    _printed_reaches,
     _splits,
     continuous_optimum_n1,
+    gtoa,
+    gtoa_dof,
     round_half_up,
 )
 from tosda.geometry import generator_positions, gtoa_positions, split_sizes
@@ -178,6 +185,62 @@ class TestLambdaPair:
         lam1 = 2 * (m1 - 1) + 2 * m2 * (m1 + 1)
         assert sums == set(range(lam1 + 1))
 
+    def test_measured_reaches_are_the_printed_ones_but_for_tna2(self):
+        # every CNA and SCNA generator with M1, M2 < 20 measures its printed
+        # (lambda1, lambda2); most TNA-II generators do not (N = 8's
+        # (0, 3, 7, 9, 10) prints (20, 30) and measures (4, 30))
+        for variant, generators, differ in (("cna", 361, 0), ("scna", 361, 0),
+                                            ("tna2", 55, 47)):
+            built = {
+                split: _generator(variant, *split)
+                for split in itertools.product(range(1, 20), repeat=2)
+            }
+            mismatched = [
+                split for split, found in built.items() if found is not None
+                and found[1].reaches != _printed_reaches(variant, *split)[0]
+            ]
+            assert sum(found is not None for found in built.values()) == generators
+            assert len(mismatched) == differ, variant
+        assert _generator("tna2", 2, 3)[1].reaches == (4, 30)
+
+
+class TestGtoa:
+    # the tail of the measured reaches tiles the co-array: the GTOA realizes
+    # at least 2*(lambda2 + N2*delta2) + 1, unless its tail lands on the
+    # generator, which raises
+    @given(st.sets(st.integers(1, 30), max_size=5), st.integers(1, 4))
+    @example(set(), 1)
+    @example({2, 4}, 1)
+    @example({1, 3, 5, 6}, 3)
+    def test_tiling_bound(self, rest, n2):
+        generator = SensorArray("g", (0, *sorted(rest)))
+        try:
+            array, (lambda1, lambda2) = gtoa(generator, generator.size + n2)
+        except GeometryInconsistencyError:
+            return
+        assert set(generator.positions) < set(array.positions)
+        assert 2 * consecutive_z(array) + 1 >= gtoa_dof(lambda1, lambda2, n2)
+
+    @pytest.mark.parametrize("variant", ["cna", "scna"])
+    def test_is_build_to_sda_on_closed_form_generators(self, variant):
+        # the measured reaches of CNA and SCNA are the printed ones
+        for n in range(minimum_sensors(variant), 25):
+            array, params = build_to_sda(variant, n)
+            generator = build_generator(variant, params.M1, params.M2)
+            built, reaches = gtoa(generator, n)
+            assert built.positions == array.positions, n
+            assert reaches == (params.lambda1, params.lambda2)
+
+    @pytest.mark.parametrize("n", [5, 4, 0])
+    def test_needs_a_tail_sensor(self, n):
+        with pytest.raises(InvalidParameterError, match=f"n must exceed the generator's 5 "
+                                                         f"sensors, got {n}"):
+            gtoa(SensorArray("g", (0, 1, 3, 5, 6)), n)
+
+    def test_generator_past_the_cap_raises(self):
+        with pytest.raises(InvalidParameterError, match="largest position"):
+            gtoa(SensorArray("g", (0, 1, 2**24 + 1)), 4)
+
 
 class TestDofClosedForm:
     def test_cna8(self):
@@ -189,6 +252,24 @@ class TestDofClosedForm:
     def test_cna_minimal(self):
         p = split_closed_form("cna", 4)
         assert dof_closed_form(p) == 31
+
+    def test_tna2_printed_count_is_the_gtoa_count_plus_its_surplus(self):
+        # the printed TNA-II expressions, outside 9 <= N <= 14 and inside it
+        def printed(p):
+            core = p.M1 * (p.M2 + 1) + p.J
+            if 9 <= p.N <= 14:
+                return 2 * (5 + 4 * p.N2) * core - 6 * p.N2 - 5
+            return 2 * ((4 * p.N2 + 1) * core + (p.N2 - 1)
+                        + 4 * p.M1 * (p.M2 + 1) + 4 * p.J) + 1
+
+        for m1, m2 in itertools.product(range(1, 25), repeat=2):
+            n1 = split_sizes("tna2", m1, m2)[0]
+            for n in range(n1 + 1, n1 + 20):
+                p = DesignParams("tna2", n, m1, m2)
+                assert dof_closed_form(p) == printed(p), (n, m1, m2)
+        # N = 8's split (2, 3) has core 10: 345 = 307 + 2 * (2 * 10 - 1)
+        p = DesignParams("tna2", 8, 2, 3)
+        assert (dof_closed_form(p), gtoa_dof(p.lambda1, p.lambda2, p.N2)) == (345, 307)
 
 
 class TestBruteForceSplit:
