@@ -1,7 +1,7 @@
-"""Print the cold start of the design layer: the median wall time, over 5
-fresh processes, of ``import tosda`` plus one ``dof_sweep(("cna", "scna",
-"tna2"), range(4, 25))``, and whether numpy got loaded.  Then the median
-wall time of the design-layer stages: ``to_eca`` and
+"""Print the cold start of the design layer: the median wall time, with its
+quartiles, over 5 fresh processes, of ``import tosda`` plus one
+``dof_sweep(("cna", "scna", "tna2"), range(4, 25))``, and whether numpy got
+loaded.  Then the median wall time of the design-layer stages: ``to_eca`` and
 ``consecutive_z`` in microseconds on CNA N=24 and TNA-II N=24, then in
 milliseconds one single-N ``brute_force_split("tna2", n)`` at N = 8, 24 and
 40, and one whole ``dof_sweep(("cna", "scna", "tna2"), range(4, 25))``, the
@@ -17,6 +17,10 @@ scale, so each variant rebuilds its own).  Last, the memo's hits and misses over
 from an empty memo: the search asks for each generator once per call, so
 within one sweep only the closed-form split's own lookups hit; the search's
 hits come from later calls.
+
+Each repeated stage prints its median with the first and third quartiles of
+its repeats next to it, so the log shows how far apart the repeats of one
+line lie: a change smaller than that spread is not resolved by one run.
 
 Run from any directory: ``python .github/design_stages.py``.
 """
@@ -36,32 +40,40 @@ print(json.dumps([time.perf_counter() - start, 'numpy' in sys.modules]))
 logging.disable(logging.WARNING)  # TNA-II's notice of the rounding candidate it took
 
 
-def median_s(fn, *args, repeats=7, number=1):
+def spread(times, scale, digits=1):
+    """'median (quartiles q1-q3)' of ``times``, each multiplied by ``scale``."""
+    q1, median, q3 = (scale * t for t in statistics.quantiles(times, n=4))
+    return f'{median:.{digits}f} (quartiles {q1:.{digits}f}-{q3:.{digits}f})'
+
+
+def times_s(fn, *args, repeats=7, number=1):
+    """The wall time of each of ``repeats`` repeats, per call of ``number`` calls."""
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         for _ in range(number):
             fn(*args)
         times.append((time.perf_counter() - start) / number)
-    return statistics.median(times)
+    return times
 
 
 cold = [json.loads(subprocess.run([sys.executable, '-c', COLD_START], check=True,
                                    capture_output=True, text=True,
                                    env={**os.environ, 'PYTHONPATH': SRC}).stdout)
         for _ in range(5)]
-print(f'cold start, import tosda + dof_sweep N=4..24: {1e3 * statistics.median(t for t, _ in cold):.1f} ms, '
+print(f'cold start, import tosda + dof_sweep N=4..24: {spread([t for t, _ in cold], 1e3)} ms, '
       f'numpy loaded: {any(numpy for _, numpy in cold)}')
 for variant in ('cna', 'tna2'):
     array, _ = geometry.build_to_sda(variant, 24)
     for fn in (coarray.to_eca, coarray.consecutive_z):
-        print(f'{variant} N=24 {fn.__name__}: {1e6 * median_s(fn, array, number=200):.1f} us')
+        print(f'{variant} N=24 {fn.__name__}: {spread(times_s(fn, array, number=200), 1e6)} us')
 for n in (8, 24, 40):
     designer.brute_force_split('tna2', n)  # warm-up
-    print(f'brute_force_split tna2 N={n}: {1e3 * median_s(designer.brute_force_split, "tna2", n):.2f} ms')
+    print(f'brute_force_split tna2 N={n}: '
+          f'{spread(times_s(designer.brute_force_split, "tna2", n), 1e3, digits=2)} ms')
 sweep = (('cna', 'scna', 'tna2'), range(4, 25))
 designer.dof_sweep(*sweep)  # warm-up
-print(f'dof_sweep cna,scna,tna2 N=4..24: {1e3 * median_s(designer.dof_sweep, *sweep):.1f} ms')
+print(f'dof_sweep cna,scna,tna2 N=4..24: {spread(times_s(designer.dof_sweep, *sweep), 1e3)} ms')
 
 
 def cold_sweep():
@@ -69,7 +81,7 @@ def cold_sweep():
     designer.dof_sweep(*sweep)
 
 
-print(f'dof_sweep cna,scna,tna2 N=4..24, cold generator memo: {1e3 * median_s(cold_sweep):.1f} ms')
+print(f'dof_sweep cna,scna,tna2 N=4..24, cold generator memo: {spread(times_s(cold_sweep), 1e3)} ms')
 walks, zs = [], lagset.LagSet.zs
 lagset.LagSet.zs = lambda lags, positions: walks.append((lags, positions)) or zs(lags, positions)
 try:
@@ -85,13 +97,15 @@ def walk_tails():
 
 
 print(f'the {len(walks)} tail walks of that sweep ({sum(len(p) for _, p in walks)} sensors) alone: '
-      f'{1e3 * median_s(walk_tails):.1f} ms')
+      f'{spread(times_s(walk_tails), 1e3)} ms')
 long_sweep = (('cna', 'scna', 'tna2'), range(4, 45))
 designer.dof_sweep(*long_sweep)  # warm-up
-print(f'dof_sweep cna,scna,tna2 N=4..44: {1e3 * median_s(designer.dof_sweep, *long_sweep, repeats=3):.1f} ms')
+print(f'dof_sweep cna,scna,tna2 N=4..44: '
+      f'{spread(times_s(designer.dof_sweep, *long_sweep, repeats=3), 1e3)} ms')
 widest_sweep = (('cna', 'scna', 'tna2'), range(4, 93))  # as tosda sweep runs at scale
 designer.dof_sweep(*widest_sweep)  # warm-up
-print(f'dof_sweep cna,scna,tna2 N=4..92: {median_s(designer.dof_sweep, *widest_sweep, repeats=1):.2f} s')
+(once,) = times_s(designer.dof_sweep, *widest_sweep, repeats=1)  # one run has no quartiles
+print(f'dof_sweep cna,scna,tna2 N=4..92: {once:.2f} s')
 cold_sweep()
 memo = designer._generator.cache_info()
 print(f'generator memo over one sweep: {memo.hits} hits, {memo.misses} misses')

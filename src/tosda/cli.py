@@ -2,19 +2,19 @@
 
 Subcommands: ``design``, ``coarray``, ``metrics``, ``leakage``,
 ``simulate``, ``sweep``.  Each ``cmd_*`` returns its output files as text
-and its manifest fields; :func:`main` alone creates the output directory,
-writes the files and ``manifest.json``, prints the warnings (the
-subcommand's and those the ``tosda`` loggers emit during the run) and picks
-the exit code, so every subcommand keeps one contract:
+and its manifest fields, and logs its warnings under ``tosda`` as the
+library does; :func:`main` alone creates the output directory, writes the
+files and ``manifest.json``, prints the warnings logged during the run and
+picks the exit code, so every subcommand keeps one contract:
 
 - every successful run writes its outputs plus a ``manifest.json`` with the
   same keys (``tool``, ``version``, ``subcommand``, ``parameters``,
   ``master_seed``, ``outputs``, ``warnings``; ``design --oracle`` adds
   ``oracle``), and is deterministic given that manifest;
 - rejected flags write nothing, not even the output directory;
-- exit codes are 0 success, 1 error (``error: ...`` on stderr, including an
-  output directory or file that cannot be written), 3 warnings present
-  under ``--strict``.
+- exit codes are 0 success, 1 error (one ``error: ...`` line on stderr,
+  including a rejected command line and an output directory or file that
+  cannot be written), 3 warnings present under ``--strict``.
 
 Human-readable progress goes to stderr only; stdout stays clean for piping.
 numpy, ``metrics`` and ``simulator`` load inside the subcommands that use
@@ -36,7 +36,9 @@ import sys
 from pathlib import Path
 
 from . import __version__, designer, geometry, lagset
-from .errors import TosdaError, real_number, whole_number
+from .errors import CapacityExceededError, TosdaError, real_number, whole_number
+
+log = logging.getLogger(__name__)
 
 
 def _fmt(value) -> str:
@@ -91,13 +93,15 @@ def _parse_range(text: str) -> list[int]:
         raise TosdaError(f"expected a range like 4:16, got {text!r}") from None
     if hi < lo:
         raise TosdaError(f"empty range {text!r}")
+    if hi - lo >= geometry.MAX_POSITION:
+        raise TosdaError(f"range {text!r} spans more than {geometry.MAX_POSITION} values")
     return list(range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------- design
 
 def cmd_design(args) -> tuple[dict, dict]:
-    fields: dict = {"warnings": []}
+    fields: dict = {}
     if args.variant:
         array, params = geometry.build_to_sda(args.variant, args.sensors)
         dof_closed = designer.dof_closed_form(params)
@@ -116,16 +120,16 @@ def cmd_design(args) -> tuple[dict, dict]:
     # reaches are measured, and a shortfall, or no measurement, is a warning
     dof_realized = None
     if array.positions[-1] > geometry.MAX_POSITION:
-        fields["warnings"].append(
-            f"the array reaches past position {geometry.MAX_POSITION}, so the "
-            "consecutive lags it realizes were not measured"
+        log.warning(
+            "the array reaches past position %d, so the consecutive lags it "
+            "realizes were not measured", geometry.MAX_POSITION,
         )
     else:
         dof_realized = 2 * lagset.consecutive_z(array) + 1
         if dof_realized < dof_closed:
-            fields["warnings"].append(
-                f"the array realizes {dof_realized} consecutive lags, fewer than "
-                f"the closed form's {dof_closed}"
+            log.warning(
+                "the array realizes %d consecutive lags, fewer than the closed "
+                "form's %d", dof_realized, dof_closed,
             )
     params_info.update(dof_closed=dof_closed, dof_realized=dof_realized)
     if args.oracle:
@@ -142,9 +146,9 @@ def cmd_design(args) -> tuple[dict, dict]:
             file=sys.stderr,
         )
         if not row.agreement:
-            fields["warnings"].append(
-                f"closed-form consecutive-lag count {row.dof_closed} "
-                f"!= brute-force optimum {row.dof_brute} (best split {best})"
+            log.warning(
+                "closed-form consecutive-lag count %d != brute-force optimum %d "
+                "(best split %s)", row.dof_closed, row.dof_brute, best,
             )
     print(f"{array.name}: positions {list(array.positions)}; "
           f"dof_realized {json.dumps(dof_realized)}, dof_closed {dof_closed}")
@@ -185,7 +189,6 @@ def cmd_coarray(args) -> tuple[dict, dict]:
 def cmd_metrics(args) -> tuple[dict, dict]:
     from . import metrics
 
-    warnings: list[str] = []
     header = ["variant", "N", "Z", "k_tilde", "R_T", "L3", "within_bounds"]
     if args.array:
         report = metrics.redundancy_toeca(geometry.load_array(args.array))
@@ -202,13 +205,13 @@ def cmd_metrics(args) -> tuple[dict, dict]:
             l3 = metrics.l3_bound(n)
             rows.append([variant, n, z, metrics.k_tilde(n), r_t, l3, r_t > l3])
             if not (low - 1e-3 <= r_t <= high + 1e-3):
-                warnings.append(
-                    f"{variant} N={n}: closed-form redundancy {r_t:.4f} outside "
-                    f"published envelope [{low}, {high}]"
+                log.warning(
+                    "%s N=%d: closed-form redundancy %.4f outside published "
+                    "envelope [%s, %s]", variant, n, r_t, low, high,
                 )
         params = {"variant": variant, "n_range": args.n_range}
     files = {"redundancy.csv": _csv(header, rows)}
-    return files, {"parameters": params, "warnings": warnings}
+    return files, {"parameters": params}
 
 
 # --------------------------------------------------------------- leakage
@@ -259,6 +262,8 @@ def _read(spec: dict, key: str, cast, default=None):
         return default
     try:
         return cast(value)
+    except CapacityExceededError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TosdaError(
             f"config field {key!r} cannot be {value!r} ({type(exc).__name__}: {exc})"
@@ -286,13 +291,17 @@ def _numbers(value) -> list:
     return value
 
 
-def _angles(value) -> tuple[float, ...]:
-    """An explicit angle list, or ``{'count', 'span_deg'}`` spread evenly."""
+def _angles(value, array: geometry.SensorArray) -> tuple[float, ...]:
+    """An explicit angle list, or ``{'count', 'span_deg'}`` spread evenly; a
+    count past ``array``'s capacity is refused before it is spread."""
     if isinstance(value, dict):
         import numpy as np
 
+        from . import simulator
+
         lo, hi = value.get("span_deg", (-60.0, 60.0))
         count = whole_number(value["count"], "count")
+        simulator._check_capacity(array, count)
         value = np.linspace(real_number(lo), real_number(hi), count).tolist()
     if not isinstance(value, list):
         raise TypeError("expected a list or {'count', 'span_deg'}")
@@ -312,7 +321,7 @@ def _array_from_config(spec: dict) -> geometry.SensorArray:
     )
 
 
-def _scene_from_config(config: dict, master_seed: int):
+def _scene_from_config(config: dict, array: geometry.SensorArray, master_seed: int):
     from . import simulator
 
     scene = _read(config, "scene", _object)
@@ -322,7 +331,7 @@ def _scene_from_config(config: dict, master_seed: int):
     if kind != "skewed_real":
         raise TosdaError(f"scene 'source_kind' must be 'skewed_real', got {kind!r}")
     return simulator.SourceScene(
-        angles_deg=_read(scene, "angles_deg", _angles, ()),
+        angles_deg=_read(scene, "angles_deg", lambda v: _angles(v, array), ()),
         snr_db=_read(scene, "snr_db", real_number, 0.0),
         snapshots=_read(scene, "snapshots", whole_number, 1000),
         seed=master_seed,
@@ -355,17 +364,12 @@ def cmd_simulate(args) -> tuple[dict, dict]:
     mode = config.get("mode", "rmse")
     master_seed = _read(config, "master_seed", whole_number, 0)
     array = _array_from_config(_read(config, "array", _object, {}))
-    scene = _scene_from_config(config, master_seed)
+    scene = _scene_from_config(config, array, master_seed)
     coupling = _coupling_from_config(config)
     grid_step = _read(
         _read(config, "music", _object, {}), "grid_step_deg", real_number, 0.01
     )
     files: dict[str, str] = {}
-    warnings: list[str] = []
-
-    def progress(msg: str) -> None:
-        print(msg, file=sys.stderr)
-
     if mode == "rmse":
         sweep_spec = _read(config, "sweep", _object, {})
         sweep = (sweep_spec.get("parameter"), _read(sweep_spec, "values", _numbers))
@@ -373,7 +377,8 @@ def cmd_simulate(args) -> tuple[dict, dict]:
         dump_trials = _read(config, "dump_trials", _boolean, False)
         stats = simulator.monte_carlo(
             array, scene, sweep, trials=trials, coupling=coupling,
-            grid_step_deg=grid_step, threads=args.threads, progress=progress,
+            grid_step_deg=grid_step, threads=args.threads,
+            progress=lambda msg: print(msg, file=sys.stderr),
         )
         files["rmse.csv"] = _csv(
             ["sweep_value", "trials", "rmse_deg"],
@@ -381,10 +386,10 @@ def cmd_simulate(args) -> tuple[dict, dict]:
         )
         for s in stats:
             if s.padded_trials:
-                warnings.append(
-                    f"sweep point {s.sweep_value!r}: {s.padded_trials}/{s.trials} "
-                    "trials had fewer spectrum peaks than sources; their "
-                    "padded estimates are in rmse_deg"
+                log.warning(
+                    "sweep point %r: %d/%d trials had fewer spectrum peaks than "
+                    "sources; their padded estimates are in rmse_deg",
+                    s.sweep_value, s.padded_trials, s.trials,
                 )
         if dump_trials:
             rows = []
@@ -409,12 +414,11 @@ def cmd_simulate(args) -> tuple[dict, dict]:
             file=sys.stderr,
         )
         if est.peaks_padded:
-            warnings.append("fewer local maxima than sources; estimates padded")
+            log.warning("fewer local maxima than sources; estimates padded")
     else:
         raise TosdaError(f"unknown mode {mode!r}; expected 'rmse' or 'spectrum'")
     return files, {
         "parameters": {"config": config, "threads": args.threads},
-        "warnings": warnings,
         "master_seed": master_seed,
     }
 
@@ -422,7 +426,6 @@ def cmd_simulate(args) -> tuple[dict, dict]:
 # ----------------------------------------------------------------- sweep
 
 def cmd_sweep(args) -> tuple[dict, dict]:
-    warnings: list[str] = []
     variants = [geometry.normalize_variant(v) for v in args.variants.split(",")]
     n_values = _parse_range(args.n_range)
     # the columns of dof.csv are the fields of SweepRow, in order
@@ -431,9 +434,9 @@ def cmd_sweep(args) -> tuple[dict, dict]:
     for row in designer.dof_sweep(variants, n_values):
         rows.append(dataclasses.astuple(row))
         if not row.agreement:
-            warnings.append(
-                f"{row.variant} N={row.N}: closed form {row.dof_closed} != "
-                f"brute force {row.dof_brute}"
+            log.warning(
+                "%s N=%d: closed form %d != brute force %d",
+                row.variant, row.N, row.dof_closed, row.dof_brute,
             )
     for path in args.baseline or []:
         array = geometry.load_array(path)
@@ -447,18 +450,22 @@ def cmd_sweep(args) -> tuple[dict, dict]:
             "n_range": args.n_range,
             "baselines": [str(p) for p in (args.baseline or [])],
         },
-        "warnings": warnings,
     }
 
 
 # ------------------------------------------------------------------ main
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error takes main's one error path: exit 1
+        raise TosdaError(message)
+
 
 def build_parser() -> argparse.ArgumentParser:
     minimums = ", ".join(
         f"{geometry.VARIANT_LABELS[v]} >= {designer.minimum_sensors(v)}"
         for v in geometry.VARIANTS
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(  # add_subparsers builds the subcommands' parsers with it too
         prog="tosda",
         description="Design and evaluate third-order co-array sparse linear arrays.",
     )
@@ -557,7 +564,7 @@ class _Recorder(logging.Handler):
 
 
 def main(argv=None) -> int:
-    # the tosda loggers' warnings of a run are manifest warnings, printed once
+    # every warning logged under tosda during a run, in order, is a manifest warning
     logger, recorder = logging.getLogger("tosda"), _Recorder()
     logger.addHandler(recorder)
     try:
@@ -573,7 +580,7 @@ def main(argv=None) -> int:
             "master_seed": None,
             "outputs": list(files),
             **fields,
-            "warnings": [*recorder.messages, *fields.get("warnings", [])],
+            "warnings": recorder.messages,
         }
         _save(outdir, {**files, "manifest.json": _json(manifest)})
     except TosdaError as exc:

@@ -697,7 +697,9 @@ def rmse(estimates: np.ndarray, truth) -> float:
     return float(np.sqrt(np.mean(err**2)))
 
 
-def _scene_for_point(scene: SourceScene, parameter: str, value) -> SourceScene:
+def _scene_for_point(
+    array: SensorArray, scene: SourceScene, parameter: str, value
+) -> SourceScene:
     if parameter == "snr":
         return replace(scene, snr_db=value)
     if parameter not in SWEEP_PARAMETERS:
@@ -709,6 +711,7 @@ def _scene_for_point(scene: SourceScene, parameter: str, value) -> SourceScene:
         raise InvalidParameterError(f"sweep {parameter} must be a whole number >= 1")
     if parameter == "snapshots":
         return replace(scene, snapshots=count)
+    _check_capacity(array, count, f"sweep point {value!r}: ")  # before any angle is listed
     lo, hi = min(scene.angles_deg), max(scene.angles_deg)
     return replace(scene, angles_deg=tuple(np.linspace(lo, hi, count)))
 
@@ -768,14 +771,14 @@ class _BlasPin:
 _BLAS_PIN = _BlasPin()
 
 
-def _check_capacity(array: SensorArray, scene: SourceScene, where: str = "") -> None:
+def _check_capacity(array: SensorArray, n_sources: int, where: str = "") -> None:
     """Raise :class:`CapacityExceededError`, its message prefixed by ``where``,
-    when ``scene`` has more sources than ``array``'s TO-ECA has one-sided
-    consecutive lags."""
+    when ``n_sources`` exceeds the one-sided consecutive lags of ``array``'s
+    TO-ECA."""
     z = coarray.consecutive_z(array)
-    if scene.n_sources > z:
+    if n_sources > z:
         raise CapacityExceededError(
-            f"{where}{scene.n_sources} sources exceed the {z} "
+            f"{where}{n_sources} sources exceed the {z} "
             f"one-sided consecutive lags of {array.name}"
         )
 
@@ -795,7 +798,7 @@ def run_trial(
     :class:`CapacityExceededError`, and a bad grid step
     :class:`InvalidParameterError`, before any snapshot is drawn.
     """
-    _check_capacity(array, scene)
+    _check_capacity(array, scene.n_sources)
     _checked_grid_step(grid_step_deg)
     # the snapshots are not kept while ss_music runs
     zvec = virtual_array_vector(synthesize_snapshots(array, scene, coupling, rng), array)
@@ -820,7 +823,8 @@ def monte_carlo(
     reproducible and independent of ``threads``.  ``sweep``'s values are
     read once, so an iterator serves.  A trial that cannot estimate (more
     sources than consecutive lags) aborts its sweep point with a
-    :class:`CapacityExceededError` naming the point.
+    :class:`CapacityExceededError` naming the point; a ``num_sources`` point
+    is refused so before any trial runs and before its angles are listed.
 
     ``min(threads, trials)`` worker threads run the trials of every sweep
     point from one pool, or on the calling thread when there is one worker.
@@ -851,7 +855,7 @@ def monte_carlo(
         if not values:
             raise InvalidParameterError("sweep needs at least one value")
         points = [
-            (value, _scene_for_point(scene, parameter, value)) for value in values
+            (value, _scene_for_point(array, scene, parameter, value)) for value in values
         ]
 
     results = []
@@ -863,7 +867,7 @@ def monte_carlo(
             stack.enter_context(_BLAS_PIN.held(progress))
             trial_map = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
         for point_idx, (value, point_scene) in enumerate(points):
-            _check_capacity(array, point_scene, f"sweep point {value!r}: ")
+            _check_capacity(array, point_scene.n_sources, f"sweep point {value!r}: ")
 
             def trial(t: int) -> tuple[np.ndarray, bool]:
                 rng = np.random.default_rng([point_scene.seed, point_idx, t])

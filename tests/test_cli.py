@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tosda import (
-    CouplingModel, SensorArray, build_generator, build_to_sda, build_ula, save_array,
-    simulator, split_closed_form, to_eca,
+    CouplingModel, SensorArray, TosdaError, __version__, build_generator, build_to_sda,
+    build_ula, geometry, save_array, simulator, split_closed_form, to_eca,
 )
-from tosda.cli import _fmt, main
+from tosda.cli import _fmt, _parse_range, main
 
 
 def read_csv(path):
@@ -105,6 +105,10 @@ def test_every_run_writes_the_same_manifest(name, inputs, tmp_path, capsys):
         ["leakage", "--sensors", "6"],
         ["leakage", "--array", "{in}/ula.json", "--variant", "cna", "--sensors", "6"],
         ["leakage", "--array", "{in}/ula.json", "--sensors", "6"],
+        # usage errors the argument parser finds take the same path
+        ["design", "--variant", "cna", "--sensors", "8", "--n2", "3"],
+        ["design", "--variant", "cna", "--sensors", "abc"],
+        ["design", "--variant", "xyz", "--sensors", "8"],
     ],
     ids=["design-none", "design-oracle-only", "design-half-variant",
          "design-half-variant-oracle", "design-half-generator", "design-both",
@@ -112,13 +116,30 @@ def test_every_run_writes_the_same_manifest(name, inputs, tmp_path, capsys):
          "design-generator-no-tail", "metrics-none",
          "metrics-half-variant", "metrics-half-range", "metrics-both",
          "metrics-array-range", "leakage-none", "leakage-half-variant",
-         "leakage-half-sensors", "leakage-both", "leakage-array-sensors"],
+         "leakage-half-sensors", "leakage-both", "leakage-array-sensors",
+         "unknown-flag", "non-int-value", "bad-choice"],
 )
 def test_rejected_flags_write_nothing(argv, inputs, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([*_argv(argv, inputs), "-o", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1  # no usage block
     assert not out.exists()
+
+
+def test_no_subcommand_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where a run with no --output would write
+    assert main([]) == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: subcommand\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_and_version_exit_0(capsys):
+    for flag in ("--help", "--version"):
+        with pytest.raises(SystemExit) as stop:
+            main([flag])
+        assert stop.value.code == 0
+    assert capsys.readouterr().out.endswith(f"{__version__}\n")
 
 
 def test_csv_cells_spell_every_float_the_same_way():
@@ -210,15 +231,28 @@ def test_n_past_float_range_exits_1(argv, message, tmp_path, capsys):
     [(["metrics", "--variant", "cna", "--n-range", "abc"],
       "expected a range like 4:16, got 'abc'"),
      (["sweep", "--variants", "cna", "--n-range", "9:4"], "empty range '9:4'"),
+     # refused before the range is listed
+     (["metrics", "--variant", "cna", "--n-range", "1:1000000000000000"],
+      "range '1:1000000000000000' spans more than 16777216 values"),
+     (["sweep", "--variants", "cna", "--n-range", "1:1000000000000000"],
+      "range '1:1000000000000000' spans more than 16777216 values"),
      (["simulate", "--config", "{in}/sim.json", "--threads", "0"], "--threads must be >= 1"),
      (["simulate", "--config", "{in}/missing.json"], "cannot read config")],
-    ids=["range-not-numbers", "range-reversed", "no-thread", "config-unreadable"],
+    ids=["range-not-numbers", "range-reversed", "metrics-range-too-wide",
+         "sweep-range-too-wide", "no-thread", "config-unreadable"],
 )
 def test_bad_flag_value_exits_1(argv, message, inputs, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([*_argv(argv, inputs), "-o", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out.exists()
+
+
+def test_range_of_at_most_max_position_values_is_listed(monkeypatch):
+    monkeypatch.setattr(geometry, "MAX_POSITION", 10)
+    assert _parse_range("3:12") == list(range(3, 13))
+    with pytest.raises(TosdaError, match="^range '3:13' spans more than 10 values$"):
+        _parse_range("3:13")
 
 
 @pytest.mark.parametrize(
@@ -356,7 +390,16 @@ class TestDesign:
         assert oracle["params"]["delta1"] == 41  # the JSON form of DesignParams
         assert oracle["dof_brute_force"] == 181
         assert oracle["agreement"] is False
-        assert manifest["warnings"]  # disagreement surfaces as a warning
+        # the library's rounding notice and the command's warnings, in the
+        # order they were logged
+        assert manifest["warnings"] == [
+            "TNA-II split for N=8: the printed rounding gives no generator that "
+            "reaches lag 1; took rounding candidate 1 (N1=5, M1=2, M2=3, J=2)",
+            "the array realizes 71 consecutive lags, fewer than the closed form's 345",
+            "closed-form consecutive-lag count 345 != brute-force optimum 181 (best split "
+            "{'variant': 'tna2', 'N': 8, 'N1': 6, 'N2': 2, 'M1': 1, 'M2': 5, 'J': 2, "
+            "'delta1': 41, 'delta2': 33, 'lambda1': 16, 'lambda2': 24})",
+        ]
 
 
 class TestCoarray:
@@ -565,6 +608,26 @@ class TestSimulate:
             "error: 40 sources exceed the 15 one-sided consecutive lags of TO-SDA(CNA) N=4"
         )
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [({"scene": {"angles_deg": {"count": 10**15}}}, ""),
+         ({"sweep": {"parameter": "num_sources", "values": [10**15]}},
+          f"sweep point {10**15}: ")],
+        ids=["scene-count", "num-sources-sweep"],
+    )
+    def test_source_count_past_capacity_refused_before_listing(self, tmp_path, capsys,
+                                                               overrides, where):
+        # 10**15 angles take more bytes than a 64-bit address space maps, so
+        # listing them first would fail at once with numpy's memory error
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        write_sim_config(config, array={"variant": "cna", "sensors": 4}, **overrides)
+        assert main(["simulate", "--config", str(config), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {where}{10**15} sources exceed the 15 one-sided consecutive "
+            "lags of TO-SDA(CNA) N=4\n"
+        )
+        assert not out.exists()
 
     def test_spectrum_resolves_half_degree_pair(self, tmp_path):
         # three sources with two only half a degree apart: the dumped

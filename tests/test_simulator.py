@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -933,6 +934,17 @@ class TestMonteCarlo:
         scene = SourceScene((0.0, 10.0, 20.0, 30.0), snr_db=0.0, snapshots=64, seed=0)
         with pytest.raises(CapacityExceededError):
             monte_carlo(build_ula(2), scene, None, trials=1)  # Z = 3
+
+    def test_num_sources_past_capacity_refused_before_its_angles_are_listed(self, array9):
+        # 10**15 angles take more bytes than a 64-bit address space maps, so
+        # listing them first would fail at once with numpy's memory error
+        scene = SourceScene((-20.0, 20.0), snr_db=0.0, snapshots=64, seed=0)
+        z = to_eca(array9).one_sided_z
+        with pytest.raises(CapacityExceededError, match=(
+            f"^sweep point {10**15}: {10**15} sources exceed the {z} one-sided "
+            f"consecutive lags of {re.escape(array9.name)}$"
+        )):
+            monte_carlo(array9, scene, ("num_sources", [3, 10**15]), trials=1)
 
     def test_bad_grid_step_rejected_before_any_snapshot(self, array9, monkeypatch):
         real, calls = simulator.synthesize_snapshots, []
