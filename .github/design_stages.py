@@ -65,7 +65,7 @@ print(f'cold start, import tosda + dof_sweep N=4..24: {spread([t for t, _ in col
       f'numpy loaded: {any(numpy for _, numpy in cold)}')
 for variant in ('cna', 'tna2'):
     array, _ = geometry.build_to_sda(variant, 24)
-    for fn in (coarray.to_eca, coarray.consecutive_z):
+    for fn in (coarray.to_eca, lagset.consecutive_z):
         print(f'{variant} N=24 {fn.__name__}: {spread(times_s(fn, array, number=200), 1e6)} us')
 for n in (8, 24, 40):
     designer.brute_force_split('tna2', n)  # warm-up

@@ -16,7 +16,7 @@ Run from any directory: ``python .github/trial_stages.py [trials]``.
 import os, resource, sys, time, tracemalloc
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, 'src'))
 import numpy as np
-from tosda import coarray, geometry, metrics, simulator
+from tosda import geometry, lagset, metrics, simulator
 
 trials = int(sys.argv[1]) if len(sys.argv) > 1 else 5
 scene = simulator.SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), 0.0, 12000)
@@ -36,7 +36,7 @@ def timed(times, stage, fn, *args):
 
 for sensors, coupling, workers in ((9, metrics.CouplingModel(), 2), (24, None, 1)):
     array, _ = geometry.build_to_sda('cna', sensors)
-    z_max = coarray.consecutive_z(array)
+    z_max = lagset.consecutive_z(array)
     simulator._grid_and_steering.cache_clear()
     tracemalloc.start()
     simulator.run_trial(array, scene, np.random.default_rng([2015, 1, 0]),

@@ -3,7 +3,7 @@
 The package splits into five layers:
 
 - :mod:`tosda.geometry`  — integer sensor layouts and file I/O
-- :mod:`tosda.coarray`   — exact second-/third-order lag algebra
+- :mod:`tosda.coarray`   — exact second-/third-order lag multisets
 - :mod:`tosda.designer`  — closed-form and exhaustive sensor splits
 - :mod:`tosda.metrics`   — size/redundancy bounds and mutual coupling
 - :mod:`tosda.simulator` — snapshots, cumulants, Toeplitz co-array MUSIC
@@ -11,9 +11,11 @@ The package splits into five layers:
 The public names below load with their submodule, the first time one of
 them is used.  Only the float layers (``coarray``'s multisets, ``metrics``
 and ``simulator``) import numpy; ``geometry``, ``designer``, ``errors`` and
-``lagset`` (the bitset engine behind ``consecutive_z`` and the split
-search) need the standard library alone, so ``import tosda`` and the
-design layer start without numpy.
+``lagset`` (the bitset engine behind ``consecutive_z``, the split search
+and the simulator's Z) need the standard library alone, so ``import
+tosda`` and the design layer start without numpy.  No design or
+simulation path imports ``coarray``: its multisets are the oracle of
+``lagset`` and the ``tosda coarray`` report.
 """
 
 import importlib

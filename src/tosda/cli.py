@@ -460,6 +460,18 @@ class _Parser(argparse.ArgumentParser):
         raise TosdaError(message)
 
 
+def _parse(argv) -> argparse.Namespace:
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        return build_parser().parse_args(argv)
+    except TosdaError:
+        # argparse reads the first word that is not a flag as the subcommand
+        first = next((i for i, arg in enumerate(argv) if not arg.startswith("-")), 0)
+        if first and argv[first - 1] in ("-o", "--output"):
+            raise TosdaError("-o/--output goes after the subcommand") from None
+        raise
+
+
 def build_parser() -> argparse.ArgumentParser:
     minimums = ", ".join(
         f"{geometry.VARIANT_LABELS[v]} >= {designer.minimum_sensors(v)}"
@@ -568,7 +580,7 @@ def main(argv=None) -> int:
     logger, recorder = logging.getLogger("tosda"), _Recorder()
     logger.addHandler(recorder)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         _validate_args(args)
         outdir = Path(args.output)
         _check_output(outdir)  # an unusable --output fails before the run

@@ -10,11 +10,8 @@ four conjugation-pattern co-arrays
 
 over all ordered triples, 4*N^3 entries in total.  The multisets here
 are numpy count vectors, so importing this module loads numpy.  Where only
-the consecutive segment matters, :class:`LagSet` holds the lag set alone, as
-bits of Python integers, and grows it one sensor at a time;
-:func:`consecutive_z` reads Z from it.  Those two, with :func:`check_cap`,
-live in :mod:`tosda.lagset`, which loads no numpy, and are re-exported
-here.
+the consecutive segment matters, :mod:`tosda.lagset` reads Z without numpy;
+the multisets here are the oracle of its results.
 """
 
 from __future__ import annotations
@@ -27,8 +24,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidParameterError
-from .geometry import MAX_POSITION, SensorArray
-from .lagset import LagSet, check_cap, consecutive_z
+from .geometry import SensorArray
+from .lagset import check_cap
 
 _CASE_SIGNS = {1: (1, 1, 1), 2: (1, 1, -1), 3: (-1, -1, 1), 4: (-1, -1, -1)}
 

@@ -1,13 +1,13 @@
 """The lag set of a third-order exhaustive co-array, as bits of integers.
 
 Where only the consecutive segment of the TO-ECA matters (the split
-search, ``sweep --baseline``, ``design`` and the simulator's Z),
-:class:`LagSet` holds its non-negative lags alone, as bits of Python
-integers, grown by sensors added one at a time in a few local ints;
+search, ``sweep --baseline``, ``design``, and the Z of the simulator and
+``metrics``), :class:`LagSet` holds its non-negative lags alone, as bits of
+Python integers, grown by sensors added one at a time in a few local ints;
 :func:`consecutive_z` reads Z from it.  This module needs the standard
-library only, so the design layer (:mod:`tosda.designer` and the
-``design`` and ``sweep`` commands) runs without numpy; :mod:`tosda.coarray` re-exports its three names and holds
-the dense multisets that are the oracle of its results.
+library only, so the design layer (:mod:`tosda.designer`, ``design`` and
+``sweep``) runs without numpy and the simulator without :mod:`tosda.coarray`,
+whose dense multisets are the oracle of its results.
 """
 
 from __future__ import annotations

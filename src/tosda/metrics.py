@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import coarray
+from . import lagset
 from .designer import continuous_optimum_n1, round_half_up
 from .errors import (
     InternalConsistencyError,
@@ -87,10 +87,10 @@ class RedundancyReport:
 def redundancy_toeca(array: SensorArray) -> RedundancyReport:
     """Redundancy of the array's TO-ECA, with the universal lower bound.
 
-    Z is ``to_eca(array).one_sided_z``, read by :func:`coarray.consecutive_z`.
+    Z is ``to_eca(array).one_sided_z``, read by :func:`lagset.consecutive_z`.
     """
     n = array.size
-    z = coarray.consecutive_z(array)
+    z = lagset.consecutive_z(array)
     kt = k_tilde(n)
     r_t = kt / z if z >= 1 else math.inf
     l3 = l3_bound(n) if n >= 2 else math.nan

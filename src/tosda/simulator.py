@@ -48,7 +48,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import coarray, metrics
+from . import lagset, metrics
 from .errors import (
     CapacityExceededError,
     InvalidParameterError,
@@ -69,6 +69,11 @@ class SourceScene:
     real, zero-mean and unit-variance with a centered exponential law;
     its skewness keeps all four third-order conjugation patterns away
     from zero, which symmetric constellations would not.
+
+    ``seed`` is :func:`monte_carlo`'s master seed (stream
+    ``default_rng([seed, i, t])``) and :func:`synthesize_snapshots`' default
+    stream, ``default_rng(seed)``; :func:`run_trial` draws from the
+    generator it is given.
     """
 
     angles_deg: tuple[float, ...]
@@ -301,7 +306,7 @@ def virtual_array_vector(x: np.ndarray, array: SensorArray) -> np.ndarray:
     """
     x, mean = _snapshots_and_means(x, array)
     n, k = x.shape
-    z = coarray.consecutive_z(array)
+    z = lagset.consecutive_z(array)
     p = np.asarray(array.positions, dtype=np.int64)
     i, j = np.triu_indices(n)
     mult = np.repeat(np.where(i == j, 1.0, 2.0), 2 * n)
@@ -775,7 +780,7 @@ def _check_capacity(array: SensorArray, n_sources: int, where: str = "") -> None
     """Raise :class:`CapacityExceededError`, its message prefixed by ``where``,
     when ``n_sources`` exceeds the one-sided consecutive lags of ``array``'s
     TO-ECA."""
-    z = coarray.consecutive_z(array)
+    z = lagset.consecutive_z(array)
     if n_sources > z:
         raise CapacityExceededError(
             f"{where}{n_sources} sources exceed the {z} "
@@ -867,7 +872,8 @@ def monte_carlo(
             stack.enter_context(_BLAS_PIN.held(progress))
             trial_map = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
         for point_idx, (value, point_scene) in enumerate(points):
-            _check_capacity(array, point_scene.n_sources, f"sweep point {value!r}: ")
+            where = "" if sweep is None else f"sweep point {value!r}: "
+            _check_capacity(array, point_scene.n_sources, where)
 
             def trial(t: int) -> tuple[np.ndarray, bool]:
                 rng = np.random.default_rng([point_scene.seed, point_idx, t])

@@ -148,6 +148,22 @@ def test_criterion_3_consecutive_lag_formula_sweep():
     assert elapsed < 30.0
 
 
+def test_abstract_hole_free_claim_holds_on_the_consecutive_span():
+    """The abstract calls the TO-ECA of the three TO-SDAs "hole-free".  At
+    face value (no hole in [min lag, max lag]) that is false for every
+    variant at N = 6..24; what holds is that [-Z, Z] is hole-free, the
+    nearest holes being +-(Z+1)."""
+    for variant in ("cna", "scna", "tna2"):
+        for n in range(6, 25):
+            rep = to_eca(build_to_sda(variant, n)[0])
+            z, holes = rep.one_sided_z, set(rep.holes)
+            assert holes and min(map(abs, holes)) == z + 1 and -z - 1 in holes, (variant, n)
+    rep = to_eca(build_to_sda("cna", 6)[0])
+    assert (rep.one_sided_z, len(rep.holes)) == (46, 104)
+    report("hole-free (abstract)", True, "all 57 TO-SDAs at N=6..24 have holes, the nearest "
+           "at +-(Z+1), so only [-Z, Z] is hole-free; CNA N=6 has Z=46 and 104 holes")
+
+
 def test_criterion_4_size_bounds(random_array_reports):
     """6N-5 <= |unique lags| <= (4N^3+3N^2-N+3)/3 for random arrays, and
     the uniform array attains the lower bound for N in [1, 10]."""

@@ -109,6 +109,7 @@ def test_every_run_writes_the_same_manifest(name, inputs, tmp_path, capsys):
         ["design", "--variant", "cna", "--sensors", "8", "--n2", "3"],
         ["design", "--variant", "cna", "--sensors", "abc"],
         ["design", "--variant", "xyz", "--sensors", "8"],
+        ["-o", "{in}/out", "design", "--variant", "cna", "--sensors", "8"],
     ],
     ids=["design-none", "design-oracle-only", "design-half-variant",
          "design-half-variant-oracle", "design-half-generator", "design-both",
@@ -117,7 +118,7 @@ def test_every_run_writes_the_same_manifest(name, inputs, tmp_path, capsys):
          "metrics-half-variant", "metrics-half-range", "metrics-both",
          "metrics-array-range", "leakage-none", "leakage-half-variant",
          "leakage-half-sensors", "leakage-both", "leakage-array-sensors",
-         "unknown-flag", "non-int-value", "bad-choice"],
+         "unknown-flag", "non-int-value", "bad-choice", "output-before-subcommand"],
 )
 def test_rejected_flags_write_nothing(argv, inputs, tmp_path, capsys):
     out = tmp_path / "out"
@@ -132,6 +133,15 @@ def test_no_subcommand_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys)
     assert main([]) == 1
     assert capsys.readouterr().err == "error: the following arguments are required: subcommand\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_output_before_the_subcommand_is_named(capsys):
+    design = ["design", "--variant", "cna", "--sensors", "8"]
+    for argv, message in [(["-o", "out", *design], "-o/--output goes after the subcommand"),
+                          (["--output", "out", *design], "-o/--output goes after the subcommand"),
+                          (["--output=x", *design], "unrecognized arguments: --output=x"),
+                          (["--strict", *design], "unrecognized arguments: --strict")]:
+        assert main(argv) == 1 and capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_help_and_version_exit_0(capsys):

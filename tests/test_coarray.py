@@ -20,13 +20,10 @@ from tosda import (
     to_eca,
     toca,
 )
-from tosda.coarray import (
-    MAX_POSITION,
-    LagSet,
-    brute_force_lag_multiset,
-    report_from_multiset,
-)
+from tosda.coarray import brute_force_lag_multiset, report_from_multiset
 from tosda.designer import minimum_sensors
+from tosda.geometry import MAX_POSITION
+from tosda.lagset import LagSet
 
 
 SIGNS = {1: (1, 1, 1), 2: (1, 1, -1), 3: (-1, -1, 1), 4: (-1, -1, -1)}

@@ -300,7 +300,7 @@ class TestBruteForceSplit:
             brute_force_split("cna", 3)
 
     def test_internal_error_is_not_an_infeasible_split(self, monkeypatch):
-        from tosda import coarray, geometry
+        from tosda import geometry, lagset
 
         expected = {call: call("cna", 8) for call in (brute_force_split, split_closed_form)}
 
@@ -319,9 +319,9 @@ class TestBruteForceSplit:
         # the exhaustive search builds and walks tails, as the closed-form
         # split's printed tail always starts past its generator
         for module, name, replace, error, calls in [
-            (coarray.LagSet, "add", raising, InternalConsistencyError("corrupted co-array"),
+            (lagset.LagSet, "add", raising, InternalConsistencyError("corrupted co-array"),
              [brute_force_split, split_closed_form]),
-            (coarray.LagSet, "zs", raising_in_the_walk,
+            (lagset.LagSet, "zs", raising_in_the_walk,
              InternalConsistencyError("corrupted walk"), [brute_force_split]),
             (geometry, "gtoa_positions", raising, InvalidParameterError("broken tail"),
              [brute_force_split]),

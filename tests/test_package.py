@@ -1,19 +1,15 @@
-"""The package surface: the lazy public names of ``tosda`` and the layers
-that start without numpy."""
+"""The package surface: the lazy public names of ``tosda`` and the modules
+each design or simulation step loads."""
 
 import importlib
-import json
-import os
-import subprocess
-import sys
 
 import tosda
 
-# The public names of ``tosda``, each under a submodule that holds the same
-# object (``consecutive_z`` is defined in ``lagset``; ``coarray`` re-exports it).
+# The public names of ``tosda``, each under the submodule that defines it.
 PUBLIC = {
-    "coarray": ("CoarrayReport", "LagMultiset", "consecutive_z", "index_lag_map",
-                "second_order", "to_eca", "toca"),
+    "coarray": ("CoarrayReport", "LagMultiset", "index_lag_map", "second_order", "to_eca",
+                "toca"),
+    "lagset": ("consecutive_z",),
     "designer": ("DesignParams", "SweepRow", "brute_force_split",
                  "dof_closed_form", "dof_sweep", "minimum_sensors", "split_closed_form"),
     "errors": ("ArrayFileError", "ArrayParseError", "ArrayValidationError",
@@ -46,8 +42,6 @@ def test_each_name_is_its_submodules_object():
         for name in names:
             assert getattr(tosda, name) is getattr(submodule, name), name
             assert name in listed, name
-    assert tosda.consecutive_z is tosda.lagset.consecutive_z
-    assert tosda.coarray.LagSet is tosda.lagset.LagSet
 
 
 def test_star_import_and_unknown_names():
@@ -57,49 +51,32 @@ def test_star_import_and_unknown_names():
     assert not hasattr(tosda, "no_such_name")
 
 
-# Each step of the design layer, in a fresh interpreter: which steps found
-# numpy loaded once they had run.
-DESIGN_WITHOUT_NUMPY = """\
-import json, os, sys
-facts = {}
-def step(name):
-    facts[name] = 'numpy' in sys.modules
-import tosda
-step('import tosda')
-from tosda import (brute_force_split, build_to_sda, consecutive_z, dof_sweep,
-                   split_closed_form)
-dof_sweep(('cna', 'scna', 'tna2'), range(4, 25))
-step('dof_sweep')
-brute_force_split('tna2', 8)
-split_closed_form('scna', 12)
-step('splits')
-consecutive_z(build_to_sda('cna', 9)[0])
-step('build_to_sda, consecutive_z')
-from tosda import cli
-codes = [cli.main(['design', '--variant', 'tna2', '--sensors', '8', '--oracle',
-                   '-o', os.path.join(tmp, 'design')])]
-step('design --oracle')
-codes.append(cli.main(['sweep', '--n-range', '4:6', '--baseline',
-                       os.path.join(tmp, 'design', 'array.json'), '-o', os.path.join(tmp, 'sweep')]))
-step('sweep --baseline')
-try:
-    cli.main(['--version'])
-except SystemExit as exc:
-    codes.append(exc.code)
-step('--version')
-facts['exit codes'] = codes
-print(json.dumps(facts))
-"""
+# The steps of the conftest probe IMPORT_BOUNDARIES, in its order.
+DESIGN_STEPS = ("import tosda", "dof_sweep", "splits", "build_to_sda, consecutive_z",
+                "design --oracle", "sweep --baseline", "--version")
+SIMULATION_STEPS = ("import tosda.simulator", "dense ss_music", "monte_carlo threads=1",
+                    "monte_carlo threads=2", "simulate rmse", "simulate spectrum")
 
 
-def test_design_layer_loads_no_numpy(tmp_path):
-    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
-    run = subprocess.run(
-        [sys.executable, "-c", f"tmp = {str(tmp_path)!r}\n{DESIGN_WITHOUT_NUMPY}"],
-        env=env, capture_output=True, text=True,
-    )
-    assert run.returncode == 0, run.stderr
-    facts = json.loads(run.stdout.splitlines()[-1])
-    assert facts.pop("exit codes") == [0, 0, 0]
-    assert facts == dict.fromkeys(facts, False) and len(facts) == 7, facts
-    assert (tmp_path / "sweep" / "dof.csv").read_text().count("\n") == 3 * 3 + 2
+def test_design_layer_loads_no_numpy(boundaries):
+    steps, tmp = boundaries
+    assert [steps[name]["numpy"] for name in DESIGN_STEPS] == [False] * len(DESIGN_STEPS)
+    assert [steps[name]["exit"] for name in DESIGN_STEPS[-3:]] == [0, 0, 0]
+    assert (tmp / "design" / "manifest.json").exists()
+    assert (tmp / "sweep" / "dof.csv").read_text().count("\n") == 3 * 3 + 2
+
+
+def test_simulation_path_loads_no_coarray(boundaries):
+    steps, tmp = boundaries
+    assert [steps[name]["coarray"] for name in SIMULATION_STEPS] == [False] * len(SIMULATION_STEPS)
+    assert steps["from tosda import *"]["coarray"]  # the probe sees it once it loads
+    assert steps["dense ss_music"]["lags"] == 2 * 123 + 1
+    for mode in ("rmse", "spectrum"):
+        assert steps[f"simulate {mode}"]["exit"] == 0
+        assert (tmp / mode / f"{mode}.csv").exists()
+
+
+def test_no_step_loads_scipy(boundaries):
+    steps, _ = boundaries
+    assert list(steps) == [*DESIGN_STEPS, *SIMULATION_STEPS, "from tosda import *"]
+    assert {name: step["scipy"] for name, step in steps.items() if step["scipy"]} == {}

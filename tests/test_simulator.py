@@ -468,59 +468,56 @@ def test_lanczos_basis_grows_past_its_first_rows(monkeypatch):
                                rtol=0, atol=1e-12)
 
 
-# Fresh interpreters, for what holds only from a process's start: the scipy
-# modules loaded, and the BLAS count in the first call.  numpy's copy starts
-# at 2 threads, so a pin on one worker, or a missed one in a pool, would show.
-# Each script prints the dict of facts it saw; each test checks its entries.
-FRESH_PRELUDE = """\
-import json, os, sys
-import numpy as np
-facts = {}
-def scipy_loaded(prefix='scipy'):
-    return sorted(m for m in sys.modules if m.startswith(prefix))
-"""
+# The scipy modules each path loads, as the conftest probe ``boundaries``
+# recorded them in one fresh interpreter: numpy's FFTs and numpy's copy alone
+# on the dense and the Lanczos path.
+def test_import_leaves_scipy_signal_unloaded(boundaries):
+    steps, _ = boundaries
+    assert steps["import tosda"]["scipy"] == []
 
-SCIPY_FREE_PATHS = """\
-import tosda
-facts['import tosda'] = scipy_loaded()
-from tosda import *
-from tosda import cli
-dof_sweep(('cna', 'scna', 'tna2'), range(4, 8))
-exit_code = cli.main(['design', '--variant', 'tna2', '--sensors', '8', '--output', tmp])
-facts['design'] = [exit_code, os.path.exists(os.path.join(tmp, 'manifest.json')), scipy_loaded()]
-# CNA N=9 has m = 124 <= 224, so its subspace comes from eigh, and N=13
-# (m = 309) from Lanczos: numpy's FFTs and numpy's copy alone on both paths
-arr, _ = build_to_sda('cna', 9)
-scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 400, seed=3)
-z = virtual_array_vector(synthesize_snapshots(arr, scene), arr)
-ss_music(z, 12)
-facts['dense ss_music'] = [z.size, scipy_loaded('scipy.sparse')]
-for threads in (1, 2):
-    for n in (9, 13):
-        arr, _ = build_to_sda('cna', n)
-        monte_carlo(arr, scene, ('snr', [0.0, 10.0]), trials=2, threads=threads)
-    facts[f'monte_carlo threads={threads}'] = scipy_loaded()
-for mode in ('rmse', 'spectrum'):
-    path, out = os.path.join(tmp, mode + '.json'), os.path.join(tmp, mode)
-    with open(path, 'w') as f:
-        json.dump({'mode': mode, 'array': {'variant': 'cna', 'sensors': 9},
-                   'scene': {'angles_deg': {'count': 4, 'span_deg': [-40, 40]},
-                             'snr_db': 5.0, 'snapshots': 600},
-                   'sweep': {'parameter': 'snr', 'values': [0.0, 10.0]}, 'trials': 2,
-                   'master_seed': 77, 'coupling': {'enabled': True}}, f)
-    exit_code = cli.main(['simulate', '--config', path, '--threads', '2', '-o', out])
-    facts[f'simulate {mode}'] = [exit_code, os.path.exists(os.path.join(out, mode + '.csv')),
-                                 scipy_loaded()]
-"""
 
-# The process's first call on CNA N=13 (m = 309 > 224), with `threads`
-# workers: with two, both start the Lanczos path together, before anything
-# has warmed up.  Every FFT of it is recorded: the Lanczos products and the
-# grid projection.  A second call with the other worker count must agree.
+def test_design_paths_load_no_scipy(boundaries):
+    steps, tmp = boundaries
+    design = ("dof_sweep", "splits", "build_to_sda, consecutive_z", "design --oracle")
+    assert [steps[name]["scipy"] for name in design] == [[]] * len(design)
+    assert steps["design --oracle"]["exit"] == 0
+    assert (tmp / "design" / "manifest.json").exists()
+
+
+def test_dense_ss_music_loads_no_scipy_sparse(boundaries):
+    # the dense ss_music call ran on 2Z+1 = 247 lags
+    steps, _ = boundaries
+    assert steps["dense ss_music"]["lags"] == 2 * 123 + 1
+    assert steps["dense ss_music"]["scipy"] == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_dense_monte_carlo_loads_no_scipy(boundaries, threads):
+    steps, _ = boundaries
+    assert steps[f"monte_carlo threads={threads}"]["scipy"] == []
+
+
+@pytest.mark.parametrize("mode", ["rmse", "spectrum"])
+def test_dense_simulate_loads_no_scipy(boundaries, mode):
+    steps, tmp = boundaries
+    assert steps[f"simulate {mode}"]["exit"] == 0
+    assert (tmp / mode / f"{mode}.csv").exists()
+    assert steps[f"simulate {mode}"]["scipy"] == []
+
+
+# The process's first call on CNA N=13 (m = 309 > 224), in a fresh
+# interpreter, since the BLAS count it sees holds only from a process's
+# start.  numpy's copy starts at 2 threads, so a pin on one worker, or a
+# missed one in a pool, would show.  With two workers both start the Lanczos
+# path together, before anything has warmed up.  Every FFT of it is recorded: the Lanczos products
+# and the grid projection.  A second call with the other worker count must
+# agree.  The script prints the dict of facts it saw.
 FIRST_LANCZOS_CALL = """\
+import json, sys
+import numpy as np
 from tosda import SourceScene, build_to_sda, consecutive_z, monte_carlo, simulator
 get, _ = simulator._openblas_thread_controls()
-facts['count at start'] = get()
+facts = {'count at start': get()}
 inside, fft, ifft = [], np.fft.fft, np.fft.ifft
 def recording(transform):
     return lambda *args, **kwargs: (inside.append(get()), transform(*args, **kwargs))[1]
@@ -533,57 +530,31 @@ np.fft.fft, np.fft.ifft = fft, ifft
 facts.update({'counts in its FFTs': sorted(set(inside)), 'FFTs': len(inside), 'count after': get()})
 other = monte_carlo(arr, scene, trials=4, threads=3 - threads)[0].per_trial_estimates
 facts['estimates equal'] = bool(np.array_equal(first, other))
-facts['scipy'] = scipy_loaded()
+facts['scipy'] = sorted(m for m in sys.modules if m.startswith('scipy'))
+print(json.dumps(facts))
 """
-
-FRESH_SCRIPTS = {"scipy-free paths": SCIPY_FREE_PATHS,
-                 **{f"threads={t}": f"threads = {t}\n{FIRST_LANCZOS_CALL}" for t in (1, 2)}}
 
 
 @pytest.fixture(scope="module")
-def fresh_facts(tmp_path_factory):
-    """``fresh_facts(name)``: the facts that ``FRESH_SCRIPTS[name]`` printed
-    in a new interpreter on this checkout; each script runs once."""
+def fresh_facts():
+    """``fresh_facts(threads)``: the facts that ``FIRST_LANCZOS_CALL`` printed
+    with ``threads`` workers in a new interpreter on this checkout; each
+    count runs once."""
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src"),
            "OPENBLAS_NUM_THREADS": "2"}
 
     @functools.cache
-    def facts(name):
-        tmp = str(tmp_path_factory.mktemp("fresh"))
-        probe = f"{FRESH_PRELUDE}tmp = {tmp!r}\n{FRESH_SCRIPTS[name]}print(json.dumps(facts))"
-        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True)
-        assert run.returncode == 0, f"{name!r} exited {run.returncode}:\n{run.stderr}"
+    def facts(threads):
+        run = subprocess.run([sys.executable, "-c", f"threads = {threads}\n{FIRST_LANCZOS_CALL}"],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, f"threads={threads} exited {run.returncode}:\n{run.stderr}"
         return json.loads(run.stdout.splitlines()[-1])
 
     return facts
 
 
-def test_import_leaves_scipy_signal_unloaded(fresh_facts):
-    assert fresh_facts("scipy-free paths")["import tosda"] == []
-
-
-def test_design_paths_load_no_scipy(fresh_facts):
-    assert fresh_facts("scipy-free paths")["design"] == [0, True, []]
-
-
-def test_dense_ss_music_loads_no_scipy_sparse(fresh_facts):
-    # the dense ss_music call ran on 2Z+1 = 247 lags
-    assert fresh_facts("scipy-free paths")["dense ss_music"] == [2 * 123 + 1, []]
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_dense_monte_carlo_loads_no_scipy(fresh_facts, threads):
-    assert fresh_facts("scipy-free paths")[f"monte_carlo threads={threads}"] == []
-
-
-@pytest.mark.parametrize("mode", ["rmse", "spectrum"])
-def test_dense_simulate_loads_no_scipy(fresh_facts, mode):
-    assert fresh_facts("scipy-free paths")[f"simulate {mode}"] == [0, True, []]
-
-
 def test_first_lanczos_call_runs_in_two_workers_at_once(fresh_facts):
-    facts = fresh_facts("threads=2")
+    facts = fresh_facts(2)
     assert facts["scipy"] == [] and facts["estimates equal"]
     assert facts["count after"] == facts["count at start"] == 2
 
@@ -591,7 +562,7 @@ def test_first_lanczos_call_runs_in_two_workers_at_once(fresh_facts):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_first_lanczos_call_pins_blas_only_in_a_pool(fresh_facts, threads):
     # at threads=2 both workers start the Lanczos path at once
-    facts = fresh_facts(f"threads={threads}")
+    facts = fresh_facts(threads)
     assert facts.pop("FFTs") > 20
     assert facts == {
         "count at start": 2, "m above the eigh limit": True,
@@ -932,8 +903,8 @@ class TestMonteCarlo:
 
     def test_capacity_failure_aborts_point(self):
         scene = SourceScene((0.0, 10.0, 20.0, 30.0), snr_db=0.0, snapshots=64, seed=0)
-        with pytest.raises(CapacityExceededError):
-            monte_carlo(build_ula(2), scene, None, trials=1)  # Z = 3
+        with pytest.raises(CapacityExceededError, match="^4 sources exceed the 3 "):
+            monte_carlo(build_ula(2), scene, None, trials=1)  # no sweep point to name
 
     def test_num_sources_past_capacity_refused_before_its_angles_are_listed(self, array9):
         # 10**15 angles take more bytes than a 64-bit address space maps, so
