@@ -6,15 +6,16 @@ loaded.  Then the median wall time of the design-layer stages: ``to_eca`` and
 milliseconds one single-N ``brute_force_split("tna2", n)`` at N = 8, 24 and
 40, and one whole ``dof_sweep(("cna", "scna", "tna2"), range(4, 25))``, the
 design-sweep benchmark pass: warm, and cold with the split search's
-generator memo cleared before each timed sweep; next to it, the tail walks
-of one such sweep alone (``LagSet.zs`` over each tail the sweep walked, from
-the generator's set), so the log shows how much of a pass is big-int work
-and how much is bookkeeping; then one warm sweep to N = 44, where walking
-each split's tail once gains most, and one to N = 92, the scale of
-``tosda sweep`` at which the design layer's run time is quoted, timed once
-after a warm-up sweep (the memo holds one variant's generators at this
-scale, so each variant rebuilds its own).  Last, the memo's hits and misses over one sweep
-from an empty memo: the search asks for each generator once per call, so
+generator memo cleared before each timed sweep; then, per variant, one warm
+split search (``designer._search``) over the same N next to its tail walks
+alone (``LagSet.zs`` over each tail the search walked, from the generator's
+set), the two timed in alternation, so the log shows how much of each
+variant's search is big-int work and how much is bookkeeping; then one warm
+sweep to N = 44, where walking each split's tail once gains most, and one to
+N = 92, the scale of ``tosda sweep`` at which the design layer's run time is
+quoted, timed once after a warm-up sweep (the memo holds one variant's
+generators at this scale, so each variant rebuilds its own).  Last, the
+memo's hits and misses over one sweep from an empty memo: the search asks for each generator once per call, so
 within one sweep only the closed-form split's own lookups hit; the search's
 hits come from later calls.
 
@@ -82,22 +83,33 @@ def cold_sweep():
 
 
 print(f'dof_sweep cna,scna,tna2 N=4..24, cold generator memo: {spread(times_s(cold_sweep), 1e3)} ms')
-walks, zs = [], lagset.LagSet.zs
-lagset.LagSet.zs = lambda lags, positions: walks.append((lags, positions)) or zs(lags, positions)
-try:
-    designer.dof_sweep(*sweep)  # records each tail the sweep walks, and the set it starts from
-finally:
-    lagset.LagSet.zs = zs
 
 
-def walk_tails():
+def recorded_walks(variant):
+    """Each tail that one warm ``_search`` of ``variant`` over the sweep's N
+    walks, with the generator's set it starts from."""
+    walks, zs = [], lagset.LagSet.zs
+    lagset.LagSet.zs = lambda lags, positions: walks.append((lags, positions)) or zs(lags, positions)
+    try:
+        designer._search(variant, sweep[1])
+    finally:
+        lagset.LagSet.zs = zs
+    return walks
+
+
+def walk_tails(walks):
     for lags, positions in walks:
-        for _ in lags.zs(positions):
-            pass
+        lags.zs(positions)
 
 
-print(f'the {len(walks)} tail walks of that sweep ({sum(len(p) for _, p in walks)} sensors) alone: '
-      f'{spread(times_s(walk_tails), 1e3)} ms')
+for variant in sweep[0]:
+    walks = recorded_walks(variant)
+    # the two alternate, so a drift of the shared box slows both alike
+    search, alone = zip(*((*times_s(designer._search, variant, sweep[1], repeats=1),
+                           *times_s(walk_tails, walks, repeats=1)) for _ in range(7)))
+    print(f'_search {variant} N=4..24: {spread(search, 1e3, digits=2)} ms, '
+          f'its {len(walks)} tail walks ({sum(len(p) for _, p in walks)} sensors) alone: '
+          f'{spread(alone, 1e3, digits=2)} ms')
 long_sweep = (('cna', 'scna', 'tna2'), range(4, 45))
 designer.dof_sweep(*long_sweep)  # warm-up
 print(f'dof_sweep cna,scna,tna2 N=4..44: '

@@ -201,15 +201,16 @@ def _generator(
     return positions, lagset.LagSet().add(*positions)
 
 
-def _splits(variant: str, n: int) -> Iterator[tuple[int, int]]:
-    """Every split (M1, M2) in [1, N)^2 with N1 < N, by M1 then M2.  N1
-    grows with M2 in every variant, so each M2 run ends at the first split
-    whose N1 reaches N."""
+def _splits(variant: str, n: int) -> Iterator[tuple[int, int, int]]:
+    """Every split (M1, M2) in [1, N)^2 with N1 < N, by M1 then M2, as
+    (N1, M1, M2).  N1 grows with M2 in every variant, so each M2 run ends at
+    the first split whose N1 reaches N."""
     for m1 in range(1, n):
         for m2 in range(1, n):
-            if geometry.split_sizes(variant, m1, m2)[0] >= n:
+            n1 = geometry.split_sizes(variant, m1, m2)[0]
+            if n1 >= n:
                 break
-            yield m1, m2
+            yield n1, m1, m2
 
 
 # a realized split: (consecutive lags, N1, M1, M2)
@@ -226,38 +227,36 @@ def _search(variant: str, n_values: Iterable[int]) -> dict[int, _Realized]:
     N = N1 + N2.  Each such tail is built once, at its longest, by
     :func:`geometry.gtoa_positions`, which checks it as it checks any tail,
     and its top is checked against MAX_POSITION as any co-array input's.
-    The generator's lag set then walks its sensors, added one at a time
-    (:meth:`lagset.LagSet.zs`), and Z is read at each N asked for.  Each N
-    keeps its best split so far: the most consecutive lags, ties going to
-    the smaller generator, then to the lexicographically smaller (M1, M2).
+    The generator's lag set then walks its sensors, added one at a time, into
+    the list of Z after each (:meth:`lagset.LagSet.zs`), and the Z at N is
+    its entry N - N1 - 1.  Each N keeps its best split so far: the most
+    consecutive lags, ties going to the smaller generator, then to the
+    lexicographically smaller (M1, M2).
     """
     wanted = sorted(set(n_values))
     largest = wanted[-1] if wanted else 0
-    # the N that read a split's tail, in increasing order and as a set: all
-    # of them, or apart, those outside and those inside TNA-II's short band
-    everyone = [(wanted, set(wanted))]
-    bands = [(part, set(part)) for part in (
-        [n for n in wanted if n not in _TNA2_SHORT_N],
-        [n for n in wanted if n in _TNA2_SHORT_N],
-    )]
+    # the N that read a split's tail, in increasing order: all of them, or
+    # apart, those outside and those inside TNA-II's short band
+    everyone = [wanted]
+    bands = [[n for n in wanted if n not in _TNA2_SHORT_N],
+             [n for n in wanted if n in _TNA2_SHORT_N]]
     ranks: dict[int, tuple[int, int, int, int]] = {}  # N -> least (-Z, N1, M1, M2)
-    for m1, m2 in _splits(variant, largest):
-        n1 = geometry.split_sizes(variant, m1, m2)[0]
+    for n1, m1, m2 in _splits(variant, largest):
         built = _generator(variant, m1, m2)
         if built is None:
             continue
         generator, generator_lags = built
         reaches = _printed_reaches(variant, m1, m2)
-        tails = zip(reaches, everyone if reaches[0] == reaches[1] else bands)
-        for lambdas, (sizes, read) in tails:
+        for lambdas, sizes in zip(reaches, everyone if reaches[0] == reaches[1] else bands):
             if not sizes or sizes[-1] <= n1:
                 continue
             delta1, delta2 = geometry.tail_offsets(*lambdas)
             positions = geometry.gtoa_positions(generator, delta1, delta2, sizes[-1] - n1)
             lagset.check_cap(positions, "array")
-            for n, z in enumerate(generator_lags.zs(positions[n1:]), n1 + 1):
-                if n in read:
-                    rank = (-z, n1, m1, m2)
+            zs = generator_lags.zs(positions[n1:])
+            for n in sizes:
+                if n > n1:
+                    rank = (-zs[n - n1 - 1], n1, m1, m2)
                     if n not in ranks or rank < ranks[n]:
                         ranks[n] = rank
     return {n: (2 * -rank[0] + 1, *rank[1:]) for n, rank in ranks.items()}

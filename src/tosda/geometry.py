@@ -171,11 +171,13 @@ def generator_positions(variant: str, m1: int, m2: int) -> tuple[int, ...]:
 
     Its size N1 and TNA-II's J come from :func:`split_sizes`; segments that
     do not hold N1 distinct positions raise
-    :class:`GeometryInconsistencyError` naming the segments.  Every family's
-    segments are disjoint by construction, so only a segment that comes out
-    empty (TNA-II's middle one) can do that.  A generator reaching past
-    :data:`MAX_POSITION` raises :class:`InvalidParameterError` before any
-    segment is listed.
+    :class:`GeometryInconsistencyError` naming the segments.  No family's
+    segments overlap and CNA's and SCNA's hold N1, so only TNA-II's raise:
+    over M1, M2 < 30, in 756 of 841 splits (350 with a non-empty middle
+    segment), exactly those whose first segment, at pitch M1 + 1, holds
+    other than M1 sensors ((2, 5) gives [0, 3, 6]).  A generator reaching
+    past :data:`MAX_POSITION` raises :class:`InvalidParameterError` before
+    any segment is listed.
     """
     expected, j = split_sizes(variant, m1, m2)
     spans = _generator_segments(variant, m1, m2, j)

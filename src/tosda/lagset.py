@@ -12,7 +12,7 @@ whose dense multisets are the oracle of its results.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InternalConsistencyError, InvalidParameterError
 from .geometry import MAX_POSITION, SensorArray
@@ -31,7 +31,7 @@ def check_cap(positions: Sequence[int], name: str) -> None:
 class LagSet:
     """The non-negative lags of the TO-ECA of a set of sensors, grown by
     sensors added one at a time, each above all earlier ones: :meth:`add`
-    returns the grown set and :meth:`zs` yields Z after each sensor of a run,
+    returns the grown set and :meth:`zs` lists Z after each sensor of a run,
     both by one update rule on local ints, and both leave this set as it
     was, so one set can be shared.
 
@@ -68,26 +68,23 @@ class LagSet:
         """This set with the increasing ``positions`` added, each above every
         sensor held; a sensor at or below the one before it raises as in
         :meth:`zs`."""
-        grown = LagSet.__new__(LagSet)
-        for _ in self._walk(positions, grown):
-            pass
-        return grown
+        return self._walk(positions)
 
-    def zs(self, positions: Iterable[int]) -> Iterator[int]:
+    def zs(self, positions: Iterable[int]) -> list[int]:
         """Z of this set with the increasing ``positions`` added one at a
-        time, yielded after each of them, with no set built on the way.
+        time, listed after each of them, with no set built on the way.
 
         A sensor at or below the one before it (the first: at or below
-        ``top``) raises :class:`InternalConsistencyError` when the walk
-        reaches it: its lags would be misplaced, and only a caller that
-        broke the ordering can ask for it.
+        ``top``) raises :class:`InternalConsistencyError`: its lags would be
+        misplaced, and only a caller that broke the ordering can ask for it.
         """
-        return self._walk(positions, None)
+        zs: list[int] = []
+        self._walk(positions, zs)
+        return zs
 
-    def _walk(self, positions: Iterable[int], grown: Optional["LagSet"]) -> Iterator[int]:
-        """The one update rule, on the state in local ints: without
-        ``grown`` it yields Z after each sensor; with it, it yields nothing
-        and writes the final state there."""
+    def _walk(self, positions: Iterable[int], zs: Optional[list[int]] = None) -> "LagSet":
+        """The one update rule, on the state in local ints: the set grown by
+        ``positions``, with Z appended to ``zs`` after each sensor when given."""
         top, sensors, sensors_rev = self.top, self._sensors, self._sensors_rev
         pairs, pairs_rev, diffs, lags = self._pairs, self._pairs_rev, self._diffs, self._lags
         for v in positions:
@@ -103,12 +100,13 @@ class LagSet:
             pairs_rev = pairs_rev << 2 * up | sensors_rev
             diffs = diffs << up | sensors_rev << v | sensors
             lags |= pairs << v | (pairs | pairs_rev) >> v | diffs
-            if grown is None:
-                yield _run_below(lags)
-        if grown is not None:
-            grown.top, grown._sensors, grown._sensors_rev = top, sensors, sensors_rev
-            grown._pairs, grown._pairs_rev, grown._diffs, grown._lags = (
-                pairs, pairs_rev, diffs, lags)
+            if zs is not None:
+                zs.append(_run_below(lags))
+        grown = LagSet.__new__(LagSet)
+        grown.top, grown._sensors, grown._sensors_rev = top, sensors, sensors_rev
+        grown._pairs, grown._pairs_rev, grown._diffs, grown._lags = (
+            pairs, pairs_rev, diffs, lags)
+        return grown
 
     @property
     def z(self) -> int:

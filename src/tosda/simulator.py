@@ -836,9 +836,10 @@ def monte_carlo(
     While the pool runs, numpy's OpenBLAS copy is pinned to one thread, since
     several workers would oversubscribe the cores, and its count is restored
     on return, also when a trial raises.  One worker leaves the count alone,
-    because the copy's own threads make its trials faster: on 2 cores a
-    CNA N=24 trial (12 sources, K = 12000, 0 dB) took a median of 83-86 ms
-    unpinned against 87-108 ms pinned.  If the copy's thread-count symbols
+    because the copy's own threads make its trials faster: 60 alternating
+    pairs of one-trial CNA N=24 calls (12 sources, K = 12000, 0 dB) on a
+    shared 2-core x86-64 box gave quartiles of 47.9/52.6/59.4 ms unpinned
+    against 54.4/61.6/74.6 ms pinned.  If the copy's thread-count symbols
     are missing, it runs unpinned, and ``progress`` is told so.
     """
     trials = whole_number(trials, "trials")
@@ -897,9 +898,8 @@ def monte_carlo(
                 )
             )
             if progress is not None:
-                progress(
-                    f"sweep point {point_idx + 1}/{len(points)} "
-                    f"(value={value!r}): rmse={results[-1].rmse_deg:.4f} deg, "
-                    f"{results[-1].padded_trials}/{trials} trials padded"
-                )
+                point = (f"sweep point {point_idx + 1}/{len(points)} (value={value!r}): "
+                         if sweep is not None else "")
+                progress(f"{point}rmse={results[-1].rmse_deg:.4f} deg, "
+                         f"{results[-1].padded_trials}/{trials} trials padded")
     return results

@@ -341,7 +341,7 @@ class TestLagSet:
         start = min(start, len(positions))
         shared = functools.reduce(LagSet.add, positions[:start], LagSet())
         before = lag_set_state(shared)
-        folded, zs = shared, list(shared.zs(positions[start:]))
+        folded, zs = shared, shared.zs(positions[start:])
         assert len(zs) == len(positions) - start
         for i, z in enumerate(zs, start + 1):
             folded = folded.add(positions[i - 1])
@@ -369,13 +369,9 @@ class TestLagSet:
     def test_walk_at_or_below_the_top_raises(self, run, top):
         lags = LagSet().add(0).add(2).add(5)
         before = lag_set_state(lags)
-        walked = []
         with pytest.raises(InternalConsistencyError,
                            match=f"sensor {run[-1]} added at or below the top sensor {top}$"):
-            walked.extend(lags.zs(run))
-        # the Z before the bad sensor came out, and the set is as it was
-        assert walked == [consecutive_z(SensorArray("h", (0, 2, 5, *run[:i])))
-                          for i in range(1, len(run))]
+            lags.zs(run)
         assert lag_set_state(lags) == before
 
 

@@ -309,19 +309,13 @@ class TestBruteForceSplit:
                 raise error
             return broken
 
-        def raising_in_the_walk(error):  # a first Z, then the error
-            def broken(lags, positions):
-                yield -1
-                raise error
-            return broken
-
         # both build their generators, and so each generator's lag set; only
         # the exhaustive search builds and walks tails, as the closed-form
         # split's printed tail always starts past its generator
         for module, name, replace, error, calls in [
             (lagset.LagSet, "add", raising, InternalConsistencyError("corrupted co-array"),
              [brute_force_split, split_closed_form]),
-            (lagset.LagSet, "zs", raising_in_the_walk,
+            (lagset.LagSet, "zs", raising,
              InternalConsistencyError("corrupted walk"), [brute_force_split]),
             (geometry, "gtoa_positions", raising, InvalidParameterError("broken tail"),
              [brute_force_split]),
@@ -348,7 +342,8 @@ class TestBruteForceSplit:
     def test_search_visits_every_split_with_a_tail(self, variant):
         for n in range(2, 41):
             assert list(_splits(variant, n)) == [
-                (m1, m2) for m1, m2 in itertools.product(range(1, n), repeat=2)
+                (split_sizes(variant, m1, m2)[0], m1, m2)
+                for m1, m2 in itertools.product(range(1, n), repeat=2)
                 if split_sizes(variant, m1, m2)[0] < n
             ], (variant, n)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -22,6 +23,7 @@ from tosda import (
     normalize_variant,
     save_array,
 )
+from tosda import geometry
 from tosda.geometry import MAX_POSITION, gtoa_positions, irange, split_sizes
 
 
@@ -110,6 +112,29 @@ class TestGenerators:
         with pytest.raises(GeometryInconsistencyError, match=re.escape(
                 "has 4 sensors, expected 5; segments [[0, 4], [], [10, 11]]")):
             build_generator("tna2", 3, 2)
+
+    def test_only_a_tna2_first_segment_makes_a_generator_inconsistent(self):
+        # the segments never overlap; a split is inconsistent exactly when
+        # TNA-II's first segment, at pitch M1 + 1, holds other than M1 sensors
+        splits = list(itertools.product(range(1, 30), repeat=2))
+        inconsistent = {variant: [] for variant in ("cna", "scna", "tna2")}
+        for variant in inconsistent:
+            for m1, m2 in splits:
+                spans = geometry._generator_segments(
+                    variant, m1, m2, split_sizes(variant, m1, m2)[1])
+                assert len({p for span in spans for p in span}) == sum(map(len, spans))
+                try:
+                    build_generator(variant, m1, m2)
+                    consistent = True
+                except GeometryInconsistencyError:
+                    consistent = False
+                    inconsistent[variant].append(spans)
+                if variant == "tna2":
+                    assert consistent == (len(spans[0]) == m1), (m1, m2)
+        assert inconsistent["cna"] == inconsistent["scna"] == []
+        assert (len(splits), len(inconsistent["tna2"])) == (841, 756)
+        assert sum(1 for spans in inconsistent["tna2"] if spans[1]) == 350
+        assert list(geometry._generator_segments("tna2", 2, 5, 2)[0]) == [0, 3, 6]
 
     @pytest.mark.parametrize("variant", ["cna", "scna"])
     @pytest.mark.parametrize("m1", [1, 2, 3, 4])
