@@ -372,7 +372,12 @@ def cmd_simulate(args) -> tuple[dict, dict]:
     files: dict[str, str] = {}
     if mode == "rmse":
         sweep_spec = _read(config, "sweep", _object, {})
-        sweep = (sweep_spec.get("parameter"), _read(sweep_spec, "values", _numbers))
+        values = _read(sweep_spec, "values", _numbers)
+        if values is None:
+            raise TosdaError(
+                "config needs a 'sweep' object with 'parameter' and 'values' in rmse mode"
+            )
+        sweep = (sweep_spec.get("parameter"), values)
         trials = _read(config, "trials", whole_number, 1)
         dump_trials = _read(config, "dump_trials", _boolean, False)
         stats = simulator.monte_carlo(

@@ -14,7 +14,10 @@ The grid projection evaluates ||Es^H a||^2 as one trigonometric
 polynomial whose coefficients are the superdiagonal sums of Es Es^H (the
 root-MUSIC identity, Barabell, ICASSP 1983), from a cached steering table
 holding only the b+1 rows (at most 33) that the array's block length b
-reads, a fixed chunk of grid columns at a time.
+reads, over the non-negative half of a grid made exactly antisymmetric:
+w(-u) = conj w(u) (the symmetry unitary root-MUSIC uses, Pesavento, Gershman
+& Haardt, IEEE TSP 48(5), 2000), so one real GEMM gives each column and its
+mirror, a fixed chunk of columns at a time.
 Third-order statistics vanish for Gaussian processes, so additive
 Gaussian noise is suppressed by the statistics themselves rather than
 subtracted.
@@ -23,7 +26,10 @@ One seeded trial of the pipeline is :func:`run_trial`.  All randomness
 flows through ``numpy.random.Generator`` objects seeded from explicit
 integers; Monte-Carlo trials derive their generators from (master seed,
 sweep point, trial index) so results do not depend on the number of
-worker threads.
+worker threads.  A trial holds a workspace from a pool shared by every
+thread and call, whose snapshot matrix and scratch buffer its stages carve
+their large arrays from, so a warm trial allocates no block above 1 MiB;
+stage functions called outside a trial return fresh arrays.
 
 The simulator runs on numpy alone and loads no scipy module.  Neither path
 forms T: the dense one gathers two n x n blocks of it from the lag vector,
@@ -36,9 +42,11 @@ thread (see :func:`monte_carlo`); the pin leaves every result unchanged.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
 import math
+import os
 import reprlib
 import sys
 import threading
@@ -127,16 +135,17 @@ class EstimationResult:
 
     ``spectrum`` is (grid, 1/|En^H a|^2) with |En^H a|^2 = m - ||Es^H a||^2.  The
     second term is the polynomial r_0 + 2 Re sum_l r_l w**l (see
-    :func:`ss_music`), summed by Horner's rule over about m/b rows, each
-    step rounding the phase of shift = w**b on terms up to sum|r_l| <= D*m,
-    so the error is bounded by about eps*D*m**2/b.  Against the per-row form
-    m - sum_k |Es[:, k]^H a|^2 in long double (same Es, float64 u and pi;
-    CNA, D = 12, K = 12000, 0 dB) it was at most 7.3e-15*m at m = 124 (b = 16,
-    three seeds; 6.6e-15*m with b = 64) and 7.9e-14*m at m = 1514 (b = 32,
-    three seeds; 7.6e-14*m with b = 64), about 6e-17*m**2, far inside that
-    bound.  Near a peak the subtraction cancels, so a spectrum value is only
-    good to that error over m - ||Es^H a||^2, relative; compare 1/spectrum,
-    not spectrum.
+    :func:`ss_music`), taken as the two polynomials of Re r_l and Im r_l,
+    each summed by Horner's rule over about m/b rows, each step rounding the
+    phase of shift = w**b on terms up to sum|Re r_l| + sum|Im r_l| <=
+    sqrt(2)*D*m, so the error is bounded by about eps*D*m**2/b.  Against the
+    per-row form m - sum_k |Es[:, k]^H a|^2 in long double (same Es, float64
+    u and pi; CNA, D = 12, K = 12000, 0 dB, 0.01 degree grid) it was at most
+    7.4e-15*m at m = 124 (b = 16, three seeds) and 7.9e-14*m at m = 1514
+    (b = 32, three seeds), as with one complex polynomial, about 6e-17*m**2,
+    far inside that bound.  Near a peak the subtraction cancels, so a
+    spectrum value is only good to that error over m - ||Es^H a||^2,
+    relative; compare 1/spectrum, not spectrum.
     """
 
     angles_deg: np.ndarray
@@ -158,6 +167,75 @@ class RunStats:
     rmse_deg: float
     per_trial_estimates: np.ndarray
     truth_deg: np.ndarray
+
+
+class _Workspace:
+    """The reusable arrays of one trial at a time: its snapshot matrix, and
+    one scratch buffer that each stage in turn carves into its own arrays."""
+
+    def __init__(self):
+        self._buffers = {"snapshots": np.empty(0), "scratch": np.empty(0)}
+
+    def carve(self, buffer: str, specs) -> list[np.ndarray]:
+        """Uninitialised arrays of the ``(shape, dtype)`` ``specs``, laid end
+        to end on 64-byte steps at the front of ``buffer``, which grows to
+        fit.  They overwrite the arrays of any earlier carve of ``buffer``."""
+        counts = [math.prod(shape) * np.dtype(dtype).itemsize // 8 for shape, dtype in specs]
+        starts = [0]
+        for count in counts:
+            starts.append(starts[-1] + -(-count // 8) * 8)
+        if self._buffers[buffer].size < starts[-1]:
+            self._buffers[buffer] = None  # freed first, unless a view still holds it
+            self._buffers[buffer] = np.empty(starts[-1])
+        flat = self._buffers[buffer]
+        return [flat[start : start + count].view(dtype).reshape(shape)
+                for (shape, dtype), start, count in zip(specs, starts, counts)]
+
+
+# The workspace of the trial running in this context (see run_trial).
+_TRIAL_WORKSPACE: contextvars.ContextVar[Optional[_Workspace]] = contextvars.ContextVar(
+    "tosda_trial_workspace", default=None
+)
+
+
+def _arrays(*specs, buffer: str = "scratch") -> list[np.ndarray]:
+    """Uninitialised arrays of the ``(shape, dtype)`` ``specs``: carved from
+    ``buffer`` of the running trial's workspace, or fresh outside a trial."""
+    workspace = _TRIAL_WORKSPACE.get()
+    if workspace is None:
+        return [np.empty(shape, dtype) for shape, dtype in specs]
+    return workspace.carve(buffer, specs)
+
+
+class _WorkspacePool:
+    """Workspaces shared by every thread and every call.
+
+    A trial checks one out for its duration, or a new one when all are out,
+    and returns it; at most ``kept`` wait idle, so the arrays of a run
+    outlive its worker threads and serve the next call.
+    """
+
+    def __init__(self, kept: int):
+        self._lock = threading.Lock()
+        self._idle: list[_Workspace] = []
+        self._kept = kept
+
+    @contextlib.contextmanager
+    def checked_out(self):
+        with self._lock:
+            workspace = self._idle.pop() if self._idle else _Workspace()
+        token = _TRIAL_WORKSPACE.set(workspace)
+        try:
+            yield
+        finally:
+            _TRIAL_WORKSPACE.reset(token)
+            with self._lock:
+                if len(self._idle) < self._kept:
+                    self._idle.append(workspace)
+
+
+# One idle workspace per core: more concurrent trials than cores gain nothing.
+_WORKSPACES = _WorkspacePool(kept=os.cpu_count() or 1)
 
 
 def steering_matrix(array: SensorArray, angles_deg) -> np.ndarray:
@@ -184,25 +262,27 @@ def synthesize_snapshots(
     matrix bit for bit.  The coupling matrix multiplies only the signal
     part; sensor noise is injected after it.  The signal is C A S computed as
     (C A) S, so coupling costs N^2 D rather than N^2 K, and A S as two real
-    GEMMs, since the source amplitudes S are real.
+    GEMMs, since the source amplitudes S are real.  Inside :func:`run_trial`
+    the matrix and the buffers behind it belong to the trial's workspace.
     """
     if rng is None:
         rng = np.random.default_rng(scene.seed)
-    d, k = scene.n_sources, scene.snapshots
+    n, d, k = array.size, scene.n_sources, scene.snapshots
     a = steering_matrix(array, scene.angles_deg)
     if coupling is not None:
         a = _coupling_matrix(array, coupling) @ a
-    s = rng.standard_exponential(size=(d, k))
+    (x,) = _arrays(((n, k), np.complex128), buffer="snapshots")
+    s, noise, signal = _arrays(((d, k), float), ((n, k), float), ((n, k), float))
+    rng.standard_exponential(out=s)
     s -= 1.0
     sigma = math.sqrt(10.0 ** (-scene.snr_db / 10.0))
-    x = np.empty((array.size, k), dtype=np.complex128)
     # the real parts of the noise, then its imaginary parts, drawn in turn into
     # one buffer: the stream of one (2, N, K) draw
-    noise = np.empty((array.size, k))
     for part, steering in ((x.real, a.real), (x.imag, a.imag)):
         rng.standard_normal(out=noise)
         noise *= sigma / math.sqrt(2.0)
-        np.add(steering @ s, noise, out=part)
+        np.matmul(steering, s, out=signal)
+        np.add(signal, noise, out=part)
     return x
 
 
@@ -302,7 +382,8 @@ def virtual_array_vector(x: np.ndarray, array: SensorArray) -> np.ndarray:
     block is centred by the sensor means into the first N rows of one
     reusable buffer, its conjugate into the last N, and its pair products
     into another, so no centred copy of x is made and the working memory
-    does not grow with K.
+    does not grow with K.  Inside :func:`run_trial` these buffers are carved
+    from the trial's workspace.
     """
     x, mean = _snapshots_and_means(x, array)
     n, k = x.shape
@@ -321,9 +402,10 @@ def virtual_array_vector(x: np.ndarray, array: SensorArray) -> np.ndarray:
     # keep peak memory at (N^2/2 + 2N) x _SNAPSHOT_BLOCK, not N^2/2 x K
     first_row = np.r_[0, np.cumsum(np.arange(n, 1, -1))]
     width = min(k, _SNAPSHOT_BLOCK)
-    pairs = np.empty((i.size, width), dtype=np.complex128)
-    both = np.empty((2 * n, width), dtype=np.complex128)
-    moments = np.zeros((i.size, 2 * n), dtype=np.complex128)
+    pairs, both, moments = _arrays(((i.size, width), np.complex128),
+                                   ((2 * n, width), np.complex128),
+                                   ((i.size, 2 * n), np.complex128))
+    moments.fill(0)
     for lo in range(0, k, _SNAPSHOT_BLOCK):
         cols = slice(lo, lo + _SNAPSHOT_BLOCK)
         rhs = both[:, : min(_SNAPSHOT_BLOCK, k - lo)]
@@ -342,17 +424,18 @@ def virtual_array_vector(x: np.ndarray, array: SensorArray) -> np.ndarray:
     return (sums + sums[::-1].conj()) / counts
 
 
-# The most rows a block of the grid evaluation uses, and the grid columns one
-# GEMM and Horner pass of it cover.  32 rather than 64 halves the cached table
-# of a long virtual array (m >= 1024) for about m/64 more Horner rows: at
-# m = 1514, 9.5 MB instead of 18.7 MB at 0.01 degrees, for about 1-2 ms more
-# per call on a 2-core x86 box.
+# The most rows a block of the grid evaluation uses, and the grid points one
+# GEMM and Horner pass of it cover: _GRID_CHUNK/2 columns of the half-grid
+# table and their mirrors.  32 rather than 64 halves the cached table of a
+# long virtual array (m >= 1024) for about m/64 more Horner rows: at m = 1514,
+# 4.75 MB instead of 9.4 MB at 0.01 degrees, for about 1-2 ms more per call
+# on a 2-core x86 box.
 _BLOCK = 32
 _GRID_CHUNK = 4096
 
-# Smallest grid step: it leaves 2**20 interior points, a (b+1) x G steering
-# table of 0.52 GiB once b = _BLOCK (m >= 256); its out-of-place build briefly
-# needs about twice that.
+# Smallest grid step: it leaves 2**20 interior points, a (b+1) x 2**19
+# steering table of 0.26 GiB once b = _BLOCK (m >= 256), built in place a row
+# at a time.
 _MIN_GRID_STEP_DEG = 180.0 / (2**20 + 1)
 
 # Largest virtual array whose signal subspace comes from a dense eigh.  The
@@ -384,9 +467,15 @@ _LANCZOS_RESTART_SEED = 2015
 
 @functools.lru_cache(maxsize=8)
 def _grid_and_steering(step_deg: float, rows: int):
-    """Search grid over (-90, 90) plus the block factors of the ULA responses.
+    """Search grid over (-90, 90) plus the block factors of the ULA responses
+    on its non-negative half.
 
-    Row r of the ``rows`` x G table is exp(j*2*pi*d*r*u) at u = sin(angle),
+    The G points, 180/round(180/step) degrees apart, are numpy's linspace
+    made exactly antisymmetric: each negative point is minus its mirror (a
+    change of at most 2 ulps of 90) and the middle point of an odd count is
+    0.  So w(-u) = conj w(u), and the table holds only the H = ceil(G/2)
+    points from the middle up, its first column all ones when G is odd.
+    Row r of the ``rows`` x H table is exp(j*2*pi*d*r*u) at u = sin(angle),
     d = UNIT_SPACING, for r = 0..b with b = rows - 1.  Element qb + r of the
     steering vector is table[b]**q * table[r], so a virtual array whose block
     length (:func:`_block_length`) is b needs just these b+1 rows.  Every row
@@ -394,9 +483,19 @@ def _grid_and_steering(step_deg: float, rows: int):
     """
     npts = int(round(180.0 / step_deg)) + 1
     grid = np.linspace(-90.0, 90.0, npts)[1:-1]
-    u = np.sin(np.deg2rad(grid))
+    below = grid.size // 2  # the negative points
+    if grid.size % 2:
+        grid[below] = 0.0
+    np.negative(grid[::-1][:below], out=grid[:below])
+    u = np.sin(np.deg2rad(grid[below:]))
+    # built in place a row at a time, each element as exp(phase * (r * u))
     phase = 1j * 2 * np.pi * UNIT_SPACING
-    steering = np.exp(phase * np.outer(np.arange(rows, dtype=float), u))
+    steering = np.empty((rows, u.size), dtype=np.complex128)
+    ru = np.empty_like(u)
+    for r, row in enumerate(steering):
+        np.multiply(float(r), u, out=ru)
+        np.multiply(phase, ru, out=row)
+        np.exp(row, out=row)
     for table in (grid, steering):
         table.setflags(write=False)  # shared across threads and callers
     return grid, steering
@@ -430,7 +529,7 @@ def _real_transform(c: np.ndarray) -> np.ndarray:
     e = np.concatenate([c[:0:-1].conj(), c[:1].real, c[1:]])
     i = np.arange(n)
     a, b = e[m - 1 + i[:, None] - i], e[i[:, None] + i]
-    r = np.empty((m, m))
+    (r,) = _arrays(((m, m), np.float64))
     r[:n, :n] = (a + b).real
     r[m - n :, m - n :] = (a - b).real
     r[:n, m - n :] = (b - a).imag
@@ -484,14 +583,19 @@ def _signal_subspace(c: np.ndarray, n_sources: int) -> np.ndarray:
     spec = np.fft.fft(np.concatenate([c, np.zeros(n_fft - 2 * m + 1), c[:0:-1].conj()]))
     breakdown = _LANCZOS_TOL * np.abs(spec).max()
     # Lanczos with full reorthogonalisation: row k of basis is the k-th Lanczos
-    # vector, alpha and beta the diagonal and off-diagonal of the tridiagonal
-    basis = np.empty((min(m, 4 * n_sources + 32), m), dtype=np.complex128)
+    # vector, alpha and beta the diagonal and off-diagonal of the tridiagonal;
+    # ritz, carved after basis, takes the Ritz vectors
+    ritz_spec = ((m, n_sources), np.complex128)
+    basis, ritz = _arrays(((min(m, 4 * n_sources + 32), m), np.complex128), ritz_spec)
     alpha, beta = np.empty(m), np.empty(m)
     q = np.full(m, 1 / math.sqrt(m), dtype=np.complex128)
     rng = None
     for k in range(1, m + 1):
         if k > basis.shape[0]:  # double the rows, up to m
-            basis = np.concatenate([basis, np.empty_like(basis[: m - basis.shape[0]])])
+            grown, ritz = _arrays(((min(m, 2 * basis.shape[0]), m), np.complex128), ritz_spec)
+            if not np.may_share_memory(grown, basis):  # else it already starts with them
+                grown[: basis.shape[0]] = basis
+            basis = grown
         basis[k - 1] = q
         # orthogonalising T q against every Lanczos vector also takes out
         # alpha q and beta q_prev
@@ -522,7 +626,7 @@ def _signal_subspace(c: np.ndarray, n_sources: int) -> np.ndarray:
         else:
             q = w / beta[k - 1]
     # the QR keeps the basis orthonormal to working precision
-    return np.linalg.qr(basis[:k].T @ s[:, wanted])[0]
+    return np.linalg.qr(np.matmul(basis[:k].T, s[:, wanted], out=ritz))[0]
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -541,32 +645,61 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
 
 
 def _music_spectrum(signal: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    """1/|En^H a|^2 on the grid of the cached (b+1) x G ``steering`` table for
-    the orthonormal m x D signal basis ``signal``, b = ``_block_length(m)``,
-    clamped at 1e12 (see :func:`ss_music`).  The grid is evaluated
-    ``_GRID_CHUNK`` columns at a time, so its partial sums take (m/b) x
-    ``_GRID_CHUNK``, not (m/b) x G; each column's value does not depend on the
-    chunking."""
-    # |En^H a|^2 = m - ||Es^H a||^2 because the eigenbasis is orthonormal, and
-    # ||Es^H a||^2 = 2 Re acc with acc = r_0/2 + sum_l r_l w**l
+    """1/|En^H a|^2 on the grid of the cached (b+1) x H ``steering`` table of
+    :func:`_grid_and_steering` for the orthonormal m x D signal basis
+    ``signal``, b = ``_block_length(m)``, clamped at 1e12 (see
+    :func:`ss_music`).  The grid has 2H - 1 points when the table's first
+    column is all ones (the middle point 0), else 2H.
+
+    ||Es^H a||^2 = 2 Re p(w) with p(w) = r_0/2 + sum_l r_l w**l.  Split as
+    p = P_R + j P_I, P_R and P_I the polynomials of Re r_l and Im r_l, one
+    real GEMM of [Re coef; Im coef] with the table's float view gives the
+    partial sums of both at w, and Horner's rule adds their rows; since their
+    coefficients are real, Re p(w) = Re P_R - Im P_I and Re p(conj w) =
+    Re P_R + Im P_I, so each column also gives its mirror point.  The table
+    is read ``_GRID_CHUNK``/2 columns at a time, so the partial sums take
+    2(m/b) x ``_GRID_CHUNK`` floats, carved from the trial's workspace inside
+    :func:`run_trial`; each point's value does not depend on the chunking.
+    """
+    # |En^H a|^2 = m - ||Es^H a||^2 because the eigenbasis is orthonormal
     m = signal.shape[0]
     b = steering.shape[0] - 1
-    power = np.abs(np.fft.fft(signal.conj(), _fft_length(m), axis=0)) ** 2
-    coef = np.zeros(-(-m // b) * b, dtype=np.complex128)
+    half = steering.shape[1]
+    size = 2 * half - int(steering[1, 0] == 1)
+    n_fft, d = _fft_length(m), signal.shape[1]
+    rows = -(-m // b)
+    width = min(half, _GRID_CHUNK // 2)
+    spectra, power, sums = _arrays(((n_fft, d), np.complex128), ((n_fft, d), np.float64),
+                                   ((2 * rows, 2 * width), np.float64))
+    np.fft.fft(signal.conj(), n_fft, axis=0, out=spectra)
+    np.abs(spectra, out=power)
+    np.square(power, out=power)
+    coef = np.zeros(rows * b, dtype=np.complex128)
     coef[:m] = np.fft.ifft(power.sum(axis=1))[:m]
     coef[0] /= 2
-    coef = coef.reshape(-1, b)
-    total = np.empty(steering.shape[1])
-    for lo in range(0, total.size, _GRID_CHUNK):
-        cols = slice(lo, lo + _GRID_CHUNK)
-        rows = coef @ steering[:b, cols]
-        shift = steering[b, cols]
-        acc = rows[-1]
-        for row in rows[-2::-1]:
+    coef = coef.reshape(rows, b)
+    lhs = np.concatenate([coef.real, coef.imag])
+    table = steering.view(np.float64)  # Re and Im of each column side by side
+    # column k of the table is grid point size - half + k, its mirror half - 1 - k
+    # (the same point for the middle one, which the second write keeps)
+    total = np.empty(size)
+    for lo in range(0, half, width):
+        hi = min(lo + width, half)
+        block = sums[:, : 2 * (hi - lo)]
+        np.matmul(lhs, table[:b, 2 * lo : 2 * hi], out=block)
+        # partial sums of P_R and P_I as two stacks of complex rows
+        parts = block.view(np.complex128).reshape(2, rows, hi - lo)
+        shift = steering[b, lo:hi]
+        acc = parts[:, -1]
+        for row in parts.swapaxes(0, 1)[-2::-1]:
             acc *= shift
             acc += row
-        total[cols] = acc.real
-    return 1.0 / np.maximum(m - 2 * total, 1e-12)
+        np.add(acc[0].real, acc[1].imag, out=total[half - hi : half - lo][::-1])
+        np.subtract(acc[0].real, acc[1].imag, out=total[size - half + lo : size - half + hi])
+    total *= -2.0
+    total += m
+    np.maximum(total, 1e-12, out=total)
+    return np.divide(1.0, total, out=total)
 
 
 def _checked_grid_step(grid_step_deg: float) -> float:
@@ -604,7 +737,9 @@ def ss_music(
     are both lower; runs touching either end of the grid never count, and a
     run reports its middle index (first + last) // 2.  This is the rule of
     ``scipy.signal.find_peaks``, plateaus included; they occur where the
-    spectrum is clamped at 1e12.
+    spectrum is clamped at 1e12.  The grid holds the round(180/step) - 1
+    points inside (-90, 90) spaced 180/round(180/step) degrees apart, so a
+    step of 0.7 gives 0.70039 degrees, symmetric about 0.
 
     Up to m = Z+1 = 224 the subspace comes from a dense real symmetric
     ``eigh`` of Q^H T Q for a sparse unitary Q (see :func:`_signal_subspace`).
@@ -621,11 +756,14 @@ def ss_music(
     autocorrelations of the columns of conj(Es), taken by FFTs of length L;
     r_0 = D.  The coefficients r_0/2, r_1, ..., r_{m-1} are cut into rows of
     b, the power of two with sqrt(m) < b <= 2 sqrt(m) up to 32 (16 at m = 124,
-    32 at m = 1514); one GEMM with the first b rows of a (b+1) x G table,
-    cached per grid and b, gives each row's partial sum, and Horner's
-    rule in w**b, its last row, adds the rows.  Both run over chunks of
-    ``_GRID_CHUNK`` grid columns, so no m x G table exists, the partial sums
-    never span the whole grid, and the GEMM does not grow with D.
+    32 at m = 1514); one real GEMM of their real and imaginary parts with the
+    float view of the first b rows of a (b+1) x ceil(G/2) table over the
+    non-negative grid points, cached per grid and b, gives each row's partial
+    sums, and Horner's rule in w**b, its last row, adds the rows; since
+    w(-u) = conj w(u), the same sums give the mirror points (see
+    :func:`_music_spectrum`).  Both run over chunks of ``_GRID_CHUNK`` grid
+    points, so no m x G table exists, the partial sums never span the whole
+    grid, and the GEMM does not grow with D.
     """
     z = _numeric_array(z, "z")
     if z.ndim != 1 or z.size % 2 == 0:
@@ -802,12 +940,18 @@ def run_trial(
     pseudo-spectrum.  More sources than the TO-ECA's Z raise
     :class:`CapacityExceededError`, and a bad grid step
     :class:`InvalidParameterError`, before any snapshot is drawn.
+
+    The trial checks a workspace out of a lock-guarded pool shared by every
+    thread and every :func:`monte_carlo` call, and gives it back when it
+    ends; the snapshot matrix, the blocks of :func:`virtual_array_vector`,
+    the dense or Lanczos subspace solve and the grid evaluation carve their
+    large arrays from it in turn.  The result holds no workspace array.
     """
     _check_capacity(array, scene.n_sources)
     _checked_grid_step(grid_step_deg)
-    # the snapshots are not kept while ss_music runs
-    zvec = virtual_array_vector(synthesize_snapshots(array, scene, coupling, rng), array)
-    return ss_music(zvec, scene.n_sources, grid_step_deg=grid_step_deg)
+    with _WORKSPACES.checked_out():
+        zvec = virtual_array_vector(synthesize_snapshots(array, scene, coupling, rng), array)
+        return ss_music(zvec, scene.n_sources, grid_step_deg=grid_step_deg)
 
 
 def monte_carlo(

@@ -754,6 +754,18 @@ class TestSimulate:
                      "-o", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("overrides", [{"sweep": None}, {"sweep": {"parameter": "snr"}}],
+                             ids=["no-sweep", "sweep-without-values"])
+    def test_rmse_config_without_sweep_values_names_them(self, tmp_path, capsys, overrides):
+        config = tmp_path / "config.json"
+        write_sim_config(config, **overrides)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: config needs a 'sweep' object with 'parameter' and 'values' "
+            "in rmse mode\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("route", [{"variant": "cna", "sensors": 9}, {"variant": "cna"},
                                        {"sensors": 9}, {}],
                              ids=["variant-and-sensors", "variant", "sensors", "file-only"])

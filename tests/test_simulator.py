@@ -753,28 +753,58 @@ class TestSteeringTable:
         _, table = simulator._grid_and_steering(0.01, 17)
         info = simulator._grid_and_steering.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-        assert table.shape == (17, 17999)
+        # the non-negative half of the 17999-point grid: 0 and its 8999 positive points
+        assert table.shape == (17, 9000)
 
-    def test_cold_trial_traced_peak_below_16_mib(self, array9):
-        # one CNA N=9 trial with an empty steering cache: the 17-row table, its
-        # build and the trial's own arrays, as numpy reports them to tracemalloc
-        assert cold_trial_traced_peak(array9, CouplingModel()) < 16 * 2**20
+    # 0.7 degrees is 257 steps of 180/257 = 0.70039 degrees, an even 256 interior
+    # points; 60 degrees leaves -30 and 30 only
+    @pytest.mark.parametrize("step, size", [(0.01, 17999), (0.05, 3599), (0.7, 256), (60.0, 2)])
+    def test_grid_is_antisymmetric_over_a_half_width_table(self, step, size):
+        grid, table = simulator._grid_and_steering(step, 3)
+        assert grid.size == size
+        assert np.array_equal(grid, -grid[::-1])
+        np.testing.assert_allclose(np.diff(grid), 180 / round(180 / step), rtol=0, atol=1e-12)
+        assert table.shape == (3, (size + 1) // 2)
+        u = np.sin(np.deg2rad(grid[size // 2:]))
+        assert np.array_equal(table[1], np.exp(1j * 2 * np.pi * simulator.UNIT_SPACING * u))
 
-    def test_cold_n24_trial_traced_peak_below_24_mib(self):
-        # m = 1514: the 33-row table, its out-of-place build, the 24 x 12000
-        # snapshots and the blocks of virtual_array_vector
-        assert cold_trial_traced_peak(build_to_sda("cna", 24)[0], None) < 24 * 2**20
+    def test_cold_trial_traced_peak_below_10_mib(self, array9):
+        # one CNA N=9 trial with an empty steering cache: the 17-row half table,
+        # built in place, the trial's workspace and its other arrays, as numpy
+        # reports them to tracemalloc
+        assert cold_trial_traced_peak(array9, CouplingModel()) < 10 * 2**20
+
+    def test_cold_n24_trial_traced_peak_below_17_mib(self):
+        # m = 1514: the 33-row half table, the 24 x 12000 snapshots and the
+        # scratch buffer, sized by the blocks of virtual_array_vector
+        assert cold_trial_traced_peak(build_to_sda("cna", 24)[0], None) < 17 * 2**20
+
+    @pytest.mark.parametrize("sensors", [9, 24])
+    def test_warm_trial_allocates_no_block_above_1_mib(self, sensors):
+        # the trial's arrays above 1 MiB all come from its pooled workspace, so
+        # the traced memory of a warm trial never rises 1 MiB above its start
+        array = build_to_sda("cna", sensors)[0]
+        coupling = CouplingModel() if sensors == 9 else None
+        cold_trial_traced_peak(array, coupling)
+        assert trial_traced_rise(array, coupling) < 2**20
 
 
 def cold_trial_traced_peak(array, coupling):
     """tracemalloc's peak in bytes over one trial (12 sources, K = 12000,
     0 dB, 0.01 degree grid) that starts with an empty steering cache."""
-    scene = SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), 0.0, 12000)
     simulator._grid_and_steering.cache_clear()
+    return trial_traced_rise(array, coupling)
+
+
+def trial_traced_rise(array, coupling):
+    """How far tracemalloc's peak over one such trial rises above its start,
+    in bytes."""
+    scene = SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), 0.0, 12000)
     tracemalloc.start()
     try:
+        start = tracemalloc.get_traced_memory()[0]
         tosda.run_trial(array, scene, np.random.default_rng(1), coupling=coupling)
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
 
@@ -848,6 +878,51 @@ class TestMonteCarlo:
         for a, b in zip(*runs):
             assert np.array_equal(a.per_trial_estimates, b.per_trial_estimates)
             assert a.rmse_deg == b.rmse_deg
+
+    def test_concurrent_calls_match_sequential_ones(self, array9):
+        # two calls of two workers each share the workspace pool, with arrays of
+        # different sizes, so a workspace serves trials of both in turn
+        runs = [(array9, SourceScene((-20.0, 10.0, 40.0), 0.0, 700, seed=3)),
+                (build_to_sda("cna", 6)[0], SourceScene((-30.0, 25.0), 5.0, 300, seed=4))]
+
+        def run(array, scene):
+            return monte_carlo(array, scene, ("snr", [0.0, 10.0]), trials=4, threads=2,
+                               grid_step_deg=0.05)
+
+        sequential = [run(*args) for args in runs]
+        barrier = threading.Barrier(len(runs))
+        concurrent = [None] * len(runs)
+
+        def call(k):
+            barrier.wait()
+            concurrent[k] = run(*runs[k])
+
+        # four workers on fewer cores, switching often, so trials interleave
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(len(runs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for want, got in zip(sequential, concurrent):
+            assert [s.per_trial_estimates.tolist() for s in got] == [
+                s.per_trial_estimates.tolist() for s in want]
+            assert [s.rmse_deg for s in got] == [s.rmse_deg for s in want]
+
+    def test_results_outlive_the_trial_workspace(self, array9):
+        scene = SourceScene((-20.0, 20.0), 10.0, 600)
+        first = tosda.run_trial(array9, scene, np.random.default_rng(1), grid_step_deg=0.05)
+        kept = first.spectrum[1].copy()
+        tosda.run_trial(array9, scene, np.random.default_rng(2), grid_step_deg=0.05)
+        assert np.array_equal(first.spectrum[1], kept)
+        # stage functions called outside a trial return fresh arrays
+        x = [synthesize_snapshots(array9, scene) for _ in range(2)]
+        assert np.array_equal(x[0], x[1]) and not np.shares_memory(x[0], x[1])
 
     def test_more_sources_than_sensors(self, array9):
         # 12 sources against 9 physical sensors still estimates
