@@ -12,12 +12,13 @@ reorthogonalisation on a product with the circulant embedding of T, whose
 spectrum is transformed once per call, so the matrix is never formed.
 The grid projection evaluates ||Es^H a||^2 as one trigonometric
 polynomial whose coefficients are the superdiagonal sums of Es Es^H (the
-root-MUSIC identity, Barabell, ICASSP 1983), from a cached steering table
-holding only the b+1 rows (at most 33) that the array's block length b
-reads, over the non-negative half of a grid made exactly antisymmetric:
-w(-u) = conj w(u) (the symmetry unitary root-MUSIC uses, Pesavento, Gershman
-& Haardt, IEEE TSP 48(5), 2000), so one real GEMM gives each column and its
-mirror, a fixed chunk of columns at a time.
+root-MUSIC identity, Barabell, ICASSP 1983), from the powers w**0..w**b
+(b at most 32, the array's block length) of one cached phasor row w over
+the non-negative half of a grid made exactly antisymmetric: w(-u) =
+conj w(u) (the symmetry unitary root-MUSIC uses, Pesavento, Gershman &
+Haardt, IEEE TSP 48(5), 2000), so one real GEMM gives each point and its
+mirror.  The powers are built by products of w a fixed chunk of points at a
+time, so no steering table is kept.
 Third-order statistics vanish for Gaussian processes, so additive
 Gaussian noise is suppressed by the statistics themselves rather than
 subtracted.
@@ -29,7 +30,9 @@ sweep point, trial index) so results do not depend on the number of
 worker threads.  A trial holds a workspace from a pool shared by every
 thread and call, whose snapshot matrix and scratch buffer its stages carve
 their large arrays from, so a warm trial allocates no block above 1 MiB;
-stage functions called outside a trial return fresh arrays.
+stage functions called outside a trial return fresh arrays.  Under glibc
+the first workspace also fixes malloc's mmap and trim thresholds, so the
+smaller temporaries of a warm trial reuse pages already faulted in.
 
 The simulator runs on numpy alone and loads no scipy module.  Neither path
 forms T: the dense one gathers two n x n blocks of it from the lag vector,
@@ -169,11 +172,43 @@ class RunStats:
     truth_deg: np.ndarray
 
 
+# glibc's mallopt parameters (malloc.h) and the values trials run under:
+# blocks below _MMAP_THRESHOLD come from malloc's heaps rather than fresh
+# mappings, and a heap keeps up to _TRIM_THRESHOLD free at its top rather than
+# hand it back to the kernel.  A trial's own temporaries (eigh's LAPACK work,
+# about 250 KB at m = 124; the spectrum, 0.14 MB at a 0.01 degree grid and
+# 1.4 MB at 0.001) then reuse pages already faulted in, while the workspace
+# buffers of long virtual arrays, which outlive them, stay mapped.  A spectrum
+# above 2 MiB, at steps below about 0.0007 degrees, is mapped afresh.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 2 * 2**20
+_TRIM_THRESHOLD = 32 * 2**20
+
+
+@functools.cache
+def _fix_malloc_thresholds() -> None:
+    """Set glibc's mmap and trim thresholds to the values above, once per
+    process; leave any other C library's allocator alone.  glibc would
+    otherwise raise both with the largest mapped block freed so far, so the
+    page faults of a trial would depend on what the process freed before."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ValueError, OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 class _Workspace:
     """The reusable arrays of one trial at a time: its snapshot matrix, and
-    one scratch buffer that each stage in turn carves into its own arrays."""
+    one scratch buffer that each stage in turn carves into its own arrays.
+    The first workspace of a process fixes the allocator's thresholds."""
 
     def __init__(self):
+        _fix_malloc_thresholds()
         self._buffers = {"snapshots": np.empty(0), "scratch": np.empty(0)}
 
     def carve(self, buffer: str, specs) -> list[np.ndarray]:
@@ -250,6 +285,11 @@ def steering_matrix(array: SensorArray, angles_deg) -> np.ndarray:
     return np.exp(1j * 2 * np.pi * UNIT_SPACING * np.outer(p, u))
 
 
+# Snapshot columns per GEMM of the signal in synthesize_snapshots and of the
+# pair products in virtual_array_vector.
+_SNAPSHOT_BLOCK = 1024
+
+
 def synthesize_snapshots(
     array: SensorArray,
     scene: SourceScene,
@@ -262,8 +302,11 @@ def synthesize_snapshots(
     matrix bit for bit.  The coupling matrix multiplies only the signal
     part; sensor noise is injected after it.  The signal is C A S computed as
     (C A) S, so coupling costs N^2 D rather than N^2 K, and A S as two real
-    GEMMs, since the source amplitudes S are real.  Inside :func:`run_trial`
-    the matrix and the buffers behind it belong to the trial's workspace.
+    GEMMs, since the source amplitudes S are real, each taken
+    ``_SNAPSHOT_BLOCK`` columns at a time into one small buffer, to which the
+    noise of those columns is added; a column's GEMM result does not depend
+    on the blocking.  Inside :func:`run_trial` the matrix and the buffers
+    behind it belong to the trial's workspace.
     """
     if rng is None:
         rng = np.random.default_rng(scene.seed)
@@ -272,7 +315,8 @@ def synthesize_snapshots(
     if coupling is not None:
         a = _coupling_matrix(array, coupling) @ a
     (x,) = _arrays(((n, k), np.complex128), buffer="snapshots")
-    s, noise, signal = _arrays(((d, k), float), ((n, k), float), ((n, k), float))
+    s, noise, signal = _arrays(((d, k), float), ((n, k), float),
+                               ((n, min(k, _SNAPSHOT_BLOCK)), float))
     rng.standard_exponential(out=s)
     s -= 1.0
     sigma = math.sqrt(10.0 ** (-scene.snr_db / 10.0))
@@ -281,8 +325,14 @@ def synthesize_snapshots(
     for part, steering in ((x.real, a.real), (x.imag, a.imag)):
         rng.standard_normal(out=noise)
         noise *= sigma / math.sqrt(2.0)
-        np.matmul(steering, s, out=signal)
-        np.add(signal, noise, out=part)
+        for lo in range(0, k, _SNAPSHOT_BLOCK):
+            # a last block of one column takes the one before it again: numpy
+            # would send a one-column product to GEMV, which rounds apart
+            lo = max(0, min(lo, k - 2))
+            cols = slice(lo, lo + _SNAPSHOT_BLOCK)
+            block = signal[:, : min(_SNAPSHOT_BLOCK, k - lo)]
+            np.matmul(steering, s[:, cols], out=block)
+            np.add(block, noise[:, cols], out=part[:, cols])
     return x
 
 
@@ -364,10 +414,6 @@ def sample_third_cumulants(x: np.ndarray, array: SensorArray) -> np.ndarray:
     )
 
 
-# Snapshot columns per GEMM of the pair products in virtual_array_vector.
-_SNAPSHOT_BLOCK = 1024
-
-
 def virtual_array_vector(x: np.ndarray, array: SensorArray) -> np.ndarray:
     """Redundancy-averaged third-order cumulants on the lags [-Z, Z], Z the
     one-sided consecutive span of ``array``'s TO-ECA.
@@ -425,17 +471,16 @@ def virtual_array_vector(x: np.ndarray, array: SensorArray) -> np.ndarray:
 
 
 # The most rows a block of the grid evaluation uses, and the grid points one
-# GEMM and Horner pass of it cover: _GRID_CHUNK/2 columns of the half-grid
-# table and their mirrors.  32 rather than 64 halves the cached table of a
-# long virtual array (m >= 1024) for about m/64 more Horner rows: at m = 1514,
-# 4.75 MB instead of 9.4 MB at 0.01 degrees, for about 1-2 ms more per call
-# on a 2-core x86 box.
+# GEMM and Horner pass of it cover: _GRID_CHUNK/2 points of the half grid and
+# their mirrors.  A long virtual array (m >= 1024) builds b+1 = 33 rows of
+# phasor powers per chunk, 1.1 MB; b = 64 would build 2.1 MB for m/64 fewer
+# Horner rows, about 0.8 ms less per call at m = 1514 on a 2-core x86-64 box.
 _BLOCK = 32
 _GRID_CHUNK = 4096
 
-# Smallest grid step: it leaves 2**20 interior points, a (b+1) x 2**19
-# steering table of 0.26 GiB once b = _BLOCK (m >= 256), built in place a row
-# at a time.
+# Smallest grid step: it leaves 2**20 interior points, whose cached grid and
+# half-grid phasor row take 8 MiB each; the powers of the phasor are streamed
+# a chunk at a time, so no table grows with the grid.
 _MIN_GRID_STEP_DEG = 180.0 / (2**20 + 1)
 
 # Largest virtual array whose signal subspace comes from a dense eigh.  The
@@ -466,20 +511,18 @@ _LANCZOS_RESTART_SEED = 2015
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_and_steering(step_deg: float, rows: int):
-    """Search grid over (-90, 90) plus the block factors of the ULA responses
-    on its non-negative half.
+def _grid_and_steering(step_deg: float):
+    """Search grid over (-90, 90) plus the phasor of the ULA responses on its
+    non-negative half.
 
     The G points, 180/round(180/step) degrees apart, are numpy's linspace
     made exactly antisymmetric: each negative point is minus its mirror (a
     change of at most 2 ulps of 90) and the middle point of an odd count is
-    0.  So w(-u) = conj w(u), and the table holds only the H = ceil(G/2)
-    points from the middle up, its first column all ones when G is odd.
-    Row r of the ``rows`` x H table is exp(j*2*pi*d*r*u) at u = sin(angle),
-    d = UNIT_SPACING, for r = 0..b with b = rows - 1.  Element qb + r of the
-    steering vector is table[b]**q * table[r], so a virtual array whose block
-    length (:func:`_block_length`) is b needs just these b+1 rows.  Every row
-    is bit for bit the same row of a taller table.
+    0.  So w(-u) = conj w(u), and the phasor row holds w = exp(j*2*pi*d*u),
+    u = sin(angle), d = UNIT_SPACING, at only the H = ceil(G/2) points from
+    the middle up, its first entry 1 when G is odd.  Element l of the
+    steering vector is w**l; :func:`_phasor_powers` streams the powers a
+    grid evaluation needs from this row.
     """
     npts = int(round(180.0 / step_deg)) + 1
     grid = np.linspace(-90.0, 90.0, npts)[1:-1]
@@ -487,26 +530,33 @@ def _grid_and_steering(step_deg: float, rows: int):
     if grid.size % 2:
         grid[below] = 0.0
     np.negative(grid[::-1][:below], out=grid[:below])
-    u = np.sin(np.deg2rad(grid[below:]))
-    # built in place a row at a time, each element as exp(phase * (r * u))
-    phase = 1j * 2 * np.pi * UNIT_SPACING
-    steering = np.empty((rows, u.size), dtype=np.complex128)
-    ru = np.empty_like(u)
-    for r, row in enumerate(steering):
-        np.multiply(float(r), u, out=ru)
-        np.multiply(phase, ru, out=row)
-        np.exp(row, out=row)
-    for table in (grid, steering):
-        table.setflags(write=False)  # shared across threads and callers
-    return grid, steering
+    phasor = np.exp(1j * 2 * np.pi * UNIT_SPACING * np.sin(np.deg2rad(grid[below:])))
+    for cached in (grid, phasor):
+        cached.setflags(write=False)  # shared across threads and callers
+    return grid, phasor
+
+
+def _phasor_powers(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """w**0, ..., w**b into the b+1 rows of ``out``: with rows 0..k done, rows
+    k+1..2k are rows 1..k times w**k, so about log2(b) products fill them.
+    The rounding of w grows r-fold in w**r, so for w = exp(j*2*pi*d*u) row r
+    lies within about r*eps of exp(j*2*pi*d*r*u); at b = 32 within 2e-14."""
+    out[0] = 1
+    out[1] = w
+    done = 1  # rows 0..done are w**0..w**done
+    while done < out.shape[0] - 1:
+        more = min(done, out.shape[0] - 1 - done)
+        np.multiply(out[1 : more + 1], out[done], out=out[done + 1 : done + more + 1])
+        done += more
+    return out
 
 
 def _block_length(m: int) -> int:
     """Coefficients per row of the grid evaluation for a length-m virtual
     array: the power of two with sqrt(m) < b <= 2 sqrt(m), at most ``_BLOCK``.
     The GEMM makes m*G multiplications whatever b is, but it reads b rows of
-    the table and Horner's rule adds m/b rows, so b near sqrt(2m) keeps both
-    small; b doubles at m = 4, 16, 64 and 256."""
+    phasor powers and Horner's rule adds m/b rows, so b near sqrt(2m) keeps
+    both small; b doubles at m = 4, 16, 64 and 256."""
     return min(_BLOCK, 1 << ((2 * m).bit_length() // 2))
 
 
@@ -633,44 +683,54 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     """Indices of the local maxima of x, one per run of equal values.
 
     A run is a maximum when both neighbouring runs are lower; runs at
-    either end never are.  Its index is (first + last) // 2.
+    either end never are.  Its index is (first + last) // 2.  Without runs
+    longer than one point, as off the clamp, only boolean masks of x's
+    length are made.
     """
     if x.size == 0:
         return np.empty(0, dtype=np.intp)
-    edges = np.flatnonzero(x[1:] != x[:-1]) + 1
+    changes = x[1:] != x[:-1]
+    if changes.all():
+        inner = x[1:-1]
+        return np.flatnonzero((inner > x[:-2]) & (inner > x[2:])) + 1
+    edges = np.flatnonzero(changes) + 1
     first, last = np.r_[0, edges], np.r_[edges, x.size] - 1
     runs = x[first]
     peak = np.flatnonzero((runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])) + 1
     return (first[peak] + last[peak]) // 2
 
 
-def _music_spectrum(signal: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    """1/|En^H a|^2 on the grid of the cached (b+1) x H ``steering`` table of
+def _music_spectrum(signal: np.ndarray, phasor: np.ndarray) -> np.ndarray:
+    """1/|En^H a|^2 on the grid of the cached H-point ``phasor`` row of
     :func:`_grid_and_steering` for the orthonormal m x D signal basis
-    ``signal``, b = ``_block_length(m)``, clamped at 1e12 (see
-    :func:`ss_music`).  The grid has 2H - 1 points when the table's first
-    column is all ones (the middle point 0), else 2H.
+    ``signal``, clamped at 1e12 (see :func:`ss_music`).  The grid has
+    2H - 1 points when the row's first entry is 1 (the middle point 0),
+    else 2H.
 
     ||Es^H a||^2 = 2 Re p(w) with p(w) = r_0/2 + sum_l r_l w**l.  Split as
     p = P_R + j P_I, P_R and P_I the polynomials of Re r_l and Im r_l, one
-    real GEMM of [Re coef; Im coef] with the table's float view gives the
-    partial sums of both at w, and Horner's rule adds their rows; since their
+    real GEMM of [Re coef; Im coef] with the float view of the powers
+    w**0..w**(b-1), b = ``_block_length(m)``, gives the partial sums of both
+    at w, and Horner's rule in w**b adds their rows; since their
     coefficients are real, Re p(w) = Re P_R - Im P_I and Re p(conj w) =
-    Re P_R + Im P_I, so each column also gives its mirror point.  The table
-    is read ``_GRID_CHUNK``/2 columns at a time, so the partial sums take
-    2(m/b) x ``_GRID_CHUNK`` floats, carved from the trial's workspace inside
-    :func:`run_trial`; each point's value does not depend on the chunking.
+    Re P_R + Im P_I, so each column also gives its mirror point.  The row is
+    read ``_GRID_CHUNK``/2 points at a time, their b+1 powers built by
+    :func:`_phasor_powers`, so the powers take (b+1) x ``_GRID_CHUNK``/2
+    complex numbers and the partial sums 2(m/b) x ``_GRID_CHUNK`` floats,
+    carved from the trial's workspace inside :func:`run_trial`; each point's
+    value does not depend on the chunking.
     """
     # |En^H a|^2 = m - ||Es^H a||^2 because the eigenbasis is orthonormal
     m = signal.shape[0]
-    b = steering.shape[0] - 1
-    half = steering.shape[1]
-    size = 2 * half - int(steering[1, 0] == 1)
+    b = _block_length(m)
+    half = phasor.size
+    size = 2 * half - int(phasor[0] == 1)
     n_fft, d = _fft_length(m), signal.shape[1]
     rows = -(-m // b)
     width = min(half, _GRID_CHUNK // 2)
-    spectra, power, sums = _arrays(((n_fft, d), np.complex128), ((n_fft, d), np.float64),
-                                   ((2 * rows, 2 * width), np.float64))
+    spectra, power, sums, powers = _arrays(
+        ((n_fft, d), np.complex128), ((n_fft, d), np.float64),
+        ((2 * rows, 2 * width), np.float64), ((b + 1, width), np.complex128))
     np.fft.fft(signal.conj(), n_fft, axis=0, out=spectra)
     np.abs(spectra, out=power)
     np.square(power, out=power)
@@ -679,17 +739,19 @@ def _music_spectrum(signal: np.ndarray, steering: np.ndarray) -> np.ndarray:
     coef[0] /= 2
     coef = coef.reshape(rows, b)
     lhs = np.concatenate([coef.real, coef.imag])
-    table = steering.view(np.float64)  # Re and Im of each column side by side
-    # column k of the table is grid point size - half + k, its mirror half - 1 - k
-    # (the same point for the middle one, which the second write keeps)
+    # entry k of the phasor row is grid point size - half + k, its mirror
+    # half - 1 - k (the same point for the middle one, which the second write
+    # keeps)
     total = np.empty(size)
     for lo in range(0, half, width):
         hi = min(lo + width, half)
+        chunk = _phasor_powers(phasor[lo:hi], powers[:, : hi - lo])
         block = sums[:, : 2 * (hi - lo)]
-        np.matmul(lhs, table[:b, 2 * lo : 2 * hi], out=block)
+        # Re and Im of each power side by side
+        np.matmul(lhs, chunk[:b].view(np.float64), out=block)
         # partial sums of P_R and P_I as two stacks of complex rows
         parts = block.view(np.complex128).reshape(2, rows, hi - lo)
-        shift = steering[b, lo:hi]
+        shift = chunk[b]
         acc = parts[:, -1]
         for row in parts.swapaxes(0, 1)[-2::-1]:
             acc *= shift
@@ -756,14 +818,15 @@ def ss_music(
     autocorrelations of the columns of conj(Es), taken by FFTs of length L;
     r_0 = D.  The coefficients r_0/2, r_1, ..., r_{m-1} are cut into rows of
     b, the power of two with sqrt(m) < b <= 2 sqrt(m) up to 32 (16 at m = 124,
-    32 at m = 1514); one real GEMM of their real and imaginary parts with the
-    float view of the first b rows of a (b+1) x ceil(G/2) table over the
-    non-negative grid points, cached per grid and b, gives each row's partial
-    sums, and Horner's rule in w**b, its last row, adds the rows; since
-    w(-u) = conj w(u), the same sums give the mirror points (see
-    :func:`_music_spectrum`).  Both run over chunks of ``_GRID_CHUNK`` grid
-    points, so no m x G table exists, the partial sums never span the whole
-    grid, and the GEMM does not grow with D.
+    32 at m = 1514).  Only the grid and w at its ceil(G/2) non-negative
+    points are cached, per grid step.  Over chunks of ``_GRID_CHUNK`` grid
+    points, w**0..w**b are built by products of w, one real GEMM of the
+    coefficients' real and imaginary parts with the float view of the first
+    b gives each row's partial sums, and Horner's rule in w**b adds the rows;
+    since w(-u) = conj w(u), the same sums give the mirror points (see
+    :func:`_music_spectrum`).  So no table grows with m or G beyond the grid,
+    the partial sums never span the whole grid, and the GEMM does not grow
+    with D.
     """
     z = _numeric_array(z, "z")
     if z.ndim != 1 or z.size % 2 == 0:
@@ -787,10 +850,10 @@ def ss_music(
             f"{n_sources} sources exceed the {big_z} one-sided consecutive lags"
         )
     grid_step_deg = _checked_grid_step(grid_step_deg)
-    grid, steering = _grid_and_steering(grid_step_deg, _block_length(big_z + 1) + 1)
+    grid, phasor = _grid_and_steering(grid_step_deg)
     if grid.size < n_sources:
         raise InvalidParameterError(f"{grid.size} grid points for {n_sources} sources")
-    spectrum = _music_spectrum(_signal_subspace(z[big_z:], n_sources), steering)
+    spectrum = _music_spectrum(_signal_subspace(z[big_z:], n_sources), phasor)
 
     peaks = _local_maxima(spectrum)
     order = peaks[np.argsort(spectrum[peaks], kind="stable")[::-1]]

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -126,16 +127,26 @@ class TestSynthesizeSnapshots:
         coupled = synthesize_snapshots(arr, scene, CouplingModel(band_limit=0))
         assert np.array_equal(plain, coupled)
 
-    @pytest.mark.parametrize("coupling", [None, CouplingModel()])
-    def test_matches_direct_formula(self, coupling):
+    # K = 500 in one column block (ids as before blocks were taken), then
+    # either side of a block edge, and a last block of three columns
+    @pytest.mark.parametrize("coupling, k", [
+        pytest.param(None, 500, id="None"),
+        pytest.param(CouplingModel(), 500, id="coupling1"),
+        *(pytest.param(coupling, k, id=f"{name}-{k}")
+          for name, coupling in (("None", None), ("coupling", CouplingModel()))
+          for k in (1023, 1024, 1025, 2051)),
+    ])
+    def test_matches_direct_formula(self, coupling, k):
+        assert simulator._SNAPSHOT_BLOCK == 1024  # the block the K above straddle
         # A S + sigma/sqrt(2) (n_re + j n_im) from the same random stream: bit
-        # for bit without coupling; C (A S) rounds apart from (C A) S
+        # for bit without coupling, across the column blocks of the GEMM;
+        # C (A S) rounds apart from (C A) S
         arr, _ = build_to_sda("cna", 9)
-        scene = SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), snr_db=-3.0, snapshots=500)
+        scene = SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), snr_db=-3.0, snapshots=k)
         rng = np.random.default_rng(21)
-        s = rng.exponential(1.0, size=(12, 500)) - 1.0
-        n_re = rng.standard_normal((9, 500))
-        n_im = rng.standard_normal((9, 500))
+        s = rng.exponential(1.0, size=(12, k)) - 1.0
+        n_re = rng.standard_normal((9, k))
+        n_im = rng.standard_normal((9, k))
         signal = steering_matrix(arr, scene.angles_deg) @ s
         if coupling is not None:
             signal = tosda.coupling_matrix(arr, coupling) @ signal
@@ -745,39 +756,70 @@ class TestSsMusic:
         assert grid[0] > -90 and grid[-1] < 90
 
 
+@pytest.fixture
+def fresh_workspaces(monkeypatch):
+    """An empty workspace pool for the test, so its first trial starts cold."""
+    monkeypatch.setattr(simulator, "_WORKSPACES", simulator._WorkspacePool(kept=1))
+
+
 class TestSteeringTable:
-    def test_ss_music_caches_only_the_rows_of_its_block(self):
+    def test_ss_music_caches_one_phasor_row_per_step(self):
         simulator._grid_and_steering.cache_clear()
         ss_music(analytic_virtual_vector(123, [-20.0, 10.0, 40.0]), 3)  # m = 124, b = 16
-        assert simulator._grid_and_steering.cache_info().currsize == 1
-        _, table = simulator._grid_and_steering(0.01, 17)
+        ss_music(analytic_virtual_vector(299, [-20.0, 10.0, 40.0]), 3)  # m = 300, b = 32
+        _, phasor = simulator._grid_and_steering(0.01)
         info = simulator._grid_and_steering.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
         # the non-negative half of the 17999-point grid: 0 and its 8999 positive points
-        assert table.shape == (17, 9000)
+        assert phasor.shape == (9000,)
 
     # 0.7 degrees is 257 steps of 180/257 = 0.70039 degrees, an even 256 interior
     # points; 60 degrees leaves -30 and 30 only
     @pytest.mark.parametrize("step, size", [(0.01, 17999), (0.05, 3599), (0.7, 256), (60.0, 2)])
     def test_grid_is_antisymmetric_over_a_half_width_table(self, step, size):
-        grid, table = simulator._grid_and_steering(step, 3)
+        grid, phasor = simulator._grid_and_steering(step)
         assert grid.size == size
         assert np.array_equal(grid, -grid[::-1])
         np.testing.assert_allclose(np.diff(grid), 180 / round(180 / step), rtol=0, atol=1e-12)
-        assert table.shape == (3, (size + 1) // 2)
+        assert phasor.shape == ((size + 1) // 2,)
         u = np.sin(np.deg2rad(grid[size // 2:]))
-        assert np.array_equal(table[1], np.exp(1j * 2 * np.pi * simulator.UNIT_SPACING * u))
+        assert np.array_equal(phasor, np.exp(1j * 2 * np.pi * simulator.UNIT_SPACING * u))
 
-    def test_cold_trial_traced_peak_below_10_mib(self, array9):
-        # one CNA N=9 trial with an empty steering cache: the 17-row half table,
-        # built in place, the trial's workspace and its other arrays, as numpy
-        # reports them to tracemalloc
-        assert cold_trial_traced_peak(array9, CouplingModel()) < 10 * 2**20
+    @pytest.mark.parametrize("step", [0.01, 0.7, 60.0])
+    def test_streamed_powers_match_exp(self, step):
+        # w**r by products of w, against exp(j*pi*r*u) row by row; a shorter
+        # block's rows are the leading rows of a longer one's
+        grid, phasor = simulator._grid_and_steering(step)
+        u = np.sin(np.deg2rad(grid[grid.size // 2:]))
+        powers = simulator._phasor_powers(phasor, np.empty((33, phasor.size), np.complex128))
+        r = np.arange(33)[:, None]
+        want = np.exp(1j * 2 * np.pi * simulator.UNIT_SPACING * (r * u))
+        assert np.abs(powers - want).max() <= 1e-13
+        assert np.array_equal(powers[:2], [np.ones(phasor.size), phasor])
+        for b in (1, 2, 16):
+            shorter = simulator._phasor_powers(phasor, np.empty((b + 1, phasor.size), np.complex128))
+            assert np.array_equal(shorter, powers[: b + 1])
 
-    def test_cold_n24_trial_traced_peak_below_17_mib(self):
-        # m = 1514: the 33-row half table, the 24 x 12000 snapshots and the
-        # scratch buffer, sized by the blocks of virtual_array_vector
-        assert cold_trial_traced_peak(build_to_sda("cna", 24)[0], None) < 17 * 2**20
+    def test_cold_trial_traced_peak_below_5_5_mib(self, array9, fresh_workspaces):
+        # one CNA N=9 trial with an empty grid cache and a new workspace: the
+        # 9 x 12000 snapshots, the scratch buffer, sized by the synthesis, and
+        # the trial's other arrays, as numpy reports them to tracemalloc
+        # (5.23 MiB)
+        assert cold_trial_traced_peak(array9, CouplingModel()) < 5.5 * 2**20
+
+    def test_cold_n24_trial_traced_peak_below_12_mib(self, fresh_workspaces):
+        # m = 1514: the 24 x 12000 snapshots and the scratch buffer, sized by
+        # the blocks of virtual_array_vector (11.21 MiB)
+        assert cold_trial_traced_peak(build_to_sda("cna", 24)[0], None) < 12 * 2**20
+
+    def test_fine_grid_cold_n24_trial_traced_peak_below_5_25_mib(self, fresh_workspaces):
+        # at 0.001 degrees, after a 0.01-degree trial has sized the workspace:
+        # the 179999-point grid, its phasor row, the spectrum and the masks of
+        # its maxima, with no table that grows with m (4.86 MiB; 54.1 MiB with
+        # a cached table of the powers)
+        array = build_to_sda("cna", 24)[0]
+        cold_trial_traced_peak(array, None)
+        assert cold_trial_traced_peak(array, None, grid_step_deg=0.001) < 5.25 * 2**20
 
     @pytest.mark.parametrize("sensors", [9, 24])
     def test_warm_trial_allocates_no_block_above_1_mib(self, sensors):
@@ -789,21 +831,57 @@ class TestSteeringTable:
         assert trial_traced_rise(array, coupling) < 2**20
 
 
-def cold_trial_traced_peak(array, coupling):
+# Two monte_carlo calls in a fresh interpreter (CNA N=9 with coupling, two
+# workers, K = 12000, 0.01 degree grid), the first to warm up; the script
+# prints the second's minor page faults per trial.  Temporaries handed back to
+# the kernel and faulted in afresh each trial show as a hundred or more.  Left
+# to glibc's own thresholds, which follow the largest block freed so far, the
+# count hangs on the order in which the two workers first free their
+# temporaries: 0.6 to 58 per trial over seven fresh runs on a 2-core x86-64
+# box, against 0.5 to 0.7 with the thresholds the first workspace fixes.  A
+# run that starts on a machine idle for a few seconds reads about 11 with any
+# allocator settings.
+WARM_POOL_FAULTS = """\
+import resource
+import numpy as np
+from tosda import SourceScene, build_to_sda, monte_carlo
+from tosda.metrics import CouplingModel
+arr, _ = build_to_sda('cna', 9)
+scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 12000)
+for _ in range(2):
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    monte_carlo(arr, scene, trials=20, coupling=CouplingModel(), threads=2)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the malloc thresholds are fixed under glibc only")
+def test_warm_pool_trials_take_almost_no_page_faults():
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
+    run = subprocess.run([sys.executable, "-c", WARM_POOL_FAULTS],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout.splitlines()[-1]) < 40
+
+
+def cold_trial_traced_peak(array, coupling, grid_step_deg=0.01):
     """tracemalloc's peak in bytes over one trial (12 sources, K = 12000,
-    0 dB, 0.01 degree grid) that starts with an empty steering cache."""
+    0 dB, a 0.01 degree grid by default) that starts with an empty grid
+    cache."""
     simulator._grid_and_steering.cache_clear()
-    return trial_traced_rise(array, coupling)
+    return trial_traced_rise(array, coupling, grid_step_deg)
 
 
-def trial_traced_rise(array, coupling):
+def trial_traced_rise(array, coupling, grid_step_deg=0.01):
     """How far tracemalloc's peak over one such trial rises above its start,
     in bytes."""
     scene = SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), 0.0, 12000)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        tosda.run_trial(array, scene, np.random.default_rng(1), coupling=coupling)
+        tosda.run_trial(array, scene, np.random.default_rng(1), coupling=coupling,
+                        grid_step_deg=grid_step_deg)
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
