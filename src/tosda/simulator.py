@@ -27,12 +27,11 @@ One seeded trial of the pipeline is :func:`run_trial`.  All randomness
 flows through ``numpy.random.Generator`` objects seeded from explicit
 integers; Monte-Carlo trials derive their generators from (master seed,
 sweep point, trial index) so results do not depend on the number of
-worker threads.  A trial holds a workspace from a pool shared by every
-thread and call, whose snapshot matrix and scratch buffer its stages carve
-their large arrays from, so a warm trial allocates no block above 1 MiB;
-stage functions called outside a trial return fresh arrays.  Under glibc
-the first workspace also fixes malloc's mmap and trim thresholds, so the
-smaller temporaries of a warm trial reuse pages already faulted in.
+worker threads.  Every stage allocates its arrays afresh.  Under glibc a
+trial first fixes malloc's policy for the process (see
+:func:`_fix_malloc_thresholds`): one heap for every thread, which keeps
+each trial-sized block, so the arrays of a warm trial reuse pages already
+faulted in.
 
 The simulator runs on numpy alone and loads no scipy module.  Neither path
 forms T: the dense one gathers two n x n blocks of it from the lag vector,
@@ -45,7 +44,6 @@ thread (see :func:`monte_carlo`); the pin leaves every result unchanged.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import ctypes
 import functools
 import math
@@ -144,11 +142,11 @@ class EstimationResult:
     sqrt(2)*D*m, so the error is bounded by about eps*D*m**2/b.  Against the
     per-row form m - sum_k |Es[:, k]^H a|^2 in long double (same Es, float64
     u and pi; CNA, D = 12, K = 12000, 0 dB, 0.01 degree grid) it was at most
-    7.4e-15*m at m = 124 (b = 16, three seeds) and 7.9e-14*m at m = 1514
-    (b = 32, three seeds), as with one complex polynomial, about 6e-17*m**2,
-    far inside that bound.  Near a peak the subtraction cancels, so a
-    spectrum value is only good to that error over m - ||Es^H a||^2,
-    relative; compare 1/spectrum, not spectrum.
+    8.6e-15*m at m = 124 (b = 16, three seeds) and 9.4e-14*m at m = 1514
+    (b = 32, three seeds), 6e-17*m**2 to 7e-17*m**2, far inside that bound.
+    Near a peak the subtraction cancels, so a spectrum value is only good
+    to that error over m - ||Es^H a||^2, relative; compare 1/spectrum, not
+    spectrum.
     """
 
     angles_deg: np.ndarray
@@ -172,25 +170,31 @@ class RunStats:
     truth_deg: np.ndarray
 
 
-# glibc's mallopt parameters (malloc.h) and the values trials run under:
-# blocks below _MMAP_THRESHOLD come from malloc's heaps rather than fresh
-# mappings, and a heap keeps up to _TRIM_THRESHOLD free at its top rather than
-# hand it back to the kernel.  A trial's own temporaries (eigh's LAPACK work,
-# about 250 KB at m = 124; the spectrum, 0.14 MB at a 0.01 degree grid and
-# 1.4 MB at 0.001) then reuse pages already faulted in, while the workspace
-# buffers of long virtual arrays, which outlive them, stay mapped.  A spectrum
-# above 2 MiB, at steps below about 0.0007 degrees, is mapped afresh.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD = 2 * 2**20
-_TRIM_THRESHOLD = 32 * 2**20
+# glibc's mallopt parameters (malloc.h) and the values trials run under.
+# Blocks below _MMAP_THRESHOLD, the largest glibc allows, come from malloc's
+# heap rather than fresh mappings, and the heap keeps up to _TRIM_THRESHOLD
+# free at its top rather than hand it back to the kernel.  So each array of a
+# trial (the snapshots, 4.6 MB at N = 24 and K = 12000; the pair block of
+# virtual_array_vector, 4.9 MB; the spectrum, 1.4 MB at a 0.001 degree grid
+# and 8 MiB at the finest) reuses pages an earlier trial faulted in.  One
+# arena serves every thread, so the calling thread and the workers reuse one
+# heap rather than each keep its own.  A snapshot matrix above 32 MiB
+# (N*K > 2**21) is still mapped afresh each trial: the cap bounds what the
+# process keeps.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+_MMAP_THRESHOLD = 32 * 2**20
+_TRIM_THRESHOLD = 64 * 2**20
+_ARENA_MAX = 1
 
 
 @functools.cache
 def _fix_malloc_thresholds() -> None:
-    """Set glibc's mmap and trim thresholds to the values above, once per
-    process; leave any other C library's allocator alone.  glibc would
-    otherwise raise both with the largest mapped block freed so far, so the
-    page faults of a trial would depend on what the process freed before."""
+    """Set glibc's mmap and trim thresholds and its arena limit to the values
+    above, once per process; leave any other C library's allocator alone.
+    glibc would otherwise raise both thresholds with the largest mapped block
+    freed so far, so the page faults of a trial would depend on what the
+    process freed before.  The arena limit holds only for threads that have
+    not yet taken an arena, so this runs before any worker thread starts."""
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
             return
@@ -200,77 +204,7 @@ def _fix_malloc_thresholds() -> None:
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-
-
-class _Workspace:
-    """The reusable arrays of one trial at a time: its snapshot matrix, and
-    one scratch buffer that each stage in turn carves into its own arrays.
-    The first workspace of a process fixes the allocator's thresholds."""
-
-    def __init__(self):
-        _fix_malloc_thresholds()
-        self._buffers = {"snapshots": np.empty(0), "scratch": np.empty(0)}
-
-    def carve(self, buffer: str, specs) -> list[np.ndarray]:
-        """Uninitialised arrays of the ``(shape, dtype)`` ``specs``, laid end
-        to end on 64-byte steps at the front of ``buffer``, which grows to
-        fit.  They overwrite the arrays of any earlier carve of ``buffer``."""
-        counts = [math.prod(shape) * np.dtype(dtype).itemsize // 8 for shape, dtype in specs]
-        starts = [0]
-        for count in counts:
-            starts.append(starts[-1] + -(-count // 8) * 8)
-        if self._buffers[buffer].size < starts[-1]:
-            self._buffers[buffer] = None  # freed first, unless a view still holds it
-            self._buffers[buffer] = np.empty(starts[-1])
-        flat = self._buffers[buffer]
-        return [flat[start : start + count].view(dtype).reshape(shape)
-                for (shape, dtype), start, count in zip(specs, starts, counts)]
-
-
-# The workspace of the trial running in this context (see run_trial).
-_TRIAL_WORKSPACE: contextvars.ContextVar[Optional[_Workspace]] = contextvars.ContextVar(
-    "tosda_trial_workspace", default=None
-)
-
-
-def _arrays(*specs, buffer: str = "scratch") -> list[np.ndarray]:
-    """Uninitialised arrays of the ``(shape, dtype)`` ``specs``: carved from
-    ``buffer`` of the running trial's workspace, or fresh outside a trial."""
-    workspace = _TRIAL_WORKSPACE.get()
-    if workspace is None:
-        return [np.empty(shape, dtype) for shape, dtype in specs]
-    return workspace.carve(buffer, specs)
-
-
-class _WorkspacePool:
-    """Workspaces shared by every thread and every call.
-
-    A trial checks one out for its duration, or a new one when all are out,
-    and returns it; at most ``kept`` wait idle, so the arrays of a run
-    outlive its worker threads and serve the next call.
-    """
-
-    def __init__(self, kept: int):
-        self._lock = threading.Lock()
-        self._idle: list[_Workspace] = []
-        self._kept = kept
-
-    @contextlib.contextmanager
-    def checked_out(self):
-        with self._lock:
-            workspace = self._idle.pop() if self._idle else _Workspace()
-        token = _TRIAL_WORKSPACE.set(workspace)
-        try:
-            yield
-        finally:
-            _TRIAL_WORKSPACE.reset(token)
-            with self._lock:
-                if len(self._idle) < self._kept:
-                    self._idle.append(workspace)
-
-
-# One idle workspace per core: more concurrent trials than cores gain nothing.
-_WORKSPACES = _WorkspacePool(kept=os.cpu_count() or 1)
+    mallopt(_M_ARENA_MAX, _ARENA_MAX)
 
 
 def steering_matrix(array: SensorArray, angles_deg) -> np.ndarray:
@@ -305,8 +239,7 @@ def synthesize_snapshots(
     GEMMs, since the source amplitudes S are real, each taken
     ``_SNAPSHOT_BLOCK`` columns at a time into one small buffer, to which the
     noise of those columns is added; a column's GEMM result does not depend
-    on the blocking.  Inside :func:`run_trial` the matrix and the buffers
-    behind it belong to the trial's workspace.
+    on the blocking.
     """
     if rng is None:
         rng = np.random.default_rng(scene.seed)
@@ -314,9 +247,9 @@ def synthesize_snapshots(
     a = steering_matrix(array, scene.angles_deg)
     if coupling is not None:
         a = _coupling_matrix(array, coupling) @ a
-    (x,) = _arrays(((n, k), np.complex128), buffer="snapshots")
-    s, noise, signal = _arrays(((d, k), float), ((n, k), float),
-                               ((n, min(k, _SNAPSHOT_BLOCK)), float))
+    x = np.empty((n, k), np.complex128)
+    s, noise = np.empty((d, k)), np.empty((n, k))
+    signal = np.empty((n, min(k, _SNAPSHOT_BLOCK)))
     rng.standard_exponential(out=s)
     s -= 1.0
     sigma = math.sqrt(10.0 ** (-scene.snr_db / 10.0))
@@ -428,8 +361,7 @@ def virtual_array_vector(x: np.ndarray, array: SensorArray) -> np.ndarray:
     block is centred by the sensor means into the first N rows of one
     reusable buffer, its conjugate into the last N, and its pair products
     into another, so no centred copy of x is made and the working memory
-    does not grow with K.  Inside :func:`run_trial` these buffers are carved
-    from the trial's workspace.
+    does not grow with K.
     """
     x, mean = _snapshots_and_means(x, array)
     n, k = x.shape
@@ -448,10 +380,9 @@ def virtual_array_vector(x: np.ndarray, array: SensorArray) -> np.ndarray:
     # keep peak memory at (N^2/2 + 2N) x _SNAPSHOT_BLOCK, not N^2/2 x K
     first_row = np.r_[0, np.cumsum(np.arange(n, 1, -1))]
     width = min(k, _SNAPSHOT_BLOCK)
-    pairs, both, moments = _arrays(((i.size, width), np.complex128),
-                                   ((2 * n, width), np.complex128),
-                                   ((i.size, 2 * n), np.complex128))
-    moments.fill(0)
+    pairs = np.empty((i.size, width), np.complex128)
+    both = np.empty((2 * n, width), np.complex128)
+    moments = np.zeros((i.size, 2 * n), np.complex128)
     for lo in range(0, k, _SNAPSHOT_BLOCK):
         cols = slice(lo, lo + _SNAPSHOT_BLOCK)
         rhs = both[:, : min(_SNAPSHOT_BLOCK, k - lo)]
@@ -579,7 +510,7 @@ def _real_transform(c: np.ndarray) -> np.ndarray:
     e = np.concatenate([c[:0:-1].conj(), c[:1].real, c[1:]])
     i = np.arange(n)
     a, b = e[m - 1 + i[:, None] - i], e[i[:, None] + i]
-    (r,) = _arrays(((m, m), np.float64))
+    r = np.empty((m, m))
     r[:n, :n] = (a + b).real
     r[m - n :, m - n :] = (a - b).real
     r[:n, m - n :] = (b - a).imag
@@ -633,18 +564,15 @@ def _signal_subspace(c: np.ndarray, n_sources: int) -> np.ndarray:
     spec = np.fft.fft(np.concatenate([c, np.zeros(n_fft - 2 * m + 1), c[:0:-1].conj()]))
     breakdown = _LANCZOS_TOL * np.abs(spec).max()
     # Lanczos with full reorthogonalisation: row k of basis is the k-th Lanczos
-    # vector, alpha and beta the diagonal and off-diagonal of the tridiagonal;
-    # ritz, carved after basis, takes the Ritz vectors
-    ritz_spec = ((m, n_sources), np.complex128)
-    basis, ritz = _arrays(((min(m, 4 * n_sources + 32), m), np.complex128), ritz_spec)
+    # vector, alpha and beta the diagonal and off-diagonal of the tridiagonal
+    basis = np.empty((min(m, 4 * n_sources + 32), m), np.complex128)
     alpha, beta = np.empty(m), np.empty(m)
     q = np.full(m, 1 / math.sqrt(m), dtype=np.complex128)
     rng = None
     for k in range(1, m + 1):
         if k > basis.shape[0]:  # double the rows, up to m
-            grown, ritz = _arrays(((min(m, 2 * basis.shape[0]), m), np.complex128), ritz_spec)
-            if not np.may_share_memory(grown, basis):  # else it already starts with them
-                grown[: basis.shape[0]] = basis
+            grown = np.empty((min(m, 2 * basis.shape[0]), m), np.complex128)
+            grown[: basis.shape[0]] = basis
             basis = grown
         basis[k - 1] = q
         # orthogonalising T q against every Lanczos vector also takes out
@@ -676,7 +604,7 @@ def _signal_subspace(c: np.ndarray, n_sources: int) -> np.ndarray:
         else:
             q = w / beta[k - 1]
     # the QR keeps the basis orthonormal to working precision
-    return np.linalg.qr(np.matmul(basis[:k].T, s[:, wanted], out=ritz))[0]
+    return np.linalg.qr(basis[:k].T @ s[:, wanted])[0]
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -716,9 +644,8 @@ def _music_spectrum(signal: np.ndarray, phasor: np.ndarray) -> np.ndarray:
     Re P_R + Im P_I, so each column also gives its mirror point.  The row is
     read ``_GRID_CHUNK``/2 points at a time, their b+1 powers built by
     :func:`_phasor_powers`, so the powers take (b+1) x ``_GRID_CHUNK``/2
-    complex numbers and the partial sums 2(m/b) x ``_GRID_CHUNK`` floats,
-    carved from the trial's workspace inside :func:`run_trial`; each point's
-    value does not depend on the chunking.
+    complex numbers and the partial sums 2(m/b) x ``_GRID_CHUNK`` floats;
+    each point's value does not depend on the chunking.
     """
     # |En^H a|^2 = m - ||Es^H a||^2 because the eigenbasis is orthonormal
     m = signal.shape[0]
@@ -728,17 +655,15 @@ def _music_spectrum(signal: np.ndarray, phasor: np.ndarray) -> np.ndarray:
     n_fft, d = _fft_length(m), signal.shape[1]
     rows = -(-m // b)
     width = min(half, _GRID_CHUNK // 2)
-    spectra, power, sums, powers = _arrays(
-        ((n_fft, d), np.complex128), ((n_fft, d), np.float64),
-        ((2 * rows, 2 * width), np.float64), ((b + 1, width), np.complex128))
-    np.fft.fft(signal.conj(), n_fft, axis=0, out=spectra)
-    np.abs(spectra, out=power)
+    power = np.abs(np.fft.fft(signal.conj(), n_fft, axis=0))
     np.square(power, out=power)
     coef = np.zeros(rows * b, dtype=np.complex128)
     coef[:m] = np.fft.ifft(power.sum(axis=1))[:m]
     coef[0] /= 2
     coef = coef.reshape(rows, b)
     lhs = np.concatenate([coef.real, coef.imag])
+    sums = np.empty((2 * rows, 2 * width))
+    powers = np.empty((b + 1, width), np.complex128)
     # entry k of the phasor row is grid point size - half + k, its mirror
     # half - 1 - k (the same point for the middle one, which the second write
     # keeps)
@@ -1004,17 +929,15 @@ def run_trial(
     :class:`CapacityExceededError`, and a bad grid step
     :class:`InvalidParameterError`, before any snapshot is drawn.
 
-    The trial checks a workspace out of a lock-guarded pool shared by every
-    thread and every :func:`monte_carlo` call, and gives it back when it
-    ends; the snapshot matrix, the blocks of :func:`virtual_array_vector`,
-    the dense or Lanczos subspace solve and the grid evaluation carve their
-    large arrays from it in turn.  The result holds no workspace array.
+    The trial first fixes the process's malloc policy (see
+    :func:`_fix_malloc_thresholds`), so its arrays, each allocated afresh,
+    reuse heap pages the trials before it faulted in.
     """
+    _fix_malloc_thresholds()
     _check_capacity(array, scene.n_sources)
     _checked_grid_step(grid_step_deg)
-    with _WORKSPACES.checked_out():
-        zvec = virtual_array_vector(synthesize_snapshots(array, scene, coupling, rng), array)
-        return ss_music(zvec, scene.n_sources, grid_step_deg=grid_step_deg)
+    zvec = virtual_array_vector(synthesize_snapshots(array, scene, coupling, rng), array)
+    return ss_music(zvec, scene.n_sources, grid_step_deg=grid_step_deg)
 
 
 def monte_carlo(
@@ -1048,7 +971,11 @@ def monte_carlo(
     shared 2-core x86-64 box gave quartiles of 47.9/52.6/59.4 ms unpinned
     against 54.4/61.6/74.6 ms pinned.  If the copy's thread-count symbols
     are missing, it runs unpinned, and ``progress`` is told so.
+
+    The process's malloc policy is fixed before any worker starts, since its
+    one-arena limit binds only threads that have not yet allocated.
     """
+    _fix_malloc_thresholds()
     trials = whole_number(trials, "trials")
     threads = whole_number(threads, "threads")
     if trials < 1:

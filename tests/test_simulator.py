@@ -756,12 +756,6 @@ class TestSsMusic:
         assert grid[0] > -90 and grid[-1] < 90
 
 
-@pytest.fixture
-def fresh_workspaces(monkeypatch):
-    """An empty workspace pool for the test, so its first trial starts cold."""
-    monkeypatch.setattr(simulator, "_WORKSPACES", simulator._WorkspacePool(kept=1))
-
-
 class TestSteeringTable:
     def test_ss_music_caches_one_phasor_row_per_step(self):
         simulator._grid_and_steering.cache_clear()
@@ -800,88 +794,87 @@ class TestSteeringTable:
             shorter = simulator._phasor_powers(phasor, np.empty((b + 1, phasor.size), np.complex128))
             assert np.array_equal(shorter, powers[: b + 1])
 
-    def test_cold_trial_traced_peak_below_5_5_mib(self, array9, fresh_workspaces):
-        # one CNA N=9 trial with an empty grid cache and a new workspace: the
-        # 9 x 12000 snapshots, the scratch buffer, sized by the synthesis, and
-        # the trial's other arrays, as numpy reports them to tracemalloc
-        # (5.23 MiB)
+    def test_cold_trial_traced_peak_below_5_5_mib(self, array9):
+        # one CNA N=9 trial with an empty grid cache: the 9 x 12000 snapshots,
+        # the source and noise draws of the synthesis, and the trial's other
+        # arrays, as numpy reports them to tracemalloc (3.80 MiB)
         assert cold_trial_traced_peak(array9, CouplingModel()) < 5.5 * 2**20
 
-    def test_cold_n24_trial_traced_peak_below_12_mib(self, fresh_workspaces):
-        # m = 1514: the 24 x 12000 snapshots and the scratch buffer, sized by
-        # the blocks of virtual_array_vector (11.21 MiB)
+    def test_cold_n24_trial_traced_peak_below_12_mib(self):
+        # m = 1514: the 24 x 12000 snapshots beside the pair block of
+        # virtual_array_vector (10.67 MiB)
         assert cold_trial_traced_peak(build_to_sda("cna", 24)[0], None) < 12 * 2**20
 
-    def test_fine_grid_cold_n24_trial_traced_peak_below_5_25_mib(self, fresh_workspaces):
-        # at 0.001 degrees, after a 0.01-degree trial has sized the workspace:
-        # the 179999-point grid, its phasor row, the spectrum and the masks of
-        # its maxima, with no table that grows with m (4.86 MiB; 54.1 MiB with
-        # a cached table of the powers)
+    def test_fine_grid_n24_ss_music_traced_peak_below_10_95_mib(self):
+        # ss_music at 0.001 degrees and m = 1514 with an empty grid cache: the
+        # 179999-point grid, its phasor row, the spectrum, the masks of its
+        # maxima and the Lanczos basis, with no table that grows with m
+        # (9.33 MiB; a cached table of the powers would add 47.5)
         array = build_to_sda("cna", 24)[0]
-        cold_trial_traced_peak(array, None)
-        assert cold_trial_traced_peak(array, None, grid_step_deg=0.001) < 5.25 * 2**20
+        scene = SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), 0.0, 12000)
+        z = virtual_array_vector(
+            synthesize_snapshots(array, scene, rng=np.random.default_rng(1)), array)
+        simulator._grid_and_steering.cache_clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ss_music(z, scene.n_sources, grid_step_deg=0.001)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert z.size == 2 * 1514 - 1 and peak < 10.95 * 2**20
 
-    @pytest.mark.parametrize("sensors", [9, 24])
-    def test_warm_trial_allocates_no_block_above_1_mib(self, sensors):
-        # the trial's arrays above 1 MiB all come from its pooled workspace, so
-        # the traced memory of a warm trial never rises 1 MiB above its start
-        array = build_to_sda("cna", sensors)[0]
-        coupling = CouplingModel() if sensors == 9 else None
-        cold_trial_traced_peak(array, coupling)
-        assert trial_traced_rise(array, coupling) < 2**20
 
-
-# Two monte_carlo calls in a fresh interpreter (CNA N=9 with coupling, two
-# workers, K = 12000, 0.01 degree grid), the first to warm up; the script
-# prints the second's minor page faults per trial.  Temporaries handed back to
-# the kernel and faulted in afresh each trial show as a hundred or more.  Left
-# to glibc's own thresholds, which follow the largest block freed so far, the
-# count hangs on the order in which the two workers first free their
-# temporaries: 0.6 to 58 per trial over seven fresh runs on a 2-core x86-64
-# box, against 0.5 to 0.7 with the thresholds the first workspace fixes.  A
-# run that starts on a machine idle for a few seconds reads about 11 with any
-# allocator settings.
+# Two monte_carlo calls in a fresh interpreter (CNA, 12 sources, K = 12000,
+# N=9 with coupling or N=24 without), the first to warm up; the script prints
+# the second's minor page faults per trial.  Arrays handed back to the kernel
+# and faulted in afresh each trial show as a hundred or more.  Left to glibc's
+# own thresholds, which follow the largest block freed so far, the count hangs
+# on the order in which the workers first free their arrays: 0.6 to 58 per
+# trial over seven fresh two-worker N=9 runs on a 2-core x86-64 box, against
+# 0.6 to 13 under the fixed policy, whose one heap the two workers can still
+# grow now and then.  The 0.0002 degree spectrum, 7.2 MB, took 226 to 481
+# under a 2 MiB mmap threshold.  A run that starts on a machine idle for a few
+# seconds reads about 11 with any allocator settings.
 WARM_POOL_FAULTS = """\
-import resource
+import resource, sys
 import numpy as np
 from tosda import SourceScene, build_to_sda, monte_carlo
 from tosda.metrics import CouplingModel
-arr, _ = build_to_sda('cna', 9)
+sensors, workers, step = int(sys.argv[1]), int(sys.argv[2]), float(sys.argv[3])
+arr, _ = build_to_sda('cna', sensors)
+coupling = CouplingModel() if sensors == 9 else None
 scene = SourceScene(tuple(np.linspace(-60, 60, 12)), 0.0, 12000)
 for _ in range(2):
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    monte_carlo(arr, scene, trials=20, coupling=CouplingModel(), threads=2)
+    monte_carlo(arr, scene, trials=20, coupling=coupling, threads=workers,
+                grid_step_deg=step)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / 20)
 """
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the malloc thresholds are fixed under glibc only")
-def test_warm_pool_trials_take_almost_no_page_faults():
+@pytest.mark.parametrize("sensors, workers, step", [(9, 2, 0.01), (24, 1, 0.01), (9, 2, 0.0002)],
+                         ids=["n9-2-workers", "n24-1-worker", "n9-2-workers-0.0002deg"])
+def test_warm_pool_trials_take_almost_no_page_faults(sensors, workers, step):
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
-    run = subprocess.run([sys.executable, "-c", WARM_POOL_FAULTS],
-                         env=env, capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-c", WARM_POOL_FAULTS, str(sensors), str(workers),
+                          str(step)], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert float(run.stdout.splitlines()[-1]) < 40
 
 
-def cold_trial_traced_peak(array, coupling, grid_step_deg=0.01):
-    """tracemalloc's peak in bytes over one trial (12 sources, K = 12000,
-    0 dB, a 0.01 degree grid by default) that starts with an empty grid
-    cache."""
+def cold_trial_traced_peak(array, coupling):
+    """How far tracemalloc's peak over one trial (12 sources, K = 12000,
+    0 dB, a 0.01 degree grid) that starts with an empty grid cache rises
+    above its start, in bytes."""
     simulator._grid_and_steering.cache_clear()
-    return trial_traced_rise(array, coupling, grid_step_deg)
-
-
-def trial_traced_rise(array, coupling, grid_step_deg=0.01):
-    """How far tracemalloc's peak over one such trial rises above its start,
-    in bytes."""
     scene = SourceScene(tuple(np.linspace(-60.0, 60.0, 12)), 0.0, 12000)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        tosda.run_trial(array, scene, np.random.default_rng(1), coupling=coupling,
-                        grid_step_deg=grid_step_deg)
+        tosda.run_trial(array, scene, np.random.default_rng(1), coupling=coupling)
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -958,8 +951,8 @@ class TestMonteCarlo:
             assert a.rmse_deg == b.rmse_deg
 
     def test_concurrent_calls_match_sequential_ones(self, array9):
-        # two calls of two workers each share the workspace pool, with arrays of
-        # different sizes, so a workspace serves trials of both in turn
+        # two calls of two workers each share one malloc arena, with arrays of
+        # different sizes, so a heap block serves trials of both in turn
         runs = [(array9, SourceScene((-20.0, 10.0, 40.0), 0.0, 700, seed=3)),
                 (build_to_sda("cna", 6)[0], SourceScene((-30.0, 25.0), 5.0, 300, seed=4))]
 
@@ -998,7 +991,6 @@ class TestMonteCarlo:
         kept = first.spectrum[1].copy()
         tosda.run_trial(array9, scene, np.random.default_rng(2), grid_step_deg=0.05)
         assert np.array_equal(first.spectrum[1], kept)
-        # stage functions called outside a trial return fresh arrays
         x = [synthesize_snapshots(array9, scene) for _ in range(2)]
         assert np.array_equal(x[0], x[1]) and not np.shares_memory(x[0], x[1])
 
