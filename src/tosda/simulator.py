@@ -77,7 +77,9 @@ class SourceScene:
     power at every sensor is 10**(-snr_db/10).  Source amplitudes are
     real, zero-mean and unit-variance with a centered exponential law;
     its skewness keeps all four third-order conjugation patterns away
-    from zero, which symmetric constellations would not.
+    from zero, which symmetric constellations would not.  ``snapshots``
+    must be at least 3, since the mean-centred third moments of one or two
+    snapshots vanish.
 
     ``seed`` is :func:`monte_carlo`'s master seed (stream
     ``default_rng([seed, i, t])``) and :func:`synthesize_snapshots`' default
@@ -110,8 +112,11 @@ class SourceScene:
         if any(abs(a) >= 90 for a in angles):
             raise InvalidParameterError("angles must lie inside (-90, 90) degrees")
         snapshots = whole_number(self.snapshots, "snapshots")
-        if snapshots < 1:
-            raise InvalidParameterError("need at least one snapshot")
+        if snapshots < 3:  # one centres to 0, two to c and -c
+            raise InvalidParameterError(
+                f"need at least 3 snapshots, got {snapshots}: the mean-centred "
+                "third moments of one or two snapshots vanish"
+            )
         seed = whole_number(self.seed, "seed")
         if seed < 0:
             raise InvalidParameterError("seed must be a non-negative integer")

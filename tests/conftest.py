@@ -1,6 +1,6 @@
-"""The fresh-interpreter probe of the import boundaries, shared by
-``test_package.py`` (numpy, ``tosda.coarray``) and ``test_simulator.py``
-(scipy)."""
+"""The one way the tests run code in a fresh interpreter, and its probe of
+the import boundaries, shared by ``test_package.py`` (numpy,
+``tosda.coarray``) and ``test_simulator.py`` (scipy)."""
 
 import json
 import os
@@ -73,13 +73,24 @@ print(json.dumps(steps))
 
 
 @pytest.fixture(scope="session")
-def boundaries(tmp_path_factory):
+def fresh_python():
+    """``fresh_python(code, *argv, **env)``: run ``python -c code *argv`` in a
+    new interpreter on this checkout's ``src``, ``env`` added to its
+    environment; assert that it exits 0, and return the last line it printed."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+    def run(code, *argv, **env):
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              env={**os.environ, "PYTHONPATH": src, **env},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, f"exited {proc.returncode}:\n{proc.stderr}"
+        return proc.stdout.splitlines()[-1]
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def boundaries(tmp_path_factory, fresh_python):
     """The steps ``IMPORT_BOUNDARIES`` recorded, and the directory it wrote in."""
     tmp = tmp_path_factory.mktemp("boundaries")
-    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
-    run = subprocess.run(
-        [sys.executable, "-c", f"tmp = {str(tmp)!r}\n{IMPORT_BOUNDARIES}"],
-        env=env, capture_output=True, text=True,
-    )
-    assert run.returncode == 0, run.stderr
-    return json.loads(run.stdout.splitlines()[-1]), tmp
+    return json.loads(fresh_python(f"tmp = {str(tmp)!r}\n{IMPORT_BOUNDARIES}")), tmp

@@ -720,9 +720,11 @@ class TestSimulate:
             {"sweep": {"parameter": "num_sources", "values": [2.7]}},
             {"sweep": {"parameter": "num_sources", "values": [-3]}},
             {"sweep": {"parameter": "snapshots", "values": [600.5]}},
+            {"sweep": {"parameter": "snapshots", "values": [600, 2]}},
             {"array": {"variant": "cna", "sensors": 9.7}},
             {"scene": {"angles_deg": {"count": 2.7}, "snapshots": 600}},
             {"scene": {"angles_deg": [-20.0, 20.0], "snapshots": 600.9}},
+            {"scene": {"angles_deg": [-20.0, 20.0], "snapshots": 2}},
             {"coupling": {"enabled": True, "band_limit": 3.9}},
             {"trials": 2.5},
             {"master_seed": 77.5},
@@ -740,8 +742,9 @@ class TestSimulate:
              "sweep-values-scalar", "music-scalar", "grid-step", "coupling-bool",
              "band-limit", "scene-scalar", "grid-step-nan", "grid-step-coarse",
              "fractional-num-sources", "negative-num-sources",
-             "fractional-snapshots", "fractional-sensors", "fractional-count",
-             "fractional-scene-snapshots", "fractional-band-limit",
+             "fractional-snapshots", "two-snapshots", "fractional-sensors",
+             "fractional-count", "fractional-scene-snapshots", "two-scene-snapshots",
+             "fractional-band-limit",
              "fractional-trials", "fractional-master-seed", "bool-trials",
              "bool-master-seed", "null-sensors", "infinite-coupling-phase", "grid-step-tiny",
              "no-sweep", "sweep-without-values", "sweep-without-parameter",

@@ -25,9 +25,19 @@ from tosda import (
 )
 from tosda import geometry
 from tosda.geometry import MAX_POSITION, gtoa_positions, irange, split_sizes
+from tosda.lagset import LagSet
 
 
 OFFSET_LAYOUTS = [(2, 4, 9), (4, 6, 10, 19)]
+
+
+def tna2_segments_at_pitch_m2(variant, m1, m2, j):
+    """TNA-II's generator segments as ``geometry._generator_segments`` lists
+    them, but with the first segment at pitch M2 + 1, the other reading of
+    the printed layout."""
+    assert variant == "tna2"
+    spans = geometry._generator_segments(variant, m1, m2, j)
+    return [irange(0, (m1 - 1) * (m2 + 1), m2 + 1), *spans[1:]]
 
 
 class TestUla:
@@ -135,6 +145,35 @@ class TestGenerators:
         assert (len(splits), len(inconsistent["tna2"])) == (841, 756)
         assert sum(1 for spans in inconsistent["tna2"] if spans[1]) == 350
         assert list(geometry._generator_segments("tna2", 2, 5, 2)[0]) == [0, 3, 6]
+        # The printed layout also reads as pitch M2 + 1, whose first segment,
+        # M1 - 1 steps up to its end (M1 - 1)(M2 + 1), always holds M1
+        # sensors; then only an empty middle segment makes a split
+        # inconsistent, and more consistent splits reach the printed
+        # lambda2 = 3 core.  The readings agree when M1 = M2.
+        readings = {"M1 + 1": geometry._generator_segments, "M2 + 1": tna2_segments_at_pitch_m2}
+        counts = {}
+        for reading, segments in readings.items():
+            failing, consistent, printed_lambda2 = [], 0, 0
+            for m1, m2 in splits:
+                n1, j = split_sizes("tna2", m1, m2)
+                spans = segments("tna2", m1, m2, j)
+                positions = sorted({p for span in spans for p in span})
+                assert len(positions) == sum(map(len, spans))
+                if len(positions) != n1:
+                    failing.append(spans)
+                    continue
+                consistent += 1
+                core = m1 * (m2 + 1) + j
+                printed_lambda2 += LagSet().add(*positions).reaches[1] == 3 * core
+            counts[reading] = (len(failing), sum(1 for spans in failing if spans[1]),
+                               consistent, printed_lambda2)
+        assert all(len(tna2_segments_at_pitch_m2("tna2", m1, m2, 0)[0]) == m1
+                   for m1, m2 in splits)
+        assert counts == {"M1 + 1": (756, 350, 85, 81), "M2 + 1": (351, 0, 490, 482)}
+        for m in range(1, 30):
+            j = split_sizes("tna2", m, m)[1]
+            assert (geometry._generator_segments("tna2", m, m, j)
+                    == tna2_segments_at_pitch_m2("tna2", m, m, j))
 
     @pytest.mark.parametrize("variant", ["cna", "scna"])
     @pytest.mark.parametrize("m1", [1, 2, 3, 4])

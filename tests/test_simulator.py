@@ -4,10 +4,8 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import platform
 import re
-import subprocess
 import sys
 import threading
 import time
@@ -75,9 +73,12 @@ class TestSourceScene:
         [({"angles_deg": (10.0, 10.0)}, "source angles must be distinct"),
          ({"angles_deg": (0.0, 90.0)}, "angles must lie inside"),
          ({"angles_deg": (-90.0,)}, "angles must lie inside"),
-         ({"snapshots": 0}, "need at least one snapshot"),
+         ({"snapshots": 0}, "need at least 3 snapshots, got 0"),
+         ({"snapshots": 1}, "need at least 3 snapshots, got 1"),
+         ({"snapshots": 2}, "need at least 3 snapshots, got 2"),
          ({"seed": -1}, "seed must be a non-negative integer")],
-        ids=["duplicate-angle", "angle-90", "angle-minus-90", "no-snapshot", "negative-seed"],
+        ids=["duplicate-angle", "angle-90", "angle-minus-90", "no-snapshot", "one-snapshot",
+             "two-snapshots", "negative-seed"],
     )
     def test_rejects_values_outside_the_domain(self, field, message):
         with pytest.raises(InvalidParameterError, match=f"^{message}"):
@@ -547,19 +548,14 @@ print(json.dumps(facts))
 
 
 @pytest.fixture(scope="module")
-def fresh_facts():
+def fresh_facts(fresh_python):
     """``fresh_facts(threads)``: the facts that ``FIRST_LANCZOS_CALL`` printed
     with ``threads`` workers in a new interpreter on this checkout; each
     count runs once."""
-    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src"),
-           "OPENBLAS_NUM_THREADS": "2"}
-
     @functools.cache
     def facts(threads):
-        run = subprocess.run([sys.executable, "-c", f"threads = {threads}\n{FIRST_LANCZOS_CALL}"],
-                             env=env, capture_output=True, text=True)
-        assert run.returncode == 0, f"threads={threads} exited {run.returncode}:\n{run.stderr}"
-        return json.loads(run.stdout.splitlines()[-1])
+        return json.loads(fresh_python(f"threads = {threads}\n{FIRST_LANCZOS_CALL}",
+                                       OPENBLAS_NUM_THREADS="2"))
 
     return facts
 
@@ -857,12 +853,8 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / 20)
                     reason="the malloc thresholds are fixed under glibc only")
 @pytest.mark.parametrize("sensors, workers, step", [(9, 2, 0.01), (24, 1, 0.01), (9, 2, 0.0002)],
                          ids=["n9-2-workers", "n24-1-worker", "n9-2-workers-0.0002deg"])
-def test_warm_pool_trials_take_almost_no_page_faults(sensors, workers, step):
-    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
-    run = subprocess.run([sys.executable, "-c", WARM_POOL_FAULTS, str(sensors), str(workers),
-                          str(step)], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert float(run.stdout.splitlines()[-1]) < 40
+def test_warm_pool_trials_take_almost_no_page_faults(fresh_python, sensors, workers, step):
+    assert float(fresh_python(WARM_POOL_FAULTS, str(sensors), str(workers), str(step))) < 40
 
 
 def cold_trial_traced_peak(array, coupling):
@@ -1027,6 +1019,17 @@ class TestMonteCarlo:
         scene = SourceScene((-20.0, 20.0), snr_db=0.0, snapshots=64, seed=0)
         with pytest.raises(InvalidParameterError, match=f"^sweep {parameter} must be a whole number"):
             monte_carlo(array9, scene, (parameter, [3, value]), trials=1)
+
+    def test_snapshots_sweep_point_below_3_refused_before_any_trial(self, array9, monkeypatch):
+        # at K = 2 the vector is rounding noise (max |z| about 3e-15), and MUSIC
+        # would still return angles
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(simulator, "synthesize_snapshots", no_trial)
+        scene = SourceScene((0.0, 20.0), snr_db=10.0, snapshots=400, seed=0)
+        with pytest.raises(InvalidParameterError, match="^need at least 3 snapshots, got 2"):
+            monte_carlo(array9, scene, ("snapshots", [400, 2]), trials=1)
 
     def test_whole_float_trials_recorded_as_int(self, array9):
         scene = SourceScene((-20.0, 20.0), snr_db=0.0, snapshots=64, seed=0)
